@@ -143,6 +143,10 @@ class AsidMap:
             raise MappingError(f"no real ASID for vm {vm} guest asid {guest_asid}")
         return self._map[key]
 
+    def real_asids(self, vm: int) -> list[int]:
+        """Real ASIDs currently assigned to any of `vm`'s guest ASIDs."""
+        return [real for (owner, _), real in self._map.items() if owner == vm]
+
     def drop_vm(self, vm: int) -> None:
         # Real ASIDs are retired, never recycled: stale TLB entries keyed by
         # them can never match again.
@@ -174,9 +178,6 @@ class VirtualTlb:
         if key not in self.entries and len(self.entries) >= self.capacity:
             self.entries.pop(next(iter(self.entries)))
         self.entries[key] = phys
-
-    def invalidate_page(self, real_asid: int, vpage: int) -> None:
-        self.entries.pop((real_asid, vpage), None)
 
     def flush(self) -> int:
         n = len(self.entries)
@@ -219,7 +220,6 @@ class DmaRequest:
 class ProtectionDomain:
     domain_id: int
     vm: int
-    pages: set[int] = field(default_factory=set)
     devices: set[tuple[int, int, int]] = field(default_factory=set)
     table: dict[int, int] = field(default_factory=dict)  # dva page -> phys page
 
@@ -228,7 +228,7 @@ class ProtectionDomain:
 class DmaResult:
     page: int | None
     steps: int            # table lookups plus walk levels actually performed
-    fault: str | None     # "no_root" | "no_context" | "no_mapping" | "domain_mismatch"
+    fault: str | None     # "no_root" | "no_context" | "no_mapping"
 
 
 class RemappingTables:
@@ -263,13 +263,11 @@ class RemappingTables:
     def map_page(self, domain_id: int, dva_page: int, phys_page: int) -> None:
         dom = self.domains[domain_id]
         dom.table[dva_page] = phys_page
-        dom.pages.add(phys_page)
 
     def unmap_phys(self, domain_id: int, phys_page: int) -> None:
         dom = self.domains.get(domain_id)
         if dom is None:
             return
-        dom.pages.discard(phys_page)
         for dva_page in [d for d, p in dom.table.items() if p == phys_page]:
             del dom.table[dva_page]
 
@@ -294,27 +292,7 @@ def iommu_dma_translate(
     phys = dom.table.get(req.dva // page_size)
     if phys is None:
         return DmaResult(None, steps=steps, fault="no_mapping")
-    if phys not in dom.pages:
-        return DmaResult(None, steps=steps, fault="domain_mismatch")
     return DmaResult(phys, steps=steps, fault=None)
-
-
-# ---------------------------------------------------------------------------
-# raw DMA
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RawDmaOutcome:
-    page: int
-    cross_owner: int | None   # owner hit when it is not the issuing VM
-
-
-def raw_dma_access(vm: int, target_page: int, owner_of_page) -> RawDmaOutcome:
-    """Untranslated DMA: always lands; cross-VM hits are reported, not blocked."""
-    owner = owner_of_page(target_page)
-    cross = owner if (owner is not None and owner != vm) else None
-    return RawDmaOutcome(target_page, cross)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ number of equal-sized pages.  A physical location is the triple
 
     flat = ((segment_index * pages_per_segment) + page_index) * page_size + offset
 
-Virtual and pseudo-physical addresses are page/offset pairs; how a page
-number is interpreted depends on the translation mode, so those types
-carry no geometry of their own.
+A virtual address is a page/offset pair; how its page number is
+interpreted depends on the translation mode, so it carries no geometry
+of its own.
 """
 
 from __future__ import annotations
@@ -93,14 +93,6 @@ class VirtualAddress:
 
     def to_flat(self, geom: Geometry) -> int:
         return self.vpage * geom.page_size_bytes + self.offset
-
-
-@dataclass(frozen=True)
-class PseudoPhysicalAddress:
-    """Guest-visible 'physical' page under two-level translation."""
-
-    ppage: int
-    offset: int
 
 
 def _check_components(addr: PhysicalAddress, geom: Geometry) -> None:

@@ -26,10 +26,12 @@ AllocPage installs the next sequential vpage mapping in whatever
 structures the mode uses (direct table, guest+real tables, shadow,
 domain table), and FreePage removes it.  Explicit gpt_write/rmap_write
 events exist to model adversarial or manual mappings on top of that.
-Events that a mode's hardware does not implement (hw_set outside
-hyperwall, rmap_write under asmi, ...) are no-ops; the one genuinely
-uninterpretable combination, a raw-target DMA under iommu, is a mode
-error.
+
+Each machine dispatches through a table from event kind to handler,
+filled once by its constructor, which also binds the mode's choices of
+translation walk and DMA path.  Kinds a mode's hardware does not
+implement (hw_set outside hyperwall, rmap_write under asmi) have no
+entry and are no-ops; a raw-target DMA under iommu is a mode error.
 
 Faults never abort a run; they are recorded in the report's ledgers.
 Errors that make the trace itself meaningless (entering a dead VM,
@@ -42,10 +44,12 @@ import heapq
 import json
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum, unique
+from functools import partial
 
 from .baselines import (
     ASID_POLICY,
     DEFAULT_WALK_LEVELS,
+    FLUSH_POLICY,
     AsidMap,
     DmaRequest,
     GuestPageTable,
@@ -55,6 +59,7 @@ from .baselines import (
     Requester,
     ShadowPageTable,
     VirtualTlb,
+    WalkResult,
     hypervisor_may_touch,
     iommu_dma_translate,
     nested_translate,
@@ -70,7 +75,7 @@ from .core import (
     flat_page,
     page_address,
 )
-from .errors import ModeError, SimulationError
+from .errors import ModeError, SimError, SimulationError
 from .promem import (
     DirectPageTable,
     IsolationFault,
@@ -331,7 +336,6 @@ class MetricsReport:
 
 RAW_DMA = "raw"
 NO_DMA = "off"
-REMAP_DMA = "remap"
 
 
 @dataclass(frozen=True)
@@ -370,12 +374,35 @@ def canonical_mode(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _MachineBase:
+class _Machine:
+    """The skeleton every mode shares.
+
+    `handlers` maps each kind with an `on_<kind>` method to that method;
+    subclasses bind mode choices into it and provide `live` (live owner
+    ids) and `_dma` (accounting for a DMA with a known issuer and page).
+    """
+
+    live: set[int]
+    flush_on_switch = False
+
     def __init__(self, geom: Geometry, cost: CostModel, opts: RunOptions, report: MetricsReport):
         self.geom = geom
         self.cost = cost
-        self.opts = opts
         self.report = report
+        self.device_owner: dict[tuple[int, int, int], int] = {}
+        # plain functions, called with the machine: bound methods would make
+        # every machine a reference cycle that outlives its run
+        cls = type(self)
+        self.handlers = {
+            kind: getattr(cls, "on_" + kind.value)
+            for kind in EventKind
+            if hasattr(cls, "on_" + kind.value)
+        }
+
+    def dispatch(self, ev: TraceEvent) -> None:
+        handler = self.handlers.get(ev.kind)
+        if handler is not None:
+            handler(self, ev)
 
     def charge(self, kind: EventKind, cycles: int) -> None:
         key = kind.value
@@ -386,155 +413,165 @@ class _MachineBase:
     def err(self, ev: TraceEvent, message: str) -> SimulationError:
         return SimulationError(f"event seq {ev.seq}: {message}")
 
-    # overridden by subclasses
-    def apply(self, ev: TraceEvent) -> None:
-        raise NotImplementedError
+    def _require_live(self, ev: TraceEvent, vm: int) -> None:
+        if vm not in self.live:
+            raise self.err(ev, f"vm {vm} is not live")
 
-    def sample(self, event_index: int) -> None:
-        raise NotImplementedError
+    def _charge_switch(self, kind: EventKind) -> None:
+        """Count and price a VM entry/exit or a process switch (and a flush)."""
+        c = self.report.counters
+        if kind is EventKind.PSWITCH:
+            c.process_switches += 1
+        else:
+            c.context_switches += 1
+        cycles = self.cost.context_switch
+        if self.flush_on_switch:
+            self.tlb.flush()
+            c.tlb_flushes += 1
+            cycles += self.cost.tlb_flush
+        self.charge(kind, cycles)
 
-    def finalize(self) -> None:
-        raise NotImplementedError
+    def on_pswitch(self, ev: TraceEvent) -> None:
+        self._charge_switch(ev.kind)
 
-    def check_invariants(self) -> None:
-        raise NotImplementedError
+    def on_domain_assign(self, ev: TraceEvent) -> None:
+        self._require_live(ev, ev.vm)
+        DmaRequest(ev.bus, ev.device, ev.function, 0, False)  # range check only
+        self.device_owner[(ev.bus, ev.device, ev.function)] = ev.vm
+
+    # -- DMA: a device names its issuer through domain_assign; a raw-target
+    #    event names the issuing VM and the physical page itself --
+
+    def on_dma(self, ev: TraceEvent) -> None:
+        issuer = self.device_owner.get((ev.bus, ev.device, ev.function))
+        self._dma(ev, issuer, ev.dva // self.geom.page_size_bytes, ev.dva)
+
+    def on_dma_raw(self, ev: TraceEvent) -> None:
+        self._dma(ev, ev.vm, ev.page, ev.page * self.geom.page_size_bytes)
+
+    def _dma_fault(self, ev: TraceEvent, dva: int, reason: str) -> None:
+        self.report.dma_faults.append(
+            DmaFault(ev.seq, ev.bus or 0, ev.device or 0, ev.function or 0, dva, reason)
+        )
+
+    def _dma_in_range(self, ev: TraceEvent, page: int, dva: int) -> bool:
+        """False, with a range fault recorded, when the page is outside the pool."""
+        if 0 <= page < self.geom.pages_total:
+            return True
+        self._dma_fault(ev, dva, "range")
+        return False
 
 
-class AsmiMachine(_MachineBase):
+class AsmiMachine(_Machine):
     """Segment controller mode."""
 
     def __init__(self, geom, cost, opts, report):
         super().__init__(geom, cost, opts, report)
         self.pm = ProMem(geom)
         self.pm.load_hypervisor()
+        self.live = self.pm.live
         self.tables: dict[int, DirectPageTable] = {HYPERVISOR: DirectPageTable(HYPERVISOR)}
         self.next_vpage: dict[int, int] = {HYPERVISOR: 0}
-        self.device_owner: dict[tuple[int, int, int], int] = {}
 
-    # -- helpers --
+    apply = _Machine.dispatch
 
-    def _table(self, ev: TraceEvent, vm: int) -> DirectPageTable:
-        table = self.tables.get(vm)
-        if table is None:
-            raise self.err(ev, f"vm {vm} is not live")
-        return table
-
-    def _unmap_segments(self, victim: int, segments: tuple[int, ...]) -> None:
-        # The victim's pages were swapped out; a well-behaved guest unmaps them.
-        table = self.tables.get(victim)
-        if table is None:
+    def _charge_reclaim(self, kind: EventKind, notice: ReclaimNotice | None) -> None:
+        if notice is None:
             return
-        gone = set(segments)
+        self.charge(kind, self.cost.swap_page * notice.pages_swapped)
+        # The victim's pages were swapped out; a well-behaved guest unmaps them.
+        table = self.tables[notice.victim]
+        gone = set(notice.segments)
         pps = self.geom.pages_per_segment
         for vpage in [v for v, p in table.entries.items() if p // pps in gone]:
             del table.entries[vpage]
 
-    def _charge_reclaim(self, kind: EventKind, notice: ReclaimNotice | None) -> None:
-        if notice is not None:
-            self.charge(kind, self.cost.swap_page * notice.pages_swapped)
-            self._unmap_segments(notice.victim, notice.segments)
-
     # -- event handlers --
 
-    def apply(self, ev: TraceEvent) -> None:
+    def on_create_vm(self, ev: TraceEvent) -> None:
+        notices_before = len(self.pm.notices)
+        vm = self.pm.create_vm(ev.seq)
+        if vm != ev.vm:
+            raise self.err(ev, f"trace expects vm {ev.vm}, controller assigned {vm}")
+        if len(self.pm.notices) > notices_before:
+            self._charge_reclaim(ev.kind, self.pm.notices[-1])
+        self.tables[vm] = DirectPageTable(vm)
+        self.next_vpage[vm] = 0
+
+    def on_destroy_vm(self, ev: TraceEvent) -> None:
+        self.pm.destroy_vm(ev.vm, ev.seq)
+        del self.tables[ev.vm]
+        del self.next_vpage[ev.vm]
+
+    def on_enter(self, ev: TraceEvent) -> None:
+        self.pm.vm_entry(ev.cpu, ev.vm)
+        self._charge_switch(ev.kind)
+
+    def on_exit(self, ev: TraceEvent) -> None:
+        self.pm.vm_exit(ev.cpu)
+        self._charge_switch(ev.kind)
+
+    def on_alloc(self, ev: TraceEvent) -> None:
+        self._require_live(ev, ev.vm)
+        self.report.counters.allocs += 1
+        result = self.pm.allocate_page(ev.vm, ev.seq)
+        self.charge(ev.kind, self.cost.mpt_check)
+        self._charge_reclaim(ev.kind, result.reclaim)
+        if result.address is not None:
+            vpage = self.next_vpage[ev.vm]
+            self.next_vpage[ev.vm] = vpage + 1
+            self.tables[ev.vm].entries[vpage] = flat_page(result.address, self.geom)
+
+    def on_free(self, ev: TraceEvent) -> None:
+        self._require_live(ev, ev.vm)
         c = self.report.counters
-        kind = ev.kind
-        if kind is EventKind.CREATE_VM:
-            notices_before = len(self.pm.notices)
-            vm = self.pm.create_vm(ev.seq)
-            if vm != ev.vm:
-                raise self.err(ev, f"trace expects vm {ev.vm}, controller assigned {vm}")
-            if len(self.pm.notices) > notices_before:
-                self._charge_reclaim(kind, self.pm.notices[-1])
-            self.tables[vm] = DirectPageTable(vm)
-            self.next_vpage[vm] = 0
-        elif kind is EventKind.DESTROY_VM:
-            self.pm.destroy_vm(ev.vm, ev.seq)
-            del self.tables[ev.vm]
-            del self.next_vpage[ev.vm]
-        elif kind is EventKind.ENTER:
-            self.pm.vm_entry(ev.cpu, ev.vm)
-            c.context_switches += 1
-            self.charge(kind, self.cost.context_switch)
-        elif kind is EventKind.EXIT:
-            self.pm.vm_exit(ev.cpu)
-            c.context_switches += 1
-            self.charge(kind, self.cost.context_switch)
-        elif kind is EventKind.ALLOC:
-            self._table(ev, ev.vm)
-            c.allocs += 1
-            result = self.pm.allocate_page(ev.vm, ev.seq)
-            self.charge(kind, self.cost.mpt_check)
-            self._charge_reclaim(kind, result.reclaim)
-            if result.address is not None:
-                vpage = self.next_vpage[ev.vm]
-                self.next_vpage[ev.vm] = vpage + 1
-                self.tables[ev.vm].entries[vpage] = flat_page(result.address, self.geom)
-        elif kind is EventKind.FREE:
-            table = self._table(ev, ev.vm)
-            vpage = ev.vaddr // self.geom.page_size_bytes
-            page = table.entries.get(vpage)
-            if page is None:
-                c.invalid_frees += 1
-                return
-            c.frees += 1
-            fault = self.pm.free_page(ev.vm, page_address(page, self.geom), ev.seq)
-            if fault is None:
-                del table.entries[vpage]
-        elif kind in (EventKind.READ, EventKind.WRITE):
-            cur = self.pm.current(ev.cpu)
-            va = VirtualAddress.from_flat(ev.vaddr, self.geom)
-            tr = self.pm.translate(ev.cpu, va, self.tables[cur], ev.seq)
-            c.cpu_accesses += 1
-            c.walk_steps += tr.walks
-            c.mpt_checks += tr.checks
-            if tr.fault == PAGE_FAULT:
-                c.page_faults += 1
-            self.charge(
-                kind,
-                self.cost.pt_walk_level * tr.walks + self.cost.mpt_check * tr.checks,
-            )
-        elif kind is EventKind.GPT_WRITE:
-            self._table(ev, ev.vm).entries[ev.vpage] = ev.target
-        elif kind is EventKind.RMAP_WRITE:
-            pass  # no second translation level exists in this mode
-        elif kind is EventKind.DMA:
-            issuer = self.device_owner.get((ev.bus, ev.device, ev.function))
-            self._dma(ev, issuer, ev.dva // self.geom.page_size_bytes, ev.dva)
-        elif kind is EventKind.DMA_RAW:
-            self._dma(ev, ev.vm, ev.page, ev.page * self.geom.page_size_bytes)
-        elif kind is EventKind.DOMAIN_ASSIGN:
-            DmaRequest(ev.bus, ev.device, ev.function, 0, False)  # range check only
-            self.device_owner[(ev.bus, ev.device, ev.function)] = ev.vm
-        elif kind is EventKind.HW_SET:
-            pass  # no per-page protection bits in this mode
-        elif kind is EventKind.PSWITCH:
-            c.process_switches += 1
-            self.charge(kind, self.cost.context_switch)
-        else:  # pragma: no cover
-            raise self.err(ev, f"unhandled kind {kind}")
+        table = self.tables[ev.vm]
+        vpage = ev.vaddr // self.geom.page_size_bytes
+        page = table.entries.get(vpage)
+        if page is None:
+            c.invalid_frees += 1
+            return
+        c.frees += 1
+        fault = self.pm.free_page(ev.vm, page_address(page, self.geom), ev.seq)
+        if fault is None:
+            del table.entries[vpage]
+
+    def on_read(self, ev: TraceEvent) -> None:
+        c = self.report.counters
+        cur = self.pm.current(ev.cpu)
+        va = VirtualAddress.from_flat(ev.vaddr, self.geom)
+        tr = self.pm.translate(ev.cpu, va, self.tables[cur], ev.seq)
+        c.cpu_accesses += 1
+        c.walk_steps += tr.walks
+        c.mpt_checks += tr.checks
+        if tr.fault == PAGE_FAULT:
+            c.page_faults += 1
+        self.charge(
+            ev.kind,
+            self.cost.pt_walk_level * tr.walks + self.cost.mpt_check * tr.checks,
+        )
+
+    on_write = on_read
+
+    def on_gpt_write(self, ev: TraceEvent) -> None:
+        self._require_live(ev, ev.vm)
+        self.tables[ev.vm].entries[ev.vpage] = ev.target
 
     def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
         c = self.report.counters
         c.dma_ops += 1
         if issuer is None:
-            self.report.dma_faults.append(
-                DmaFault(ev.seq, ev.bus or 0, ev.device or 0, ev.function or 0, dva, "unassigned_device")
-            )
-            self.charge(ev.kind, self.cost.dma_setup)
+            self._dma_fault(ev, dva, "unassigned_device")
+        elif self._dma_in_range(ev, page, dva):
+            fault = self.pm.check_owner(issuer, page_address(page, self.geom), ev.cpu, ev.seq)
+            self.charge(ev.kind, self.cost.dma_setup + self.cost.mpt_check)
+            if fault is None:
+                c.dma_completed += 1
+            else:
+                c.dma_blocked += 1
             return
-        if not (0 <= page < self.geom.pages_total):
-            self.report.dma_faults.append(
-                DmaFault(ev.seq, ev.bus or 0, ev.device or 0, ev.function or 0, dva, "range")
-            )
-            self.charge(ev.kind, self.cost.dma_setup)
-            return
-        fault = self.pm.check_owner(issuer, page_address(page, self.geom), ev.cpu, ev.seq)
-        self.charge(ev.kind, self.cost.dma_setup + self.cost.mpt_check)
-        if fault is None:
-            c.dma_completed += 1
-        else:
-            c.dma_blocked += 1
+        # no ownership check was possible: the failure is in dma_faults only
+        self.charge(ev.kind, self.cost.dma_setup)
 
     # -- bookkeeping --
 
@@ -560,20 +597,22 @@ class AsmiMachine(_MachineBase):
 
     def check_invariants(self) -> None:
         self.pm.check_invariants()
-        for vm, table in self.tables.items():
-            assert vm in self.pm.live, f"table kept for dead vm {vm}"
-            assert len(table.entries) <= self.next_vpage.get(vm, 0) + len(table.entries)
+        assert set(self.tables) == set(self.next_vpage) == self.pm.live, "owner sets differ"
 
 
-class BaselineMachine(_MachineBase):
-    """Page-pool hypervisor shared by nested, shadow, iommu, and hyperwall."""
+class BaselineMachine(_Machine):
+    """Page-pool hypervisor shared by nested, shadow, iommu, and hyperwall.
 
-    def __init__(self, geom, cost, opts, report, *, translation: str, dma: str, hyperwall: bool):
+    `shadow` walks shadow tables instead of the nested walk behind the
+    vTLB; `remap` sends DMA through the IOMMU, else it is raw (or PIO
+    under dma_policy=off); `hyperwall` adds per-page protection bits.
+    """
+
+    def __init__(self, geom, cost, opts, report, *, shadow: bool, remap: bool, hyperwall: bool):
         super().__init__(geom, cost, opts, report)
-        self.translation = translation            # "vtlb" | "shadow"
-        self.dma = dma                            # raw | remap | off
+        self.shadowed = shadow
         self.hyperwall = hyperwall
-        self.free_pages: list[int] = list(range(geom.pages_total))  # kept sorted
+        self.free_pages: list[int] = list(range(geom.pages_total))  # a heap
         self.owner_map: dict[int, int] = {}
         self.pages_of: dict[int, set[int]] = {HYPERVISOR: set()}
         self.backing: dict[int, tuple[int, int, int]] = {}  # page -> (vm, vpage, ppage)
@@ -582,36 +621,44 @@ class BaselineMachine(_MachineBase):
         self.next_vmid = 1
         self.gpt: dict[int, GuestPageTable] = {HYPERVISOR: GuestPageTable(HYPERVISOR)}
         self.rmap: dict[int, RealMapTable] = {HYPERVISOR: RealMapTable(HYPERVISOR)}
-        self.shadow: dict[int, ShadowPageTable] = {}
+        self.shadow: dict[int, ShadowPageTable] = {}   # guests only, shadow mode only
         self.next_vpage: dict[int, int] = {HYPERVISOR: 0}
         self.vasid: dict[int, int] = {HYPERVISOR: 0}
         self.asid_map = AsidMap()
         self.tlb = VirtualTlb(opts.tlb_policy, opts.tlb_entries)
         self.remap = RemappingTables(opts.walk_levels)
-        self.device_owner: dict[tuple[int, int, int], int] = {}
         self.domain_of_vm: dict[int, int] = {}
         self.page_mode: dict[int, PageMode] = {}
+
+        cls = type(self)
+        self._walk_guest = cls._shadow_walk if shadow else cls._vtlb_walk  # called with self
+        self.flush_on_switch = not shadow and opts.tlb_policy == FLUSH_POLICY
+        if remap:
+            self.handlers[EventKind.DMA] = cls._dma_remap
+            self.handlers[EventKind.DMA_RAW] = cls._raw_target_error
+        elif opts.dma_policy != RAW_DMA:
+            self.handlers[EventKind.DMA] = self.handlers[EventKind.DMA_RAW] = cls._dma_pio
+        if hyperwall:
+            self.handlers[EventKind.HW_SET] = cls._set_page_mode
+
+    apply = _Machine.dispatch
 
     # -- small helpers --
 
     def cur_vm(self, cpu: int) -> int:
         return self.current.get(cpu, HYPERVISOR)
 
-    def _require_live(self, ev: TraceEvent, vm: int) -> None:
-        if vm not in self.live:
-            raise self.err(ev, f"vm {vm} is not live")
-
-    def _take_lowest_page(self) -> int | None:
-        return heapq.heappop(self.free_pages) if self.free_pages else None
-
-    def _release_page(self, page: int) -> None:
-        heapq.heappush(self.free_pages, page)
-
     def _tlb_invalidate_phys(self, page: int) -> None:
         for key in [k for k, v in self.tlb.entries.items() if v == page]:
             del self.tlb.entries[key]
 
-    def _unmap_page(self, page: int) -> None:
+    def _shadow_cycles(self, steps: int) -> int:
+        """Count shadow re-derivation steps; their price in cycles."""
+        self.report.counters.shadow_update_steps += steps
+        return self.cost.pt_walk_level * steps
+
+    def _free_page(self, page: int) -> None:
+        """Unmap a held page from every structure and return it to the pool."""
         vm, vpage, ppage = self.backing.pop(page)
         self.owner_map.pop(page, None)
         self.pages_of[vm].discard(page)
@@ -629,6 +676,7 @@ class BaselineMachine(_MachineBase):
             self.remap.unmap_phys(domain, page)
         self.page_mode.pop(page, None)
         self._tlb_invalidate_phys(page)
+        heapq.heappush(self.free_pages, page)
 
     def _reclaim_one_page(self, requester: int) -> int | None:
         """Swap out one page from the largest other guest holder."""
@@ -642,25 +690,75 @@ class BaselineMachine(_MachineBase):
                     self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)
                 ):
                     continue
-                self._unmap_page(page)
-                self._release_page(page)
+                self._free_page(page)
                 return page
         return None
 
-    def _alloc_for(self, ev: TraceEvent, vm: int) -> None:
+    # -- lifecycle and entry/exit --
+
+    def on_create_vm(self, ev: TraceEvent) -> None:
+        vm = self.next_vmid
+        self.next_vmid += 1
+        if vm != ev.vm:
+            raise self.err(ev, f"trace expects vm {ev.vm}, hypervisor assigned {vm}")
+        self.live.add(vm)
+        self.pages_of[vm] = set()
+        self.gpt[vm] = GuestPageTable(vm)
+        self.rmap[vm] = RealMapTable(vm)
+        if self.shadowed:
+            self.shadow[vm] = ShadowPageTable(vm)
+        self.next_vpage[vm] = 0
+        self.vasid[vm] = 0
+
+    def on_destroy_vm(self, ev: TraceEvent) -> None:
+        self._require_live(ev, ev.vm)
+        if ev.vm == HYPERVISOR or ev.vm in self.current.values():
+            raise self.err(ev, f"vm {ev.vm} cannot be destroyed now")
+        for page in sorted(self.pages_of[ev.vm]):
+            self._free_page(page)
+        del self.pages_of[ev.vm]
+        del self.gpt[ev.vm]
+        del self.rmap[ev.vm]
+        self.shadow.pop(ev.vm, None)
+        del self.next_vpage[ev.vm]
+        del self.vasid[ev.vm]
+        self.asid_map.drop_vm(ev.vm)
+        self.domain_of_vm.pop(ev.vm, None)
+        self.live.discard(ev.vm)
+
+    def on_enter(self, ev: TraceEvent) -> None:
+        self._require_live(ev, ev.vm)
+        if self.cur_vm(ev.cpu) != HYPERVISOR or ev.vm == HYPERVISOR:
+            raise self.err(ev, "entry requires the hypervisor to be current")
+        self.current[ev.cpu] = ev.vm
+        self._charge_switch(ev.kind)
+
+    def on_exit(self, ev: TraceEvent) -> None:
+        if self.cur_vm(ev.cpu) == HYPERVISOR:
+            raise self.err(ev, "exit requires a guest to be current")
+        self.current[ev.cpu] = HYPERVISOR
+        self._charge_switch(ev.kind)
+
+    def on_pswitch(self, ev: TraceEvent) -> None:
+        self.vasid[self.cur_vm(ev.cpu)] = ev.vasid
+        super().on_pswitch(ev)
+
+    # -- memory --
+
+    def on_alloc(self, ev: TraceEvent) -> None:
+        vm = ev.vm
+        self._require_live(ev, vm)
         c = self.report.counters
         c.allocs += 1
         cycles = 0
         if not self.free_pages:
-            swapped = self._reclaim_one_page(vm)
-            if swapped is None:
+            if self._reclaim_one_page(vm) is None:
                 self.report.memory_full.append(MemoryFull(ev.seq, vm))
                 self.charge(ev.kind, 0)
                 return
             c.pages_swapped += 1
             cycles += self.cost.swap_page
-        page = self._take_lowest_page()
-        assert page is not None
+        page = heapq.heappop(self.free_pages)
         self.owner_map[page] = vm
         self.pages_of[vm].add(page)
         vpage = self.next_vpage[vm]
@@ -674,10 +772,11 @@ class BaselineMachine(_MachineBase):
             self.gpt[vm].entries[vpage] = ppage
             self.rmap[vm].entries[ppage] = page
             self.backing[page] = (vm, vpage, ppage)
-            if self.translation == "shadow":
-                steps = shadow_update_vpage(self.shadow[vm], self.gpt[vm], self.rmap[vm], vpage)
-                c.shadow_update_steps += steps
-                cycles += self.cost.pt_walk_level * steps
+            shadow = self.shadow.get(vm)
+            if shadow is not None:
+                cycles += self._shadow_cycles(
+                    shadow_update_vpage(shadow, self.gpt[vm], self.rmap[vm], vpage)
+                )
             domain = self.domain_of_vm.get(vm)
             if domain is not None:
                 self.remap.map_page(domain, ppage, page)
@@ -685,28 +784,62 @@ class BaselineMachine(_MachineBase):
             self.page_mode[page] = PageMode.HYPERVISOR_AND_DMA
         self.charge(ev.kind, cycles)
 
-    # -- translation --
-
-    def _translate_cpu(self, ev: TraceEvent, vm: int) -> int | None:
-        """Resolve the event's vaddr to a physical page, charging as we go."""
+    def on_free(self, ev: TraceEvent) -> None:
+        self._require_live(ev, ev.vm)
         c = self.report.counters
         vpage = ev.vaddr // self.geom.page_size_bytes
-        if vm == HYPERVISOR:
-            c.walk_steps += 1
-            self.charge(ev.kind, self.cost.pt_walk_level)
-            page = self.gpt[HYPERVISOR].entries.get(vpage)
-            if page is None or not (0 <= page < self.geom.pages_total):
-                c.page_faults += 1
-                return None
-            return page
-        if self.translation == "shadow":
-            result = shadow_translate(vpage, self.shadow[vm])
-            c.walk_steps += result.walks
-            self.charge(ev.kind, self.cost.pt_walk_level * result.walks)
-            if result.page is None:
-                c.page_faults += 1
-                return None
-            return result.page
+        mapped = self.gpt[ev.vm].entries.get(vpage)
+        if mapped is None:
+            c.invalid_frees += 1
+            return
+        page = mapped if ev.vm == HYPERVISOR else self.rmap[ev.vm].entries.get(mapped)
+        if page is None or self.owner_map.get(page) != ev.vm:
+            c.invalid_frees += 1
+            return
+        c.frees += 1
+        self._free_page(page)
+
+    def on_gpt_write(self, ev: TraceEvent) -> None:
+        self._require_live(ev, ev.vm)
+        self.gpt[ev.vm].entries[ev.vpage] = ev.target
+        if ev.vm != HYPERVISOR:
+            for asid in self.asid_map.real_asids(ev.vm):
+                self.tlb.entries.pop((asid, ev.vpage), None)
+            shadow = self.shadow.get(ev.vm)
+            if shadow is not None:
+                self.charge(ev.kind, self._shadow_cycles(
+                    shadow_update_vpage(shadow, self.gpt[ev.vm], self.rmap[ev.vm], ev.vpage)
+                ))
+
+    def on_rmap_write(self, ev: TraceEvent) -> None:
+        self._require_live(ev, ev.vm)
+        old = self.rmap[ev.vm].entries.get(ev.ppage)
+        self.rmap[ev.vm].entries[ev.ppage] = ev.phys
+        if old is not None:
+            self._tlb_invalidate_phys(old)
+        shadow = self.shadow.get(ev.vm)
+        if shadow is not None:
+            self.charge(ev.kind, self._shadow_cycles(
+                shadow_update_ppage(shadow, self.gpt[ev.vm], self.rmap[ev.vm], ev.ppage)
+            ))
+
+    # -- translation and CPU access --
+
+    def _walked(self, ev: TraceEvent, result: WalkResult) -> int | None:
+        """Charge a table walk; the page it reached, or None on a page fault."""
+        c = self.report.counters
+        c.walk_steps += result.walks
+        self.charge(ev.kind, self.cost.pt_walk_level * result.walks)
+        if result.page is None or not (0 <= result.page < self.geom.pages_total):
+            c.page_faults += 1
+            return None
+        return result.page
+
+    def _shadow_walk(self, ev: TraceEvent, vm: int, vpage: int) -> int | None:
+        return self._walked(ev, shadow_translate(vpage, self.shadow[vm]))
+
+    def _vtlb_walk(self, ev: TraceEvent, vm: int, vpage: int) -> int | None:
+        c = self.report.counters
         real_asid = self.asid_map.assign(vm, self.vasid[vm])
         hit = self.tlb.lookup(real_asid, vpage)
         if hit is not None:
@@ -714,14 +847,10 @@ class BaselineMachine(_MachineBase):
             self.charge(ev.kind, self.cost.tlb_hit)
             return hit
         c.tlb_misses += 1
-        result = nested_translate(vpage, self.gpt[vm], self.rmap[vm])
-        c.walk_steps += result.walks
-        self.charge(ev.kind, self.cost.pt_walk_level * result.walks)
-        if result.page is None or not (0 <= result.page < self.geom.pages_total):
-            c.page_faults += 1
-            return None
-        self.tlb.insert(real_asid, vpage, result.page)
-        return result.page
+        page = self._walked(ev, nested_translate(vpage, self.gpt[vm], self.rmap[vm]))
+        if page is not None:
+            self.tlb.insert(real_asid, vpage, page)
+        return page
 
     def _hyperwall_gate(self, ev: TraceEvent, requester: Requester, page: int) -> bool:
         """Returns True when the access may proceed."""
@@ -736,11 +865,14 @@ class BaselineMachine(_MachineBase):
         )
         return False
 
-    def _access(self, ev: TraceEvent) -> None:
-        c = self.report.counters
-        c.cpu_accesses += 1
+    def on_read(self, ev: TraceEvent) -> None:
+        self.report.counters.cpu_accesses += 1
         vm = self.cur_vm(ev.cpu)
-        page = self._translate_cpu(ev, vm)
+        vpage = ev.vaddr // self.geom.page_size_bytes
+        if vm == HYPERVISOR:
+            page = self._walked(ev, WalkResult(self.gpt[HYPERVISOR].entries.get(vpage), 1, None))
+        else:
+            page = self._walk_guest(self, ev, vm, vpage)
         if page is None:
             return
         owner = self.owner_map.get(page)
@@ -754,41 +886,42 @@ class BaselineMachine(_MachineBase):
             return
         if owner is None:
             if vm != HYPERVISOR:
-                c.page_faults += 1  # resolved to an unbacked frame
+                self.report.counters.page_faults += 1  # resolved to an unbacked frame
             return
         if owner != vm:
             self.report.violations.append(
                 Violation(ev.seq, ev.cpu, "cpu", vm, page, owner)
             )
 
+    on_write = on_read
+
+    def _set_page_mode(self, ev: TraceEvent) -> None:
+        """hw_set, bound only under hyperwall."""
+        if not (0 <= ev.page < self.geom.pages_total):
+            raise self.err(ev, f"page {ev.page} outside the geometry")
+        requester = self.cur_vm(ev.cpu)
+        owner = self.owner_map.get(ev.page)
+        if requester == owner or (requester == HYPERVISOR and owner is None):
+            self.page_mode[ev.page] = PageMode(ev.mode)
+        else:
+            self.report.counters.hw_set_denied += 1
+
     # -- DMA --
 
-    def _dma_remap(self, ev: TraceEvent) -> None:
-        c = self.report.counters
-        c.dma_ops += 1
-        req = DmaRequest(ev.bus, ev.device, ev.function, ev.dva, bool(ev.write))
-        result = iommu_dma_translate(req, self.remap, self.geom.page_size_bytes)
-        c.dma_walk_steps += result.steps
-        self.charge(ev.kind, self.cost.dma_setup + self.cost.pt_walk_level * result.steps)
-        if result.fault is not None:
-            self.report.dma_faults.append(
-                DmaFault(ev.seq, req.bus, req.device, req.function, req.dva, result.fault)
-            )
-            c.dma_blocked += 1
-            return
-        c.dma_completed += 1
+    def on_domain_assign(self, ev: TraceEvent) -> None:
+        super().on_domain_assign(ev)
+        self.remap.assign(ev.domain, ev.vm, ev.bus, ev.device, ev.function)
+        self.domain_of_vm[ev.vm] = ev.domain
+        # late assignment adopts mappings that already exist
+        for ppage, page in self.rmap[ev.vm].entries.items():
+            self.remap.map_page(ev.domain, ppage, page)
 
-    def _dma_raw(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
+    def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
+        """Raw DMA: lands unless a protection bit stops it."""
         c = self.report.counters
         c.dma_ops += 1
         self.charge(ev.kind, self.cost.dma_setup)
-        if not (0 <= page < self.geom.pages_total):
-            self.report.dma_faults.append(
-                DmaFault(ev.seq, ev.bus or 0, ev.device or 0, ev.function or 0, dva, "range")
-            )
-            c.dma_blocked += 1
-            return
-        if not self._hyperwall_gate(ev, Requester.DMA, page):
+        if not self._dma_in_range(ev, page, dva) or not self._hyperwall_gate(ev, Requester.DMA, page):
             c.dma_blocked += 1
             return
         owner = self.owner_map.get(page)
@@ -799,162 +932,31 @@ class BaselineMachine(_MachineBase):
             )
         c.dma_completed += 1
 
+    def _dma_remap(self, ev: TraceEvent) -> None:
+        c = self.report.counters
+        c.dma_ops += 1
+        req = DmaRequest(ev.bus, ev.device, ev.function, ev.dva, bool(ev.write))
+        result = iommu_dma_translate(req, self.remap, self.geom.page_size_bytes)
+        c.dma_walk_steps += result.steps
+        self.charge(ev.kind, self.cost.dma_setup + self.cost.pt_walk_level * result.steps)
+        if result.fault is not None:
+            self._dma_fault(ev, ev.dva, result.fault)
+            c.dma_blocked += 1
+            return
+        c.dma_completed += 1
+
+    def _raw_target_error(self, ev: TraceEvent) -> None:
+        raise ModeError(
+            f"event seq {ev.seq}: raw-target DMA cannot be remapped; "
+            "this mode requires device coordinates"
+        )
+
     def _dma_pio(self, ev: TraceEvent) -> None:
         c = self.report.counters
         c.dma_ops += 1
         c.pio_transfers += 1
         words = self.geom.page_size_bytes // 8
         self.charge(ev.kind, self.cost.programmed_io_word * words)
-
-    # -- event dispatch --
-
-    def apply(self, ev: TraceEvent) -> None:
-        c = self.report.counters
-        kind = ev.kind
-        if kind is EventKind.CREATE_VM:
-            vm = self.next_vmid
-            self.next_vmid += 1
-            if vm != ev.vm:
-                raise self.err(ev, f"trace expects vm {ev.vm}, hypervisor assigned {vm}")
-            self.live.add(vm)
-            self.pages_of[vm] = set()
-            self.gpt[vm] = GuestPageTable(vm)
-            self.rmap[vm] = RealMapTable(vm)
-            if self.translation == "shadow":
-                self.shadow[vm] = ShadowPageTable(vm)
-            self.next_vpage[vm] = 0
-            self.vasid[vm] = 0
-        elif kind is EventKind.DESTROY_VM:
-            self._require_live(ev, ev.vm)
-            if ev.vm == HYPERVISOR or ev.vm in self.current.values():
-                raise self.err(ev, f"vm {ev.vm} cannot be destroyed now")
-            for page in sorted(self.pages_of[ev.vm]):
-                self._unmap_page(page)
-                self._release_page(page)
-            del self.pages_of[ev.vm]
-            del self.gpt[ev.vm]
-            del self.rmap[ev.vm]
-            self.shadow.pop(ev.vm, None)
-            del self.next_vpage[ev.vm]
-            del self.vasid[ev.vm]
-            self.asid_map.drop_vm(ev.vm)
-            self.domain_of_vm.pop(ev.vm, None)
-            self.live.discard(ev.vm)
-        elif kind is EventKind.ENTER:
-            self._require_live(ev, ev.vm)
-            if self.cur_vm(ev.cpu) != HYPERVISOR or ev.vm == HYPERVISOR:
-                raise self.err(ev, "entry requires the hypervisor to be current")
-            self.current[ev.cpu] = ev.vm
-            c.context_switches += 1
-            cycles = self.cost.context_switch
-            if self.translation == "vtlb" and self.tlb.on_switch():
-                c.tlb_flushes += 1
-                cycles += self.cost.tlb_flush
-            self.charge(kind, cycles)
-        elif kind is EventKind.EXIT:
-            if self.cur_vm(ev.cpu) == HYPERVISOR:
-                raise self.err(ev, "exit requires a guest to be current")
-            self.current[ev.cpu] = HYPERVISOR
-            c.context_switches += 1
-            cycles = self.cost.context_switch
-            if self.translation == "vtlb" and self.tlb.on_switch():
-                c.tlb_flushes += 1
-                cycles += self.cost.tlb_flush
-            self.charge(kind, cycles)
-        elif kind is EventKind.ALLOC:
-            self._require_live(ev, ev.vm)
-            self._alloc_for(ev, ev.vm)
-        elif kind is EventKind.FREE:
-            self._require_live(ev, ev.vm)
-            vpage = ev.vaddr // self.geom.page_size_bytes
-            mapped = self.gpt[ev.vm].entries.get(vpage)
-            if mapped is None:
-                c.invalid_frees += 1
-                return
-            page = mapped if ev.vm == HYPERVISOR else self.rmap[ev.vm].entries.get(mapped)
-            if page is None or self.owner_map.get(page) != ev.vm:
-                c.invalid_frees += 1
-                return
-            c.frees += 1
-            self._unmap_page(page)
-            self._release_page(page)
-        elif kind in (EventKind.READ, EventKind.WRITE):
-            self._access(ev)
-        elif kind is EventKind.GPT_WRITE:
-            self._require_live(ev, ev.vm)
-            self.gpt[ev.vm].entries[ev.vpage] = ev.target
-            if ev.vm != HYPERVISOR:
-                for asid in self._asids_of(ev.vm):
-                    self.tlb.entries.pop((asid, ev.vpage), None)
-                if self.translation == "shadow":
-                    steps = shadow_update_vpage(
-                        self.shadow[ev.vm], self.gpt[ev.vm], self.rmap[ev.vm], ev.vpage
-                    )
-                    c.shadow_update_steps += steps
-                    self.charge(kind, self.cost.pt_walk_level * steps)
-        elif kind is EventKind.RMAP_WRITE:
-            self._require_live(ev, ev.vm)
-            old = self.rmap[ev.vm].entries.get(ev.ppage)
-            self.rmap[ev.vm].entries[ev.ppage] = ev.phys
-            if old is not None:
-                self._tlb_invalidate_phys(old)
-            if self.translation == "shadow" and ev.vm != HYPERVISOR:
-                steps = shadow_update_ppage(
-                    self.shadow[ev.vm], self.gpt[ev.vm], self.rmap[ev.vm], ev.ppage
-                )
-                c.shadow_update_steps += steps
-                self.charge(kind, self.cost.pt_walk_level * steps)
-        elif kind is EventKind.DMA:
-            if self.dma == REMAP_DMA:
-                self._dma_remap(ev)
-            elif self.dma == RAW_DMA:
-                issuer = self.device_owner.get((ev.bus, ev.device, ev.function))
-                self._dma_raw(ev, issuer, ev.dva // self.geom.page_size_bytes, ev.dva)
-            else:
-                self._dma_pio(ev)
-        elif kind is EventKind.DMA_RAW:
-            if self.dma == REMAP_DMA:
-                raise ModeError(
-                    f"event seq {ev.seq}: raw-target DMA cannot be remapped; "
-                    "this mode requires device coordinates"
-                )
-            if self.dma == RAW_DMA:
-                self._dma_raw(ev, ev.vm, ev.page, ev.page * self.geom.page_size_bytes)
-            else:
-                self._dma_pio(ev)
-        elif kind is EventKind.DOMAIN_ASSIGN:
-            self._require_live(ev, ev.vm)
-            self.remap.assign(ev.domain, ev.vm, ev.bus, ev.device, ev.function)
-            self.device_owner[(ev.bus, ev.device, ev.function)] = ev.vm
-            self.domain_of_vm[ev.vm] = ev.domain
-            # late assignment adopts mappings that already exist
-            for ppage, page in self.rmap[ev.vm].entries.items():
-                self.remap.map_page(ev.domain, ppage, page)
-        elif kind is EventKind.HW_SET:
-            if not self.hyperwall:
-                return
-            if not (0 <= ev.page < self.geom.pages_total):
-                raise self.err(ev, f"page {ev.page} outside the geometry")
-            requester = self.cur_vm(ev.cpu)
-            owner = self.owner_map.get(ev.page)
-            if requester == owner or (requester == HYPERVISOR and owner is None):
-                self.page_mode[ev.page] = PageMode(ev.mode)
-            else:
-                c.hw_set_denied += 1
-        elif kind is EventKind.PSWITCH:
-            vm = self.cur_vm(ev.cpu)
-            self.vasid[vm] = ev.vasid
-            c.process_switches += 1
-            cycles = self.cost.context_switch
-            if self.translation == "vtlb" and self.tlb.on_switch():
-                c.tlb_flushes += 1
-                cycles += self.cost.tlb_flush
-            self.charge(kind, cycles)
-        else:  # pragma: no cover
-            raise self.err(ev, f"unhandled kind {kind}")
-
-    def _asids_of(self, vm: int) -> list[int]:
-        return [real for (v, _), real in self.asid_map._map.items() if v == vm]
 
     # -- bookkeeping --
 
@@ -979,28 +981,13 @@ class BaselineMachine(_MachineBase):
 # run / compare
 # ---------------------------------------------------------------------------
 
-
-def _build_machine(mode: str, geom: Geometry, cost: CostModel, opts: RunOptions, report: MetricsReport):
-    if mode == "asmi":
-        return AsmiMachine(geom, cost, opts, report)
-    if mode == "nested":
-        return BaselineMachine(
-            geom, cost, opts, report, translation="vtlb", dma=opts.dma_policy, hyperwall=False
-        )
-    if mode == "nested_shadow":
-        return BaselineMachine(
-            geom, cost, opts, report, translation="shadow", dma=opts.dma_policy, hyperwall=False
-        )
-    if mode == "iommu":
-        return BaselineMachine(
-            geom, cost, opts, report, translation="vtlb", dma=REMAP_DMA, hyperwall=False
-        )
-    if mode == "hyperwall":
-        return BaselineMachine(
-            geom, cost, opts, report, translation="vtlb", dma=opts.dma_policy, hyperwall=True
-        )
-    raise ModeError(f"unknown mode {mode!r}")
-
+_MACHINES = {
+    "asmi": AsmiMachine,
+    "nested": partial(BaselineMachine, shadow=False, remap=False, hyperwall=False),
+    "nested_shadow": partial(BaselineMachine, shadow=True, remap=False, hyperwall=False),
+    "iommu": partial(BaselineMachine, shadow=False, remap=True, hyperwall=False),
+    "hyperwall": partial(BaselineMachine, shadow=False, remap=False, hyperwall=True),
+}
 
 def run(
     trace: list[TraceEvent],
@@ -1015,7 +1002,7 @@ def run(
     opts = options or RunOptions()
     mode = canonical_mode(mode)
     report = MetricsReport(mode=mode)
-    machine = _build_machine(mode, geom, cost, opts, report)
+    machine = _MACHINES[mode](geom, cost, opts, report)
     interval = max(1, opts.sample_interval)
     last_seq = None
     count = 0
@@ -1025,7 +1012,12 @@ def run(
                 f"event seq {ev.seq} is not greater than its predecessor {last_seq}"
             )
         last_seq = ev.seq
-        machine.apply(ev)
+        try:
+            machine.apply(ev)
+        except (ModeError, SimulationError):
+            raise
+        except SimError as exc:
+            raise SimulationError(f"event seq {ev.seq}: {exc}") from exc
         count += 1
         if count % interval == 0:
             machine.sample(count)

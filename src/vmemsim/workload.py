@@ -96,6 +96,15 @@ class WorkloadSpec:
                 raise WorkloadError(f"{name} must be within [0, 1]")
 
 
+def _emitter(events: list[TraceEvent]):
+    """Return emit(kind, **fields), which appends an event with the next seq."""
+
+    def emit(kind: EventKind, **fields) -> None:
+        events.append(TraceEvent(seq=len(events) + 1, kind=kind, **fields))
+
+    return emit
+
+
 def _device_of(vm: int) -> tuple[int, int, int]:
     return ((vm - 1) // MAX_DEVICE, (vm - 1) % MAX_DEVICE, 0)
 
@@ -134,13 +143,7 @@ def generate(spec: WorkloadSpec, geom: Geometry | None = None) -> list[TraceEven
     locality_scaled = [_scale(p.locality) for p in spec.demand]
 
     trace: list[TraceEvent] = []
-    seq = 0
-
-    def emit(kind: EventKind, **fields) -> None:
-        nonlocal seq
-        seq += 1
-        trace.append(TraceEvent(seq=seq, kind=kind, **fields))
-
+    emit = _emitter(trace)
     for vm in range(1, spec.vm_count + 1):
         emit(EventKind.CREATE_VM, vm=vm)
     for vm in range(1, spec.vm_count + 1):
@@ -225,13 +228,7 @@ def attack_cross_vm_dma(geom: Geometry | None = None) -> list[TraceEvent]:
         raise WorkloadError("cross-VM DMA trace needs pages_per_segment>=2, total_segments>=5")
     pps = geom.pages_per_segment
     events: list[TraceEvent] = []
-    seq = 0
-
-    def emit(kind: EventKind, **fields) -> None:
-        nonlocal seq
-        seq += 1
-        events.append(TraceEvent(seq=seq, kind=kind, **fields))
-
+    emit = _emitter(events)
     emit(EventKind.CREATE_VM, vm=1)
     emit(EventKind.CREATE_VM, vm=2)
     emit(EventKind.DOMAIN_ASSIGN, domain=1, vm=1, bus=0, device=0, function=0)
@@ -263,13 +260,7 @@ def attack_malicious_hypervisor(geom: Geometry | None = None) -> list[TraceEvent
         )
     pps = geom.pages_per_segment
     events: list[TraceEvent] = []
-    seq = 0
-
-    def emit(kind: EventKind, **fields) -> None:
-        nonlocal seq
-        seq += 1
-        events.append(TraceEvent(seq=seq, kind=kind, **fields))
-
+    emit = _emitter(events)
     emit(EventKind.CREATE_VM, vm=1)
     for _ in range(pps + 1):
         emit(EventKind.ALLOC, vm=1)
@@ -292,13 +283,7 @@ def attack_hyperwall_starvation(geom: Geometry | None = None) -> list[TraceEvent
             "starvation trace needs pages_per_segment>=3, total_segments>=5"
         )
     events: list[TraceEvent] = []
-    seq = 0
-
-    def emit(kind: EventKind, **fields) -> None:
-        nonlocal seq
-        seq += 1
-        events.append(TraceEvent(seq=seq, kind=kind, **fields))
-
+    emit = _emitter(events)
     emit(EventKind.CREATE_VM, vm=1)
     emit(EventKind.CREATE_VM, vm=2)
     emit(EventKind.ENTER, cpu=0, vm=1)

@@ -1,11 +1,19 @@
 """End-to-end command line flows driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vmemsim
 from vmemsim.cli import CSV_COLUMNS, UTIL_COLUMNS, main
+from vmemsim.engine import MODES
 from vmemsim.traceio import read_trace
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_cli(*argv):
@@ -181,3 +189,22 @@ def test_error_exit_codes(tmp_path, capsys):
 def test_run_without_trace_is_an_error(capsys):
     assert run_cli("run", "--mode", "asmi") == 1
     assert "run needs --trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_malformed_trace_names_its_seq_in_every_mode(tmp_path, capsys, mode):
+    bad = tmp_path / "exit_first.trace"
+    bad.write_text("# vmemsim trace\n1 create_vm 0 1\n2 exit 0\n")
+    assert run_cli("run", "--trace", str(bad), "--mode", mode) == 1
+    assert capsys.readouterr().err.startswith("error: event seq 2: ")
+
+
+def test_module_runs_as_a_script():
+    env = dict(os.environ, PYTHONPATH=str(Path(vmemsim.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "vmemsim.cli", "validate",
+         "--trace", str(FIXTURES / "cross_vm_dma.trace")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "14 events ok" in done.stdout

@@ -1,14 +1,20 @@
 """Trace interpreter: dispatch, cost charging, ledgers, determinism."""
 
+import gc
+import weakref
+
 import pytest
 
 from vmemsim.core import Geometry
 from vmemsim.engine import (
     MODES,
+    AsmiMachine,
     CostModel,
     EventKind,
+    MetricsReport,
     RunOptions,
     TraceEvent,
+    _MACHINES,
     canonical_mode,
     compare,
     run,
@@ -72,6 +78,74 @@ def test_create_id_mismatch_rejected():
     for mode in ("asmi", "nested"):
         with pytest.raises(SimulationError, match="vm 5"):
             run(t, mode, TINY)
+
+
+# name -> (trace, seq of the bad event, modes that reject it)
+MALFORMED = {
+    "second_enter": (
+        trace((E.CREATE_VM, {"vm": 1}), (E.CREATE_VM, {"vm": 2}),
+              (E.ENTER, {"vm": 1}), (E.ENTER, {"vm": 2})),
+        4, MODES,
+    ),
+    "exit_at_hypervisor": (trace((E.CREATE_VM, {"vm": 1}), (E.EXIT, {})), 2, MODES),
+    "destroy_current": (
+        trace((E.CREATE_VM, {"vm": 1}), (E.ENTER, {"vm": 1}), (E.DESTROY_VM, {"vm": 1})),
+        3, MODES,
+    ),
+    "destroy_dead": (
+        trace((E.CREATE_VM, {"vm": 1}), (E.DESTROY_VM, {"vm": 1}), (E.DESTROY_VM, {"vm": 1})),
+        3, MODES,
+    ),
+    "enter_dead": (
+        trace((E.CREATE_VM, {"vm": 1}), (E.DESTROY_VM, {"vm": 1}), (E.ENTER, {"vm": 1})),
+        3, MODES,
+    ),
+    "domain_assign_dead": (
+        trace((E.CREATE_VM, {"vm": 1}), (E.DESTROY_VM, {"vm": 1}),
+              (E.DOMAIN_ASSIGN, {"domain": 1, "vm": 1, "bus": 0, "device": 0, "function": 0})),
+        3, MODES,
+    ),
+    # TINY has 8 segments, so the segment controller hosts at most 7 guests;
+    # the page-pool hypervisor has no owner limit.
+    "too_many_owners": (
+        trace(*[(E.CREATE_VM, {"vm": vm}) for vm in range(1, 9)]), 8, ("asmi",),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+@pytest.mark.parametrize("mode", MODES)
+def test_malformed_trace_fails_alike_in_every_mode(mode, name):
+    events, seq, rejecting = MALFORMED[name]
+    if mode not in rejecting:
+        run(events, mode, TINY, options=opts())
+        return
+    with pytest.raises(SimulationError, match=rf"^event seq {seq}: "):
+        run(events, mode, TINY, options=opts())
+
+
+def test_asmi_invariant_check_can_fail():
+    machine = AsmiMachine(TINY, CostModel(), RunOptions(), MetricsReport(mode="asmi"))
+    for event in trace((E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1})):
+        machine.apply(event)
+    machine.check_invariants()
+    del machine.next_vpage[1]          # a live guest loses its vpage counter
+    with pytest.raises(AssertionError):
+        machine.check_invariants()
+
+
+def test_machines_are_freed_without_the_cycle_collector():
+    # compare replays one mode after another; a machine caught in a reference
+    # cycle would stay in memory until the cyclic collector happened to run
+    gc.disable()
+    try:
+        for mode, make in _MACHINES.items():
+            machine = make(TINY, CostModel(), RunOptions(), MetricsReport(mode=mode))
+            freed = weakref.ref(machine)
+            del machine
+            assert freed() is None, mode
+    finally:
+        gc.enable()
 
 
 def test_sat_add_saturates():
