@@ -20,14 +20,7 @@ from .baselines import (
     nested_translate,
     shadow_translate,
 )
-from .core import (
-    HYPERVISOR,
-    Geometry,
-    PhysicalAddress,
-    VirtualAddress,
-    decode_flat,
-    encode_flat,
-)
+from .core import HYPERVISOR, Geometry
 from .engine import (
     MODES,
     ComparisonReport,
@@ -59,7 +52,6 @@ from .errors import (
 )
 from .promem import (
     AllocResult,
-    DirectPageTable,
     IsolationFault,
     MemoryFull,
     ProMem,
@@ -88,7 +80,6 @@ __all__ = [
     "CostModel",
     "Counters",
     "DemandProfile",
-    "DirectPageTable",
     "DmaRequest",
     "DoubleFreeError",
     "EventKind",
@@ -105,7 +96,6 @@ __all__ = [
     "ModeError",
     "OutOfRangeError",
     "PageMode",
-    "PhysicalAddress",
     "ProMem",
     "ProtocolError",
     "ReclaimNotice",
@@ -116,16 +106,13 @@ __all__ = [
     "SimulationError",
     "TraceEvent",
     "TraceFormatError",
-    "VirtualAddress",
     "VirtualTlb",
     "WorkloadError",
     "WorkloadSpec",
     "Xorshift64Star",
     "canonical_mode",
     "compare",
-    "decode_flat",
     "dumps",
-    "encode_flat",
     "generate",
     "iommu_dma_translate",
     "loads",

@@ -42,25 +42,10 @@ DEFAULT_WALK_LEVELS = 4
 
 # ---------------------------------------------------------------------------
 # nested / shadow page tables
+#
+# Each table is a plain dict: a guest table maps vpage -> ppage, a real-map
+# table ppage -> physical page, and a shadow table vpage -> physical page.
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class GuestPageTable:
-    owner: int
-    entries: dict[int, int] = field(default_factory=dict)  # vpage -> ppage
-
-
-@dataclass
-class RealMapTable:
-    owner: int
-    entries: dict[int, int] = field(default_factory=dict)  # ppage -> phys page
-
-
-@dataclass
-class ShadowPageTable:
-    owner: int
-    entries: dict[int, int] = field(default_factory=dict)  # vpage -> phys page
 
 
 @dataclass(frozen=True)
@@ -70,46 +55,46 @@ class WalkResult:
     fault: str | None     # "guest_miss" | "real_miss" | None
 
 
-def nested_translate(vpage: int, gpt: GuestPageTable, rmap: RealMapTable) -> WalkResult:
+def nested_translate(vpage: int, gpt: dict[int, int], rmap: dict[int, int]) -> WalkResult:
     """Two-level lookup: guest table then real map, one walk each."""
-    ppage = gpt.entries.get(vpage)
+    ppage = gpt.get(vpage)
     if ppage is None:
         return WalkResult(None, walks=1, fault="guest_miss")
-    phys = rmap.entries.get(ppage)
+    phys = rmap.get(ppage)
     if phys is None:
         return WalkResult(None, walks=2, fault="real_miss")
     return WalkResult(phys, walks=2, fault=None)
 
 
-def shadow_translate(vpage: int, shadow: ShadowPageTable) -> WalkResult:
-    phys = shadow.entries.get(vpage)
+def shadow_translate(vpage: int, shadow: dict[int, int]) -> WalkResult:
+    phys = shadow.get(vpage)
     if phys is None:
         return WalkResult(None, walks=1, fault="guest_miss")
     return WalkResult(phys, walks=1, fault=None)
 
 
 def shadow_update_vpage(
-    shadow: ShadowPageTable, gpt: GuestPageTable, rmap: RealMapTable, vpage: int
+    shadow: dict[int, int], gpt: dict[int, int], rmap: dict[int, int], vpage: int
 ) -> int:
     """Re-derive one shadow entry after a guest table write.
 
     Returns the number of real-map walks spent.
     """
-    ppage = gpt.entries.get(vpage)
-    phys = rmap.entries.get(ppage) if ppage is not None else None
+    ppage = gpt.get(vpage)
+    phys = rmap.get(ppage) if ppage is not None else None
     if phys is None:
-        shadow.entries.pop(vpage, None)
+        shadow.pop(vpage, None)
     else:
-        shadow.entries[vpage] = phys
+        shadow[vpage] = phys
     return 1
 
 
 def shadow_update_ppage(
-    shadow: ShadowPageTable, gpt: GuestPageTable, rmap: RealMapTable, ppage: int
+    shadow: dict[int, int], gpt: dict[int, int], rmap: dict[int, int], ppage: int
 ) -> int:
     """Re-derive every shadow entry affected by a real-map write."""
     steps = 0
-    for vpage, mapped in gpt.entries.items():
+    for vpage, mapped in gpt.items():
         if mapped == ppage:
             steps += shadow_update_vpage(shadow, gpt, rmap, vpage)
     return steps
@@ -119,6 +104,8 @@ def shadow_update_ppage(
 # virtual TLB with ASID map
 # ---------------------------------------------------------------------------
 
+# Switch policies of the virtual TLB: flush it on every switch, or keep
+# entries of different address spaces apart by real ASID.
 FLUSH_POLICY = "flush"
 ASID_POLICY = "asid"
 
@@ -161,10 +148,7 @@ class VirtualTlb:
     inserts are dropped.
     """
 
-    def __init__(self, policy: str = ASID_POLICY, capacity: int = 64):
-        if policy not in (FLUSH_POLICY, ASID_POLICY):
-            raise OutOfRangeError(f"unknown TLB policy {policy!r}")
-        self.policy = policy
+    def __init__(self, capacity: int = 64):
         self.capacity = capacity
         self.entries: dict[tuple[int, int], int] = {}
 
@@ -183,13 +167,6 @@ class VirtualTlb:
         n = len(self.entries)
         self.entries.clear()
         return n
-
-    def on_switch(self) -> bool:
-        """Returns True when the policy forces (and performs) a full flush."""
-        if self.policy == FLUSH_POLICY:
-            self.flush()
-            return True
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -79,23 +79,21 @@ def _geometry(args, cfg) -> Geometry:
 def _cost(args, cfg) -> CostModel:
     pairs = [f"{k[len('cost.'):]}={v}" for k, v in cfg.items() if k.startswith("cost.")]
     pairs += getattr(args, "cost", None) or []
-    return CostModel().with_overrides(parse_cost_overrides(pairs))
+    overrides = parse_cost_overrides(pairs)
+    try:
+        return CostModel().with_overrides(overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _options(args, cfg) -> RunOptions:
-    policy = _pick(args, cfg, "tlb_policy", ASID_POLICY, str)
-    if policy not in (FLUSH_POLICY, ASID_POLICY):
-        raise ConfigError(f"tlb_policy must be {FLUSH_POLICY} or {ASID_POLICY}")
-    dma_policy = _pick(args, cfg, "dma_policy", RAW_DMA, str)
-    if dma_policy not in (RAW_DMA, NO_DMA):
-        raise ConfigError(f"dma_policy must be {RAW_DMA} or {NO_DMA}")
     return RunOptions(
         sample_interval=_pick(args, cfg, "sample_interval", 100, int),
         check_invariants=bool(getattr(args, "check_invariants", False)),
-        tlb_policy=policy,
+        tlb_policy=_pick(args, cfg, "tlb_policy", ASID_POLICY, str),
         tlb_entries=_pick(args, cfg, "tlb_entries", 64, int),
         walk_levels=_pick(args, cfg, "iommu_levels", DEFAULT_WALK_LEVELS, int),
-        dma_policy=dma_policy,
+        dma_policy=_pick(args, cfg, "dma_policy", RAW_DMA, str),
     )
 
 

@@ -35,7 +35,8 @@ entry and are no-ops; a raw-target DMA under iommu is a mode error.
 
 Faults never abort a run; they are recorded in the report's ledgers.
 Errors that make the trace itself meaningless (entering a dead VM,
-unknown ids, non-monotone seq) raise SimulationError naming the seq.
+unknown ids, non-monotone seq, a negative vaddr, a device address outside
+DmaRequest's bounds) raise SimulationError naming the seq in every mode.
 """
 
 from __future__ import annotations
@@ -52,12 +53,9 @@ from .baselines import (
     FLUSH_POLICY,
     AsidMap,
     DmaRequest,
-    GuestPageTable,
     PageMode,
-    RealMapTable,
     RemappingTables,
     Requester,
-    ShadowPageTable,
     VirtualTlb,
     WalkResult,
     hypervisor_may_touch,
@@ -68,16 +66,17 @@ from .baselines import (
     shadow_update_ppage,
     shadow_update_vpage,
 )
-from .core import (
-    HYPERVISOR,
-    Geometry,
-    VirtualAddress,
-    flat_page,
-    page_address,
+from .core import HYPERVISOR, Geometry
+from .errors import (
+    ConfigError,
+    DoubleFreeError,
+    GeometryError,
+    ModeError,
+    ProtocolError,
+    SimError,
+    SimulationError,
 )
-from .errors import ModeError, SimError, SimulationError
 from .promem import (
-    DirectPageTable,
     IsolationFault,
     MemoryFull,
     PAGE_FAULT,
@@ -347,6 +346,18 @@ class RunOptions:
     walk_levels: int = DEFAULT_WALK_LEVELS
     dma_policy: str = RAW_DMA          # raw | off; iommu always remaps
 
+    def __post_init__(self) -> None:
+        if self.tlb_policy not in (FLUSH_POLICY, ASID_POLICY):
+            raise ConfigError(
+                f"tlb_policy must be {FLUSH_POLICY} or {ASID_POLICY}, got {self.tlb_policy!r}"
+            )
+        if self.dma_policy not in (RAW_DMA, NO_DMA):
+            raise ConfigError(
+                f"dma_policy must be {RAW_DMA} or {NO_DMA}, got {self.dma_policy!r}"
+            )
+        if self.walk_levels < 1:
+            raise ConfigError(f"walk_levels must be >= 1, got {self.walk_levels}")
+
 
 MODES = ("asmi", "nested", "nested_shadow", "iommu", "hyperwall")
 
@@ -417,6 +428,16 @@ class _Machine:
         if vm not in self.live:
             raise self.err(ev, f"vm {vm} is not live")
 
+    def _vpage(self, ev: TraceEvent) -> int:
+        """The virtual page of a read, write or free."""
+        if ev.vaddr < 0:
+            raise self.err(ev, f"negative vaddr {ev.vaddr}")
+        return ev.vaddr // self.geom.page_size_bytes
+
+    def _device_request(self, ev: TraceEvent) -> DmaRequest:
+        """A dma event's device address; OutOfRangeError outside DmaRequest's bounds."""
+        return DmaRequest(ev.bus, ev.device, ev.function, ev.dva, bool(ev.write))
+
     def _charge_switch(self, kind: EventKind) -> None:
         """Count and price a VM entry/exit or a process switch (and a flush)."""
         c = self.report.counters
@@ -443,6 +464,7 @@ class _Machine:
     #    event names the issuing VM and the physical page itself --
 
     def on_dma(self, ev: TraceEvent) -> None:
+        self._device_request(ev)  # range check only
         issuer = self.device_owner.get((ev.bus, ev.device, ev.function))
         self._dma(ev, issuer, ev.dva // self.geom.page_size_bytes, ev.dva)
 
@@ -470,7 +492,7 @@ class AsmiMachine(_Machine):
         self.pm = ProMem(geom)
         self.pm.load_hypervisor()
         self.live = self.pm.live
-        self.tables: dict[int, DirectPageTable] = {HYPERVISOR: DirectPageTable(HYPERVISOR)}
+        self.tables: dict[int, dict[int, int]] = {HYPERVISOR: {}}  # owner -> vpage -> page
         self.next_vpage: dict[int, int] = {HYPERVISOR: 0}
 
     apply = _Machine.dispatch
@@ -483,8 +505,8 @@ class AsmiMachine(_Machine):
         table = self.tables[notice.victim]
         gone = set(notice.segments)
         pps = self.geom.pages_per_segment
-        for vpage in [v for v, p in table.entries.items() if p // pps in gone]:
-            del table.entries[vpage]
+        for vpage in [v for v, p in table.items() if p // pps in gone]:
+            del table[vpage]
 
     # -- event handlers --
 
@@ -495,7 +517,7 @@ class AsmiMachine(_Machine):
             raise self.err(ev, f"trace expects vm {ev.vm}, controller assigned {vm}")
         if len(self.pm.notices) > notices_before:
             self._charge_reclaim(ev.kind, self.pm.notices[-1])
-        self.tables[vm] = DirectPageTable(vm)
+        self.tables[vm] = {}
         self.next_vpage[vm] = 0
 
     def on_destroy_vm(self, ev: TraceEvent) -> None:
@@ -517,30 +539,34 @@ class AsmiMachine(_Machine):
         result = self.pm.allocate_page(ev.vm, ev.seq)
         self.charge(ev.kind, self.cost.mpt_check)
         self._charge_reclaim(ev.kind, result.reclaim)
-        if result.address is not None:
+        if result.page is not None:
             vpage = self.next_vpage[ev.vm]
             self.next_vpage[ev.vm] = vpage + 1
-            self.tables[ev.vm].entries[vpage] = flat_page(result.address, self.geom)
+            self.tables[ev.vm][vpage] = result.page
 
     def on_free(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
         c = self.report.counters
         table = self.tables[ev.vm]
-        vpage = ev.vaddr // self.geom.page_size_bytes
-        page = table.entries.get(vpage)
+        vpage = self._vpage(ev)
+        page = table.get(vpage)
         if page is None:
             c.invalid_frees += 1
             return
+        try:
+            fault = self.pm.free_page(ev.vm, page, ev.seq)
+        except (DoubleFreeError, GeometryError, ProtocolError):
+            # a gpt_write left the vpage on a page of its own segment the vm
+            # does not hold (free or its save slot), or outside the pool
+            c.invalid_frees += 1
+            return
         c.frees += 1
-        fault = self.pm.free_page(ev.vm, page_address(page, self.geom), ev.seq)
         if fault is None:
-            del table.entries[vpage]
+            del table[vpage]
 
     def on_read(self, ev: TraceEvent) -> None:
         c = self.report.counters
-        cur = self.pm.current(ev.cpu)
-        va = VirtualAddress.from_flat(ev.vaddr, self.geom)
-        tr = self.pm.translate(ev.cpu, va, self.tables[cur], ev.seq)
+        tr = self.pm.translate(ev.cpu, self._vpage(ev), self.tables, ev.seq)
         c.cpu_accesses += 1
         c.walk_steps += tr.walks
         c.mpt_checks += tr.checks
@@ -555,7 +581,7 @@ class AsmiMachine(_Machine):
 
     def on_gpt_write(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
-        self.tables[ev.vm].entries[ev.vpage] = ev.target
+        self.tables[ev.vm][ev.vpage] = ev.target
 
     def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
         c = self.report.counters
@@ -563,7 +589,7 @@ class AsmiMachine(_Machine):
         if issuer is None:
             self._dma_fault(ev, dva, "unassigned_device")
         elif self._dma_in_range(ev, page, dva):
-            fault = self.pm.check_owner(issuer, page_address(page, self.geom), ev.cpu, ev.seq)
+            fault = self.pm.check_owner(issuer, page, ev.cpu, ev.seq)
             self.charge(ev.kind, self.cost.dma_setup + self.cost.mpt_check)
             if fault is None:
                 c.dma_completed += 1
@@ -619,13 +645,13 @@ class BaselineMachine(_Machine):
         self.current: dict[int, int] = {}
         self.live: set[int] = {HYPERVISOR}
         self.next_vmid = 1
-        self.gpt: dict[int, GuestPageTable] = {HYPERVISOR: GuestPageTable(HYPERVISOR)}
-        self.rmap: dict[int, RealMapTable] = {HYPERVISOR: RealMapTable(HYPERVISOR)}
-        self.shadow: dict[int, ShadowPageTable] = {}   # guests only, shadow mode only
+        self.gpt: dict[int, dict[int, int]] = {HYPERVISOR: {}}      # vm -> vpage -> ppage
+        self.rmap: dict[int, dict[int, int]] = {HYPERVISOR: {}}     # vm -> ppage -> page
+        self.shadow: dict[int, dict[int, int]] = {}   # guests' vpage -> page, shadow mode only
         self.next_vpage: dict[int, int] = {HYPERVISOR: 0}
         self.vasid: dict[int, int] = {HYPERVISOR: 0}
         self.asid_map = AsidMap()
-        self.tlb = VirtualTlb(opts.tlb_policy, opts.tlb_entries)
+        self.tlb = VirtualTlb(opts.tlb_entries)
         self.remap = RemappingTables(opts.walk_levels)
         self.domain_of_vm: dict[int, int] = {}
         self.page_mode: dict[int, PageMode] = {}
@@ -636,7 +662,7 @@ class BaselineMachine(_Machine):
         if remap:
             self.handlers[EventKind.DMA] = cls._dma_remap
             self.handlers[EventKind.DMA_RAW] = cls._raw_target_error
-        elif opts.dma_policy != RAW_DMA:
+        elif opts.dma_policy == NO_DMA:
             self.handlers[EventKind.DMA] = self.handlers[EventKind.DMA_RAW] = cls._dma_pio
         if hyperwall:
             self.handlers[EventKind.HW_SET] = cls._set_page_mode
@@ -663,14 +689,14 @@ class BaselineMachine(_Machine):
         self.owner_map.pop(page, None)
         self.pages_of[vm].discard(page)
         gpt = self.gpt.get(vm)
-        if gpt is not None and gpt.entries.get(vpage) == (page if vm == HYPERVISOR else ppage):
-            del gpt.entries[vpage]
+        if gpt is not None and gpt.get(vpage) == (page if vm == HYPERVISOR else ppage):
+            del gpt[vpage]
         rmap = self.rmap.get(vm)
         if rmap is not None:
-            rmap.entries.pop(ppage, None)
+            rmap.pop(ppage, None)
         shadow = self.shadow.get(vm)
         if shadow is not None:
-            shadow.entries.pop(vpage, None)
+            shadow.pop(vpage, None)
         domain = self.domain_of_vm.get(vm)
         if domain is not None:
             self.remap.unmap_phys(domain, page)
@@ -703,10 +729,10 @@ class BaselineMachine(_Machine):
             raise self.err(ev, f"trace expects vm {ev.vm}, hypervisor assigned {vm}")
         self.live.add(vm)
         self.pages_of[vm] = set()
-        self.gpt[vm] = GuestPageTable(vm)
-        self.rmap[vm] = RealMapTable(vm)
+        self.gpt[vm] = {}
+        self.rmap[vm] = {}
         if self.shadowed:
-            self.shadow[vm] = ShadowPageTable(vm)
+            self.shadow[vm] = {}
         self.next_vpage[vm] = 0
         self.vasid[vm] = 0
 
@@ -765,12 +791,12 @@ class BaselineMachine(_Machine):
         self.next_vpage[vm] = vpage + 1
         if vm == HYPERVISOR:
             # the hypervisor maps straight to physical pages
-            self.gpt[vm].entries[vpage] = page
+            self.gpt[vm][vpage] = page
             self.backing[page] = (vm, vpage, page)
         else:
             ppage = vpage  # fresh guests map pages linearly
-            self.gpt[vm].entries[vpage] = ppage
-            self.rmap[vm].entries[ppage] = page
+            self.gpt[vm][vpage] = ppage
+            self.rmap[vm][ppage] = page
             self.backing[page] = (vm, vpage, ppage)
             shadow = self.shadow.get(vm)
             if shadow is not None:
@@ -787,12 +813,12 @@ class BaselineMachine(_Machine):
     def on_free(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
         c = self.report.counters
-        vpage = ev.vaddr // self.geom.page_size_bytes
-        mapped = self.gpt[ev.vm].entries.get(vpage)
+        vpage = self._vpage(ev)
+        mapped = self.gpt[ev.vm].get(vpage)
         if mapped is None:
             c.invalid_frees += 1
             return
-        page = mapped if ev.vm == HYPERVISOR else self.rmap[ev.vm].entries.get(mapped)
+        page = mapped if ev.vm == HYPERVISOR else self.rmap[ev.vm].get(mapped)
         if page is None or self.owner_map.get(page) != ev.vm:
             c.invalid_frees += 1
             return
@@ -801,7 +827,7 @@ class BaselineMachine(_Machine):
 
     def on_gpt_write(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
-        self.gpt[ev.vm].entries[ev.vpage] = ev.target
+        self.gpt[ev.vm][ev.vpage] = ev.target
         if ev.vm != HYPERVISOR:
             for asid in self.asid_map.real_asids(ev.vm):
                 self.tlb.entries.pop((asid, ev.vpage), None)
@@ -813,8 +839,8 @@ class BaselineMachine(_Machine):
 
     def on_rmap_write(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
-        old = self.rmap[ev.vm].entries.get(ev.ppage)
-        self.rmap[ev.vm].entries[ev.ppage] = ev.phys
+        old = self.rmap[ev.vm].get(ev.ppage)
+        self.rmap[ev.vm][ev.ppage] = ev.phys
         if old is not None:
             self._tlb_invalidate_phys(old)
         shadow = self.shadow.get(ev.vm)
@@ -868,9 +894,9 @@ class BaselineMachine(_Machine):
     def on_read(self, ev: TraceEvent) -> None:
         self.report.counters.cpu_accesses += 1
         vm = self.cur_vm(ev.cpu)
-        vpage = ev.vaddr // self.geom.page_size_bytes
+        vpage = self._vpage(ev)
         if vm == HYPERVISOR:
-            page = self._walked(ev, WalkResult(self.gpt[HYPERVISOR].entries.get(vpage), 1, None))
+            page = self._walked(ev, WalkResult(self.gpt[HYPERVISOR].get(vpage), 1, None))
         else:
             page = self._walk_guest(self, ev, vm, vpage)
         if page is None:
@@ -913,7 +939,7 @@ class BaselineMachine(_Machine):
         self.remap.assign(ev.domain, ev.vm, ev.bus, ev.device, ev.function)
         self.domain_of_vm[ev.vm] = ev.domain
         # late assignment adopts mappings that already exist
-        for ppage, page in self.rmap[ev.vm].entries.items():
+        for ppage, page in self.rmap[ev.vm].items():
             self.remap.map_page(ev.domain, ppage, page)
 
     def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
@@ -935,7 +961,7 @@ class BaselineMachine(_Machine):
     def _dma_remap(self, ev: TraceEvent) -> None:
         c = self.report.counters
         c.dma_ops += 1
-        req = DmaRequest(ev.bus, ev.device, ev.function, ev.dva, bool(ev.write))
+        req = self._device_request(ev)
         result = iommu_dma_translate(req, self.remap, self.geom.page_size_bytes)
         c.dma_walk_steps += result.steps
         self.charge(ev.kind, self.cost.dma_setup + self.cost.pt_walk_level * result.steps)
@@ -952,6 +978,8 @@ class BaselineMachine(_Machine):
         )
 
     def _dma_pio(self, ev: TraceEvent) -> None:
+        if ev.kind is EventKind.DMA:
+            self._device_request(ev)  # range check only
         c = self.report.counters
         c.dma_ops += 1
         c.pio_transfers += 1

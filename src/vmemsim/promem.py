@@ -29,27 +29,29 @@ Page allocation cascades:
      the request retries, which then always succeeds;
   4. else the requester is told the memory is full.
 
+Every page the controller takes or returns is a global page number p,
+as in every other table of the simulator.  The controller alone splits
+it: p lies in segment p // pages_per_segment at index
+p % pages_per_segment, and a page outside 0 .. pages_total - 1 lies in
+no segment.
+
 Access checks are segment-granular: an access is allowed iff the MPT
 maps the target segment to the requesting owner.  The hypervisor gets
 no bypass; a hypervisor access to a guest-owned segment faults exactly
 like any other cross-owner access.  Translation is single-level: one
-walk of the owner's direct page table plus one MPT check.
+walk of the current owner's page table (vpage -> global page) plus one
+MPT check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import (
-    HYPERVISOR,
-    Geometry,
-    PhysicalAddress,
-    VirtualAddress,
-    page_address,
-)
+from .core import HYPERVISOR, Geometry
 from .errors import (
     CapacityError,
     DoubleFreeError,
+    GeometryError,
     LifecycleError,
     ProtocolError,
 )
@@ -108,13 +110,10 @@ class MemoryFull:
 
 @dataclass(frozen=True)
 class AllocResult:
-    address: PhysicalAddress | None
-    claimed_segment: int | None = None
-    reclaim: ReclaimNotice | None = None
+    """The page handed out (None when memory is full) and any reclaim it took."""
 
-    @property
-    def full(self) -> bool:
-        return self.address is None
+    page: int | None
+    reclaim: ReclaimNotice | None = None
 
 
 #: translation outcome kinds
@@ -125,18 +124,9 @@ ISOLATION_FAULT = "isolation_fault"
 
 @dataclass(frozen=True)
 class Translation:
-    address: PhysicalAddress | None
     fault: str | None
     walks: int
     checks: int
-
-
-@dataclass
-class DirectPageTable:
-    """Single-level table mapping vpage straight to a global physical page."""
-
-    owner: int
-    entries: dict[int, int] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +139,7 @@ class ProMem:
 
     def __init__(self, geom: Geometry):
         self.geom = geom
+        self.pps = geom.pages_per_segment
         self.tseg = geom.total_segments
         self.tot = 0
         self.mseg = 0
@@ -285,32 +276,30 @@ class ProMem:
     def allocate_page(self, vm: int, seq: int = -1) -> AllocResult:
         if vm not in self.live:
             raise LifecycleError(f"vm {vm} is not live")
-        found = self._allocate_once(vm)
-        if found is not None:
-            addr, claimed = found
-            return AllocResult(addr, claimed)
+        page = self._allocate_once(vm)
+        if page is not None:
+            return AllocResult(page)
         notice = self._reclaim(seq)
         if notice is None:
             self.memory_full_events.append(MemoryFull(seq, vm))
             return AllocResult(None)
-        found = self._allocate_once(vm)
-        assert found is not None, "retry after reclaim must succeed"
-        addr, claimed = found
-        return AllocResult(addr, claimed, notice)
+        page = self._allocate_once(vm)
+        assert page is not None, "retry after reclaim must succeed"
+        return AllocResult(page, notice)
 
-    def _allocate_once(self, vm: int) -> tuple[PhysicalAddress, int | None] | None:
-        full_mask = (1 << self.geom.pages_per_segment) - 1
+    def _allocate_once(self, vm: int) -> int | None:
+        full_mask = (1 << self.pps) - 1
         for s in self.owned_segments(vm):
             mask = self.masks[s]
             if mask != full_mask:
-                page = ((~mask) & (mask + 1)).bit_length() - 1
-                self.masks[s] = mask | (1 << page)
-                return PhysicalAddress(s, page, 0), None
+                index = ((~mask) & (mask + 1)).bit_length() - 1
+                self.masks[s] = mask | (1 << index)
+                return s * self.pps + index
         s = self._lowest_free_segment()
         if s is not None:
             self.mpt[s] = vm
             self.masks[s] = 1  # claimed segments carry no slot; data starts at 0
-            return PhysicalAddress(s, 0, 0), s
+            return s * self.pps
         return None
 
     def _reclaim(self, seq: int) -> ReclaimNotice | None:
@@ -337,20 +326,22 @@ class ProMem:
         self.pages_swapped_total += swapped
         return notice
 
-    def free_page(self, vm: int, addr: PhysicalAddress, seq: int = -1) -> IsolationFault | None:
+    def free_page(self, vm: int, page: int, seq: int = -1) -> IsolationFault | None:
         if vm not in self.live:
             raise LifecycleError(f"vm {vm} is not live")
-        s = addr.segment_index
+        if not (0 <= page < self.geom.pages_total):
+            raise GeometryError(f"page {page} outside 0..{self.geom.pages_total - 1}")
+        s, index = divmod(page, self.pps)
         owner = self.mpt.get(s)
         if owner != vm:
             fault = IsolationFault(seq, -1, vm, s, owner)
             self.faults.append(fault)
             return fault
-        if s == self.slot_segment[vm] and addr.page_index == 0:
+        if s == self.slot_segment[vm] and index == 0:
             raise ProtocolError(f"page 0 of segment {s} hosts the save slot of vm {vm}")
-        bit = 1 << addr.page_index
+        bit = 1 << index
         if not (self.masks[s] & bit):
-            raise DoubleFreeError(f"segment {s} page {addr.page_index} is already free")
+            raise DoubleFreeError(f"segment {s} page {index} is already free")
         self.masks[s] &= ~bit
         if self.masks[s] == 0 and s != self.slot_segment[vm]:
             del self.mpt[s]
@@ -360,41 +351,31 @@ class ProMem:
     # -- access ----------------------------------------------------------
 
     def check_owner(
-        self, vmid: int, addr: PhysicalAddress, cpu: int = -1, seq: int = -1
+        self, vmid: int, page: int, cpu: int = -1, seq: int = -1
     ) -> IsolationFault | None:
         """Segment ownership check on behalf of any requester (CPU or DMA)."""
-        owner = self.mpt.get(addr.segment_index)
+        s = page // self.pps
+        owner = self.mpt.get(s)
         if owner == vmid:
             return None
-        fault = IsolationFault(seq, cpu, vmid, addr.segment_index, owner)
+        fault = IsolationFault(seq, cpu, vmid, s, owner)
         self.faults.append(fault)
         return fault
 
-    def check_access(
-        self, cpu: int, addr: PhysicalAddress, seq: int = -1
-    ) -> IsolationFault | None:
-        return self.check_owner(self.current(cpu), addr, cpu, seq)
+    def check_access(self, cpu: int, page: int, seq: int = -1) -> IsolationFault | None:
+        return self.check_owner(self.current(cpu), page, cpu, seq)
 
     def translate(
-        self,
-        cpu: int,
-        vaddr: VirtualAddress,
-        table: DirectPageTable,
-        seq: int = -1,
+        self, cpu: int, vpage: int, tables: dict[int, dict[int, int]], seq: int = -1
     ) -> Translation:
+        """Walk the current owner's table in `tables` (owner -> vpage -> page)."""
         cur = self.current(cpu)
-        if table.owner != cur:
-            raise ProtocolError(
-                f"table of vm {table.owner} used while vm {cur} is current"
-            )
-        target = table.entries.get(vaddr.vpage)
+        target = tables[cur].get(vpage)
         if target is None or not (0 <= target < self.geom.pages_total):
-            return Translation(None, PAGE_FAULT, walks=1, checks=0)
-        addr = page_address(target, self.geom, vaddr.offset)
-        fault = self.check_owner(cur, addr, cpu, seq)
-        if fault is not None:
-            return Translation(None, ISOLATION_FAULT, walks=1, checks=1)
-        return Translation(addr, None, walks=1, checks=1)
+            return Translation(PAGE_FAULT, walks=1, checks=0)
+        if self.check_owner(cur, target, cpu, seq) is not None:
+            return Translation(ISOLATION_FAULT, walks=1, checks=1)
+        return Translation(None, walks=1, checks=1)
 
     # -- invariants -------------------------------------------------------
 
@@ -407,7 +388,7 @@ class ProMem:
         assert self.tot == len(self.live)
         expected = max(1, self.tseg // self.tot) if self.tot else 0
         assert self.mseg == expected, f"mseg {self.mseg} != {expected}"
-        full = (1 << self.geom.pages_per_segment) - 1
+        full = (1 << self.pps) - 1
         for s, mask in self.masks.items():
             assert 0 < mask <= full, f"segment {s} mask {mask:#x} out of range"
         for vm in self.live:

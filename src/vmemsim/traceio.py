@@ -9,9 +9,9 @@ with `#` are ignored.  Round-trips are exact.
 
 from __future__ import annotations
 
-from .baselines import PageMode
+from .baselines import DmaRequest, PageMode
 from .engine import EVENT_FIELDS, EventKind, TraceEvent
-from .errors import TraceFormatError
+from .errors import OutOfRangeError, TraceFormatError
 
 _KIND_BY_TOKEN = {kind.value: kind for kind in EventKind}
 _MODE_TOKENS = {mode.value for mode in PageMode}
@@ -119,3 +119,8 @@ def validate(events: list[TraceEvent]) -> None:
                 raise TraceFormatError(
                     f"event seq {ev.seq}: field {name} must be >= 0, got {value}"
                 )
+        if "bus" in EVENT_FIELDS[ev.kind]:
+            try:
+                DmaRequest(ev.bus, ev.device, ev.function, 0, False)
+            except OutOfRangeError as exc:
+                raise TraceFormatError(f"event seq {ev.seq}: {exc}") from None

@@ -12,7 +12,7 @@ from collections import deque
 from pathlib import Path
 
 from reference_model import RefModel
-from vmemsim.core import Geometry, PhysicalAddress, flat_page
+from vmemsim.core import Geometry
 from vmemsim.engine import (
     CostModel,
     EventKind,
@@ -309,15 +309,15 @@ def _apply_pm(pm: ProMem, op):
             return "ok"
         if kind == "alloc":
             res = pm.allocate_page(op[1])
-            if res.full:
+            if res.page is None:
                 return "full"
             info = None
             if res.reclaim is not None:
                 r = res.reclaim
                 info = (r.victim, r.excess, r.segments, r.pages_swapped)
-            return ("page", flat_page(res.address, SMALL), info)
+            return ("page", res.page, info)
         if kind == "free":
-            fault = pm.free_page(op[1], PhysicalAddress(op[2], op[3], 0))
+            fault = pm.free_page(op[1], op[2] * SMALL.pages_per_segment + op[3])
             return "fault" if fault is not None else "ok"
     except CapacityError:
         return "capacity"
@@ -368,7 +368,7 @@ def test_criterion_7_exhaustive_oracle_equivalence():
         (pm, ref), depth = queue.popleft()
         states += 1
         for seg in range(SMALL.total_segments):     # read-only ownership probes
-            got = pm.check_access(0, PhysicalAddress(seg, 0, 0))
+            got = pm.check_access(0, seg * SMALL.pages_per_segment)
             assert ("fault" if got is not None else "allowed") == ref.check(0, seg)
         if depth == DEPTH:
             continue

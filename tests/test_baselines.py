@@ -4,16 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vmemsim.baselines import (
-    ASID_POLICY,
-    FLUSH_POLICY,
     AsidMap,
     DmaRequest,
-    GuestPageTable,
     PageMode,
-    RealMapTable,
     RemappingTables,
     Requester,
-    ShadowPageTable,
     VirtualTlb,
     hypervisor_may_touch,
     iommu_dma_translate,
@@ -32,8 +27,8 @@ from vmemsim.errors import MappingError, OutOfRangeError
 
 
 def test_nested_translate_three_outcomes():
-    gpt = GuestPageTable(1, {0: 10, 1: 11})
-    rmap = RealMapTable(1, {10: 77})
+    gpt = {0: 10, 1: 11}
+    rmap = {10: 77}
     ok = nested_translate(0, gpt, rmap)
     assert (ok.page, ok.walks, ok.fault) == (77, 2, None)
     real_miss = nested_translate(1, gpt, rmap)
@@ -43,7 +38,7 @@ def test_nested_translate_three_outcomes():
 
 
 def test_shadow_translate_is_single_walk():
-    shadow = ShadowPageTable(1, {4: 99})
+    shadow = {4: 99}
     hit = shadow_translate(4, shadow)
     assert (hit.page, hit.walks) == (99, 1)
     miss = shadow_translate(5, shadow)
@@ -51,26 +46,26 @@ def test_shadow_translate_is_single_walk():
 
 
 def test_shadow_update_tracks_guest_write():
-    gpt = GuestPageTable(1, {0: 10})
-    rmap = RealMapTable(1, {10: 50})
-    shadow = ShadowPageTable(1)
+    gpt = {0: 10}
+    rmap = {10: 50}
+    shadow = {}
     assert shadow_update_vpage(shadow, gpt, rmap, 0) == 1
-    assert shadow.entries == {0: 50}
-    gpt.entries[0] = 11            # now dangling: no real mapping
+    assert shadow == {0: 50}
+    gpt[0] = 11                    # now dangling: no real mapping
     shadow_update_vpage(shadow, gpt, rmap, 0)
-    assert shadow.entries == {}
+    assert shadow == {}
 
 
 def test_shadow_update_ppage_rederives_all_aliases():
-    gpt = GuestPageTable(1, {0: 10, 1: 10, 2: 20})
-    rmap = RealMapTable(1, {10: 50, 20: 60})
-    shadow = ShadowPageTable(1)
-    for v in gpt.entries:
+    gpt = {0: 10, 1: 10, 2: 20}
+    rmap = {10: 50, 20: 60}
+    shadow = {}
+    for v in gpt:
         shadow_update_vpage(shadow, gpt, rmap, v)
-    rmap.entries[10] = 51
+    rmap[10] = 51
     steps = shadow_update_ppage(shadow, gpt, rmap, 10)
     assert steps == 2              # vpages 0 and 1 alias ppage 10
-    assert shadow.entries == {0: 51, 1: 51, 2: 60}
+    assert shadow == {0: 51, 1: 51, 2: 60}
 
 
 @given(
@@ -79,9 +74,9 @@ def test_shadow_update_ppage_rederives_all_aliases():
 )
 def test_shadow_composes_nested(gpt_map, rmap_map):
     """A shadow rebuilt entry-by-entry answers exactly like the two-level walk."""
-    gpt = GuestPageTable(1, dict(gpt_map))
-    rmap = RealMapTable(1, dict(rmap_map))
-    shadow = ShadowPageTable(1)
+    gpt = dict(gpt_map)
+    rmap = dict(rmap_map)
+    shadow = {}
     for vpage in range(16):
         shadow_update_vpage(shadow, gpt, rmap, vpage)
     for vpage in range(16):
@@ -113,7 +108,7 @@ def test_asid_map_is_injective_and_never_recycles():
 
 
 def test_tlb_hit_miss_and_fifo_eviction():
-    tlb = VirtualTlb(ASID_POLICY, capacity=2)
+    tlb = VirtualTlb(capacity=2)
     assert tlb.lookup(1, 0) is None
     tlb.insert(1, 0, 100)
     tlb.insert(1, 1, 101)
@@ -125,7 +120,7 @@ def test_tlb_hit_miss_and_fifo_eviction():
 
 
 def test_tlb_reinsert_does_not_grow():
-    tlb = VirtualTlb(ASID_POLICY, capacity=2)
+    tlb = VirtualTlb(capacity=2)
     tlb.insert(1, 0, 100)
     tlb.insert(1, 1, 101)
     tlb.insert(1, 0, 105)                  # update in place
@@ -134,38 +129,21 @@ def test_tlb_reinsert_does_not_grow():
 
 
 def test_tlb_capacity_zero_disables():
-    tlb = VirtualTlb(ASID_POLICY, capacity=0)
+    tlb = VirtualTlb(capacity=0)
     tlb.insert(1, 0, 100)
     assert tlb.lookup(1, 0) is None
 
 
-def test_tlb_switch_policies():
-    flushing = VirtualTlb(FLUSH_POLICY, capacity=8)
-    flushing.insert(1, 0, 100)
-    assert flushing.on_switch() is True
-    assert flushing.lookup(1, 0) is None
-
-    tagged = VirtualTlb(ASID_POLICY, capacity=8)
-    tagged.insert(1, 0, 100)
-    assert tagged.on_switch() is False
-    assert tagged.lookup(1, 0) == 100
-
-
 def test_tlb_asid_tagging_prevents_collisions():
-    tlb = VirtualTlb(ASID_POLICY, capacity=8)
+    tlb = VirtualTlb(capacity=8)
     tlb.insert(1, 7, 100)
     tlb.insert(2, 7, 200)                  # same vpage, different address space
     assert tlb.lookup(1, 7) == 100
     assert tlb.lookup(2, 7) == 200
 
 
-def test_tlb_rejects_unknown_policy():
-    with pytest.raises(OutOfRangeError):
-        VirtualTlb("writeback", 8)
-
-
 def test_tlb_flush_reports_count():
-    tlb = VirtualTlb(ASID_POLICY, capacity=8)
+    tlb = VirtualTlb(capacity=8)
     tlb.insert(1, 0, 1)
     tlb.insert(1, 1, 2)
     assert tlb.flush() == 2

@@ -179,6 +179,13 @@ def test_error_exit_codes(tmp_path, capsys):
     conf.write_text("colour = red\n")
     assert run_cli("run", "--config", str(conf)) == 1
 
+    capsys.readouterr()
+    good = FIXTURES / "cross_vm_dma.trace"
+    for flags in (["--cost", "tlb_hit=-1"], ["--iommu-levels", "0"]):
+        for mode in MODES:
+            assert run_cli("run", "--trace", str(good), "--mode", mode, *flags) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+
     with pytest.raises(SystemExit) as exc:
         run_cli("run", "--no-such-flag")
     assert exc.value.code == 2

@@ -1,31 +1,15 @@
-"""Geometry and address arithmetic."""
+"""Geometry shape and validation."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from vmemsim.core import (
-    Geometry,
-    PhysicalAddress,
-    VirtualAddress,
-    decode_flat,
-    encode_flat,
-    flat_page,
-    page_address,
-)
+from vmemsim.core import Geometry
 from vmemsim.errors import GeometryError
-
-TINY = Geometry(256, 2, 4)
 
 
 def test_default_geometry_shape():
     g = Geometry()
     assert (g.page_size_bytes, g.pages_per_segment, g.total_segments) == (4096, 512, 64)
-    assert g.offset_bits == 12
-    assert g.page_bits == 9
-    assert g.segment_bits == 6
-    assert g.segment_bytes == 4096 * 512
     assert g.pages_total == 512 * 64
-    assert g.bytes_total == 4096 * 512 * 64
 
 
 @pytest.mark.parametrize(
@@ -42,79 +26,3 @@ def test_default_geometry_shape():
 def test_geometry_rejects_bad_shapes(kwargs):
     with pytest.raises(GeometryError):
         Geometry(**kwargs)
-
-
-def test_encode_flat_worked_example():
-    # (2 * 8 + 3) * 4096 + 17 computed by hand
-    g = Geometry(4096, 8, 16)
-    assert encode_flat(PhysicalAddress(2, 3, 17), g) == 77841
-    assert decode_flat(77841, g) == PhysicalAddress(2, 3, 17)
-    assert flat_page(PhysicalAddress(2, 3, 17), g) == 19
-
-
-def test_encode_rejects_out_of_range_components():
-    g = Geometry(4096, 8, 16)
-    for bad in [
-        PhysicalAddress(16, 0, 0),
-        PhysicalAddress(-1, 0, 0),
-        PhysicalAddress(0, 8, 0),
-        PhysicalAddress(0, 0, 4096),
-    ]:
-        with pytest.raises(GeometryError):
-            encode_flat(bad, g)
-
-
-def test_decode_rejects_out_of_range_flat():
-    with pytest.raises(GeometryError):
-        decode_flat(TINY.bytes_total, TINY)
-    with pytest.raises(GeometryError):
-        decode_flat(-1, TINY)
-
-
-def test_round_trip_exhaustive_tiny_geometry():
-    for flat in range(TINY.bytes_total):
-        assert encode_flat(decode_flat(flat, TINY), TINY) == flat
-
-
-def test_page_address_round_trip_tiny():
-    for page in range(TINY.pages_total):
-        addr = page_address(page, TINY)
-        assert addr.offset == 0
-        assert flat_page(addr, TINY) == page
-    with pytest.raises(GeometryError):
-        page_address(TINY.pages_total, TINY)
-
-
-@st.composite
-def geometry_and_triple(draw):
-    g = Geometry(
-        page_size_bytes=1 << draw(st.integers(8, 14)),
-        pages_per_segment=draw(st.integers(1, 64)),
-        total_segments=draw(st.integers(2, 64)),
-    )
-    return (
-        g,
-        draw(st.integers(0, g.total_segments - 1)),
-        draw(st.integers(0, g.pages_per_segment - 1)),
-        draw(st.integers(0, g.page_size_bytes - 1)),
-    )
-
-
-@given(geometry_and_triple())
-def test_round_trip_property(data):
-    g, seg, page, offset = data
-    addr = PhysicalAddress(seg, page, offset)
-    assert decode_flat(encode_flat(addr, g), g) == addr
-
-
-@given(st.integers(0, 2**40))
-def test_virtual_round_trip(flat):
-    g = Geometry()
-    va = VirtualAddress.from_flat(flat, g)
-    assert va.to_flat(g) == flat
-    assert va.offset < g.page_size_bytes
-
-
-def test_virtual_rejects_negative():
-    with pytest.raises(GeometryError):
-        VirtualAddress.from_flat(-1, Geometry())

@@ -21,7 +21,7 @@ from vmemsim.engine import (
     sat_add,
     static_partition_utilization,
 )
-from vmemsim.errors import ModeError, SimulationError
+from vmemsim.errors import ConfigError, ModeError, SimulationError
 
 TINY = Geometry(256, 4, 8)
 
@@ -110,7 +110,29 @@ MALFORMED = {
     "too_many_owners": (
         trace(*[(E.CREATE_VM, {"vm": vm}) for vm in range(1, 9)]), 8, ("asmi",),
     ),
+    "negative_read_vaddr": (
+        trace((E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1}), (E.ENTER, {"vm": 1}),
+              (E.READ, {"vaddr": -4})),
+        4, MODES,
+    ),
+    "negative_write_vaddr": (trace((E.ALLOC, {"vm": 0}), (E.WRITE, {"vaddr": -1})), 2, MODES),
+    "negative_free_vaddr": (
+        trace((E.CREATE_VM, {"vm": 1}), (E.FREE, {"vm": 1, "vaddr": -256})), 2, MODES,
+    ),
 }
+
+# dma events whose device address lies outside DmaRequest's bounds
+DEVICE_ADDRESS = {
+    "dma_bus": {"bus": 256, "device": 0, "function": 0, "dva": 0},
+    "dma_device": {"bus": 0, "device": 32, "function": 0, "dva": 0},
+    "dma_function": {"bus": 0, "device": 0, "function": 8, "dva": 0},
+    "dma_negative_bus": {"bus": -1, "device": 0, "function": 0, "dva": 0},
+    "dma_negative_dva": {"bus": 0, "device": 0, "function": 0, "dva": -256},
+}
+MALFORMED.update({
+    name: (trace((E.CREATE_VM, {"vm": 1}), (E.DMA, {**fields, "write": True})), 2, MODES)
+    for name, fields in DEVICE_ADDRESS.items()
+})
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -122,6 +144,20 @@ def test_malformed_trace_fails_alike_in_every_mode(mode, name):
         return
     with pytest.raises(SimulationError, match=rf"^event seq {seq}: "):
         run(events, mode, TINY, options=opts())
+
+
+@pytest.mark.parametrize("name", sorted(DEVICE_ADDRESS))
+@pytest.mark.parametrize("mode", MODES)
+def test_malformed_device_address_fails_alike_with_dma_off(mode, name):
+    events, seq, _ = MALFORMED[name]
+    with pytest.raises(SimulationError, match=rf"^event seq {seq}: "):
+        run(events, mode, TINY, options=opts(dma_policy="off"))
+
+
+def test_run_options_reject_bad_values():
+    for bad in ({"tlb_policy": "writeback"}, {"dma_policy": "bogus"}, {"walk_levels": 0}):
+        with pytest.raises(ConfigError):
+            RunOptions(**bad)
 
 
 def test_asmi_invariant_check_can_fail():
@@ -370,10 +406,24 @@ def test_tolerant_invalid_frees():
         (E.FREE, {"vm": 1, "vaddr": 0}),
         (E.FREE, {"vm": 1, "vaddr": 0}),        # double free
     )
-    for mode in MODES:
-        rep = run(t, mode, TINY, options=opts())
-        assert rep.counters.invalid_frees == 2, mode
-        assert rep.counters.frees == 1
+    # gpt_write points a vpage at a page vm 1 does not hold; under asmi vm 1
+    # owns segment 1, pages 4..7, and holds only 4 (its save slot) and 5
+    tampered = trace(
+        (E.CREATE_VM, {"vm": 1}),
+        (E.ALLOC, {"vm": 1}),
+        (E.GPT_WRITE, {"vm": 1, "vpage": 5, "target": 6}),      # free page, own segment
+        (E.FREE, {"vm": 1, "vaddr": 5 * 256}),
+        (E.GPT_WRITE, {"vm": 1, "vpage": 6, "target": 4}),      # its save-slot page
+        (E.FREE, {"vm": 1, "vaddr": 6 * 256}),
+        (E.GPT_WRITE, {"vm": 1, "vpage": 7, "target": TINY.pages_total}),  # outside the pool
+        (E.FREE, {"vm": 1, "vaddr": 7 * 256}),
+    )
+    for events, invalid, frees in ((t, 2, 1), (tampered, 3, 0)):
+        for mode in MODES:
+            rep = run(events, mode, TINY, options=opts())
+            assert rep.counters.invalid_frees == invalid, mode
+            assert rep.counters.frees == frees, mode
+            assert rep.isolation_faults == [], mode
 
 
 def test_raw_target_dma_is_a_mode_error_under_iommu():
@@ -452,7 +502,6 @@ def test_asmi_reclaim_unmaps_swapped_pages():
     assert rep.reclaims[0].victim == 1
     assert rep.counters.page_faults == 1
     assert rep.isolation_faults == []
-    assert rep.counters.memory_full == 0 if hasattr(rep.counters, "memory_full") else True
     assert rep.memory_full == []
     assert rep.cycles_by_kind["alloc"] == 27 * 5 + rep.reclaims[0].pages_swapped * 5000
 

@@ -4,23 +4,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from vmemsim.core import Geometry, PhysicalAddress, VirtualAddress, flat_page, page_address
+from vmemsim.core import HYPERVISOR, Geometry
 from vmemsim.errors import (
     CapacityError,
     DoubleFreeError,
+    GeometryError,
     LifecycleError,
     ProtocolError,
 )
 from vmemsim.promem import (
     ISOLATION_FAULT,
     PAGE_FAULT,
-    DirectPageTable,
     ProMem,
 )
 
 from reference_model import RefModel
 
 TINY = Geometry(256, 4, 8)
+PPS = TINY.pages_per_segment
+
+
+def page(segment, index):
+    """Global page number of a (segment, index) pair in TINY."""
+    return segment * PPS + index
 
 
 def booted(geom=TINY, vms=0):
@@ -172,12 +178,9 @@ def test_entry_exit_many_round_trips_preserve_ids():
 def test_alloc_fills_lowest_owned_segment_first():
     pm, _ = booted(vms=1)
     got = [pm.allocate_page(1) for _ in range(3)]
-    assert [r.address for r in got] == [
-        PhysicalAddress(1, 1, 0),
-        PhysicalAddress(1, 2, 0),
-        PhysicalAddress(1, 3, 0),
-    ]
-    assert all(r.claimed_segment is None and r.reclaim is None for r in got)
+    assert [r.page for r in got] == [page(1, 1), page(1, 2), page(1, 3)]
+    assert all(r.reclaim is None for r in got)
+    assert pm.owned_segments(1) == [1]
 
 
 def test_alloc_claims_lowest_free_segment_when_owned_are_full():
@@ -185,20 +188,30 @@ def test_alloc_claims_lowest_free_segment_when_owned_are_full():
     for _ in range(3):
         pm.allocate_page(1)
     r = pm.allocate_page(1)
-    assert r.address == PhysicalAddress(2, 0, 0)
-    assert r.claimed_segment == 2
+    assert r.page == page(2, 0)
+    assert pm.owned_segments(1) == [1, 2]
     # claimed segments have no save slot, so page 0 carries data
     follow = pm.allocate_page(1)
-    assert follow.address == PhysicalAddress(2, 1, 0)
+    assert follow.page == page(2, 1)
+
+
+def test_page_numbers_split_into_segment_and_index():
+    # worked by hand: with 8 pages per segment, page 19 is segment 2, index 3
+    pm, _ = booted(Geometry(4096, 8, 16), vms=1)    # slots: hyp seg 0, vm 1 seg 1
+    got = [pm.allocate_page(1).page for _ in range(11)]
+    assert got == [*range(9, 16), 16, 17, 18, 19]   # slot page 8 is never handed out
+    assert pm.masks[2] == 0b1111
+    fault = pm.check_owner(HYPERVISOR, 19)
+    assert (fault.segment, fault.owner) == (2, 1)
 
 
 def test_alloc_prefers_holes_in_low_segments():
     pm, _ = booted(vms=1)
     for _ in range(4):
         pm.allocate_page(1)       # fills seg 1, claims seg 2 page 0
-    pm.free_page(1, PhysicalAddress(1, 2, 0))
+    pm.free_page(1, page(1, 2))
     r = pm.allocate_page(1)
-    assert r.address == PhysicalAddress(1, 2, 0)
+    assert r.page == page(1, 2)
 
 
 def test_reclaim_trims_most_over_quota_owner():
@@ -215,8 +228,8 @@ def test_reclaim_trims_most_over_quota_owner():
     assert notice.segments == (5, 6, 7)
     assert notice.pages_swapped == 12
     assert notice.seq == 99
-    assert r.address == PhysicalAddress(5, 0, 0)
-    assert r.claimed_segment == 5
+    assert r.page == page(5, 0)
+    assert pm.segment_owner(5) == 3
     assert pm.owned_segments(1) == [1, 4]
     assert pm.pages_swapped_total == 12
     pm.check_invariants()
@@ -243,8 +256,7 @@ def test_memory_full_is_recorded_not_raised():
     for _ in range(3):
         pm.allocate_page(1)
     r = pm.allocate_page(1, seq=42)
-    assert r.full
-    assert r.address is None
+    assert r.page is None
     assert [ (m.seq, m.vm) for m in pm.memory_full_events ] == [(42, 1)]
     pm.check_invariants()
 
@@ -262,15 +274,15 @@ def test_alloc_for_dead_vm_raises():
 
 def test_free_returns_page_to_segment():
     pm, _ = booted(vms=1)
-    addr = pm.allocate_page(1).address
-    assert pm.free_page(1, addr) is None
+    got = pm.allocate_page(1).page
+    assert pm.free_page(1, got) is None
     assert pm.allocated_pages(1) == 1     # only the slot remains
-    assert pm.allocate_page(1).address == addr
+    assert pm.allocate_page(1).page == got
 
 
 def test_free_cross_owner_records_fault():
     pm, _ = booted(vms=2)
-    fault = pm.free_page(2, PhysicalAddress(1, 1, 0), seq=5)
+    fault = pm.free_page(2, page(1, 1), seq=5)
     assert fault is not None
     assert (fault.seq, fault.cpu, fault.vmid, fault.segment, fault.owner) == (5, -1, 2, 1, 1)
     assert pm.faults[-1] is fault
@@ -280,15 +292,23 @@ def test_free_cross_owner_records_fault():
 def test_free_slot_page_is_a_protocol_error():
     pm, _ = booted(vms=1)
     with pytest.raises(ProtocolError):
-        pm.free_page(1, PhysicalAddress(1, 0, 0))
+        pm.free_page(1, page(1, 0))
 
 
 def test_double_free_raises():
     pm, _ = booted(vms=1)
-    addr = pm.allocate_page(1).address
-    pm.free_page(1, addr)
+    got = pm.allocate_page(1).page
+    pm.free_page(1, got)
     with pytest.raises(DoubleFreeError):
-        pm.free_page(1, addr)
+        pm.free_page(1, got)
+
+
+def test_free_rejects_pages_outside_the_pool():
+    pm, _ = booted(vms=1)
+    for bad in (-1, TINY.pages_total):
+        with pytest.raises(GeometryError):
+            pm.free_page(1, bad)
+    assert pm.faults == []
 
 
 def test_free_releases_empty_claimed_segment():
@@ -296,8 +316,8 @@ def test_free_releases_empty_claimed_segment():
     for _ in range(3):
         pm.allocate_page(1)
     claimed = pm.allocate_page(1)
-    assert claimed.claimed_segment == 2
-    pm.free_page(1, claimed.address)
+    assert claimed.page == page(2, 0)
+    pm.free_page(1, claimed.page)
     assert pm.segment_owner(2) is None
     assert pm.owned_segments(1) == [1]
     pm.check_invariants()
@@ -305,8 +325,7 @@ def test_free_releases_empty_claimed_segment():
 
 def test_free_keeps_slot_segment_when_emptied():
     pm, _ = booted(vms=1)
-    addr = pm.allocate_page(1).address
-    pm.free_page(1, addr)
+    pm.free_page(1, pm.allocate_page(1).page)
     assert pm.segment_owner(1) == 1       # pinned by the save slot
 
 
@@ -318,9 +337,9 @@ def test_free_keeps_slot_segment_when_emptied():
 def test_check_access_three_ways():
     pm, _ = booted(vms=2)
     pm.vm_entry(0, 1)
-    own = PhysicalAddress(1, 1, 0)
-    other = PhysicalAddress(2, 1, 0)
-    free = PhysicalAddress(7, 0, 0)
+    own = page(1, 1)
+    other = page(2, 1)
+    free = page(7, 0)
     assert pm.check_access(0, own) is None
     fault = pm.check_access(0, other, seq=3)
     assert (fault.vmid, fault.segment, fault.owner) == (1, 2, 2)
@@ -332,31 +351,25 @@ def test_check_access_three_ways():
 def test_translate_success_fault_and_isolation():
     pm, _ = booted(vms=2)
     pm.vm_entry(0, 1)
-    own_page = flat_page(pm.allocate_page(1).address, TINY)
-    table = DirectPageTable(1, {0: own_page, 1: 0, 3: TINY.pages_total})
-    ok = pm.translate(0, VirtualAddress(0, 17), table)
+    own_page = pm.allocate_page(1).page
+    # only the current owner's table is walked: vpage 2 is mapped in vm 2's
+    tables = {1: {0: own_page, 1: 0, 3: TINY.pages_total}, 2: {2: page(2, 0)}}
+    ok = pm.translate(0, 0, tables)
     assert ok.fault is None
-    assert ok.address == page_address(own_page, TINY, 17)
     assert (ok.walks, ok.checks) == (1, 1)
 
-    cross = pm.translate(0, VirtualAddress(1, 0), table, seq=8)
+    cross = pm.translate(0, 1, tables, seq=8)
     assert cross.fault == ISOLATION_FAULT
     assert (cross.walks, cross.checks) == (1, 1)
     assert pm.faults[-1].segment == 0
 
-    miss = pm.translate(0, VirtualAddress(2, 0), table)
+    miss = pm.translate(0, 2, tables)
     assert miss.fault == PAGE_FAULT
     assert (miss.walks, miss.checks) == (1, 0)
 
-    wild = pm.translate(0, VirtualAddress(3, 0), table)
+    wild = pm.translate(0, 3, tables)
     assert wild.fault == PAGE_FAULT   # target outside the geometry
-
-
-def test_translate_rejects_foreign_table():
-    pm, _ = booted(vms=2)
-    pm.vm_entry(0, 1)
-    with pytest.raises(ProtocolError):
-        pm.translate(0, VirtualAddress(0, 0), DirectPageTable(2, {}))
+    assert len(pm.faults) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +448,14 @@ class ControllerEquivalence(RuleBasedStateMachine):
     def alloc(self, vm):
         try:
             res = self.pm.allocate_page(vm)
-            if res.full:
+            if res.page is None:
                 got = "full"
             else:
                 info = None
                 if res.reclaim is not None:
                     n = res.reclaim
                     info = (n.victim, n.excess, n.segments, n.pages_swapped)
-                got = ("page", flat_page(res.address, SGEOM), info)
+                got = ("page", res.page, info)
         except LifecycleError:
             got = "lifecycle"
         assert got == self.ref.alloc(vm)
@@ -450,7 +463,7 @@ class ControllerEquivalence(RuleBasedStateMachine):
     @rule(vm=vmids, seg=st.integers(0, 4), page=st.integers(0, 1))
     def free(self, vm, seg, page):
         try:
-            fault = self.pm.free_page(vm, PhysicalAddress(seg, page, 0))
+            fault = self.pm.free_page(vm, seg * SGEOM.pages_per_segment + page)
             got = "fault" if fault is not None else "ok"
         except LifecycleError:
             got = "lifecycle"
@@ -462,7 +475,7 @@ class ControllerEquivalence(RuleBasedStateMachine):
 
     @rule(cpu=cpus, seg=st.integers(0, 4))
     def check(self, cpu, seg):
-        fault = self.pm.check_access(cpu, PhysicalAddress(seg, 0, 0))
+        fault = self.pm.check_access(cpu, seg * SGEOM.pages_per_segment)
         got = "fault" if fault is not None else "allowed"
         assert got == self.ref.check(cpu, seg)
 

@@ -120,3 +120,15 @@ def test_validate_rejects_bad_sequences():
     with pytest.raises(TraceFormatError):
         validate([TraceEvent(seq=2, kind=EventKind.READ, vaddr=-4)])
     validate([a, TraceEvent(seq=5, kind=EventKind.ALLOC, vm=1)])
+
+
+def test_validate_rejects_device_coordinates_out_of_range():
+    dma = {"kind": EventKind.DMA, "dva": 0, "write": True}
+    assign = {"kind": EventKind.DOMAIN_ASSIGN, "domain": 1, "vm": 1}
+    for fields in (dma, assign):
+        validate([TraceEvent(seq=1, bus=255, device=31, function=7, **fields)])
+        for coords, needle in (((256, 0, 0), "bus 256"), ((0, 32, 0), "device 32"),
+                               ((0, 0, 8), "function 8")):
+            bus, device, function = coords
+            with pytest.raises(TraceFormatError, match=f"event seq 3: {needle} outside"):
+                validate([TraceEvent(seq=3, bus=bus, device=device, function=function, **fields)])
