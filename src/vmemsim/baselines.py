@@ -199,6 +199,7 @@ class ProtectionDomain:
     vm: int
     devices: set[tuple[int, int, int]] = field(default_factory=set)
     table: dict[int, int] = field(default_factory=dict)  # dva page -> phys page
+    dvas_of: dict[int, set[int]] = field(default_factory=dict)  # phys page -> dva pages
 
 
 @dataclass(frozen=True)
@@ -239,13 +240,20 @@ class RemappingTables:
 
     def map_page(self, domain_id: int, dva_page: int, phys_page: int) -> None:
         dom = self.domains[domain_id]
+        old = dom.table.get(dva_page)
+        if old is not None and old != phys_page:
+            dvas = dom.dvas_of[old]
+            dvas.discard(dva_page)
+            if not dvas:
+                del dom.dvas_of[old]
         dom.table[dva_page] = phys_page
+        dom.dvas_of.setdefault(phys_page, set()).add(dva_page)
 
     def unmap_phys(self, domain_id: int, phys_page: int) -> None:
         dom = self.domains.get(domain_id)
         if dom is None:
             return
-        for dva_page in [d for d, p in dom.table.items() if p == phys_page]:
+        for dva_page in dom.dvas_of.pop(phys_page, ()):
             del dom.table[dva_page]
 
 

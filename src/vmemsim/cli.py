@@ -68,7 +68,10 @@ def _pick(args, cfg: dict[str, str], key: str, default, cast):
         value = cfg.get(key)
     if value is None:
         return default
-    return cast(value)
+    try:
+        return cast(value)
+    except ValueError:
+        raise ConfigError(f"{key} = {value!r} is not a valid {cast.__name__}") from None
 
 
 def _geometry(args, cfg) -> Geometry:

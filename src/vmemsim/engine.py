@@ -355,6 +355,8 @@ class RunOptions:
             raise ConfigError(
                 f"dma_policy must be {RAW_DMA} or {NO_DMA}, got {self.dma_policy!r}"
             )
+        if self.tlb_entries < 0:
+            raise ConfigError(f"tlb_entries must be >= 0, got {self.tlb_entries}")
         if self.walk_levels < 1:
             raise ConfigError(f"walk_levels must be >= 1, got {self.walk_levels}")
 
@@ -602,14 +604,10 @@ class AsmiMachine(_Machine):
     # -- bookkeeping --
 
     def sample(self, event_index: int) -> None:
-        for vm in sorted(self.pm.live):
+        pm = self.pm
+        for vm in sorted(pm.live):
             self.report.utilization.append(
-                UtilSample(
-                    event_index,
-                    vm,
-                    len(self.pm.owned_segments(vm)),
-                    self.pm.allocated_pages(vm),
-                )
+                UtilSample(event_index, vm, pm.segment_count(vm), pm.allocated_pages(vm))
             )
 
     def finalize(self) -> None:
@@ -618,7 +616,7 @@ class AsmiMachine(_Machine):
         self.report.reclaims.extend(self.pm.notices)
         self.report.counters.pages_swapped += self.pm.pages_swapped_total
         for vm in sorted(self.pm.live):
-            self.report.final_segments[vm] = len(self.pm.owned_segments(vm))
+            self.report.final_segments[vm] = self.pm.segment_count(vm)
             self.report.final_pages[vm] = self.pm.allocated_pages(vm)
 
     def check_invariants(self) -> None:

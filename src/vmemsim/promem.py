@@ -35,6 +35,25 @@ it: p lies in segment p // pages_per_segment at index
 p % pages_per_segment, and a page outside 0 .. pages_total - 1 lies in
 no segment.
 
+Besides the MPT and the per-segment page masks, the controller keeps
+indexes that every MPT write updates, so that no allocation, reclaim or
+utilization sample scans the segment pool:
+
+  free      heap of the free segment numbers.  Every claim pops its top,
+            so it holds exactly the segments the MPT does not map.
+  segs_of   owner -> set of the segments it owns.
+  pages_of  owner -> count of its taken pages, save-slot page included.
+  open_of   owner -> heap of its segments that have a free page.  A
+            segment is pushed when it is claimed or a free makes a full
+            one non-full, and popped when an allocation fills it; an
+            entry whose segment was released since is dropped when it
+            reaches the top.  A claim happens only once this heap is
+            empty, so no segment is in it twice.
+
+Every MPT write goes through `_claim` (lowest free segment to an owner)
+or `_release` (segment back to the free heap).  `check_invariants`
+recomputes each index from the MPT and the masks.
+
 Access checks are segment-granular: an access is allowed iff the MPT
 maps the target segment to the requesting owner.  The hypervisor gets
 no bypass; a hypervisor access to a guest-owned segment faults exactly
@@ -46,6 +65,8 @@ MPT check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush, nlargest
+from operator import le
 
 from .core import HYPERVISOR, Geometry
 from .errors import (
@@ -140,11 +161,16 @@ class ProMem:
     def __init__(self, geom: Geometry):
         self.geom = geom
         self.pps = geom.pages_per_segment
+        self.full_mask = (1 << self.pps) - 1
         self.tseg = geom.total_segments
         self.tot = 0
         self.mseg = 0
         self.mpt: dict[int, int] = {}
         self.masks: dict[int, int] = {}      # segment -> bitmask of taken pages
+        self.free: list[int] = list(range(self.tseg))  # heap; sorted is a heap
+        self.segs_of: dict[int, set[int]] = {}
+        self.pages_of: dict[int, int] = {}
+        self.open_of: dict[int, list[int]] = {}
         self.slot_segment: dict[int, int] = {}
         self.save_slot: dict[int, int] = {}
         self.vmidr: dict[int, int] = {}
@@ -170,37 +196,62 @@ class ProMem:
         return self.mpt.get(segment)
 
     def owned_segments(self, vm: int) -> list[int]:
-        return sorted(s for s, o in self.mpt.items() if o == vm)
+        return sorted(self.segs_of.get(vm, ()))
+
+    def segment_count(self, vm: int) -> int:
+        return len(self.segs_of.get(vm, ()))
 
     def allocated_pages(self, vm: int) -> int:
         """Pages in use by `vm`, save-slot page included."""
-        return sum(self.masks[s].bit_count() for s in self.mpt if self.mpt[s] == vm)
+        return self.pages_of.get(vm, 0)
 
     def free_segment_count(self) -> int:
-        return self.tseg - len(self.mpt)
+        return len(self.free)
 
     # -- lifecycle ------------------------------------------------------
 
     def _recompute_mseg(self) -> None:
         self.mseg = max(1, self.tseg // self.tot) if self.tot else 0
 
-    def _lowest_free_segment(self) -> int | None:
-        for s in range(self.tseg):
-            if s not in self.mpt:
-                return s
-        return None
+    def _claim(self, vm: int) -> int | None:
+        """Give the lowest free segment to `vm` with page 0 taken; None if none is free.
+
+        Page 0 is the save slot of a slot segment and the first data page
+        of any other.
+        """
+        if not self.free:
+            return None
+        s = heappop(self.free)
+        self.mpt[s] = vm
+        self.masks[s] = 1
+        self.segs_of[vm].add(s)
+        self.pages_of[vm] += 1
+        if self.pps > 1:
+            heappush(self.open_of[vm], s)
+        return s
+
+    def _release(self, s: int) -> int:
+        """Return segment `s` to the free heap; the pages it had taken."""
+        vm = self.mpt.pop(s)
+        taken = self.masks.pop(s).bit_count()
+        self.segs_of[vm].discard(s)
+        self.pages_of[vm] -= taken
+        heappush(self.free, s)
+        return taken
 
     def _install_slot_segment(self, vm: int, seq: int) -> int:
-        s = self._lowest_free_segment()
+        # the reclaim below reads the new owner's indexes
+        self.segs_of[vm] = set()
+        self.pages_of[vm] = 0
+        self.open_of[vm] = []
+        s = self._claim(vm)
         if s is None:
             # TOT <= TSEG guarantees some owner is over quota here, so the
             # reclaim always produces a free segment.
             notice = self._reclaim(seq)
             assert notice is not None, "no free segment and nobody over quota"
-            s = self._lowest_free_segment()
+            s = self._claim(vm)
             assert s is not None
-        self.mpt[s] = vm
-        self.masks[s] = 1  # page 0 reserved for the save slot
         self.slot_segment[vm] = s
         self.save_slot[vm] = vm
         return s
@@ -237,9 +288,9 @@ class ProMem:
             raise LifecycleError(f"vm {vm} is not live")
         if vm in self.vmidr.values():
             raise LifecycleError(f"vm {vm} is current on a processor")
-        for s in self.owned_segments(vm):
-            del self.mpt[s]
-            del self.masks[s]
+        for s in list(self.segs_of[vm]):
+            self._release(s)
+        del self.segs_of[vm], self.pages_of[vm], self.open_of[vm]
         del self.slot_segment[vm]
         del self.save_slot[vm]
         self.live.discard(vm)
@@ -288,40 +339,35 @@ class ProMem:
         return AllocResult(page, notice)
 
     def _allocate_once(self, vm: int) -> int | None:
-        full_mask = (1 << self.pps) - 1
-        for s in self.owned_segments(vm):
-            mask = self.masks[s]
-            if mask != full_mask:
-                index = ((~mask) & (mask + 1)).bit_length() - 1
-                self.masks[s] = mask | (1 << index)
-                return s * self.pps + index
-        s = self._lowest_free_segment()
-        if s is not None:
-            self.mpt[s] = vm
-            self.masks[s] = 1  # claimed segments carry no slot; data starts at 0
-            return s * self.pps
-        return None
+        heap = self.open_of[vm]
+        while heap and self.mpt.get(heap[0]) != vm:
+            heappop(heap)  # released since it was pushed
+        if not heap:
+            s = self._claim(vm)
+            return None if s is None else s * self.pps
+        s = heap[0]
+        mask = self.masks[s]
+        index = ((~mask) & (mask + 1)).bit_length() - 1
+        mask |= 1 << index
+        self.masks[s] = mask
+        if mask == self.full_mask:
+            heappop(heap)
+        self.pages_of[vm] += 1
+        return s * self.pps + index
 
     def _reclaim(self, seq: int) -> ReclaimNotice | None:
         victim = None
         worst_excess = 0
-        held: dict[int, int] = {vm: 0 for vm in self.live}
-        for owner in self.mpt.values():
-            held[owner] += 1
         for vm in sorted(self.live):
-            excess = held[vm] - self.mseg
+            excess = len(self.segs_of[vm]) - self.mseg
             if excess > worst_excess:
                 victim, worst_excess = vm, excess
         if victim is None:
             return None
-        candidates = [s for s in self.owned_segments(victim) if s != self.slot_segment[victim]]
-        freed = sorted(candidates, reverse=True)[:worst_excess]
-        swapped = 0
-        for s in freed:
-            swapped += self.masks[s].bit_count()
-            del self.mpt[s]
-            del self.masks[s]
-        notice = ReclaimNotice(seq, victim, worst_excess, tuple(sorted(freed)), swapped)
+        slot = self.slot_segment[victim]
+        freed = sorted(nlargest(worst_excess, (s for s in self.segs_of[victim] if s != slot)))
+        swapped = sum(self._release(s) for s in freed)
+        notice = ReclaimNotice(seq, victim, worst_excess, tuple(freed), swapped)
         self.notices.append(notice)
         self.pages_swapped_total += swapped
         return notice
@@ -340,12 +386,15 @@ class ProMem:
         if s == self.slot_segment[vm] and index == 0:
             raise ProtocolError(f"page 0 of segment {s} hosts the save slot of vm {vm}")
         bit = 1 << index
-        if not (self.masks[s] & bit):
+        mask = self.masks[s]
+        if not (mask & bit):
             raise DoubleFreeError(f"segment {s} page {index} is already free")
-        self.masks[s] &= ~bit
-        if self.masks[s] == 0 and s != self.slot_segment[vm]:
-            del self.mpt[s]
-            del self.masks[s]
+        self.masks[s] = mask ^ bit
+        self.pages_of[vm] -= 1
+        if mask == bit and s != self.slot_segment[vm]:
+            self._release(s)
+        elif mask == self.full_mask:
+            heappush(self.open_of[vm], s)
         return None
 
     # -- access ----------------------------------------------------------
@@ -380,17 +429,16 @@ class ProMem:
     # -- invariants -------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Raise AssertionError if any structural invariant is violated."""
+        """Raise AssertionError if any structural invariant is violated.
+
+        Each index is checked against a recompute from the MPT and the masks.
+        """
         assert set(self.masks) == set(self.mpt), "mask table out of sync with MPT"
         owners = set(self.mpt.values())
         assert owners <= self.live, f"segments owned by dead ids: {owners - self.live}"
-        assert len(self.mpt) + self.free_segment_count() == self.tseg
         assert self.tot == len(self.live)
         expected = max(1, self.tseg // self.tot) if self.tot else 0
         assert self.mseg == expected, f"mseg {self.mseg} != {expected}"
-        full = (1 << self.pps) - 1
-        for s, mask in self.masks.items():
-            assert 0 < mask <= full, f"segment {s} mask {mask:#x} out of range"
         for vm in self.live:
             s = self.slot_segment[vm]
             assert self.mpt.get(s) == vm, f"slot segment {s} not owned by vm {vm}"
@@ -398,3 +446,36 @@ class ProMem:
         assert set(self.save_slot) == self.live
         for cpu, cur in self.vmidr.items():
             assert cur in self.live, f"cpu {cpu} current vm {cur} is not live"
+
+        full = self.full_mask
+        pages = dict.fromkeys(self.live, 0)
+        not_full = set()
+        for s, vm in self.mpt.items():
+            mask = self.masks[s]
+            assert 0 < mask <= full, f"segment {s} mask {mask:#x} out of range"
+            pages[vm] += mask.bit_count()
+            if mask != full:
+                not_full.add(s)
+        assert self.pages_of == pages, f"pages_of {self.pages_of} != {pages}"
+        assert sorted(self.free) == [s for s in range(self.tseg) if s not in self.mpt], (
+            "free heap is not the unowned segments"
+        )
+        assert set(self.segs_of) == set(self.open_of) == self.live
+        inverse = {s: vm for vm, segs in self.segs_of.items() for s in segs}
+        assert inverse == self.mpt and len(inverse) == sum(map(len, self.segs_of.values())), (
+            "segs_of is not the MPT by owner"
+        )
+        # an open heap may still list segments released since they were pushed,
+        # but each segment its owner holds must be listed once iff it is not full
+        listed = [s for vm, heap in self.open_of.items() for s in heap if self.mpt.get(s) == vm]
+        assert len(listed) == len(not_full) and not_full == set(listed), (
+            f"open heaps list {listed}, not-full segments {not_full}"
+        )
+        assert all(map(_is_heap, self.open_of.values())) and _is_heap(self.free), (
+            "a heap is out of order"
+        )
+
+
+def _is_heap(h: list[int]) -> bool:
+    """Whether every h[i] is at most its children h[2i+1] and h[2i+2]."""
+    return all(map(le, h, h[1::2])) and all(map(le, h, h[2::2]))

@@ -201,6 +201,23 @@ def test_iommu_unmap_phys_drops_reverse_entries():
     assert tables.domains[1].table == {}
 
 
+def test_iommu_unmap_phys_after_remap():
+    tables = RemappingTables()
+    tables.assign(1, 1, 0, 0, 0)
+    tables.map_page(1, 0, 42)
+    tables.map_page(1, 3, 42)
+    tables.map_page(1, 5, 7)
+    tables.map_page(1, 0, 7)       # dva 0 moves from phys 42 to phys 7
+    tables.unmap_phys(1, 42)
+    assert tables.domains[1].table == {0: 7, 5: 7}
+    tables.map_page(1, 3, 42)
+    tables.unmap_phys(1, 7)
+    assert tables.domains[1].table == {3: 42}
+    tables.unmap_phys(1, 7)        # nothing left to drop
+    tables.unmap_phys(2, 42)       # no such domain
+    assert tables.domains[1].table == {3: 42}
+
+
 def test_iommu_one_domain_many_devices():
     tables = RemappingTables()
     tables.assign(1, 1, 0, 0, 0)

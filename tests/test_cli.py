@@ -181,6 +181,12 @@ def test_error_exit_codes(tmp_path, capsys):
 
     capsys.readouterr()
     good = FIXTURES / "cross_vm_dma.trace"
+    for entry in ("sample_interval = abc", "iommu_levels = 2.5", "tlb_entries = -5"):
+        conf.write_text(f"trace = {good}\n{entry}\n")
+        assert run_cli("run", "--config", str(conf)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and entry.split()[0] in err, err
+
     for flags in (["--cost", "tlb_hit=-1"], ["--iommu-levels", "0"]):
         for mode in MODES:
             assert run_cli("run", "--trace", str(good), "--mode", mode, *flags) == 1

@@ -155,9 +155,14 @@ def test_malformed_device_address_fails_alike_with_dma_off(mode, name):
 
 
 def test_run_options_reject_bad_values():
-    for bad in ({"tlb_policy": "writeback"}, {"dma_policy": "bogus"}, {"walk_levels": 0}):
+    bad_values = (
+        {"tlb_policy": "writeback"}, {"dma_policy": "bogus"}, {"walk_levels": 0},
+        {"tlb_entries": -1},
+    )
+    for bad in bad_values:
         with pytest.raises(ConfigError):
             RunOptions(**bad)
+    assert RunOptions(tlb_entries=0).tlb_entries == 0   # no TLB
 
 
 def test_asmi_invariant_check_can_fail():

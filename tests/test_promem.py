@@ -1,5 +1,9 @@
 """Segment controller behavior, pinned examples first, then oracle equivalence."""
 
+import random
+from collections import Counter
+from heapq import heappush
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -327,6 +331,166 @@ def test_free_keeps_slot_segment_when_emptied():
     pm, _ = booted(vms=1)
     pm.free_page(1, pm.allocate_page(1).page)
     assert pm.segment_owner(1) == 1       # pinned by the save slot
+
+
+# ---------------------------------------------------------------------------
+# segment indexes
+# ---------------------------------------------------------------------------
+
+
+def _indexed():
+    """vm 1 holds full slot segment 1 and segment 3 with pages 0-1 taken."""
+    pm, _ = booted(vms=2)
+    for _ in range(5):
+        pm.allocate_page(1)
+    assert pm.owned_segments(1) == [1, 3] and pm.open_of[1] == [3]
+    assert pm.allocated_pages(1) == 6 and pm.segment_count(1) == 2
+    return pm
+
+
+def _bump_pages(pm):
+    pm.pages_of[1] += 1
+
+
+INDEX_CORRUPTIONS = {
+    "free heap misses a free segment": lambda pm: pm.free.pop(),
+    "free heap lists an owned segment": lambda pm: heappush(pm.free, 1),
+    "free heap out of order": lambda pm: pm.free.reverse(),
+    "segs_of misses an owned segment": lambda pm: pm.segs_of[1].discard(3),
+    "segs_of lists a foreign segment": lambda pm: pm.segs_of[1].add(2),
+    "pages_of off by one": _bump_pages,
+    "open heap misses a non-full segment": lambda pm: pm.open_of[1].clear(),
+    "open heap lists a full segment": lambda pm: heappush(pm.open_of[1], 1),
+    "open heap repeats a segment": lambda pm: heappush(pm.open_of[1], 3),
+    "open heap out of order": lambda pm: pm.open_of[1].insert(0, 5),
+}
+
+
+def test_promem_index_invariants_can_fail():
+    for name, corrupt in INDEX_CORRUPTIONS.items():
+        pm = _indexed()
+        pm.check_invariants()
+        corrupt(pm)
+        with pytest.raises(AssertionError):
+            pm.check_invariants()
+            pytest.fail(f"{name}: not detected")
+
+
+def test_open_heap_drops_released_segments_and_reuses_holes():
+    pm = _indexed()
+    pm.free_page(1, page(3, 1))
+    pm.free_page(1, page(3, 0))              # segment 3 empties and is released
+    assert pm.segment_owner(3) is None and pm.open_of[1] == [3]   # stale until popped
+    pm.free_page(1, page(1, 2))              # full slot segment gets a hole
+    assert pm.allocate_page(1).page == page(1, 2)
+    assert pm.open_of[1] == [3]              # the filled segment left the heap
+    assert pm.allocate_page(1).page == page(3, 0)   # stale entry dropped, 3 claimed again
+    assert sorted(pm.free) == [4, 5, 6, 7]
+    pm.check_invariants()
+
+
+# ---------------------------------------------------------------------------
+# seeded differential run against the reference at 64 segments
+# ---------------------------------------------------------------------------
+
+BIG = Geometry(256, 4, 64)
+BIG_GUESTS = 6
+
+
+def _random_op(rng: random.Random, ref: RefModel):
+    vms = sorted(ref.live) + [ref.next_vmid]       # plus a dead-vm probe
+    roll = rng.random()
+    if roll < 0.02 and len(ref.live) <= BIG_GUESTS:
+        return ("create",)
+    if roll < 0.025:
+        return ("destroy", rng.choice(vms))
+    if roll < 0.065:
+        return ("entry", rng.randrange(2), rng.choice(vms))
+    if roll < 0.1:
+        return ("exit", rng.randrange(2))
+    vm = rng.choice(vms)
+    if roll < 0.7:
+        return ("alloc", vm)
+    # free a taken page of vm, a free page of its segments, a page of
+    # another owner, or any page
+    pick = rng.random()
+    if pick < 0.45:
+        pages = [(s, p) for s, o in ref.owner.items() if o == vm for p in ref.pages[s]]
+    elif pick < 0.65:
+        pages = [
+            (s, p) for s, o in ref.owner.items() if o == vm
+            for p in range(ref.pps) if p not in ref.pages[s]
+        ]
+    elif pick < 0.9:
+        pages = [(s, p) for s, o in ref.owner.items() if o != vm for p in range(ref.pps)]
+    else:
+        pages = []
+    seg, index = rng.choice(pages) if pages else (rng.randrange(ref.tseg), rng.randrange(ref.pps))
+    return ("free", vm, seg, index)
+
+
+def _apply_pm(pm: ProMem, op):
+    kind, *args = op
+    try:
+        if kind == "create":
+            return pm.create_vm()
+        if kind == "alloc":
+            res = pm.allocate_page(*args)
+            if res.page is None:
+                return "full"
+            n = res.reclaim
+            info = None if n is None else (n.victim, n.excess, n.segments, n.pages_swapped)
+            return ("page", res.page, info)
+        if kind == "free":
+            vm, seg, index = args
+            return "ok" if pm.free_page(vm, seg * BIG.pages_per_segment + index) is None else "fault"
+        {"destroy": pm.destroy_vm, "entry": pm.vm_entry, "exit": pm.vm_exit}[kind](*args)
+        return "ok"
+    except CapacityError:
+        return "capacity"
+    except LifecycleError:
+        return "lifecycle"
+    except ProtocolError:
+        return "protocol"
+    except DoubleFreeError:
+        return "double_free"
+
+
+def _apply_ref(ref: RefModel, op):
+    kind, *args = op
+    return {
+        "create": ref.create_vm, "destroy": ref.destroy_vm, "entry": ref.vm_entry,
+        "exit": ref.vm_exit, "alloc": ref.alloc, "free": ref.free,
+    }[kind](*args)
+
+
+def test_promem_matches_reference_at_64_segments():
+    rng = random.Random(20261018)
+    pm = ProMem(BIG)
+    ref = RefModel(256, 4, 64)
+    pm.load_hypervisor()
+    ref.load_hypervisor()
+    seen = Counter()
+    for step in range(3000):
+        op = _random_op(rng, ref)
+        got = _apply_pm(pm, op)
+        want = _apply_ref(ref, op)
+        assert got == want, (step, op, got, want)
+        outcome = ("reclaim" if want[2] else "page") if isinstance(want, tuple) else want
+        seen[op[0], outcome] += 1
+        assert pm_snapshot(pm) == ref.snapshot(), (step, op)
+        pm.check_invariants()
+        for vm in ref.live:
+            segs = sorted(s for s, o in ref.owner.items() if o == vm)
+            assert pm.owned_segments(vm) == segs, (step, vm)
+            assert pm.allocated_pages(vm) == sum(len(ref.pages[s]) for s in segs), (step, vm)
+        cpu, seg = rng.randrange(2), rng.randrange(BIG.total_segments)
+        fault = pm.check_access(cpu, seg * BIG.pages_per_segment)
+        assert ("fault" if fault else "allowed") == ref.check(cpu, seg)
+    # the run reached every path the indexes serve
+    for key in [("alloc", "page"), ("alloc", "reclaim"), ("free", "ok"), ("free", "fault"),
+                ("free", "double_free"), ("destroy", "ok")]:
+        assert seen[key] > 0, (key, seen)
 
 
 # ---------------------------------------------------------------------------
