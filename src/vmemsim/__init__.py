@@ -39,6 +39,7 @@ from .errors import (
     CapacityError,
     ConfigError,
     DoubleFreeError,
+    DuplicateRunError,
     GeometryError,
     LifecycleError,
     MappingError,
@@ -82,6 +83,7 @@ __all__ = [
     "DemandProfile",
     "DmaRequest",
     "DoubleFreeError",
+    "DuplicateRunError",
     "EventKind",
     "FLUSH_POLICY",
     "Geometry",

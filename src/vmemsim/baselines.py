@@ -195,9 +195,6 @@ class DmaRequest:
 
 @dataclass
 class ProtectionDomain:
-    domain_id: int
-    vm: int
-    devices: set[tuple[int, int, int]] = field(default_factory=set)
     table: dict[int, int] = field(default_factory=dict)  # dva page -> phys page
     dvas_of: dict[int, set[int]] = field(default_factory=dict)  # phys page -> dva pages
 
@@ -219,24 +216,12 @@ class RemappingTables:
         self.root: dict[int, dict[tuple[int, int], int]] = {}
         self.domains: dict[int, ProtectionDomain] = {}
 
-    def assign(self, domain_id: int, vm: int, bus: int, device: int, function: int) -> ProtectionDomain:
+    def assign(self, domain_id: int, bus: int, device: int, function: int) -> None:
+        """Route a device's DMA through a domain, creating the domain on first use."""
         # Range discipline matches DmaRequest.
         DmaRequest(bus, device, function, 0, False)
-        dom = self.domains.get(domain_id)
-        if dom is None:
-            dom = ProtectionDomain(domain_id, vm)
-            self.domains[domain_id] = dom
-        context = self.root.setdefault(bus, {})
-        context[(device, function)] = domain_id
-        dom.devices.add((bus, device, function))
-        return dom
-
-    def domain_of_device(self, bus: int, device: int, function: int) -> ProtectionDomain | None:
-        context = self.root.get(bus)
-        if context is None:
-            return None
-        domain_id = context.get((device, function))
-        return None if domain_id is None else self.domains[domain_id]
+        self.domains.setdefault(domain_id, ProtectionDomain())
+        self.root.setdefault(bus, {})[(device, function)] = domain_id
 
     def map_page(self, domain_id: int, dva_page: int, phys_page: int) -> None:
         dom = self.domains[domain_id]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -23,6 +24,7 @@ from .config import (
 )
 from .core import Geometry
 from .engine import (
+    LEDGERS,
     MODES,
     NO_DMA,
     RAW_DMA,
@@ -62,8 +64,9 @@ def _load_cfg(args) -> dict[str, str]:
     return load_config(path) if path else {}
 
 
-def _pick(args, cfg: dict[str, str], key: str, default, cast):
-    value = getattr(args, key, None)
+def _pick(args, cfg: dict[str, str], key: str, default, cast, flag: str | None = None):
+    """The `flag` (default: `key`) argument, else config entry `key`, else default."""
+    value = getattr(args, flag or key, None)
     if value is None:
         value = cfg.get(key)
     if value is None:
@@ -100,6 +103,12 @@ def _options(args, cfg) -> RunOptions:
     )
 
 
+def _settings(args) -> tuple[dict[str, str], Geometry, CostModel, RunOptions]:
+    """The config entries, geometry, cost model and run options of run/compare."""
+    cfg = _load_cfg(args)
+    return cfg, _geometry(args, cfg), _cost(args, cfg), _options(args, cfg)
+
+
 def _out_path(args, cfg, key: str) -> str | None:
     return getattr(args, key, None) or cfg.get(key)
 
@@ -116,12 +125,7 @@ CSV_COLUMNS = (
     "events",
     "total_cycles",
     *_COUNTER_NAMES,
-    "isolation_faults",
-    "violations",
-    "dma_faults",
-    "denials",
-    "memory_full",
-    "reclaims",
+    *LEDGERS,
     "mean_seg_util",
     "mean_page_util",
 )
@@ -130,19 +134,13 @@ UTIL_COLUMNS = ("trace", "mode", "event_index", "owner", "segments", "pages")
 
 
 def _csv_row(name: str, report: MetricsReport, geom: Geometry) -> list:
-    row = [name, report.mode, report.events, report.total_cycles]
-    row += [getattr(report.counters, n) for n in _COUNTER_NAMES]
-    row += [
-        len(report.isolation_faults),
-        len(report.violations),
-        len(report.dma_faults),
-        len(report.denials),
-        len(report.memory_full),
-        len(report.reclaims),
+    return [
+        name, report.mode, report.events, report.total_cycles,
+        *(getattr(report.counters, n) for n in _COUNTER_NAMES),
+        *report.ledger_counts().values(),
         f"{report.mean_segment_utilization(geom):.6f}",
         f"{report.mean_page_utilization(geom):.6f}",
     ]
-    return row
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -152,11 +150,26 @@ def _write_csv(path: str, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _util_rows(name: str, report: MetricsReport) -> list[list]:
-    return [
-        [name, report.mode, u.event_index, u.owner, u.segments, u.pages]
-        for u in report.utilization
-    ]
+def _write_outputs(args, cfg, reports: dict[tuple[str, str], MetricsReport], geom: Geometry,
+                   json_text) -> None:
+    """Write the --out CSV, --util-out CSV and --json-out file that are asked for.
+
+    `json_text()` builds the JSON document; it is called only for --json-out.
+    """
+    out = _out_path(args, cfg, "out")
+    if out:
+        _write_csv(out, CSV_COLUMNS, [_csv_row(name, rep, geom) for (name, _), rep in reports.items()])
+    util_out = _out_path(args, cfg, "util_out")
+    if util_out:
+        rows = [
+            [name, rep.mode, u.event_index, u.owner, u.segments, u.pages]
+            for (name, _), rep in reports.items()
+            for u in rep.utilization
+        ]
+        _write_csv(util_out, UTIL_COLUMNS, rows)
+    json_out = _out_path(args, cfg, "json_out")
+    if json_out:
+        Path(json_out).write_text(json_text() + "\n", encoding="utf-8")
 
 
 def _summary(name: str, report: MetricsReport, geom: Geometry, verbosity: int) -> str:
@@ -164,12 +177,7 @@ def _summary(name: str, report: MetricsReport, geom: Geometry, verbosity: int) -
         f"trace {name}: {report.events} events under {report.mode}",
         f"  cycles {report.total_cycles}",
         "  faults isolation={} violations={} dma={} denials={} memory_full={} reclaims={}".format(
-            len(report.isolation_faults),
-            len(report.violations),
-            len(report.dma_faults),
-            len(report.denials),
-            len(report.memory_full),
-            len(report.reclaims),
+            *report.ledger_counts().values()
         ),
         "  utilization segments={:.4f} pages={:.4f}".format(
             report.mean_segment_utilization(geom),
@@ -200,36 +208,21 @@ def _trace_name(path: str) -> str:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_cfg(args)
-    geom = _geometry(args, cfg)
-    cost = _cost(args, cfg)
-    opts = _options(args, cfg)
+    cfg, geom, cost, opts = _settings(args)
     trace_path = getattr(args, "trace", None) or cfg.get("trace")
     if not trace_path:
         raise ConfigError("run needs --trace or a `trace` config entry")
     mode = getattr(args, "mode", None) or cfg.get("mode") or "asmi"
-    events = read_trace(trace_path)
-    report = run(events, mode, geom, cost, opts)
+    report = run(read_trace(trace_path), mode, geom, cost, opts)
     name = _trace_name(trace_path)
-    json_out = _out_path(args, cfg, "json_out")
-    if json_out:
-        Path(json_out).write_text(report.to_json() + "\n", encoding="utf-8")
-    out = _out_path(args, cfg, "out")
-    if out:
-        _write_csv(out, CSV_COLUMNS, [_csv_row(name, report, geom)])
-    util_out = _out_path(args, cfg, "util_out")
-    if util_out:
-        _write_csv(util_out, UTIL_COLUMNS, _util_rows(name, report))
+    _write_outputs(args, cfg, {(name, report.mode): report}, geom, report.to_json)
     verbosity = _pick(args, cfg, "verbosity", 1, int) + getattr(args, "verbose", 0)
     print(_summary(name, report, geom, verbosity))
     return 0
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_cfg(args)
-    geom = _geometry(args, cfg)
-    cost = _cost(args, cfg)
-    opts = _options(args, cfg)
+    cfg, geom, cost, opts = _settings(args)
     paths = list(getattr(args, "trace", None) or [])
     if not paths and cfg.get("trace"):
         paths = [cfg["trace"]]
@@ -237,58 +230,39 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least one --trace")
     modes_token = getattr(args, "modes", None) or cfg.get("modes") or ",".join(MODES)
     modes = [canonical_mode(m) for m in modes_token.split(",") if m.strip()]
-    named = [(_trace_name(p), read_trace(p)) for p in paths]
-    result: ComparisonReport = compare(named, modes, geom, cost, opts)
+    traces = [(_trace_name(p), read_trace(p)) for p in paths]
+    result: ComparisonReport = compare(traces, modes, geom, cost, opts)
+    del traces  # not needed to write the outputs
     print(result.to_table())
+
+    def json_text() -> str:
+        payload = {f"{name}/{mode}": rep.to_dict() for (name, mode), rep in result.reports.items()}
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    _write_outputs(args, cfg, result.reports, geom, json_text)
+    return 0
+
+
+def _emit_trace(args, cfg, trace) -> int:
+    """Write a gen/attack trace to --out, or to stdout without one."""
     out = _out_path(args, cfg, "out")
     if out:
-        rows = [
-            _csv_row(name, result.reports[(name, mode)], geom)
-            for name, _ in named
-            for mode in modes
-        ]
-        _write_csv(out, CSV_COLUMNS, rows)
-    util_out = _out_path(args, cfg, "util_out")
-    if util_out:
-        rows = []
-        for name, _ in named:
-            for mode in modes:
-                rows += _util_rows(name, result.reports[(name, mode)])
-        _write_csv(util_out, UTIL_COLUMNS, rows)
-    json_out = _out_path(args, cfg, "json_out")
-    if json_out:
-        import json as _json
-
-        payload = {
-            f"{name}/{mode}": result.reports[(name, mode)].to_dict()
-            for name, _ in named
-            for mode in modes
-        }
-        Path(json_out).write_text(
-            _json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
+        write_trace(out, trace)
+        print(f"wrote {len(trace)} events to {out}")
+    else:
+        sys.stdout.write(dumps(trace))
     return 0
 
 
 def cmd_gen(args) -> int:
     cfg = _load_cfg(args)
     geom = _geometry(args, cfg)
-
-    def wl(key: str, flag: str, default, cast):
-        value = getattr(args, flag, None)
-        if value is None:
-            value = cfg.get(f"workload.{key}")
-        if value is None:
-            return default
-        return cast(value)
-
-    vm_count = wl("vm_count", "vms", None, int)
-    events = wl("events", "events", None, int)
+    vm_count = _pick(args, cfg, "workload.vm_count", None, int, flag="vms")
+    events = _pick(args, cfg, "workload.events", None, int, flag="events")
     if vm_count is None or events is None:
         raise ConfigError("gen needs --vms and --events (or workload.* config keys)")
     seed = _pick(args, cfg, "seed", 1, int)
-    demand_token = wl("demand", "demand", None, str)
+    demand_token = _pick(args, cfg, "workload.demand", None, str, flag="demand")
     if vm_count > 0 and demand_token is None:
         raise ConfigError("gen needs --demand (or workload.demand)")
     demand = parse_demand(demand_token, vm_count) if vm_count > 0 else ()
@@ -297,30 +271,15 @@ def cmd_gen(args) -> int:
         vm_count=vm_count,
         events=events,
         demand=demand,
-        dma_rate=wl("dma_rate", "dma_rate", 0.0, float),
-        switch_rate=wl("switch_rate", "switch_rate", 0.0, float),
+        dma_rate=_pick(args, cfg, "workload.dma_rate", 0.0, float, flag="dma_rate"),
+        switch_rate=_pick(args, cfg, "workload.switch_rate", 0.0, float, flag="switch_rate"),
     )
-    trace = generate(spec, geom)
-    out = _out_path(args, cfg, "out")
-    if out:
-        write_trace(out, trace)
-        print(f"wrote {len(trace)} events to {out}")
-    else:
-        sys.stdout.write(dumps(trace))
-    return 0
+    return _emit_trace(args, cfg, generate(spec, geom))
 
 
 def cmd_attack(args) -> int:
     cfg = _load_cfg(args)
-    geom = _geometry(args, cfg)
-    trace = ATTACKS[args.name](geom)
-    out = _out_path(args, cfg, "out")
-    if out:
-        write_trace(out, trace)
-        print(f"wrote {len(trace)} events to {out}")
-    else:
-        sys.stdout.write(dumps(trace))
-    return 0
+    return _emit_trace(args, cfg, ATTACKS[args.name](_geometry(args, cfg)))
 
 
 def cmd_validate(args) -> int:

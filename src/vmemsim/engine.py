@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections.abc import Collection
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum, unique
 from functools import partial
@@ -70,6 +71,7 @@ from .core import HYPERVISOR, Geometry
 from .errors import (
     ConfigError,
     DoubleFreeError,
+    DuplicateRunError,
     GeometryError,
     ModeError,
     ProtocolError,
@@ -268,6 +270,10 @@ class UtilSample:
     pages: int
 
 
+#: the report's ledgers, in the order of the table, CSV and summary columns
+LEDGERS = ("isolation_faults", "violations", "dma_faults", "denials", "memory_full", "reclaims")
+
+
 @dataclass
 class MetricsReport:
     mode: str
@@ -286,14 +292,11 @@ class MetricsReport:
     final_pages: dict[int, int] = field(default_factory=dict)
 
     def ledger_dict(self) -> dict:
-        return {
-            "isolation_faults": [f.to_dict() for f in self.isolation_faults],
-            "violations": [v.to_dict() for v in self.violations],
-            "dma_faults": [f.to_dict() for f in self.dma_faults],
-            "denials": [d.to_dict() for d in self.denials],
-            "memory_full": [m.to_dict() for m in self.memory_full],
-            "reclaims": [r.to_dict() for r in self.reclaims],
-        }
+        return {name: [r.to_dict() for r in getattr(self, name)] for name in LEDGERS}
+
+    def ledger_counts(self) -> dict[str, int]:
+        """The number of records in each ledger, in LEDGERS order."""
+        return {name: len(getattr(self, name)) for name in LEDGERS}
 
     def to_dict(self) -> dict:
         return {
@@ -311,22 +314,18 @@ class MetricsReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    def mean_segment_utilization(self, geom: Geometry) -> float:
-        """Mean over samples of (owned segments / total segments)."""
-        per_index: dict[int, int] = {}
-        for row in self.utilization:
-            per_index[row.event_index] = per_index.get(row.event_index, 0) + row.segments
-        if not per_index:
+    def _mean_utilization(self, attr: str, capacity: int) -> float:
+        """Mean over sample points of (`attr` summed over owners / capacity)."""
+        points = {row.event_index for row in self.utilization}
+        if not points:
             return 0.0
-        return sum(per_index.values()) / (len(per_index) * geom.total_segments)
+        return sum(getattr(row, attr) for row in self.utilization) / (len(points) * capacity)
+
+    def mean_segment_utilization(self, geom: Geometry) -> float:
+        return self._mean_utilization("segments", geom.total_segments)
 
     def mean_page_utilization(self, geom: Geometry) -> float:
-        per_index: dict[int, int] = {}
-        for row in self.utilization:
-            per_index[row.event_index] = per_index.get(row.event_index, 0) + row.pages
-        if not per_index:
-            return 0.0
-        return sum(per_index.values()) / (len(per_index) * geom.pages_total)
+        return self._mean_utilization("pages", geom.pages_total)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +354,8 @@ class RunOptions:
             raise ConfigError(
                 f"dma_policy must be {RAW_DMA} or {NO_DMA}, got {self.dma_policy!r}"
             )
+        if self.sample_interval < 1:
+            raise ConfigError(f"sample_interval must be >= 1, got {self.sample_interval}")
         if self.tlb_entries < 0:
             raise ConfigError(f"tlb_entries must be >= 0, got {self.tlb_entries}")
         if self.walk_levels < 1:
@@ -395,7 +396,7 @@ class _Machine:
     ids) and `_dma` (accounting for a DMA with a known issuer and page).
     """
 
-    live: set[int]
+    live: Collection[int]
     flush_on_switch = False
 
     def __init__(self, geom: Geometry, cost: CostModel, opts: RunOptions, report: MetricsReport):
@@ -624,12 +625,29 @@ class AsmiMachine(_Machine):
         assert set(self.tables) == set(self.next_vpage) == self.pm.live, "owner sets differ"
 
 
+class _Guest:
+    """What the page-pool hypervisor keeps for one live guest (or itself)."""
+
+    __slots__ = ("gpt", "rmap", "shadow", "backing", "next_vpage", "vasid", "domain")
+
+    def __init__(self, shadow: bool):
+        self.gpt: dict[int, int] = {}       # vpage -> ppage (the hypervisor's: -> page)
+        self.rmap: dict[int, int] = {}      # ppage -> page
+        self.shadow: dict[int, int] | None = {} if shadow else None  # vpage -> page
+        self.backing: dict[int, tuple[int, int]] = {}  # held page -> (vpage, its gpt entry)
+        self.next_vpage = 0
+        self.vasid = 0
+        self.domain: int | None = None      # IOMMU domain, once assigned
+
+
 class BaselineMachine(_Machine):
     """Page-pool hypervisor shared by nested, shadow, iommu, and hyperwall.
 
     `shadow` walks shadow tables instead of the nested walk behind the
     vTLB; `remap` sends DMA through the IOMMU, else it is raw (or PIO
     under dma_policy=off); `hyperwall` adds per-page protection bits.
+    Per-guest state lives in `guests`; `owner_of` names the holder of
+    every page not in the free heap.
     """
 
     def __init__(self, geom, cost, opts, report, *, shadow: bool, remap: bool, hyperwall: bool):
@@ -637,21 +655,15 @@ class BaselineMachine(_Machine):
         self.shadowed = shadow
         self.hyperwall = hyperwall
         self.free_pages: list[int] = list(range(geom.pages_total))  # a heap
-        self.owner_map: dict[int, int] = {}
-        self.pages_of: dict[int, set[int]] = {HYPERVISOR: set()}
-        self.backing: dict[int, tuple[int, int, int]] = {}  # page -> (vm, vpage, ppage)
+        self.owner_of: dict[int, int] = {}  # held page -> owner
+        # the hypervisor maps straight to physical pages and has no shadow
+        self.guests: dict[int, _Guest] = {HYPERVISOR: _Guest(shadow=False)}
+        self.live = self.guests  # the live ids are its keys
         self.current: dict[int, int] = {}
-        self.live: set[int] = {HYPERVISOR}
         self.next_vmid = 1
-        self.gpt: dict[int, dict[int, int]] = {HYPERVISOR: {}}      # vm -> vpage -> ppage
-        self.rmap: dict[int, dict[int, int]] = {HYPERVISOR: {}}     # vm -> ppage -> page
-        self.shadow: dict[int, dict[int, int]] = {}   # guests' vpage -> page, shadow mode only
-        self.next_vpage: dict[int, int] = {HYPERVISOR: 0}
-        self.vasid: dict[int, int] = {HYPERVISOR: 0}
         self.asid_map = AsidMap()
         self.tlb = VirtualTlb(opts.tlb_entries)
         self.remap = RemappingTables(opts.walk_levels)
-        self.domain_of_vm: dict[int, int] = {}
         self.page_mode: dict[int, PageMode] = {}
 
         cls = type(self)
@@ -683,36 +695,34 @@ class BaselineMachine(_Machine):
 
     def _free_page(self, page: int) -> None:
         """Unmap a held page from every structure and return it to the pool."""
-        vm, vpage, ppage = self.backing.pop(page)
-        self.owner_map.pop(page, None)
-        self.pages_of[vm].discard(page)
-        gpt = self.gpt.get(vm)
-        if gpt is not None and gpt.get(vpage) == (page if vm == HYPERVISOR else ppage):
-            del gpt[vpage]
-        rmap = self.rmap.get(vm)
-        if rmap is not None:
-            rmap.pop(ppage, None)
-        shadow = self.shadow.get(vm)
-        if shadow is not None:
-            shadow.pop(vpage, None)
-        domain = self.domain_of_vm.get(vm)
-        if domain is not None:
-            self.remap.unmap_phys(domain, page)
+        vm = self.owner_of.pop(page)
+        guest = self.guests[vm]
+        vpage, ppage = guest.backing.pop(page)
+        if guest.gpt.get(vpage) == ppage:
+            del guest.gpt[vpage]
+        guest.rmap.pop(ppage, None)
+        if guest.shadow is not None:
+            guest.shadow.pop(vpage, None)
+        if guest.domain is not None:
+            self.remap.unmap_phys(guest.domain, page)
         self.page_mode.pop(page, None)
         self._tlb_invalidate_phys(page)
         heapq.heappush(self.free_pages, page)
 
     def _reclaim_one_page(self, requester: int) -> int | None:
-        """Swap out one page from the largest other guest holder."""
+        """Swap out one page from the largest other guest holder.
+
+        Outside hyperwall no page has a mode, so every page reads as
+        hyp_only, which the hypervisor may touch.
+        """
+        guests = self.guests
         order = sorted(
-            (vm for vm in self.live if vm not in (requester, HYPERVISOR)),
-            key=lambda vm: (-len(self.pages_of[vm]), vm),
+            (vm for vm in guests if vm not in (requester, HYPERVISOR)),
+            key=lambda vm: (-len(guests[vm].backing), vm),
         )
         for victim in order:
-            for page in sorted(self.pages_of[victim], reverse=True):
-                if self.hyperwall and not hypervisor_may_touch(
-                    self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)
-                ):
+            for page in sorted(guests[victim].backing, reverse=True):
+                if not hypervisor_may_touch(self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)):
                     continue
                 self._free_page(page)
                 return page
@@ -725,30 +735,16 @@ class BaselineMachine(_Machine):
         self.next_vmid += 1
         if vm != ev.vm:
             raise self.err(ev, f"trace expects vm {ev.vm}, hypervisor assigned {vm}")
-        self.live.add(vm)
-        self.pages_of[vm] = set()
-        self.gpt[vm] = {}
-        self.rmap[vm] = {}
-        if self.shadowed:
-            self.shadow[vm] = {}
-        self.next_vpage[vm] = 0
-        self.vasid[vm] = 0
+        self.guests[vm] = _Guest(self.shadowed)
 
     def on_destroy_vm(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
         if ev.vm == HYPERVISOR or ev.vm in self.current.values():
             raise self.err(ev, f"vm {ev.vm} cannot be destroyed now")
-        for page in sorted(self.pages_of[ev.vm]):
+        for page in sorted(self.guests[ev.vm].backing):
             self._free_page(page)
-        del self.pages_of[ev.vm]
-        del self.gpt[ev.vm]
-        del self.rmap[ev.vm]
-        self.shadow.pop(ev.vm, None)
-        del self.next_vpage[ev.vm]
-        del self.vasid[ev.vm]
+        del self.guests[ev.vm]
         self.asid_map.drop_vm(ev.vm)
-        self.domain_of_vm.pop(ev.vm, None)
-        self.live.discard(ev.vm)
 
     def on_enter(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
@@ -764,7 +760,7 @@ class BaselineMachine(_Machine):
         self._charge_switch(ev.kind)
 
     def on_pswitch(self, ev: TraceEvent) -> None:
-        self.vasid[self.cur_vm(ev.cpu)] = ev.vasid
+        self.guests[self.cur_vm(ev.cpu)].vasid = ev.vasid
         super().on_pswitch(ev)
 
     # -- memory --
@@ -783,27 +779,22 @@ class BaselineMachine(_Machine):
             c.pages_swapped += 1
             cycles += self.cost.swap_page
         page = heapq.heappop(self.free_pages)
-        self.owner_map[page] = vm
-        self.pages_of[vm].add(page)
-        vpage = self.next_vpage[vm]
-        self.next_vpage[vm] = vpage + 1
-        if vm == HYPERVISOR:
-            # the hypervisor maps straight to physical pages
-            self.gpt[vm][vpage] = page
-            self.backing[page] = (vm, vpage, page)
-        else:
-            ppage = vpage  # fresh guests map pages linearly
-            self.gpt[vm][vpage] = ppage
-            self.rmap[vm][ppage] = page
-            self.backing[page] = (vm, vpage, ppage)
-            shadow = self.shadow.get(vm)
-            if shadow is not None:
+        self.owner_of[page] = vm
+        guest = self.guests[vm]
+        vpage = guest.next_vpage
+        guest.next_vpage = vpage + 1
+        # the hypervisor maps straight to physical pages; fresh guests map linearly
+        ppage = page if vm == HYPERVISOR else vpage
+        guest.gpt[vpage] = ppage
+        guest.backing[page] = (vpage, ppage)
+        if vm != HYPERVISOR:
+            guest.rmap[ppage] = page
+            if guest.shadow is not None:
                 cycles += self._shadow_cycles(
-                    shadow_update_vpage(shadow, self.gpt[vm], self.rmap[vm], vpage)
+                    shadow_update_vpage(guest.shadow, guest.gpt, guest.rmap, vpage)
                 )
-            domain = self.domain_of_vm.get(vm)
-            if domain is not None:
-                self.remap.map_page(domain, ppage, page)
+            if guest.domain is not None:
+                self.remap.map_page(guest.domain, ppage, page)
         if self.hyperwall:
             self.page_mode[page] = PageMode.HYPERVISOR_AND_DMA
         self.charge(ev.kind, cycles)
@@ -811,13 +802,13 @@ class BaselineMachine(_Machine):
     def on_free(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
         c = self.report.counters
-        vpage = self._vpage(ev)
-        mapped = self.gpt[ev.vm].get(vpage)
+        guest = self.guests[ev.vm]
+        mapped = guest.gpt.get(self._vpage(ev))
         if mapped is None:
             c.invalid_frees += 1
             return
-        page = mapped if ev.vm == HYPERVISOR else self.rmap[ev.vm].get(mapped)
-        if page is None or self.owner_map.get(page) != ev.vm:
+        page = mapped if ev.vm == HYPERVISOR else guest.rmap.get(mapped)
+        if page is None or self.owner_of.get(page) != ev.vm:
             c.invalid_frees += 1
             return
         c.frees += 1
@@ -825,26 +816,26 @@ class BaselineMachine(_Machine):
 
     def on_gpt_write(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
-        self.gpt[ev.vm][ev.vpage] = ev.target
+        guest = self.guests[ev.vm]
+        guest.gpt[ev.vpage] = ev.target
         if ev.vm != HYPERVISOR:
             for asid in self.asid_map.real_asids(ev.vm):
                 self.tlb.entries.pop((asid, ev.vpage), None)
-            shadow = self.shadow.get(ev.vm)
-            if shadow is not None:
+            if guest.shadow is not None:
                 self.charge(ev.kind, self._shadow_cycles(
-                    shadow_update_vpage(shadow, self.gpt[ev.vm], self.rmap[ev.vm], ev.vpage)
+                    shadow_update_vpage(guest.shadow, guest.gpt, guest.rmap, ev.vpage)
                 ))
 
     def on_rmap_write(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
-        old = self.rmap[ev.vm].get(ev.ppage)
-        self.rmap[ev.vm][ev.ppage] = ev.phys
+        guest = self.guests[ev.vm]
+        old = guest.rmap.get(ev.ppage)
+        guest.rmap[ev.ppage] = ev.phys
         if old is not None:
             self._tlb_invalidate_phys(old)
-        shadow = self.shadow.get(ev.vm)
-        if shadow is not None:
+        if guest.shadow is not None:
             self.charge(ev.kind, self._shadow_cycles(
-                shadow_update_ppage(shadow, self.gpt[ev.vm], self.rmap[ev.vm], ev.ppage)
+                shadow_update_ppage(guest.shadow, guest.gpt, guest.rmap, ev.ppage)
             ))
 
     # -- translation and CPU access --
@@ -860,18 +851,19 @@ class BaselineMachine(_Machine):
         return result.page
 
     def _shadow_walk(self, ev: TraceEvent, vm: int, vpage: int) -> int | None:
-        return self._walked(ev, shadow_translate(vpage, self.shadow[vm]))
+        return self._walked(ev, shadow_translate(vpage, self.guests[vm].shadow))
 
     def _vtlb_walk(self, ev: TraceEvent, vm: int, vpage: int) -> int | None:
         c = self.report.counters
-        real_asid = self.asid_map.assign(vm, self.vasid[vm])
+        guest = self.guests[vm]
+        real_asid = self.asid_map.assign(vm, guest.vasid)
         hit = self.tlb.lookup(real_asid, vpage)
         if hit is not None:
             c.tlb_hits += 1
             self.charge(ev.kind, self.cost.tlb_hit)
             return hit
         c.tlb_misses += 1
-        page = self._walked(ev, nested_translate(vpage, self.gpt[vm], self.rmap[vm]))
+        page = self._walked(ev, nested_translate(vpage, guest.gpt, guest.rmap))
         if page is not None:
             self.tlb.insert(real_asid, vpage, page)
         return page
@@ -885,7 +877,7 @@ class BaselineMachine(_Machine):
         if page_mode_allows(mode, requester):
             return True
         self.report.denials.append(
-            Denial(ev.seq, ev.cpu, requester.value, page, mode.value, self.owner_map.get(page))
+            Denial(ev.seq, ev.cpu, requester.value, page, mode.value, self.owner_of.get(page))
         )
         return False
 
@@ -894,12 +886,12 @@ class BaselineMachine(_Machine):
         vm = self.cur_vm(ev.cpu)
         vpage = self._vpage(ev)
         if vm == HYPERVISOR:
-            page = self._walked(ev, WalkResult(self.gpt[HYPERVISOR].get(vpage), 1, None))
+            page = self._walked(ev, WalkResult(self.guests[HYPERVISOR].gpt.get(vpage), 1, None))
         else:
             page = self._walk_guest(self, ev, vm, vpage)
         if page is None:
             return
-        owner = self.owner_map.get(page)
+        owner = self.owner_of.get(page)
         if vm == HYPERVISOR:
             requester = Requester.HYPERVISOR
         elif owner == vm:
@@ -924,7 +916,7 @@ class BaselineMachine(_Machine):
         if not (0 <= ev.page < self.geom.pages_total):
             raise self.err(ev, f"page {ev.page} outside the geometry")
         requester = self.cur_vm(ev.cpu)
-        owner = self.owner_map.get(ev.page)
+        owner = self.owner_of.get(ev.page)
         if requester == owner or (requester == HYPERVISOR and owner is None):
             self.page_mode[ev.page] = PageMode(ev.mode)
         else:
@@ -934,10 +926,11 @@ class BaselineMachine(_Machine):
 
     def on_domain_assign(self, ev: TraceEvent) -> None:
         super().on_domain_assign(ev)
-        self.remap.assign(ev.domain, ev.vm, ev.bus, ev.device, ev.function)
-        self.domain_of_vm[ev.vm] = ev.domain
+        self.remap.assign(ev.domain, ev.bus, ev.device, ev.function)
+        guest = self.guests[ev.vm]
+        guest.domain = ev.domain
         # late assignment adopts mappings that already exist
-        for ppage, page in self.rmap[ev.vm].items():
+        for ppage, page in guest.rmap.items():
             self.remap.map_page(ev.domain, ppage, page)
 
     def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
@@ -948,7 +941,7 @@ class BaselineMachine(_Machine):
         if not self._dma_in_range(ev, page, dva) or not self._hyperwall_gate(ev, Requester.DMA, page):
             c.dma_blocked += 1
             return
-        owner = self.owner_map.get(page)
+        owner = self.owner_of.get(page)
         if owner is not None and owner != issuer:
             # raw DMA lands anyway: this is the vulnerability, record and proceed
             self.report.violations.append(
@@ -987,20 +980,20 @@ class BaselineMachine(_Machine):
     # -- bookkeeping --
 
     def sample(self, event_index: int) -> None:
-        for vm in sorted(self.live):
+        for vm in sorted(self.guests):
             self.report.utilization.append(
-                UtilSample(event_index, vm, 0, len(self.pages_of[vm]))
+                UtilSample(event_index, vm, 0, len(self.guests[vm].backing))
             )
 
     def finalize(self) -> None:
-        for vm in sorted(self.live):
-            self.report.final_pages[vm] = len(self.pages_of[vm])
+        for vm in sorted(self.guests):
+            self.report.final_pages[vm] = len(self.guests[vm].backing)
 
     def check_invariants(self) -> None:
-        assert len(self.free_pages) + len(self.owner_map) == self.geom.pages_total
-        total = sum(len(p) for p in self.pages_of.values())
-        assert total == len(self.owner_map)
-        assert set(self.backing) == set(self.owner_map)
+        held = {page: vm for vm, guest in self.guests.items() for page in guest.backing}
+        assert held == self.owner_of, "owner_of differs from the guests' backing"
+        assert sum(len(g.backing) for g in self.guests.values()) == len(held), "page held twice"
+        assert len(self.free_pages) + len(held) == self.geom.pages_total, "pages lost"
 
 
 # ---------------------------------------------------------------------------
@@ -1029,7 +1022,7 @@ def run(
     mode = canonical_mode(mode)
     report = MetricsReport(mode=mode)
     machine = _MACHINES[mode](geom, cost, opts, report)
-    interval = max(1, opts.sample_interval)
+    interval = opts.sample_interval
     last_seq = None
     count = 0
     for ev in trace:
@@ -1056,25 +1049,12 @@ def run(
     return report
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    trace: str
-    mode: str
-    total_cycles: int
-    isolation_faults: int
-    violations: int
-    dma_faults: int
-    denials: int
-    memory_full: int
-    reclaims: int
-    mean_seg_util: float
-    mean_page_util: float
-
-
 @dataclass
 class ComparisonReport:
-    rows: list[ComparisonRow]
+    """One report per (trace name, mode), in trace-major, mode-minor order."""
+
     reports: dict[tuple[str, str], MetricsReport]
+    geom: Geometry
 
     def to_table(self) -> str:
         headers = (
@@ -1083,12 +1063,12 @@ class ComparisonReport:
         )
         body = [
             (
-                r.trace, r.mode, str(r.total_cycles), str(r.isolation_faults),
-                str(r.violations), str(r.dma_faults), str(r.denials),
-                str(r.memory_full), str(r.reclaims),
-                f"{r.mean_seg_util:.4f}", f"{r.mean_page_util:.4f}",
+                name, mode, str(rep.total_cycles),
+                *(str(n) for n in rep.ledger_counts().values()),
+                f"{rep.mean_segment_utilization(self.geom):.4f}",
+                f"{rep.mean_page_utilization(self.geom):.4f}",
             )
-            for r in self.rows
+            for (name, mode), rep in self.reports.items()
         ]
         widths = [max(len(h), *(len(row[i]) for row in body)) if body else len(h)
                   for i, h in enumerate(headers)]
@@ -1107,33 +1087,27 @@ def compare(
     cost: CostModel | None = None,
     options: RunOptions | None = None,
 ) -> ComparisonReport:
-    """Run each trace under each mode; row order is trace-major, mode-minor."""
+    """Run each (name, events) trace under each mode, trace-major, mode-minor.
+
+    A bare event list is one trace named "trace".  A (name, mode) pair that
+    would repeat raises DuplicateRunError before anything is replayed.
+    """
     geom = geom or Geometry()
     if traces and isinstance(traces[0], TraceEvent):
         traces = [("trace", traces)]
-    rows = []
-    reports = {}
-    for name, events in traces:
+    modes = [canonical_mode(m) for m in modes]
+    pairs = set()
+    for name, _ in traces:
         for mode in modes:
-            mode = canonical_mode(mode)
-            rep = run(events, mode, geom, cost, options)
-            reports[(name, mode)] = rep
-            rows.append(
-                ComparisonRow(
-                    trace=name,
-                    mode=mode,
-                    total_cycles=rep.total_cycles,
-                    isolation_faults=len(rep.isolation_faults),
-                    violations=len(rep.violations),
-                    dma_faults=len(rep.dma_faults),
-                    denials=len(rep.denials),
-                    memory_full=len(rep.memory_full),
-                    reclaims=len(rep.reclaims),
-                    mean_seg_util=rep.mean_segment_utilization(geom),
-                    mean_page_util=rep.mean_page_utilization(geom),
-                )
-            )
-    return ComparisonReport(rows, reports)
+            if (name, mode) in pairs:
+                raise DuplicateRunError(f"trace {name!r} under mode {mode} is requested twice")
+            pairs.add((name, mode))
+    reports = {
+        (name, mode): run(events, mode, geom, cost, options)
+        for name, events in traces
+        for mode in modes
+    }
+    return ComparisonReport(reports, geom)
 
 
 # ---------------------------------------------------------------------------

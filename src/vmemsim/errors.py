@@ -54,5 +54,9 @@ class ConfigError(SimError):
     """Config file rejected: unknown key, bad value, or missing file."""
 
 
+class DuplicateRunError(SimError):
+    """A comparison would replay the same (trace name, mode) pair twice."""
+
+
 class SimulationError(SimError):
     """Trace replay failed; message names the offending event seq."""

@@ -138,7 +138,6 @@ class AllocResult:
 
 
 #: translation outcome kinds
-OK = "ok"
 PAGE_FAULT = "page_fault"
 ISOLATION_FAULT = "isolation_fault"
 

@@ -171,7 +171,7 @@ def test_iommu_walk_steps_and_faults():
     no_root = iommu_dma_translate(DmaRequest(3, 0, 0, 0, False), tables, PAGE)
     assert (no_root.fault, no_root.steps) == ("no_root", 1)
 
-    tables.assign(domain_id=1, vm=1, bus=3, device=5, function=0)
+    tables.assign(domain_id=1, bus=3, device=5, function=0)
     no_ctx = iommu_dma_translate(DmaRequest(3, 6, 0, 0, False), tables, PAGE)
     assert (no_ctx.fault, no_ctx.steps) == ("no_context", 2)
 
@@ -185,7 +185,7 @@ def test_iommu_walk_steps_and_faults():
 
 def test_iommu_walk_depth_is_configurable():
     tables = RemappingTables(levels=2)
-    tables.assign(1, 1, 0, 0, 0)
+    tables.assign(1, 0, 0, 0)
     tables.map_page(1, 0, 9)
     assert iommu_dma_translate(DmaRequest(0, 0, 0, 0, False), tables, PAGE).steps == 4
     with pytest.raises(OutOfRangeError):
@@ -194,7 +194,7 @@ def test_iommu_walk_depth_is_configurable():
 
 def test_iommu_unmap_phys_drops_reverse_entries():
     tables = RemappingTables()
-    tables.assign(1, 1, 0, 0, 0)
+    tables.assign(1, 0, 0, 0)
     tables.map_page(1, 0, 42)
     tables.map_page(1, 3, 42)
     tables.unmap_phys(1, 42)
@@ -203,7 +203,7 @@ def test_iommu_unmap_phys_drops_reverse_entries():
 
 def test_iommu_unmap_phys_after_remap():
     tables = RemappingTables()
-    tables.assign(1, 1, 0, 0, 0)
+    tables.assign(1, 0, 0, 0)
     tables.map_page(1, 0, 42)
     tables.map_page(1, 3, 42)
     tables.map_page(1, 5, 7)
@@ -220,9 +220,14 @@ def test_iommu_unmap_phys_after_remap():
 
 def test_iommu_one_domain_many_devices():
     tables = RemappingTables()
-    tables.assign(1, 1, 0, 0, 0)
-    tables.assign(1, 1, 0, 1, 0)
-    assert tables.domain_of_device(0, 0, 0) is tables.domain_of_device(0, 1, 0)
+    tables.assign(1, 0, 0, 0)
+    tables.assign(1, 0, 1, 0)
+    tables.map_page(1, 2, 42)
+    for device in (0, 1):
+        dma = iommu_dma_translate(DmaRequest(0, device, 0, 2 * PAGE + 5, True), tables, PAGE)
+        assert (dma.page, dma.fault) == (42, None)
+    other = iommu_dma_translate(DmaRequest(0, 2, 0, 2 * PAGE, True), tables, PAGE)
+    assert other.fault == "no_context"
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,37 @@ def test_compare_table_and_csv(tmp_path, trace_file, capsys):
     assert [line.split(",")[1] for line in lines[1:]] == ["asmi", "nested_shadow", "iommu"]
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_run_and_compare_write_the_same_rows(tmp_path, trace_file, mode):
+    common = ["--geometry", "256x4x16", "--trace", str(trace_file), "--sample-interval", "40"]
+    outs = {}
+    for command, mode_flag in (("run", "--mode"), ("compare", "--modes")):
+        csv_out, util_out = tmp_path / f"{command}.csv", tmp_path / f"{command}.util"
+        rc = run_cli(command, *common, mode_flag, mode,
+                     "--out", str(csv_out), "--util-out", str(util_out))
+        assert rc == 0
+        outs[command] = (csv_out.read_bytes(), util_out.read_bytes())
+    assert outs["run"] == outs["compare"]
+    assert len(outs["run"][1].splitlines()) > 2
+
+
+def test_compare_rejects_two_traces_with_one_name(tmp_path, capsys):
+    fixture = (FIXTURES / "cross_vm_dma.trace").read_text()
+    paths = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        path = tmp_path / folder / "x.trace"
+        path.write_text(fixture)
+        paths += ["--trace", str(path)]
+    csv_out = tmp_path / "cmp.csv"
+    rc = run_cli("compare", "--geometry", "256x4x8", *paths, "--modes", "asmi",
+                 "--out", str(csv_out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'x'" in err and "asmi" in err, err
+    assert not csv_out.exists()
+
+
 def test_attack_subcommand(tmp_path, capsys):
     path = tmp_path / "atk.trace"
     rc = run_cli("attack", "cross_vm_dma", "--geometry", "256x4x8", "--out", str(path))
@@ -181,11 +212,25 @@ def test_error_exit_codes(tmp_path, capsys):
 
     capsys.readouterr()
     good = FIXTURES / "cross_vm_dma.trace"
-    for entry in ("sample_interval = abc", "iommu_levels = 2.5", "tlb_entries = -5"):
+    for entry in ("sample_interval = abc", "iommu_levels = 2.5", "tlb_entries = -5",
+                  "sample_interval = 0"):
         conf.write_text(f"trace = {good}\n{entry}\n")
         assert run_cli("run", "--config", str(conf)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and entry.split()[0] in err, err
+
+    workload = {"vm_count": "1", "events": "10", "demand": "4:0.2:0.5"}
+    for key, value in (("events", "abc"), ("dma_rate", "lots")):
+        entries = {**workload, key: value}
+        conf.write_text("".join(f"workload.{k} = {v}\n" for k, v in entries.items()))
+        assert run_cli("gen", "--config", str(conf)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: workload.{key} = '{value}' is not a valid "), err
+    conf.write_text("".join(f"workload.{k} = {v}\n" for k, v in workload.items()))
+    assert run_cli("gen", "--config", str(conf)) == 0     # the same file, well formed
+    capsys.readouterr()
+    assert run_cli("run", "--trace", str(good), "--sample-interval", "-3") == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
     for flags in (["--cost", "tlb_hit=-1"], ["--iommu-levels", "0"]):
         for mode in MODES:

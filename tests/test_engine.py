@@ -21,7 +21,7 @@ from vmemsim.engine import (
     sat_add,
     static_partition_utilization,
 )
-from vmemsim.errors import ConfigError, ModeError, SimulationError
+from vmemsim.errors import ConfigError, DuplicateRunError, ModeError, SimulationError
 
 TINY = Geometry(256, 4, 8)
 
@@ -157,7 +157,7 @@ def test_malformed_device_address_fails_alike_with_dma_off(mode, name):
 def test_run_options_reject_bad_values():
     bad_values = (
         {"tlb_policy": "writeback"}, {"dma_policy": "bogus"}, {"walk_levels": 0},
-        {"tlb_entries": -1},
+        {"tlb_entries": -1}, {"sample_interval": 0}, {"sample_interval": -3},
     )
     for bad in bad_values:
         with pytest.raises(ConfigError):
@@ -171,6 +171,50 @@ def test_asmi_invariant_check_can_fail():
         machine.apply(event)
     machine.check_invariants()
     del machine.next_vpage[1]          # a live guest loses its vpage counter
+    with pytest.raises(AssertionError):
+        machine.check_invariants()
+
+
+BASELINE_MODES = [m for m in MODES if m != "asmi"]
+
+
+def _corrupt_owner_drop(m):
+    del m.owner_of[max(m.owner_of)]                # a held page loses its owner
+
+
+def _corrupt_owner_swap(m):
+    m.owner_of[min(m.guests[1].backing)] = 2       # a page names the wrong owner
+
+
+def _corrupt_backing_drop(m):
+    m.guests[2].backing.popitem()                  # a guest forgets a page it holds
+
+
+def _corrupt_backing_twice(m):
+    page = min(m.guests[1].backing)
+    m.guests[2].backing[page] = m.guests[1].backing[page]   # one page, two holders
+
+
+def _corrupt_free_heap(m):
+    m.free_pages.pop()                             # a free page vanishes
+
+
+@pytest.mark.parametrize("mode", BASELINE_MODES)
+@pytest.mark.parametrize("corrupt", [
+    _corrupt_owner_drop, _corrupt_owner_swap, _corrupt_backing_drop,
+    _corrupt_backing_twice, _corrupt_free_heap,
+])
+def test_baseline_invariant_check_can_fail(mode, corrupt):
+    machine = _MACHINES[mode](TINY, CostModel(), RunOptions(), MetricsReport(mode=mode))
+    events = trace(
+        (E.CREATE_VM, {"vm": 1}), (E.CREATE_VM, {"vm": 2}),
+        (E.ALLOC, {"vm": 1}), (E.ALLOC, {"vm": 2}), (E.ALLOC, {"vm": 1}),
+        (E.ALLOC, {"vm": 2}), (E.FREE, {"vm": 1, "vaddr": 0}), (E.ALLOC, {"vm": 0}),
+    )
+    for event in events:
+        machine.apply(event)
+    machine.check_invariants()
+    corrupt(machine)
     with pytest.raises(AssertionError):
         machine.check_invariants()
 
@@ -565,7 +609,7 @@ def test_compare_row_order_is_trace_major():
     t1 = trace((E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1}))
     t2 = trace((E.CREATE_VM, {"vm": 1}))
     result = compare([("a", t1), ("b", t2)], ["nested", "asmi"], TINY)
-    assert [(r.trace, r.mode) for r in result.rows] == [
+    assert list(result.reports) == [
         ("a", "nested"), ("a", "asmi"), ("b", "nested"), ("b", "asmi"),
     ]
     table = result.to_table()
@@ -575,7 +619,18 @@ def test_compare_row_order_is_trace_major():
 def test_compare_accepts_bare_event_list():
     t = trace((E.CREATE_VM, {"vm": 1}))
     result = compare(t, ["asmi"], TINY)
-    assert result.rows[0].trace == "trace"
+    assert list(result.reports) == [("trace", "asmi")]
+
+
+@pytest.mark.parametrize("names, modes", [
+    (["x", "x"], ["asmi"]),                       # two traces with one name
+    (["x"], ["asmi", "asmi"]),
+    (["x"], ["nested_shadow", "shadow"]),         # one mode under two aliases
+])
+def test_compare_rejects_a_repeated_trace_and_mode(names, modes):
+    t = trace((E.CREATE_VM, {"vm": 1}))
+    with pytest.raises(DuplicateRunError, match=r"'x'.*(asmi|nested_shadow)"):
+        compare([(name, t) for name in names], modes, TINY)
 
 
 def test_report_json_shape():
