@@ -38,7 +38,7 @@ from .engine import (
     run,
 )
 from .errors import ConfigError, SimError
-from .traceio import dumps, read_trace, validate, write_trace
+from .traceio import dumps, open_trace, parse_lines, read_trace, validate, write_trace
 from .workload import (
     WorkloadSpec,
     attack_cross_vm_dma,
@@ -213,7 +213,8 @@ def cmd_run(args) -> int:
     if not trace_path:
         raise ConfigError("run needs --trace or a `trace` config entry")
     mode = getattr(args, "mode", None) or cfg.get("mode") or "asmi"
-    report = run(read_trace(trace_path), mode, geom, cost, opts)
+    with open_trace(trace_path) as fh:
+        report = run(parse_lines(fh), mode, geom, cost, opts)   # replays as it parses
     name = _trace_name(trace_path)
     _write_outputs(args, cfg, {(name, report.mode): report}, geom, report.to_json)
     verbosity = _pick(args, cfg, "verbosity", 1, int) + getattr(args, "verbose", 0)

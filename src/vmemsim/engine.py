@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections.abc import Collection
+from collections.abc import Collection, Iterable
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum, unique
 from functools import partial
@@ -130,7 +130,7 @@ EVENT_FIELDS: dict[EventKind, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     seq: int
     kind: EventKind
@@ -359,7 +359,9 @@ class RunOptions:
         if self.tlb_entries < 0:
             raise ConfigError(f"tlb_entries must be >= 0, got {self.tlb_entries}")
         if self.walk_levels < 1:
-            raise ConfigError(f"walk_levels must be >= 1, got {self.walk_levels}")
+            raise ConfigError(
+                f"iommu_levels (walk_levels) must be >= 1, got {self.walk_levels}"
+            )
 
 
 MODES = ("asmi", "nested", "nested_shadow", "iommu", "hyperwall")
@@ -1009,13 +1011,16 @@ _MACHINES = {
 }
 
 def run(
-    trace: list[TraceEvent],
+    trace: Iterable[TraceEvent],
     mode: str,
     geom: Geometry | None = None,
     cost: CostModel | None = None,
     options: RunOptions | None = None,
 ) -> MetricsReport:
-    """Replay a trace under one mode and return its metrics report."""
+    """Replay a trace under one mode and return its metrics report.
+
+    `trace` is iterated once, so it may be a generator that parses as it goes.
+    """
     geom = geom or Geometry()
     cost = cost or CostModel()
     opts = options or RunOptions()

@@ -149,6 +149,12 @@ class Translation:
     checks: int
 
 
+#: the three outcomes of `ProMem.translate`, shared by every access
+_UNMAPPED = Translation(PAGE_FAULT, walks=1, checks=0)
+_BLOCKED = Translation(ISOLATION_FAULT, walks=1, checks=1)
+_TRANSLATED = Translation(None, walks=1, checks=1)
+
+
 # ---------------------------------------------------------------------------
 # controller
 # ---------------------------------------------------------------------------
@@ -420,10 +426,10 @@ class ProMem:
         cur = self.current(cpu)
         target = tables[cur].get(vpage)
         if target is None or not (0 <= target < self.geom.pages_total):
-            return Translation(PAGE_FAULT, walks=1, checks=0)
+            return _UNMAPPED
         if self.check_owner(cur, target, cpu, seq) is not None:
-            return Translation(ISOLATION_FAULT, walks=1, checks=1)
-        return Translation(None, walks=1, checks=1)
+            return _BLOCKED
+        return _TRANSLATED
 
     # -- invariants -------------------------------------------------------
 

@@ -5,16 +5,57 @@ order EVENT_FIELDS defines for the kind.  Integers are decimal, the DMA
 direction field is `r` or `w`, and hw_set takes a protection-mode token
 (hyp_only, hyp_dma, hyp_denied, locked).  Blank lines and lines starting
 with `#` are ignored.  Round-trips are exact.
+
+`parse_lines` turns text into events lazily, so a caller that replays
+a file as it reads it (`vmemsim run`) holds one event at a time; `loads`
+collects them into a list.  Trace files are UTF-8 text.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
+from dataclasses import fields as dataclass_fields
+from typing import TextIO
 
 from .baselines import DmaRequest, PageMode
 from .engine import EVENT_FIELDS, EventKind, TraceEvent
 from .errors import OutOfRangeError, TraceFormatError
 
-_KIND_BY_TOKEN = {kind.value: kind for kind in EventKind}
 _MODE_TOKENS = {mode.value for mode in PageMode}
+
+
+def _direction(token: str) -> bool:
+    if token == "w":
+        return True
+    if token == "r":
+        return False
+    raise ValueError("direction must be `r` or `w`")
+
+
+def _mode(token: str) -> str:
+    if token not in _MODE_TOKENS:
+        raise ValueError(
+            f"unknown protection mode {token!r}; known: {', '.join(sorted(_MODE_TOKENS))}"
+        )
+    return token
+
+
+_CONVERTERS = {"write": _direction, "mode": _mode}
+
+#: TraceEvent's constructor arguments, in positional order
+_ARGUMENTS = tuple(f.name for f in dataclass_fields(TraceEvent))
+_SEQ, _KIND, _CPU = (_ARGUMENTS.index(name) for name in ("seq", "kind", "cpu"))
+
+#: kind token -> (kind, field names, ((argument position, field name, converter), ...))
+_PARSE_TABLE = {
+    kind.value: (
+        kind,
+        names,
+        tuple((_ARGUMENTS.index(name), name, _CONVERTERS.get(name, int)) for name in names),
+    )
+    for kind, names in EVENT_FIELDS.items()
+}
 
 
 def format_event(ev: TraceEvent) -> str:
@@ -32,47 +73,50 @@ def format_event(ev: TraceEvent) -> str:
 
 def parse_line(line: str, lineno: int = 0) -> TraceEvent | None:
     """Parse one line; returns None for blanks and comments."""
-    text = line.strip()
-    if not text or text.startswith("#"):
+    tokens = line.split()
+    if not tokens or tokens[0].startswith("#"):
         return None
-    tokens = text.split()
     if len(tokens) < 3:
         raise TraceFormatError(f"line {lineno}: expected `seq kind cpu ...`")
-    kind = _KIND_BY_TOKEN.get(tokens[1])
-    if kind is None:
+    entry = _PARSE_TABLE.get(tokens[1])
+    if entry is None:
         raise TraceFormatError(f"line {lineno}: unknown event kind {tokens[1]!r}")
-    names = EVENT_FIELDS[kind]
+    kind, names, slots = entry
     if len(tokens) != 3 + len(names):
         raise TraceFormatError(
             f"line {lineno}: {kind.value} takes {len(names)} fields "
             f"({' '.join(names) or 'none'}), got {len(tokens) - 3}"
         )
-    fields: dict[str, object] = {}
+    args = [None] * len(_ARGUMENTS)
     try:
-        fields["seq"] = int(tokens[0])
-        fields["cpu"] = int(tokens[2])
+        args[_SEQ] = int(tokens[0])
+        args[_CPU] = int(tokens[2])
     except ValueError:
         raise TraceFormatError(f"line {lineno}: seq and cpu must be integers") from None
-    for name, token in zip(names, tokens[3:]):
-        if name == "write":
-            if token not in ("r", "w"):
-                raise TraceFormatError(f"line {lineno}: direction must be `r` or `w`")
-            fields[name] = token == "w"
-        elif name == "mode":
-            if token not in _MODE_TOKENS:
-                raise TraceFormatError(
-                    f"line {lineno}: unknown protection mode {token!r}; "
-                    f"known: {', '.join(sorted(_MODE_TOKENS))}"
-                )
-            fields[name] = token
-        else:
-            try:
-                fields[name] = int(token)
-            except ValueError:
-                raise TraceFormatError(
-                    f"line {lineno}: field {name} must be an integer, got {token!r}"
-                ) from None
-    return TraceEvent(kind=kind, **fields)
+    args[_KIND] = kind
+    for (position, name, convert), token in zip(slots, tokens[3:]):
+        try:
+            args[position] = convert(token)
+        except ValueError as exc:
+            reason = f"field {name} must be an integer, got {token!r}" if convert is int else str(exc)
+            raise TraceFormatError(f"line {lineno}: {reason}") from None
+    return TraceEvent(*args)
+
+
+def parse_lines(chunks: Iterable[str]) -> Iterator[TraceEvent]:
+    """The events of the text in `chunks`, parsed one at a time as they are read.
+
+    Each chunk is whole lines: all of a trace's text, or one line of its
+    file.  Lines split where `str.splitlines` splits and are numbered from
+    1, so a file read line by line parses exactly as its whole text does.
+    """
+    lineno = 0
+    for chunk in chunks:
+        for line in chunk.splitlines():
+            lineno += 1
+            ev = parse_line(line, lineno)
+            if ev is not None:
+                yield ev
 
 
 def dumps(events: list[TraceEvent]) -> str:
@@ -82,12 +126,22 @@ def dumps(events: list[TraceEvent]) -> str:
 
 
 def loads(text: str) -> list[TraceEvent]:
-    events = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        ev = parse_line(line, lineno)
-        if ev is not None:
-            events.append(ev)
-    return events
+    return list(parse_lines([text]))
+
+
+@contextmanager
+def open_trace(path: str) -> Iterator[TextIO]:
+    """The trace file at `path`, open as UTF-8 text until the block ends.
+
+    A byte that is not UTF-8, met while the block reads the file, raises
+    TraceFormatError naming `path`.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start:exc.end]
+            raise TraceFormatError(f"{path}: not UTF-8 text (bytes {bad.hex(' ')})") from None
 
 
 def write_trace(path: str, events: list[TraceEvent]) -> None:
@@ -96,7 +150,7 @@ def write_trace(path: str, events: list[TraceEvent]) -> None:
 
 
 def read_trace(path: str) -> list[TraceEvent]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_trace(path) as fh:
         return loads(fh.read())
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,17 @@ def test_error_exit_codes(tmp_path, capsys):
     bad.write_text("1 warp 0\n")
     assert run_cli("validate", "--trace", str(bad)) == 1
 
+    # a byte that is not UTF-8, past the first read buffer so run has started replaying
+    latin = tmp_path / "latin.trace"
+    padding = b"# padding\n" * 2000
+    latin.write_bytes((FIXTURES / "cross_vm_dma.trace").read_bytes() + padding + b"# caf\xe9\n")
+    capsys.readouterr()
+    for argv in (["run", "--geometry", "256x4x8"], ["compare", "--geometry", "256x4x8"],
+                 ["validate"]):
+        assert run_cli(*argv, "--trace", str(latin)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {latin}: not UTF-8 text"), err
+
     conf = tmp_path / "bad.conf"
     conf.write_text("colour = red\n")
     assert run_cli("run", "--config", str(conf)) == 1
@@ -213,7 +225,7 @@ def test_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     good = FIXTURES / "cross_vm_dma.trace"
     for entry in ("sample_interval = abc", "iommu_levels = 2.5", "tlb_entries = -5",
-                  "sample_interval = 0"):
+                  "sample_interval = 0", "iommu_levels = 0"):
         conf.write_text(f"trace = {good}\n{entry}\n")
         assert run_cli("run", "--config", str(conf)) == 1
         err = capsys.readouterr().err
@@ -255,6 +267,45 @@ def test_malformed_trace_names_its_seq_in_every_mode(tmp_path, capsys, mode):
     bad.write_text("# vmemsim trace\n1 create_vm 0 1\n2 exit 0\n")
     assert run_cli("run", "--trace", str(bad), "--mode", mode) == 1
     assert capsys.readouterr().err.startswith("error: event seq 2: ")
+
+
+def test_run_memory_does_not_grow_with_trace_length(tmp_path, capsys):
+    peaks = []
+    for events in (2_000, 20_000):
+        path = tmp_path / f"{events}.trace"
+        assert run_cli("gen", "--geometry", "256x4x16", "--seed", "3", "--vms", "2",
+                       "--events", str(events), "--demand", "4:0.2:0.5",
+                       "--out", str(path)) == 0
+        tracemalloc.start()
+        try:
+            assert run_cli("run", "--geometry", "256x4x16", "--trace", str(path)) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+
+def test_run_reports_a_malformed_last_line_and_writes_nothing(tmp_path, capsys):
+    lines = (FIXTURES / "cross_vm_dma.trace").read_text().splitlines()
+    bad = tmp_path / "tail.trace"
+    bad.write_text("\n".join(lines + ["99 read 0 xyz"]) + "\n")
+    csv_out, json_out = tmp_path / "run.csv", tmp_path / "run.json"
+    assert run_cli("run", "--geometry", "256x4x8", "--trace", str(bad),
+                   "--out", str(csv_out), "--json-out", str(json_out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: line {len(lines) + 1}: field vaddr must be an integer, got 'xyz'\n"
+    assert not csv_out.exists() and not json_out.exists()
+
+
+def test_run_reports_the_first_problem_in_file_order(tmp_path, capsys):
+    bad = tmp_path / "both.trace"
+    bad.write_text("1 create_vm 0 1\n2 exit 0\nbroken\n")
+    assert run_cli("run", "--trace", str(bad)) == 1
+    assert capsys.readouterr().err.startswith("error: event seq 2: ")
+    # validate and compare parse the whole file before any replay
+    for argv in (["validate"], ["compare"]):
+        assert run_cli(*argv, "--trace", str(bad)) == 1
+        assert capsys.readouterr().err.startswith("error: line 3: ")
 
 
 def test_module_runs_as_a_script():

@@ -12,6 +12,7 @@ Re-record (only for a deliberate behaviour change):
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -20,7 +21,9 @@ import pytest
 
 from vmemsim.baselines import FLUSH_POLICY, PageMode
 from vmemsim.core import Geometry
-from vmemsim.engine import MODES, NO_DMA, EventKind, RunOptions, TraceEvent, compare, run
+from vmemsim.engine import (
+    MODES, NO_DMA, RAW_DMA, EventKind, RunOptions, TraceEvent, compare, run,
+)
 from vmemsim.errors import ModeError
 from vmemsim.traceio import read_trace
 from vmemsim.workload import DemandProfile, WorkloadSpec, Xorshift64Star, generate
@@ -186,6 +189,19 @@ def test_all_kinds_trace_covers_every_kind():
         kinds = {ev.kind for ev in events}
         missing = set(EventKind) - kinds
         assert missing <= ({EventKind.DMA_RAW} if name.endswith("no_raw") else set()), name
+
+
+@pytest.mark.parametrize("raw_dma", [True, False])
+def test_replay_does_not_mutate_events(raw_dma):
+    events = all_kinds_trace(0x5EED, 700, SMALL, raw_dma=raw_dma)
+    pristine = copy.deepcopy(events)
+    for dma_policy in (RAW_DMA, NO_DMA):
+        for mode in MODES:
+            try:
+                run(events, mode, SMALL, options=RunOptions(dma_policy=dma_policy))
+            except ModeError:
+                assert raw_dma and mode == "iommu"
+    assert events == pristine
 
 
 if __name__ == "__main__":

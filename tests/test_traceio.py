@@ -9,7 +9,9 @@ from vmemsim.traceio import (
     dumps,
     format_event,
     loads,
+    open_trace,
     parse_line,
+    parse_lines,
     read_trace,
     validate,
     write_trace,
@@ -101,6 +103,25 @@ def test_loads_reports_real_line_numbers():
     with pytest.raises(TraceFormatError) as exc:
         loads(text)
     assert "line 3" in str(exc.value)
+
+
+def test_a_file_parses_alike_line_by_line_and_whole(tmp_path):
+    path = tmp_path / "odd.trace"
+    path.write_bytes(b"# t\r\n1 create_vm 0 1\x0c2 create_vm 0 2\n\n3 alloc 0 1\x1cbroken")
+
+    def parse(chunks):
+        events = []
+        with pytest.raises(TraceFormatError) as exc:
+            events.extend(parse_lines(chunks))
+        return events, str(exc.value)
+
+    with open_trace(str(path)) as fh:
+        streamed = parse(fh)
+    with open_trace(str(path)) as fh:
+        whole = parse([fh.read()])
+    assert streamed == whole
+    assert [ev.seq for ev in streamed[0]] == [1, 2, 3]
+    assert streamed[1] == "line 6: expected `seq kind cpu ...`"
 
 
 def test_format_event_requires_fields():
