@@ -1,8 +1,9 @@
 """Byte-identity gate: SHA-256 of every report and compare table.
 
 Each (trace, option set) pair is replayed through `compare` under all
-five modes; the digest of every `MetricsReport.to_json()` and of the
-comparison table is pinned in golden_digests.json.  A refactor of the
+five modes; the digest of every `MetricsReport.to_json()`, of every
+`run -vv` summary (the one output that prints each ledger record) and
+of the comparison table is pinned in golden_digests.json.  A refactor of the
 engine must leave every digest unchanged.  `iommu` cannot interpret a
 raw-target DMA, so on traces that hold one its pinned outcome is the
 ModeError text instead of a digest.
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from vmemsim.baselines import FLUSH_POLICY, PageMode
+from vmemsim.cli import _summary
 from vmemsim.core import Geometry
 from vmemsim.engine import (
     MODES, NO_DMA, RAW_DMA, EventKind, RunOptions, TraceEvent, compare, run,
@@ -151,11 +153,18 @@ def _sha(text: str) -> str:
 
 
 def digests(events: list[TraceEvent], geom: Geometry, options: RunOptions) -> dict[str, str]:
-    """Digest per mode report and of the table; ModeError text where a mode refuses."""
+    """Digest per mode report, per `run -vv` summary and of the table.
+
+    Where a mode refuses the trace, its ModeError text is pinned instead.
+    """
     raw = any(ev.kind is EventKind.DMA_RAW for ev in events)
     modes = [m for m in MODES if not (raw and m == "iommu")]
     result = compare([("trace", events)], modes, geom, options=options)
-    out = {mode: _sha(result.reports[("trace", mode)].to_json()) for mode in modes}
+    out = {}
+    for mode in modes:
+        rep = result.reports[("trace", mode)]
+        out[mode] = _sha(rep.to_json())
+        out[f"{mode}/vv"] = _sha(_summary("trace", rep, geom, 2))
     out["table"] = _sha(result.to_table())
     if raw:
         with pytest.raises(ModeError) as info:
