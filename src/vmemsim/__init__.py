@@ -42,7 +42,6 @@ from .errors import (
     DuplicateRunError,
     GeometryError,
     LifecycleError,
-    MappingError,
     ModeError,
     OutOfRangeError,
     ProtocolError,
@@ -92,7 +91,6 @@ __all__ = [
     "IsolationFault",
     "LifecycleError",
     "MODES",
-    "MappingError",
     "MemoryFull",
     "MetricsReport",
     "ModeError",

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, unique
+from typing import NamedTuple
 
-from .errors import MappingError, OutOfRangeError
+from .errors import OutOfRangeError
 
 MAX_BUS = 256
 MAX_DEVICE = 32
@@ -48,29 +49,21 @@ DEFAULT_WALK_LEVELS = 4
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WalkResult:
+class WalkResult(NamedTuple):
     page: int | None      # global physical page, None on fault
     walks: int
-    fault: str | None     # "guest_miss" | "real_miss" | None
 
 
 def nested_translate(vpage: int, gpt: dict[int, int], rmap: dict[int, int]) -> WalkResult:
     """Two-level lookup: guest table then real map, one walk each."""
     ppage = gpt.get(vpage)
     if ppage is None:
-        return WalkResult(None, walks=1, fault="guest_miss")
-    phys = rmap.get(ppage)
-    if phys is None:
-        return WalkResult(None, walks=2, fault="real_miss")
-    return WalkResult(phys, walks=2, fault=None)
+        return WalkResult(None, walks=1)
+    return WalkResult(rmap.get(ppage), walks=2)
 
 
 def shadow_translate(vpage: int, shadow: dict[int, int]) -> WalkResult:
-    phys = shadow.get(vpage)
-    if phys is None:
-        return WalkResult(None, walks=1, fault="guest_miss")
-    return WalkResult(phys, walks=1, fault=None)
+    return WalkResult(shadow.get(vpage), walks=1)
 
 
 def shadow_update_vpage(
@@ -114,31 +107,24 @@ class AsidMap:
     """Injective hypervisor map from (vm, guest asid) to a real ASID."""
 
     def __init__(self) -> None:
-        self._map: dict[tuple[int, int], int] = {}
+        self._by_vm: dict[int, dict[int, int]] = {}  # vm -> guest asid -> real asid
         self._next = 1
 
     def assign(self, vm: int, guest_asid: int) -> int:
-        key = (vm, guest_asid)
-        if key not in self._map:
-            self._map[key] = self._next
+        asids = self._by_vm.setdefault(vm, {})
+        if guest_asid not in asids:
+            asids[guest_asid] = self._next
             self._next += 1
-        return self._map[key]
-
-    def lookup(self, vm: int, guest_asid: int) -> int:
-        key = (vm, guest_asid)
-        if key not in self._map:
-            raise MappingError(f"no real ASID for vm {vm} guest asid {guest_asid}")
-        return self._map[key]
+        return asids[guest_asid]
 
     def real_asids(self, vm: int) -> list[int]:
         """Real ASIDs currently assigned to any of `vm`'s guest ASIDs."""
-        return [real for (owner, _), real in self._map.items() if owner == vm]
+        return list(self._by_vm.get(vm, {}).values())
 
     def drop_vm(self, vm: int) -> None:
         # Real ASIDs are retired, never recycled: stale TLB entries keyed by
         # them can never match again.
-        for key in [k for k in self._map if k[0] == vm]:
-            del self._map[key]
+        self._by_vm.pop(vm, None)
 
 
 class VirtualTlb:
@@ -163,10 +149,8 @@ class VirtualTlb:
             self.entries.pop(next(iter(self.entries)))
         self.entries[key] = phys
 
-    def flush(self) -> int:
-        n = len(self.entries)
+    def flush(self) -> None:
         self.entries.clear()
-        return n
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +183,7 @@ class ProtectionDomain:
     dvas_of: dict[int, set[int]] = field(default_factory=dict)  # phys page -> dva pages
 
 
-@dataclass(frozen=True)
-class DmaResult:
+class DmaResult(NamedTuple):
     page: int | None
     steps: int            # table lookups plus walk levels actually performed
     fault: str | None     # "no_root" | "no_context" | "no_mapping"

@@ -47,6 +47,7 @@ from collections.abc import Collection, Iterable
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum, unique
 from functools import partial
+from typing import NamedTuple
 
 from .baselines import (
     ASID_POLICY,
@@ -195,8 +196,7 @@ class CostModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """Successful cross-owner access (the unsafe kind: it was not blocked)."""
 
     seq: int
@@ -206,12 +206,8 @@ class Violation:
     page: int
     owner: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-@dataclass(frozen=True)
-class DmaFault:
+class DmaFault(NamedTuple):
     seq: int
     bus: int
     device: int
@@ -219,12 +215,8 @@ class DmaFault:
     dva: int
     reason: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-@dataclass(frozen=True)
-class Denial:
+class Denial(NamedTuple):
     """Access blocked by a per-page protection mode."""
 
     seq: int
@@ -233,9 +225,6 @@ class Denial:
     page: int
     mode: str
     owner: int | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -262,8 +251,7 @@ class Counters:
     hw_set_denied: int = 0
 
 
-@dataclass(frozen=True)
-class UtilSample:
+class UtilSample(NamedTuple):
     event_index: int
     owner: int
     segments: int
@@ -292,7 +280,11 @@ class MetricsReport:
     final_pages: dict[int, int] = field(default_factory=dict)
 
     def ledger_dict(self) -> dict:
-        return {name: [r.to_dict() for r in getattr(self, name)] for name in LEDGERS}
+        """Each ledger as a list of dicts keyed by its record's field names."""
+        out = {name: [r._asdict() for r in getattr(self, name)] for name in LEDGERS}
+        for r in out["reclaims"]:
+            r["segments"] = list(r["segments"])
+        return out
 
     def ledger_counts(self) -> dict[str, int]:
         """The number of records in each ledger, in LEDGERS order."""
@@ -304,9 +296,9 @@ class MetricsReport:
             "events": self.events,
             "total_cycles": self.total_cycles,
             "cycles_by_kind": {k: self.cycles_by_kind[k] for k in sorted(self.cycles_by_kind)},
-            "counters": asdict(self.counters),
+            "counters": dict(vars(self.counters)),
             "ledgers": self.ledger_dict(),
-            "utilization": [asdict(u) for u in self.utilization],
+            "utilization": [u._asdict() for u in self.utilization],
             "final_segments": {str(k): v for k, v in sorted(self.final_segments.items())},
             "final_pages": {str(k): v for k, v in sorted(self.final_pages.items())},
         }
@@ -888,7 +880,7 @@ class BaselineMachine(_Machine):
         vm = self.cur_vm(ev.cpu)
         vpage = self._vpage(ev)
         if vm == HYPERVISOR:
-            page = self._walked(ev, WalkResult(self.guests[HYPERVISOR].gpt.get(vpage), 1, None))
+            page = self._walked(ev, WalkResult(self.guests[HYPERVISOR].gpt.get(vpage), 1))
         else:
             page = self._walk_guest(self, ev, vm, vpage)
         if page is None:

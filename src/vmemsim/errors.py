@@ -30,10 +30,6 @@ class DoubleFreeError(SimError):
     """Page freed while already free."""
 
 
-class MappingError(SimError):
-    """Lookup of an identifier that has no registered mapping."""
-
-
 class OutOfRangeError(SimError):
     """Field value outside its architectural range (bus/device/function...)."""
 

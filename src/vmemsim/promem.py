@@ -64,9 +64,9 @@ MPT check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush, nlargest
 from operator import le
+from typing import NamedTuple
 
 from .core import HYPERVISOR, Geometry
 from .errors import (
@@ -82,8 +82,7 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsolationFault:
+class IsolationFault(NamedTuple):
     """Blocked cross-owner access; `owner` is None for a free segment."""
 
     seq: int
@@ -92,45 +91,21 @@ class IsolationFault:
     segment: int
     owner: int | None
 
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "cpu": self.cpu,
-            "vmid": self.vmid,
-            "segment": self.segment,
-            "owner": self.owner,
-        }
 
-
-@dataclass(frozen=True)
-class ReclaimNotice:
+class ReclaimNotice(NamedTuple):
     seq: int
     victim: int
     excess: int
     segments: tuple[int, ...]
     pages_swapped: int
 
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "victim": self.victim,
-            "excess": self.excess,
-            "segments": list(self.segments),
-            "pages_swapped": self.pages_swapped,
-        }
 
-
-@dataclass(frozen=True)
-class MemoryFull:
+class MemoryFull(NamedTuple):
     seq: int
     vm: int
 
-    def to_dict(self) -> dict:
-        return {"seq": self.seq, "vm": self.vm}
 
-
-@dataclass(frozen=True)
-class AllocResult:
+class AllocResult(NamedTuple):
     """The page handed out (None when memory is full) and any reclaim it took."""
 
     page: int | None
@@ -142,8 +117,7 @@ PAGE_FAULT = "page_fault"
 ISOLATION_FAULT = "isolation_fault"
 
 
-@dataclass(frozen=True)
-class Translation:
+class Translation(NamedTuple):
     fault: str | None
     walks: int
     checks: int
@@ -197,9 +171,6 @@ class ProMem:
             raise ProtocolError("no owner is current before the hypervisor loads")
         return self.vmidr.get(cpu, HYPERVISOR)
 
-    def segment_owner(self, segment: int) -> int | None:
-        return self.mpt.get(segment)
-
     def owned_segments(self, vm: int) -> list[int]:
         return sorted(self.segs_of.get(vm, ()))
 
@@ -209,9 +180,6 @@ class ProMem:
     def allocated_pages(self, vm: int) -> int:
         """Pages in use by `vm`, save-slot page included."""
         return self.pages_of.get(vm, 0)
-
-    def free_segment_count(self) -> int:
-        return len(self.free)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -415,9 +383,6 @@ class ProMem:
         fault = IsolationFault(seq, cpu, vmid, s, owner)
         self.faults.append(fault)
         return fault
-
-    def check_access(self, cpu: int, page: int, seq: int = -1) -> IsolationFault | None:
-        return self.check_owner(self.current(cpu), page, cpu, seq)
 
     def translate(
         self, cpu: int, vpage: int, tables: dict[int, dict[int, int]], seq: int = -1

@@ -368,7 +368,7 @@ def test_criterion_7_exhaustive_oracle_equivalence():
         (pm, ref), depth = queue.popleft()
         states += 1
         for seg in range(SMALL.total_segments):     # read-only ownership probes
-            got = pm.check_access(0, seg * SMALL.pages_per_segment)
+            got = pm.check_owner(pm.current(0), seg * SMALL.pages_per_segment, 0)
             assert ("fault" if got is not None else "allowed") == ref.check(0, seg)
         if depth == DEPTH:
             continue

@@ -49,7 +49,7 @@ def test_boot_state_is_empty():
     pm = ProMem(TINY)
     assert not pm.hypervisor_loaded()
     assert pm.tot == 0 and pm.mseg == 0
-    assert pm.free_segment_count() == 8
+    assert len(pm.free) == 8
     with pytest.raises(ProtocolError):
         pm.current(0)
     with pytest.raises(LifecycleError):
@@ -61,7 +61,7 @@ def test_load_hypervisor_registers():
     pm.load_hypervisor()
     assert pm.tot == 1
     assert pm.mseg == 64          # 64 // 1
-    assert pm.segment_owner(0) == 0
+    assert pm.mpt.get(0) == 0
     assert pm.allocated_pages(0) == 1    # the save slot
     assert pm.current(0) == 0
     assert pm.current(5) == 0            # untouched cpus default to the hypervisor
@@ -118,7 +118,7 @@ def test_destroy_releases_segments():
     assert pm.owned_segments(1) == [1, 2]
     pm.destroy_vm(1)
     assert pm.owned_segments(1) == []
-    assert pm.free_segment_count() == 7
+    assert len(pm.free) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_reclaim_trims_most_over_quota_owner():
     assert notice.pages_swapped == 12
     assert notice.seq == 99
     assert r.page == page(5, 0)
-    assert pm.segment_owner(5) == 3
+    assert pm.mpt.get(5) == 3
     assert pm.owned_segments(1) == [1, 4]
     assert pm.pages_swapped_total == 12
     pm.check_invariants()
@@ -290,7 +290,7 @@ def test_free_cross_owner_records_fault():
     assert fault is not None
     assert (fault.seq, fault.cpu, fault.vmid, fault.segment, fault.owner) == (5, -1, 2, 1, 1)
     assert pm.faults[-1] is fault
-    assert pm.segment_owner(1) == 1       # nothing changed
+    assert pm.mpt.get(1) == 1       # nothing changed
 
 
 def test_free_slot_page_is_a_protocol_error():
@@ -322,7 +322,7 @@ def test_free_releases_empty_claimed_segment():
     claimed = pm.allocate_page(1)
     assert claimed.page == page(2, 0)
     pm.free_page(1, claimed.page)
-    assert pm.segment_owner(2) is None
+    assert pm.mpt.get(2) is None
     assert pm.owned_segments(1) == [1]
     pm.check_invariants()
 
@@ -330,7 +330,7 @@ def test_free_releases_empty_claimed_segment():
 def test_free_keeps_slot_segment_when_emptied():
     pm, _ = booted(vms=1)
     pm.free_page(1, pm.allocate_page(1).page)
-    assert pm.segment_owner(1) == 1       # pinned by the save slot
+    assert pm.mpt.get(1) == 1       # pinned by the save slot
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,7 @@ def test_open_heap_drops_released_segments_and_reuses_holes():
     pm = _indexed()
     pm.free_page(1, page(3, 1))
     pm.free_page(1, page(3, 0))              # segment 3 empties and is released
-    assert pm.segment_owner(3) is None and pm.open_of[1] == [3]   # stale until popped
+    assert pm.mpt.get(3) is None and pm.open_of[1] == [3]   # stale until popped
     pm.free_page(1, page(1, 2))              # full slot segment gets a hole
     assert pm.allocate_page(1).page == page(1, 2)
     assert pm.open_of[1] == [3]              # the filled segment left the heap
@@ -485,7 +485,7 @@ def test_promem_matches_reference_at_64_segments():
             assert pm.owned_segments(vm) == segs, (step, vm)
             assert pm.allocated_pages(vm) == sum(len(ref.pages[s]) for s in segs), (step, vm)
         cpu, seg = rng.randrange(2), rng.randrange(BIG.total_segments)
-        fault = pm.check_access(cpu, seg * BIG.pages_per_segment)
+        fault = pm.check_owner(pm.current(cpu), seg * BIG.pages_per_segment, cpu)
         assert ("fault" if fault else "allowed") == ref.check(cpu, seg)
     # the run reached every path the indexes serve
     for key in [("alloc", "page"), ("alloc", "reclaim"), ("free", "ok"), ("free", "fault"),
@@ -504,10 +504,10 @@ def test_check_access_three_ways():
     own = page(1, 1)
     other = page(2, 1)
     free = page(7, 0)
-    assert pm.check_access(0, own) is None
-    fault = pm.check_access(0, other, seq=3)
+    assert pm.check_owner(pm.current(0), own, 0) is None
+    fault = pm.check_owner(pm.current(0), other, 0, seq=3)
     assert (fault.vmid, fault.segment, fault.owner) == (1, 2, 2)
-    fault = pm.check_access(0, free, seq=4)
+    fault = pm.check_owner(pm.current(0), free, 0, seq=4)
     assert (fault.segment, fault.owner) == (7, None)
     assert len(pm.faults) == 2
 
@@ -639,7 +639,7 @@ class ControllerEquivalence(RuleBasedStateMachine):
 
     @rule(cpu=cpus, seg=st.integers(0, 4))
     def check(self, cpu, seg):
-        fault = self.pm.check_access(cpu, seg * SGEOM.pages_per_segment)
+        fault = self.pm.check_owner(self.pm.current(cpu), seg * SGEOM.pages_per_segment, cpu)
         got = "fault" if fault is not None else "allowed"
         assert got == self.ref.check(cpu, seg)
 
