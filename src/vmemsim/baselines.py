@@ -217,12 +217,11 @@ class RemappingTables:
         dom.table[dva_page] = phys_page
         dom.dvas_of.setdefault(phys_page, set()).add(dva_page)
 
-    def unmap_phys(self, domain_id: int, phys_page: int) -> None:
-        dom = self.domains.get(domain_id)
-        if dom is None:
-            return
-        for dva_page in dom.dvas_of.pop(phys_page, ()):
-            del dom.table[dva_page]
+    def unmap_phys(self, phys_page: int) -> None:
+        """Drop every mapping of a physical page, in every domain."""
+        for dom in self.domains.values():
+            for dva_page in dom.dvas_of.pop(phys_page, ()):
+                del dom.table[dva_page]
 
 
 def iommu_dma_translate(

@@ -697,8 +697,7 @@ class BaselineMachine(_Machine):
         guest.rmap.pop(ppage, None)
         if guest.shadow is not None:
             guest.shadow.pop(vpage, None)
-        if guest.domain is not None:
-            self.remap.unmap_phys(guest.domain, page)
+        self.remap.unmap_phys(page)
         self.page_mode.pop(page, None)
         self._tlb_invalidate_phys(page)
         heapq.heappush(self.free_pages, page)

@@ -195,8 +195,12 @@ def test_iommu_unmap_phys_drops_reverse_entries():
     tables.assign(1, 0, 0, 0)
     tables.map_page(1, 0, 42)
     tables.map_page(1, 3, 42)
-    tables.unmap_phys(1, 42)
+    tables.assign(2, 0, 1, 0)
+    tables.map_page(2, 5, 42)
+    tables.map_page(2, 6, 43)
+    tables.unmap_phys(42)          # from every domain that maps it
     assert tables.domains[1].table == {}
+    assert tables.domains[2].table == {6: 43}
 
 
 def test_iommu_unmap_phys_after_remap():
@@ -206,13 +210,12 @@ def test_iommu_unmap_phys_after_remap():
     tables.map_page(1, 3, 42)
     tables.map_page(1, 5, 7)
     tables.map_page(1, 0, 7)       # dva 0 moves from phys 42 to phys 7
-    tables.unmap_phys(1, 42)
+    tables.unmap_phys(42)
     assert tables.domains[1].table == {0: 7, 5: 7}
     tables.map_page(1, 3, 42)
-    tables.unmap_phys(1, 7)
+    tables.unmap_phys(7)
     assert tables.domains[1].table == {3: 42}
-    tables.unmap_phys(1, 7)        # nothing left to drop
-    tables.unmap_phys(2, 42)       # no such domain
+    tables.unmap_phys(7)           # nothing left to drop
     assert tables.domains[1].table == {3: 42}
 
 

@@ -383,6 +383,29 @@ def test_iommu_dma_cycle_arithmetic():
     assert rep.counters.dma_walk_steps == 6
 
 
+def test_freed_page_leaves_every_iommu_domain():
+    # vm 1's page is mapped in domain 1, then adopted by domain 2 when vm 1
+    # moves there; once freed and handed to vm 2, domain 1's device must not
+    # reach it
+    t = trace(
+        (E.CREATE_VM, {"vm": 1}),
+        (E.CREATE_VM, {"vm": 2}),
+        (E.DOMAIN_ASSIGN, {"domain": 1, "vm": 1, "bus": 0, "device": 0, "function": 0}),
+        (E.ALLOC, {"vm": 1}),
+        (E.DOMAIN_ASSIGN, {"domain": 2, "vm": 1, "bus": 0, "device": 1, "function": 0}),
+        (E.ENTER, {"vm": 1}),
+        (E.FREE, {"vm": 1, "vaddr": 0}),
+        (E.EXIT, {}),
+        (E.ALLOC, {"vm": 2}),
+        (E.DMA, {"bus": 0, "device": 0, "function": 0, "dva": 0, "write": True}),
+    )
+    rep = run(t, "iommu", TINY, options=opts())
+    assert rep.counters.dma_completed == 0
+    assert rep.counters.dma_blocked == 1
+    assert [f.reason for f in rep.dma_faults] == ["no_mapping"]
+    assert rep.violations == []
+
+
 # ---------------------------------------------------------------------------
 # cross-mode trace compatibility
 # ---------------------------------------------------------------------------
