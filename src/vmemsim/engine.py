@@ -283,7 +283,7 @@ class MetricsReport:
         """Each ledger as a list of dicts keyed by its record's field names."""
         out = {name: [r._asdict() for r in getattr(self, name)] for name in LEDGERS}
         for r in out["reclaims"]:
-            r["segments"] = list(r["segments"])
+            r["segments"] = list(r["segments"])  # as the JSON reads back and run -vv prints it
         return out
 
     def ledger_counts(self) -> dict[str, int]:
