@@ -41,6 +41,7 @@ DmaRequest's bounds) raise SimulationError naming the seq in every mode.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 from collections.abc import Collection, Iterable
@@ -160,14 +161,9 @@ class TraceEvent:
 _SAT = (1 << 64) - 1
 
 
-def sat_add(a: int, b: int) -> int:
-    s = a + b
-    return s if s < _SAT else _SAT
-
-
 @dataclass(frozen=True)
 class CostModel:
-    """Cycle prices; totals accumulate with 64-bit saturating adds."""
+    """Cycle prices; each kind's total and the grand total saturate at 2^64-1."""
 
     tlb_hit: int = 1
     pt_walk_level: int = 25
@@ -385,9 +381,11 @@ def canonical_mode(name: str) -> str:
 class _Machine:
     """The skeleton every mode shares.
 
-    `handlers` maps each kind with an `on_<kind>` method to that method;
-    subclasses bind mode choices into it and provide `live` (live owner
-    ids) and `_dma` (accounting for a DMA with a known issuer and page).
+    `handlers` maps the token of each kind with an `on_<kind>` method to
+    that method; subclasses bind mode choices into it and provide `live`
+    (live owner ids) and `_dma` (accounting for a DMA with a known issuer
+    and page).  Tokens are read as `kind._value_`: `.value` and hashing
+    an `Enum` both run Python code on every event.
     """
 
     live: Collection[int]
@@ -402,21 +400,21 @@ class _Machine:
         # every machine a reference cycle that outlives its run
         cls = type(self)
         self.handlers = {
-            kind: getattr(cls, "on_" + kind.value)
+            kind.value: getattr(cls, "on_" + kind.value)
             for kind in EventKind
             if hasattr(cls, "on_" + kind.value)
         }
 
     def dispatch(self, ev: TraceEvent) -> None:
-        handler = self.handlers.get(ev.kind)
+        handler = self.handlers.get(ev.kind._value_)
         if handler is not None:
             handler(self, ev)
 
     def charge(self, kind: EventKind, cycles: int) -> None:
-        key = kind.value
+        """Add unsaturated cycles to the kind's sum; `run` saturates the sums."""
         by_kind = self.report.cycles_by_kind
-        by_kind[key] = sat_add(by_kind.get(key, 0), cycles)
-        self.report.total_cycles = sat_add(self.report.total_cycles, cycles)
+        key = kind._value_
+        by_kind[key] = by_kind.get(key, 0) + cycles
 
     def err(self, ev: TraceEvent, message: str) -> SimulationError:
         return SimulationError(f"event seq {ev.seq}: {message}")
@@ -622,16 +620,17 @@ class AsmiMachine(_Machine):
 class _Guest:
     """What the page-pool hypervisor keeps for one live guest (or itself)."""
 
-    __slots__ = ("gpt", "rmap", "shadow", "backing", "next_vpage", "vasid", "domain")
+    __slots__ = ("gpt", "rmap", "shadow", "backing", "held", "next_vpage", "vasid", "domain")
 
     def __init__(self, shadow: bool):
         self.gpt: dict[int, int] = {}       # vpage -> ppage (the hypervisor's: -> page)
         self.rmap: dict[int, int] = {}      # ppage -> page
         self.shadow: dict[int, int] | None = {} if shadow else None  # vpage -> page
         self.backing: dict[int, tuple[int, int]] = {}  # held page -> (vpage, its gpt entry)
+        self.held: list[int] = []           # the pages of `backing`, ascending
         self.next_vpage = 0
         self.vasid = 0
-        self.domain: int | None = None      # IOMMU domain, once assigned
+        self.domain: int | None = None      # IOMMU domain, once assigned (iommu only)
 
 
 class BaselineMachine(_Machine):
@@ -640,8 +639,9 @@ class BaselineMachine(_Machine):
     `shadow` walks shadow tables instead of the nested walk behind the
     vTLB; `remap` sends DMA through the IOMMU, else it is raw (or PIO
     under dma_policy=off); `hyperwall` adds per-page protection bits.
-    Per-guest state lives in `guests`; `owner_of` names the holder of
-    every page not in the free heap.
+    Only `remap` keeps remapping tables: elsewhere `domain_assign` only
+    names a device's VM.  Per-guest state lives in `guests`; `owner_of`
+    names the holder of every page not in the free heap.
     """
 
     def __init__(self, geom, cost, opts, report, *, shadow: bool, remap: bool, hyperwall: bool):
@@ -657,19 +657,20 @@ class BaselineMachine(_Machine):
         self.next_vmid = 1
         self.asid_map = AsidMap()
         self.tlb = VirtualTlb(opts.tlb_entries)
-        self.remap = RemappingTables(opts.walk_levels)
+        self.remap = RemappingTables(opts.walk_levels) if remap else None
         self.page_mode: dict[int, PageMode] = {}
 
         cls = type(self)
         self._walk_guest = cls._shadow_walk if shadow else cls._vtlb_walk  # called with self
         self.flush_on_switch = not shadow and opts.tlb_policy == FLUSH_POLICY
+        handlers = self.handlers
         if remap:
-            self.handlers[EventKind.DMA] = cls._dma_remap
-            self.handlers[EventKind.DMA_RAW] = cls._raw_target_error
+            handlers[EventKind.DMA.value] = cls._dma_remap
+            handlers[EventKind.DMA_RAW.value] = cls._raw_target_error
         elif opts.dma_policy == NO_DMA:
-            self.handlers[EventKind.DMA] = self.handlers[EventKind.DMA_RAW] = cls._dma_pio
+            handlers[EventKind.DMA.value] = handlers[EventKind.DMA_RAW.value] = cls._dma_pio
         if hyperwall:
-            self.handlers[EventKind.HW_SET] = cls._set_page_mode
+            handlers[EventKind.HW_SET.value] = cls._set_page_mode
 
     apply = _Machine.dispatch
 
@@ -692,12 +693,15 @@ class BaselineMachine(_Machine):
         vm = self.owner_of.pop(page)
         guest = self.guests[vm]
         vpage, ppage = guest.backing.pop(page)
+        held = guest.held
+        del held[bisect.bisect_left(held, page)]
         if guest.gpt.get(vpage) == ppage:
             del guest.gpt[vpage]
         guest.rmap.pop(ppage, None)
         if guest.shadow is not None:
             guest.shadow.pop(vpage, None)
-        self.remap.unmap_phys(page)
+        if self.remap is not None:
+            self.remap.unmap_phys(page)
         self.page_mode.pop(page, None)
         self._tlb_invalidate_phys(page)
         heapq.heappush(self.free_pages, page)
@@ -710,11 +714,11 @@ class BaselineMachine(_Machine):
         """
         guests = self.guests
         order = sorted(
-            (vm for vm in guests if vm not in (requester, HYPERVISOR)),
-            key=lambda vm: (-len(guests[vm].backing), vm),
+            (-len(guest.held), vm) for vm, guest in guests.items()
+            if vm != requester and vm != HYPERVISOR
         )
-        for victim in order:
-            for page in sorted(guests[victim].backing, reverse=True):
+        for _, victim in order:
+            for page in reversed(guests[victim].held):
                 if not hypervisor_may_touch(self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)):
                     continue
                 self._free_page(page)
@@ -734,7 +738,7 @@ class BaselineMachine(_Machine):
         self._require_live(ev, ev.vm)
         if ev.vm == HYPERVISOR or ev.vm in self.current.values():
             raise self.err(ev, f"vm {ev.vm} cannot be destroyed now")
-        for page in sorted(self.guests[ev.vm].backing):
+        for page in list(self.guests[ev.vm].held):
             self._free_page(page)
         del self.guests[ev.vm]
         self.asid_map.drop_vm(ev.vm)
@@ -780,6 +784,7 @@ class BaselineMachine(_Machine):
         ppage = page if vm == HYPERVISOR else vpage
         guest.gpt[vpage] = ppage
         guest.backing[page] = (vpage, ppage)
+        bisect.insort(guest.held, page)
         if vm != HYPERVISOR:
             guest.rmap[ppage] = page
             if guest.shadow is not None:
@@ -862,9 +867,7 @@ class BaselineMachine(_Machine):
         return page
 
     def _hyperwall_gate(self, ev: TraceEvent, requester: Requester, page: int) -> bool:
-        """Returns True when the access may proceed."""
-        if not self.hyperwall:
-            return True
+        """Under hyperwall, whether a page's protection bits let the access proceed."""
         mode = self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)
         self.charge(ev.kind, self.cost.mpt_check)
         if page_mode_allows(mode, requester):
@@ -885,14 +888,15 @@ class BaselineMachine(_Machine):
         if page is None:
             return
         owner = self.owner_of.get(page)
-        if vm == HYPERVISOR:
-            requester = Requester.HYPERVISOR
-        elif owner == vm:
-            requester = Requester.OWNER_VM
-        else:
-            requester = Requester.OTHER_VM
-        if not self._hyperwall_gate(ev, requester, page):
-            return
+        if self.hyperwall:
+            if vm == HYPERVISOR:
+                requester = Requester.HYPERVISOR
+            elif owner == vm:
+                requester = Requester.OWNER_VM
+            else:
+                requester = Requester.OTHER_VM
+            if not self._hyperwall_gate(ev, requester, page):
+                return
         if owner is None:
             if vm != HYPERVISOR:
                 self.report.counters.page_faults += 1  # resolved to an unbacked frame
@@ -919,6 +923,8 @@ class BaselineMachine(_Machine):
 
     def on_domain_assign(self, ev: TraceEvent) -> None:
         super().on_domain_assign(ev)
+        if self.remap is None:
+            return
         self.remap.assign(ev.domain, ev.bus, ev.device, ev.function)
         guest = self.guests[ev.vm]
         guest.domain = ev.domain
@@ -931,7 +937,9 @@ class BaselineMachine(_Machine):
         c = self.report.counters
         c.dma_ops += 1
         self.charge(ev.kind, self.cost.dma_setup)
-        if not self._dma_in_range(ev, page, dva) or not self._hyperwall_gate(ev, Requester.DMA, page):
+        if not self._dma_in_range(ev, page, dva) or (
+            self.hyperwall and not self._hyperwall_gate(ev, Requester.DMA, page)
+        ):
             c.dma_blocked += 1
             return
         owner = self.owner_of.get(page)
@@ -985,6 +993,8 @@ class BaselineMachine(_Machine):
     def check_invariants(self) -> None:
         held = {page: vm for vm, guest in self.guests.items() for page in guest.backing}
         assert held == self.owner_of, "owner_of differs from the guests' backing"
+        for vm, guest in self.guests.items():
+            assert guest.held == sorted(guest.backing), f"vm {vm}'s held list is not its backing"
         assert sum(len(g.backing) for g in self.guests.values()) == len(held), "page held twice"
         assert len(self.free_pages) + len(held) == self.geom.pages_total, "pages lost"
 
@@ -1041,6 +1051,11 @@ def run(
     if count % interval != 0:
         machine.sample(count)
     report.events = count
+    # every price is >= 0, so this equals saturating after every charge
+    by_kind = report.cycles_by_kind
+    report.total_cycles = min(sum(by_kind.values()), _SAT)
+    for key, cycles in by_kind.items():
+        by_kind[key] = min(cycles, _SAT)
     machine.finalize()
     return report
 

@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from vmemsim.baselines import RemappingTables
 from vmemsim.core import Geometry
 from vmemsim.engine import (
     MODES,
@@ -18,7 +19,6 @@ from vmemsim.engine import (
     canonical_mode,
     compare,
     run,
-    sat_add,
     static_partition_utilization,
 )
 from vmemsim.errors import ConfigError, DuplicateRunError, ModeError, SimulationError
@@ -199,10 +199,14 @@ def _corrupt_free_heap(m):
     m.free_pages.pop()                             # a free page vanishes
 
 
+def _corrupt_held(m):
+    m.guests[1].held.pop()                         # the sorted pages miss one of backing's
+
+
 @pytest.mark.parametrize("mode", BASELINE_MODES)
 @pytest.mark.parametrize("corrupt", [
     _corrupt_owner_drop, _corrupt_owner_swap, _corrupt_backing_drop,
-    _corrupt_backing_twice, _corrupt_free_heap,
+    _corrupt_backing_twice, _corrupt_free_heap, _corrupt_held,
 ])
 def test_baseline_invariant_check_can_fail(mode, corrupt):
     machine = _MACHINES[mode](TINY, CostModel(), RunOptions(), MetricsReport(mode=mode))
@@ -233,13 +237,6 @@ def test_machines_are_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_sat_add_saturates():
-    top = (1 << 64) - 1
-    assert sat_add(top - 1, 1) == top
-    assert sat_add(top, 5) == top
-    assert sat_add(2, 3) == 5
-
-
 def test_total_cycles_saturate_in_run():
     cost = CostModel().with_overrides({"pt_walk_level": (1 << 63)})
     t = trace(
@@ -252,6 +249,23 @@ def test_total_cycles_saturate_in_run():
     )
     rep = run(t, "asmi", TINY, cost)
     assert rep.total_cycles == (1 << 64) - 1
+    assert rep.cycles_by_kind["read"] == (1 << 64) - 1
+
+
+def test_zero_cycle_kinds_keep_their_keys():
+    free_checks = CostModel().with_overrides({"mpt_check": 0})
+    rep = run(trace((E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1})), "asmi", TINY, free_checks)
+    assert rep.cycles_by_kind == {"alloc": 0}
+    assert rep.total_cycles == 0
+    # a baseline alloc that finds the pool full and nothing to reclaim
+    small = Geometry(256, 2, 2)                        # four pages total
+    machine = _MACHINES["nested"](small, CostModel(), RunOptions(), MetricsReport(mode="nested"))
+    for event in trace((E.CREATE_VM, {"vm": 1}), *[(E.ALLOC, {"vm": 1}) for _ in range(4)]):
+        machine.apply(event)
+    machine.report.cycles_by_kind.clear()
+    machine.apply(ev(6, E.ALLOC, vm=1))
+    assert [m.vm for m in machine.report.memory_full] == [1]
+    assert machine.report.cycles_by_kind == {"alloc": 0}
 
 
 def test_cost_model_validation():
@@ -404,6 +418,24 @@ def test_freed_page_leaves_every_iommu_domain():
     assert rep.counters.dma_blocked == 1
     assert [f.reason for f in rep.dma_faults] == ["no_mapping"]
     assert rep.violations == []
+
+
+@pytest.mark.parametrize("mode", ["nested", "nested_shadow", "hyperwall"])
+def test_domain_assign_outside_iommu_only_names_the_issuer(mode):
+    machine = _MACHINES[mode](TINY, CostModel(), RunOptions(), MetricsReport(mode=mode))
+    for event in trace(
+        (E.CREATE_VM, {"vm": 1}),
+        (E.CREATE_VM, {"vm": 2}),
+        (E.DOMAIN_ASSIGN, {"domain": 1, "vm": 1, "bus": 0, "device": 0, "function": 0}),
+        (E.ALLOC, {"vm": 2}),                      # page 0
+        (E.DMA, {"bus": 0, "device": 0, "function": 0, "dva": 0, "write": True}),
+    ):
+        machine.apply(event)
+        machine.check_invariants()
+    assert [(v.source, v.vm, v.page, v.owner) for v in machine.report.violations] == [
+        ("dma", 1, 0, 2)
+    ]
+    assert not any(isinstance(v, RemappingTables) for v in vars(machine).values())
 
 
 # ---------------------------------------------------------------------------
