@@ -10,7 +10,6 @@ crosses traces with modes; `workload` builds seeded and scripted traces.
 from .baselines import (
     ASID_POLICY,
     FLUSH_POLICY,
-    AsidMap,
     DmaRequest,
     PageMode,
     RemappingTables,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ASID_POLICY",
     "AllocResult",
-    "AsidMap",
     "CapacityError",
     "ComparisonReport",
     "ConfigError",

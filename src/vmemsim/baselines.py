@@ -10,11 +10,11 @@ counts and isolation outcomes:
                    page) walked in one step; kept consistent by eagerly
                    re-deriving affected entries on every guest or
                    real-map write.
-  virtual TLB      software TLB tagged by real ASIDs.  A hypervisor map
-                   assigns each (vm, guest asid) pair a distinct real
-                   ASID, so entries of different VMs can coexist without
-                   flushing; the alternative policy flushes on every
-                   switch instead.
+  virtual TLB      software TLB tagged by real ASIDs.  The hypervisor
+                   gives each (vm, guest asid) pair a distinct real ASID,
+                   never recycled, so entries of different VMs can coexist
+                   without flushing; the alternative policy flushes on
+                   every switch instead.
   DMA remapping    per-device translation: a 256-entry root table (bus)
                    points at 32x8 context tables (device, function),
                    which name a protection domain whose page structure
@@ -29,6 +29,7 @@ physical address, and cross-VM hits succeed.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum, unique
 from typing import NamedTuple
@@ -94,37 +95,13 @@ def shadow_update_ppage(
 
 
 # ---------------------------------------------------------------------------
-# virtual TLB with ASID map
+# virtual TLB
 # ---------------------------------------------------------------------------
 
 # Switch policies of the virtual TLB: flush it on every switch, or keep
 # entries of different address spaces apart by real ASID.
 FLUSH_POLICY = "flush"
 ASID_POLICY = "asid"
-
-
-class AsidMap:
-    """Injective hypervisor map from (vm, guest asid) to a real ASID."""
-
-    def __init__(self) -> None:
-        self._by_vm: dict[int, dict[int, int]] = {}  # vm -> guest asid -> real asid
-        self._next = 1
-
-    def assign(self, vm: int, guest_asid: int) -> int:
-        asids = self._by_vm.setdefault(vm, {})
-        if guest_asid not in asids:
-            asids[guest_asid] = self._next
-            self._next += 1
-        return asids[guest_asid]
-
-    def real_asids(self, vm: int) -> list[int]:
-        """Real ASIDs currently assigned to any of `vm`'s guest ASIDs."""
-        return list(self._by_vm.get(vm, {}).values())
-
-    def drop_vm(self, vm: int) -> None:
-        # Real ASIDs are retired, never recycled: stale TLB entries keyed by
-        # them can never match again.
-        self._by_vm.pop(vm, None)
 
 
 class VirtualTlb:
@@ -148,6 +125,18 @@ class VirtualTlb:
         if key not in self.entries and len(self.entries) >= self.capacity:
             self.entries.pop(next(iter(self.entries)))
         self.entries[key] = phys
+
+    def invalidate(self, asids: Iterable[int], vpage: int) -> None:
+        """Drop the entries of `vpage` under each of `asids`."""
+        entries = self.entries
+        for asid in asids:
+            entries.pop((asid, vpage), None)
+
+    def invalidate_phys(self, page: int) -> None:
+        """Drop every entry that maps to physical page `page`."""
+        entries = self.entries
+        for key in [k for k, v in entries.items() if v == page]:
+            del entries[key]
 
     def flush(self) -> None:
         self.entries.clear()

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import json
 from collections.abc import Collection, Iterable
 from dataclasses import asdict, dataclass, field, replace
@@ -54,7 +55,6 @@ from .baselines import (
     ASID_POLICY,
     DEFAULT_WALK_LEVELS,
     FLUSH_POLICY,
-    AsidMap,
     DmaRequest,
     PageMode,
     RemappingTables,
@@ -620,16 +620,18 @@ class AsmiMachine(_Machine):
 class _Guest:
     """What the page-pool hypervisor keeps for one live guest (or itself)."""
 
-    __slots__ = ("gpt", "rmap", "shadow", "backing", "held", "next_vpage", "vasid", "domain")
+    __slots__ = ("gpt", "rmap", "shadow", "backing", "held", "next_vpage", "asids", "asid",
+                 "domain")
 
-    def __init__(self, shadow: bool):
+    def __init__(self, shadow: bool, asid: int):
         self.gpt: dict[int, int] = {}       # vpage -> ppage (the hypervisor's: -> page)
         self.rmap: dict[int, int] = {}      # ppage -> page
         self.shadow: dict[int, int] | None = {} if shadow else None  # vpage -> page
         self.backing: dict[int, tuple[int, int]] = {}  # held page -> (vpage, its gpt entry)
         self.held: list[int] = []           # the pages of `backing`, ascending
         self.next_vpage = 0
-        self.vasid = 0
+        self.asids = {0: asid}              # guest asid -> real asid, never recycled
+        self.asid = asid                    # the real asid of the current guest asid
         self.domain: int | None = None      # IOMMU domain, once assigned (iommu only)
 
 
@@ -641,7 +643,9 @@ class BaselineMachine(_Machine):
     under dma_policy=off); `hyperwall` adds per-page protection bits.
     Only `remap` keeps remapping tables: elsewhere `domain_assign` only
     names a device's VM.  Per-guest state lives in `guests`; `owner_of`
-    names the holder of every page not in the free heap.
+    names the holder of every page not in the free heap.  Real ASIDs come
+    from one counter, so a destroyed guest's ASIDs leave with its record
+    and no later guest reuses them.
     """
 
     def __init__(self, geom, cost, opts, report, *, shadow: bool, remap: bool, hyperwall: bool):
@@ -650,12 +654,12 @@ class BaselineMachine(_Machine):
         self.hyperwall = hyperwall
         self.free_pages: list[int] = list(range(geom.pages_total))  # a heap
         self.owner_of: dict[int, int] = {}  # held page -> owner
+        self.real_asids = itertools.count(1)
         # the hypervisor maps straight to physical pages and has no shadow
-        self.guests: dict[int, _Guest] = {HYPERVISOR: _Guest(shadow=False)}
+        self.guests: dict[int, _Guest] = {HYPERVISOR: _Guest(False, next(self.real_asids))}
         self.live = self.guests  # the live ids are its keys
         self.current: dict[int, int] = {}
         self.next_vmid = 1
-        self.asid_map = AsidMap()
         self.tlb = VirtualTlb(opts.tlb_entries)
         self.remap = RemappingTables(opts.walk_levels) if remap else None
         self.page_mode: dict[int, PageMode] = {}
@@ -679,10 +683,6 @@ class BaselineMachine(_Machine):
     def cur_vm(self, cpu: int) -> int:
         return self.current.get(cpu, HYPERVISOR)
 
-    def _tlb_invalidate_phys(self, page: int) -> None:
-        for key in [k for k, v in self.tlb.entries.items() if v == page]:
-            del self.tlb.entries[key]
-
     def _shadow_cycles(self, steps: int) -> int:
         """Count shadow re-derivation steps; their price in cycles."""
         self.report.counters.shadow_update_steps += steps
@@ -703,7 +703,7 @@ class BaselineMachine(_Machine):
         if self.remap is not None:
             self.remap.unmap_phys(page)
         self.page_mode.pop(page, None)
-        self._tlb_invalidate_phys(page)
+        self.tlb.invalidate_phys(page)
         heapq.heappush(self.free_pages, page)
 
     def _reclaim_one_page(self, requester: int) -> int | None:
@@ -732,7 +732,7 @@ class BaselineMachine(_Machine):
         self.next_vmid += 1
         if vm != ev.vm:
             raise self.err(ev, f"trace expects vm {ev.vm}, hypervisor assigned {vm}")
-        self.guests[vm] = _Guest(self.shadowed)
+        self.guests[vm] = _Guest(self.shadowed, next(self.real_asids))
 
     def on_destroy_vm(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
@@ -741,7 +741,6 @@ class BaselineMachine(_Machine):
         for page in list(self.guests[ev.vm].held):
             self._free_page(page)
         del self.guests[ev.vm]
-        self.asid_map.drop_vm(ev.vm)
 
     def on_enter(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
@@ -757,7 +756,11 @@ class BaselineMachine(_Machine):
         self._charge_switch(ev.kind)
 
     def on_pswitch(self, ev: TraceEvent) -> None:
-        self.guests[self.cur_vm(ev.cpu)].vasid = ev.vasid
+        guest = self.guests[self.cur_vm(ev.cpu)]
+        asid = guest.asids.get(ev.vasid)
+        if asid is None:
+            asid = guest.asids[ev.vasid] = next(self.real_asids)
+        guest.asid = asid
         super().on_pswitch(ev)
 
     # -- memory --
@@ -817,8 +820,7 @@ class BaselineMachine(_Machine):
         guest = self.guests[ev.vm]
         guest.gpt[ev.vpage] = ev.target
         if ev.vm != HYPERVISOR:
-            for asid in self.asid_map.real_asids(ev.vm):
-                self.tlb.entries.pop((asid, ev.vpage), None)
+            self.tlb.invalidate(guest.asids.values(), ev.vpage)
             if guest.shadow is not None:
                 self.charge(ev.kind, self._shadow_cycles(
                     shadow_update_vpage(guest.shadow, guest.gpt, guest.rmap, ev.vpage)
@@ -830,7 +832,7 @@ class BaselineMachine(_Machine):
         old = guest.rmap.get(ev.ppage)
         guest.rmap[ev.ppage] = ev.phys
         if old is not None:
-            self._tlb_invalidate_phys(old)
+            self.tlb.invalidate_phys(old)
         if guest.shadow is not None:
             self.charge(ev.kind, self._shadow_cycles(
                 shadow_update_ppage(guest.shadow, guest.gpt, guest.rmap, ev.ppage)
@@ -854,8 +856,7 @@ class BaselineMachine(_Machine):
     def _vtlb_walk(self, ev: TraceEvent, vm: int, vpage: int) -> int | None:
         c = self.report.counters
         guest = self.guests[vm]
-        real_asid = self.asid_map.assign(vm, guest.vasid)
-        hit = self.tlb.lookup(real_asid, vpage)
+        hit = self.tlb.lookup(guest.asid, vpage)
         if hit is not None:
             c.tlb_hits += 1
             self.charge(ev.kind, self.cost.tlb_hit)
@@ -863,7 +864,7 @@ class BaselineMachine(_Machine):
         c.tlb_misses += 1
         page = self._walked(ev, nested_translate(vpage, guest.gpt, guest.rmap))
         if page is not None:
-            self.tlb.insert(real_asid, vpage, page)
+            self.tlb.insert(guest.asid, vpage, page)
         return page
 
     def _hyperwall_gate(self, ev: TraceEvent, requester: Requester, page: int) -> bool:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vmemsim.baselines import (
-    AsidMap,
     DmaRequest,
     PageMode,
     RemappingTables,
@@ -84,24 +83,8 @@ def test_shadow_composes_nested(gpt_map, rmap_map):
 
 
 # ---------------------------------------------------------------------------
-# ASID map and virtual TLB
+# virtual TLB
 # ---------------------------------------------------------------------------
-
-
-def test_asid_map_is_injective_and_never_recycles():
-    amap = AsidMap()
-    a = amap.assign(1, 0)
-    b = amap.assign(1, 1)
-    c = amap.assign(2, 0)
-    assert len({a, b, c}) == 3
-    assert amap.assign(1, 0) == a          # idempotent
-    assert sorted(amap.real_asids(1)) == sorted([a, b])
-    assert amap.real_asids(3) == []
-    amap.drop_vm(1)
-    assert amap.real_asids(1) == []
-    assert amap.real_asids(2) == [c]
-    fresh = amap.assign(3, 0)
-    assert fresh > max(a, b, c)            # retired ids stay retired
 
 
 def test_tlb_hit_miss_and_fifo_eviction():

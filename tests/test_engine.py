@@ -336,6 +336,33 @@ def test_tlb_caches_nested_walks():
     assert rep.cycles_by_kind["read"] == 2 * 25 + 3 * 1
 
 
+@pytest.mark.parametrize("mode", ["nested", "iommu", "hyperwall"])
+def test_real_asids_are_per_guest_and_never_recycled(mode):
+    far = 5 * TINY.page_size_bytes
+    t = trace(
+        (E.CREATE_VM, {"vm": 1}), (E.CREATE_VM, {"vm": 2}),
+        (E.ALLOC, {"vm": 1}), (E.ALLOC, {"vm": 2}),
+        # vm 1's vpage 5 reaches page 20, which nobody holds, so its vTLB
+        # entry outlives the pages vm 1 frees when it is destroyed
+        (E.GPT_WRITE, {"vm": 1, "vpage": 5, "target": 3}),
+        (E.RMAP_WRITE, {"vm": 1, "ppage": 3, "phys": 20}),
+        (E.ENTER, {"vm": 1}), (E.READ, {"vaddr": 0}), (E.READ, {"vaddr": far}), (E.EXIT, {}),
+        (E.ENTER, {"vm": 2}),
+        (E.READ, {"vaddr": 0}),            # guest asid 0 of another vm: a miss
+        (E.PSWITCH, {"vasid": 1}),
+        (E.READ, {"vaddr": 0}),            # a new guest asid: a miss
+        (E.PSWITCH, {"vasid": 0}),
+        (E.READ, {"vaddr": 0}),            # back to guest asid 0: its old entry hits
+        (E.EXIT, {}),
+        (E.DESTROY_VM, {"vm": 1}), (E.CREATE_VM, {"vm": 3}),
+        (E.ENTER, {"vm": 3}),
+        (E.READ, {"vaddr": far}),          # vm 1's entry for vpage 5 never hits again
+    )
+    rep = run(t, mode, TINY, options=opts(tlb_entries=8))
+    assert (rep.counters.tlb_hits, rep.counters.tlb_misses) == (1, 5)
+    assert rep.violations == []
+
+
 def test_hyperwall_charges_a_check_per_access():
     t = trace(
         (E.CREATE_VM, {"vm": 1}),
