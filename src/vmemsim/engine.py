@@ -697,7 +697,9 @@ class BaselineMachine(_Machine):
         del held[bisect.bisect_left(held, page)]
         if guest.gpt.get(vpage) == ppage:
             del guest.gpt[vpage]
-        guest.rmap.pop(ppage, None)
+        mapped = guest.rmap.pop(ppage, page)
+        if mapped != page:                  # an rmap_write moved ppage elsewhere
+            self.tlb.invalidate_phys(mapped)
         if guest.shadow is not None:
             guest.shadow.pop(vpage, None)
         if self.remap is not None:
@@ -785,10 +787,16 @@ class BaselineMachine(_Machine):
         guest.next_vpage = vpage + 1
         # the hypervisor maps straight to physical pages; fresh guests map linearly
         ppage = page if vm == HYPERVISOR else vpage
+        # entries cached from a gpt_write or rmap_write this alloc overrides
+        if vpage in guest.gpt:
+            self.tlb.invalidate(guest.asids.values(), vpage)
         guest.gpt[vpage] = ppage
         guest.backing[page] = (vpage, ppage)
         bisect.insort(guest.held, page)
         if vm != HYPERVISOR:
+            old = guest.rmap.get(ppage)
+            if old is not None:
+                self.tlb.invalidate_phys(old)
             guest.rmap[ppage] = page
             if guest.shadow is not None:
                 cycles += self._shadow_cycles(
@@ -998,6 +1006,13 @@ class BaselineMachine(_Machine):
             assert guest.held == sorted(guest.backing), f"vm {vm}'s held list is not its backing"
         assert sum(len(g.backing) for g in self.guests.values()) == len(held), "page held twice"
         assert len(self.free_pages) + len(held) == self.geom.pages_total, "pages lost"
+        # the vTLB caches the nested walk: entries of destroyed guests never hit again
+        guest_of = {asid: g for g in self.guests.values() for asid in g.asids.values()}
+        for (asid, vpage), page in self.tlb.entries.items():
+            guest = guest_of.get(asid)
+            assert guest is None or guest.rmap.get(guest.gpt.get(vpage)) == page, (
+                f"vTLB entry (asid {asid}, vpage {vpage}) -> {page} is stale"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from test_golden import all_kinds_trace
 from vmemsim.baselines import RemappingTables
 from vmemsim.core import Geometry
 from vmemsim.engine import (
@@ -203,10 +204,14 @@ def _corrupt_held(m):
     m.guests[1].held.pop()                         # the sorted pages miss one of backing's
 
 
+def _corrupt_tlb(m):
+    m.tlb.insert(m.guests[1].asid, 0, 0)           # vm 1 freed vpage 0; its walk faults
+
+
 @pytest.mark.parametrize("mode", BASELINE_MODES)
 @pytest.mark.parametrize("corrupt", [
     _corrupt_owner_drop, _corrupt_owner_swap, _corrupt_backing_drop,
-    _corrupt_backing_twice, _corrupt_free_heap, _corrupt_held,
+    _corrupt_backing_twice, _corrupt_free_heap, _corrupt_held, _corrupt_tlb,
 ])
 def test_baseline_invariant_check_can_fail(mode, corrupt):
     machine = _MACHINES[mode](TINY, CostModel(), RunOptions(), MetricsReport(mode=mode))
@@ -221,6 +226,20 @@ def test_baseline_invariant_check_can_fail(mode, corrupt):
     corrupt(machine)
     with pytest.raises(AssertionError):
         machine.check_invariants()
+
+
+@pytest.mark.parametrize("policy", ["asid", "flush"])
+@pytest.mark.parametrize("mode", ["nested", "hyperwall"])
+def test_vtlb_stays_a_cache_of_the_nested_walk(mode, policy):
+    # gpt_write and rmap_write land on vpages and ppages that later allocs
+    # and frees reuse; under nested the first stale entry used to be at seq 205.
+    # A coherent cache changes what an access costs, never what it reaches.
+    geom = Geometry(256, 2, 4)
+    events = all_kinds_trace(6, 300, geom)
+    cached = run(events, mode, geom, options=opts(tlb_policy=policy))
+    walked = run(events, mode, geom, options=opts(tlb_policy=policy, tlb_entries=0))
+    assert cached.ledger_dict() == walked.ledger_dict()
+    assert cached.counters.page_faults == walked.counters.page_faults
 
 
 def test_machines_are_freed_without_the_cycle_collector():
