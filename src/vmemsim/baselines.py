@@ -128,15 +128,13 @@ class VirtualTlb:
 
     def invalidate(self, asids: Iterable[int], vpage: int) -> None:
         """Drop the entries of `vpage` under each of `asids`."""
-        entries = self.entries
         for asid in asids:
-            entries.pop((asid, vpage), None)
+            self.entries.pop((asid, vpage), None)
 
     def invalidate_phys(self, page: int) -> None:
         """Drop every entry that maps to physical page `page`."""
-        entries = self.entries
-        for key in [k for k, v in entries.items() if v == page]:
-            del entries[key]
+        for key in [k for k, v in self.entries.items() if v == page]:
+            del self.entries[key]
 
     def flush(self) -> None:
         self.entries.clear()

@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
-from .baselines import ASID_POLICY, DEFAULT_WALK_LEVELS, FLUSH_POLICY
+from .baselines import ASID_POLICY, FLUSH_POLICY
 from .config import (
     load_config,
     parse_cost_overrides,
@@ -93,14 +93,16 @@ def _cost(args, cfg) -> CostModel:
 
 
 def _options(args, cfg) -> RunOptions:
-    return RunOptions(
-        sample_interval=_pick(args, cfg, "sample_interval", 100, int),
-        check_invariants=bool(getattr(args, "check_invariants", False)),
-        tlb_policy=_pick(args, cfg, "tlb_policy", ASID_POLICY, str),
-        tlb_entries=_pick(args, cfg, "tlb_entries", 64, int),
-        walk_levels=_pick(args, cfg, "iommu_levels", DEFAULT_WALK_LEVELS, int),
-        dma_policy=_pick(args, cfg, "dma_policy", RAW_DMA, str),
-    )
+    """Run options from the settings a flag or config entry gives; the rest default."""
+    picked = {
+        "sample_interval": _pick(args, cfg, "sample_interval", None, int),
+        "tlb_policy": _pick(args, cfg, "tlb_policy", None, str),
+        "tlb_entries": _pick(args, cfg, "tlb_entries", None, int),
+        "walk_levels": _pick(args, cfg, "iommu_levels", None, int),
+        "dma_policy": _pick(args, cfg, "dma_policy", None, str),
+    }
+    return RunOptions(check_invariants=bool(getattr(args, "check_invariants", False)),
+                      **{name: value for name, value in picked.items() if value is not None})
 
 
 def _settings(args) -> tuple[dict[str, str], Geometry, CostModel, RunOptions]:

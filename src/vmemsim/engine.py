@@ -354,21 +354,18 @@ class RunOptions:
 
 MODES = ("asmi", "nested", "nested_shadow", "iommu", "hyperwall")
 
+# other names a mode is known by
 _MODE_ALIASES = {
-    "asmi": "asmi",
-    "nested": "nested",
     "nested+shadow": "nested_shadow",
-    "nested_shadow": "nested_shadow",
     "shadow": "nested_shadow",
-    "iommu": "iommu",
-    "hyperwall": "hyperwall",
     "hyperwall-overlay": "hyperwall",
 }
 
 
 def canonical_mode(name: str) -> str:
-    mode = _MODE_ALIASES.get(name.strip().lower())
-    if mode is None:
+    token = name.strip().lower()
+    mode = _MODE_ALIASES.get(token, token)
+    if mode not in MODES:
         raise ModeError(f"unknown mode {name!r}; known: {', '.join(MODES)}")
     return mode
 
@@ -759,10 +756,9 @@ class BaselineMachine(_Machine):
 
     def on_pswitch(self, ev: TraceEvent) -> None:
         guest = self.guests[self.cur_vm(ev.cpu)]
-        asid = guest.asids.get(ev.vasid)
-        if asid is None:
-            asid = guest.asids[ev.vasid] = next(self.real_asids)
-        guest.asid = asid
+        if ev.vasid not in guest.asids:
+            guest.asids[ev.vasid] = next(self.real_asids)
+        guest.asid = guest.asids[ev.vasid]
         super().on_pswitch(ev)
 
     # -- memory --
@@ -827,12 +823,11 @@ class BaselineMachine(_Machine):
         self._require_live(ev, ev.vm)
         guest = self.guests[ev.vm]
         guest.gpt[ev.vpage] = ev.target
-        if ev.vm != HYPERVISOR:
-            self.tlb.invalidate(guest.asids.values(), ev.vpage)
-            if guest.shadow is not None:
-                self.charge(ev.kind, self._shadow_cycles(
-                    shadow_update_vpage(guest.shadow, guest.gpt, guest.rmap, ev.vpage)
-                ))
+        self.tlb.invalidate(guest.asids.values(), ev.vpage)
+        if guest.shadow is not None:        # never the hypervisor's
+            self.charge(ev.kind, self._shadow_cycles(
+                shadow_update_vpage(guest.shadow, guest.gpt, guest.rmap, ev.vpage)
+            ))
 
     def on_rmap_write(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
@@ -1010,9 +1005,8 @@ class BaselineMachine(_Machine):
         guest_of = {asid: g for g in self.guests.values() for asid in g.asids.values()}
         for (asid, vpage), page in self.tlb.entries.items():
             guest = guest_of.get(asid)
-            assert guest is None or guest.rmap.get(guest.gpt.get(vpage)) == page, (
-                f"vTLB entry (asid {asid}, vpage {vpage}) -> {page} is stale"
-            )
+            stale = guest is not None and guest.rmap.get(guest.gpt.get(vpage)) != page
+            assert not stale, f"stale vTLB entry {(asid, vpage)} -> {page}"
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,9 @@ def read_trace(path: str) -> list[TraceEvent]:
 
 
 def validate(events: list[TraceEvent]) -> None:
-    """Static checks an engine run would also catch, minus mode semantics."""
+    """Static checks of a trace, minus mode semantics, stricter than a replay:
+    `run` accepts a negative cpu, gpt_write vpage or target, or pswitch vasid.
+    """
     last_seq = None
     for ev in events:
         if last_seq is not None and ev.seq <= last_seq:

@@ -126,15 +126,19 @@ def test_compare_table_and_csv(tmp_path, trace_file, capsys):
 @pytest.mark.parametrize("mode", MODES)
 def test_run_and_compare_write_the_same_rows(tmp_path, trace_file, mode):
     common = ["--geometry", "256x4x16", "--trace", str(trace_file), "--sample-interval", "40"]
-    outs = {}
+    outs, reports = {}, {}
     for command, mode_flag in (("run", "--mode"), ("compare", "--modes")):
         csv_out, util_out = tmp_path / f"{command}.csv", tmp_path / f"{command}.util"
-        rc = run_cli(command, *common, mode_flag, mode,
-                     "--out", str(csv_out), "--util-out", str(util_out))
+        json_out = tmp_path / f"{command}.json"
+        rc = run_cli(command, *common, mode_flag, mode, "--out", str(csv_out),
+                     "--util-out", str(util_out), "--json-out", str(json_out))
         assert rc == 0
         outs[command] = (csv_out.read_bytes(), util_out.read_bytes())
+        reports[command] = json.loads(json_out.read_text())
     assert outs["run"] == outs["compare"]
     assert len(outs["run"][1].splitlines()) > 2
+    # compare keys each report by <trace>/<mode>; run writes the report itself
+    assert reports["compare"] == {f"noise/{mode}": reports["run"]}
 
 
 def test_compare_rejects_two_traces_with_one_name(tmp_path, capsys):

@@ -117,6 +117,10 @@ MALFORMED = {
         4, MODES,
     ),
     "negative_write_vaddr": (trace((E.ALLOC, {"vm": 0}), (E.WRITE, {"vaddr": -1})), 2, MODES),
+    # only hyperwall implements hw_set; elsewhere it is a no-op
+    "hw_set_outside_geometry": (
+        trace((E.HW_SET, {"page": TINY.pages_total, "mode": "locked"})), 1, ("hyperwall",),
+    ),
     "negative_free_vaddr": (
         trace((E.CREATE_VM, {"vm": 1}), (E.FREE, {"vm": 1, "vaddr": -256})), 2, MODES,
     ),
@@ -232,8 +236,8 @@ def test_baseline_invariant_check_can_fail(mode, corrupt):
 @pytest.mark.parametrize("mode", ["nested", "hyperwall"])
 def test_vtlb_stays_a_cache_of_the_nested_walk(mode, policy):
     # gpt_write and rmap_write land on vpages and ppages that later allocs
-    # and frees reuse; under nested the first stale entry used to be at seq 205.
-    # A coherent cache changes what an access costs, never what it reaches.
+    # and frees reuse (under nested, the alloc at seq 205 overrides a cached
+    # walk). A coherent cache changes what an access costs, never what it reaches.
     geom = Geometry(256, 2, 4)
     events = all_kinds_trace(6, 300, geom)
     cached = run(events, mode, geom, options=opts(tlb_policy=policy))
@@ -379,6 +383,18 @@ def test_real_asids_are_per_guest_and_never_recycled(mode):
     )
     rep = run(t, mode, TINY, options=opts(tlb_entries=8))
     assert (rep.counters.tlb_hits, rep.counters.tlb_misses) == (1, 5)
+    assert rep.violations == []
+
+
+@pytest.mark.parametrize("mode", ["nested", "nested_shadow", "iommu"])
+def test_guest_read_of_an_unheld_page_is_a_page_fault(mode):
+    t = trace(
+        (E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1}),
+        (E.RMAP_WRITE, {"vm": 1, "ppage": 0, "phys": 20}),   # in range, held by nobody
+        (E.ENTER, {"vm": 1}), (E.READ, {"vaddr": 0}),
+    )
+    rep = run(t, mode, TINY, options=opts())
+    assert rep.counters.page_faults == 1
     assert rep.violations == []
 
 
