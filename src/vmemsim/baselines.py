@@ -255,19 +255,21 @@ class Requester(Enum):
     DMA = "dma"
 
 
-# Per-mode allow sets.  Other VMs are never allowed, whatever the mode.
-_ALLOWED: dict[PageMode, frozenset[Requester]] = {
-    PageMode.HYPERVISOR_ONLY: frozenset({Requester.HYPERVISOR}),
-    PageMode.HYPERVISOR_AND_DMA: frozenset(
-        {Requester.HYPERVISOR, Requester.OWNER_VM, Requester.DMA}
+# Per-mode allow sets, keyed by value tokens: hashing an Enum member runs
+# Python code, and hyperwall reads this table on every access.  Other VMs
+# are never allowed, whatever the mode.
+_ALLOWED: dict[str, frozenset[str]] = {
+    PageMode.HYPERVISOR_ONLY.value: frozenset({Requester.HYPERVISOR.value}),
+    PageMode.HYPERVISOR_AND_DMA.value: frozenset(
+        {Requester.HYPERVISOR.value, Requester.OWNER_VM.value, Requester.DMA.value}
     ),
-    PageMode.HYPERVISOR_DENIED: frozenset({Requester.OWNER_VM, Requester.DMA}),
-    PageMode.LOCKED: frozenset({Requester.OWNER_VM}),
+    PageMode.HYPERVISOR_DENIED.value: frozenset({Requester.OWNER_VM.value, Requester.DMA.value}),
+    PageMode.LOCKED.value: frozenset({Requester.OWNER_VM.value}),
 }
 
 
 def page_mode_allows(mode: PageMode, requester: Requester) -> bool:
-    return requester in _ALLOWED[mode]
+    return requester._value_ in _ALLOWED[mode._value_]
 
 
 def hypervisor_may_touch(mode: PageMode) -> bool:

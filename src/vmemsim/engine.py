@@ -60,7 +60,6 @@ from .baselines import (
     RemappingTables,
     Requester,
     VirtualTlb,
-    WalkResult,
     hypervisor_may_touch,
     iommu_dma_translate,
     nested_translate,
@@ -390,6 +389,8 @@ class _Machine:
 
     def __init__(self, geom: Geometry, cost: CostModel, opts: RunOptions, report: MetricsReport):
         self.geom = geom
+        self.page_size_bytes = geom.page_size_bytes
+        self.pages_total = geom.pages_total  # a property of Geometry, read on every access
         self.cost = cost
         self.report = report
         self.device_owner: dict[tuple[int, int, int], int] = {}
@@ -424,7 +425,7 @@ class _Machine:
         """The virtual page of a read, write or free."""
         if ev.vaddr < 0:
             raise self.err(ev, f"negative vaddr {ev.vaddr}")
-        return ev.vaddr // self.geom.page_size_bytes
+        return ev.vaddr // self.page_size_bytes
 
     def _device_request(self, ev: TraceEvent) -> DmaRequest:
         """A dma event's device address; OutOfRangeError outside DmaRequest's bounds."""
@@ -458,10 +459,10 @@ class _Machine:
     def on_dma(self, ev: TraceEvent) -> None:
         self._device_request(ev)  # range check only
         issuer = self.device_owner.get((ev.bus, ev.device, ev.function))
-        self._dma(ev, issuer, ev.dva // self.geom.page_size_bytes, ev.dva)
+        self._dma(ev, issuer, ev.dva // self.page_size_bytes, ev.dva)
 
     def on_dma_raw(self, ev: TraceEvent) -> None:
-        self._dma(ev, ev.vm, ev.page, ev.page * self.geom.page_size_bytes)
+        self._dma(ev, ev.vm, ev.page, ev.page * self.page_size_bytes)
 
     def _dma_fault(self, ev: TraceEvent, dva: int, reason: str) -> None:
         self.report.dma_faults.append(
@@ -470,7 +471,7 @@ class _Machine:
 
     def _dma_in_range(self, ev: TraceEvent, page: int, dva: int) -> bool:
         """False, with a range fault recorded, when the page is outside the pool."""
-        if 0 <= page < self.geom.pages_total:
+        if 0 <= page < self.pages_total:
             return True
         self._dma_fault(ev, dva, "range")
         return False
@@ -564,9 +565,10 @@ class AsmiMachine(_Machine):
         c.mpt_checks += tr.checks
         if tr.fault == PAGE_FAULT:
             c.page_faults += 1
-        self.charge(
-            ev.kind,
-            self.cost.pt_walk_level * tr.walks + self.cost.mpt_check * tr.checks,
+        by_kind = self.report.cycles_by_kind
+        key = ev.kind._value_
+        by_kind[key] = (
+            by_kind.get(key, 0) + self.cost.pt_walk_level * tr.walks + self.cost.mpt_check * tr.checks
         )
 
     on_write = on_read
@@ -662,7 +664,6 @@ class BaselineMachine(_Machine):
         self.page_mode: dict[int, PageMode] = {}
 
         cls = type(self)
-        self._walk_guest = cls._shadow_walk if shadow else cls._vtlb_walk  # called with self
         self.flush_on_switch = not shadow and opts.tlb_policy == FLUSH_POLICY
         handlers = self.handlers
         if remap:
@@ -841,37 +842,10 @@ class BaselineMachine(_Machine):
                 shadow_update_ppage(guest.shadow, guest.gpt, guest.rmap, ev.ppage)
             ))
 
-    # -- translation and CPU access --
-
-    def _walked(self, ev: TraceEvent, result: WalkResult) -> int | None:
-        """Charge a table walk; the page it reached, or None on a page fault."""
-        c = self.report.counters
-        c.walk_steps += result.walks
-        self.charge(ev.kind, self.cost.pt_walk_level * result.walks)
-        if result.page is None or not (0 <= result.page < self.geom.pages_total):
-            c.page_faults += 1
-            return None
-        return result.page
-
-    def _shadow_walk(self, ev: TraceEvent, vm: int, vpage: int) -> int | None:
-        return self._walked(ev, shadow_translate(vpage, self.guests[vm].shadow))
-
-    def _vtlb_walk(self, ev: TraceEvent, vm: int, vpage: int) -> int | None:
-        c = self.report.counters
-        guest = self.guests[vm]
-        hit = self.tlb.lookup(guest.asid, vpage)
-        if hit is not None:
-            c.tlb_hits += 1
-            self.charge(ev.kind, self.cost.tlb_hit)
-            return hit
-        c.tlb_misses += 1
-        page = self._walked(ev, nested_translate(vpage, guest.gpt, guest.rmap))
-        if page is not None:
-            self.tlb.insert(guest.asid, vpage, page)
-        return page
+    # -- CPU access --
 
     def _hyperwall_gate(self, ev: TraceEvent, requester: Requester, page: int) -> bool:
-        """Under hyperwall, whether a page's protection bits let the access proceed."""
+        """Under hyperwall, whether a page's protection bits let a DMA proceed."""
         mode = self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)
         self.charge(ev.kind, self.cost.mpt_check)
         if page_mode_allows(mode, requester):
@@ -882,13 +856,43 @@ class BaselineMachine(_Machine):
         return False
 
     def on_read(self, ev: TraceEvent) -> None:
-        self.report.counters.cpu_accesses += 1
-        vm = self.cur_vm(ev.cpu)
-        vpage = self._vpage(ev)
+        """One frame per access: walk (or vTLB hit), range check, charge, gate, owner."""
+        c = self.report.counters
+        c.cpu_accesses += 1
+        if ev.vaddr < 0:
+            raise self.err(ev, f"negative vaddr {ev.vaddr}")
+        vpage = ev.vaddr // self.page_size_bytes
+        vm = self.current.get(ev.cpu, HYPERVISOR)
+        guest = self.guests[vm]
+        cost = self.cost
+        cycles = 0
+        missed = False
         if vm == HYPERVISOR:
-            page = self._walked(ev, WalkResult(self.guests[HYPERVISOR].gpt.get(vpage), 1))
+            page, walks = guest.gpt.get(vpage), 1
+        elif self.shadowed:
+            page, walks = shadow_translate(vpage, guest.shadow)
         else:
-            page = self._walk_guest(self, ev, vm, vpage)
+            page = self.tlb.lookup(guest.asid, vpage)
+            if page is None:
+                c.tlb_misses += 1
+                page, walks = nested_translate(vpage, guest.gpt, guest.rmap)
+                missed = True
+            else:
+                c.tlb_hits += 1
+                cycles, walks = cost.tlb_hit, 0
+        c.walk_steps += walks
+        cycles += cost.pt_walk_level * walks
+        if page is None or not 0 <= page < self.pages_total:
+            c.page_faults += 1
+            page = None
+        else:
+            if missed:
+                self.tlb.insert(guest.asid, vpage, page)
+            if self.hyperwall:
+                cycles += cost.mpt_check
+        by_kind = self.report.cycles_by_kind
+        key = ev.kind._value_
+        by_kind[key] = by_kind.get(key, 0) + cycles
         if page is None:
             return
         owner = self.owner_of.get(page)
@@ -899,22 +903,24 @@ class BaselineMachine(_Machine):
                 requester = Requester.OWNER_VM
             else:
                 requester = Requester.OTHER_VM
-            if not self._hyperwall_gate(ev, requester, page):
+            mode = self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)
+            if not page_mode_allows(mode, requester):
+                self.report.denials.append(
+                    Denial(ev.seq, ev.cpu, requester.value, page, mode.value, owner)
+                )
                 return
         if owner is None:
             if vm != HYPERVISOR:
-                self.report.counters.page_faults += 1  # resolved to an unbacked frame
+                c.page_faults += 1  # resolved to an unbacked frame
             return
         if owner != vm:
-            self.report.violations.append(
-                Violation(ev.seq, ev.cpu, "cpu", vm, page, owner)
-            )
+            self.report.violations.append(Violation(ev.seq, ev.cpu, "cpu", vm, page, owner))
 
     on_write = on_read
 
     def _set_page_mode(self, ev: TraceEvent) -> None:
         """hw_set, bound only under hyperwall."""
-        if not (0 <= ev.page < self.geom.pages_total):
+        if not (0 <= ev.page < self.pages_total):
             raise self.err(ev, f"page {ev.page} outside the geometry")
         requester = self.cur_vm(ev.cpu)
         owner = self.owner_of.get(ev.page)
@@ -958,7 +964,7 @@ class BaselineMachine(_Machine):
         c = self.report.counters
         c.dma_ops += 1
         req = self._device_request(ev)
-        result = iommu_dma_translate(req, self.remap, self.geom.page_size_bytes)
+        result = iommu_dma_translate(req, self.remap, self.page_size_bytes)
         c.dma_walk_steps += result.steps
         self.charge(ev.kind, self.cost.dma_setup + self.cost.pt_walk_level * result.steps)
         if result.fault is not None:
@@ -979,7 +985,7 @@ class BaselineMachine(_Machine):
         c = self.report.counters
         c.dma_ops += 1
         c.pio_transfers += 1
-        words = self.geom.page_size_bytes // 8
+        words = self.page_size_bytes // 8
         self.charge(ev.kind, self.cost.programmed_io_word * words)
 
     # -- bookkeeping --
@@ -1000,7 +1006,7 @@ class BaselineMachine(_Machine):
         for vm, guest in self.guests.items():
             assert guest.held == sorted(guest.backing), f"vm {vm}'s held list is not its backing"
         assert sum(len(g.backing) for g in self.guests.values()) == len(held), "page held twice"
-        assert len(self.free_pages) + len(held) == self.geom.pages_total, "pages lost"
+        assert len(self.free_pages) + len(held) == self.pages_total, "pages lost"
         # the vTLB caches the nested walk: entries of destroyed guests never hit again
         guest_of = {asid: g for g in self.guests.values() for asid in g.asids.values()}
         for (asid, vpage), page in self.tlb.entries.items():
@@ -1039,6 +1045,7 @@ def run(
     report = MetricsReport(mode=mode)
     machine = _MACHINES[mode](geom, cost, opts, report)
     interval = opts.sample_interval
+    apply, check = machine.apply, opts.check_invariants
     last_seq = None
     count = 0
     for ev in trace:
@@ -1048,7 +1055,7 @@ def run(
             )
         last_seq = ev.seq
         try:
-            machine.apply(ev)
+            apply(ev)
         except (ModeError, SimulationError):
             raise
         except SimError as exc:
@@ -1056,7 +1063,7 @@ def run(
         count += 1
         if count % interval == 0:
             machine.sample(count)
-        if opts.check_invariants:
+        if check:
             machine.check_invariants()
     if count % interval != 0:
         machine.sample(count)

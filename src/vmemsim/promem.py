@@ -140,6 +140,7 @@ class ProMem:
     def __init__(self, geom: Geometry):
         self.geom = geom
         self.pps = geom.pages_per_segment
+        self.pages_total = geom.pages_total
         self.full_mask = (1 << self.pps) - 1
         self.tseg = geom.total_segments
         self.tot = 0
@@ -348,8 +349,8 @@ class ProMem:
     def free_page(self, vm: int, page: int, seq: int = -1) -> IsolationFault | None:
         if vm not in self.live:
             raise LifecycleError(f"vm {vm} is not live")
-        if not (0 <= page < self.geom.pages_total):
-            raise GeometryError(f"page {page} outside 0..{self.geom.pages_total - 1}")
+        if not (0 <= page < self.pages_total):
+            raise GeometryError(f"page {page} outside 0..{self.pages_total - 1}")
         s, index = divmod(page, self.pps)
         owner = self.mpt.get(s)
         if owner != vm:
@@ -388,9 +389,11 @@ class ProMem:
         self, cpu: int, vpage: int, tables: dict[int, dict[int, int]], seq: int = -1
     ) -> Translation:
         """Walk the current owner's table in `tables` (owner -> vpage -> page)."""
-        cur = self.current(cpu)
+        if HYPERVISOR not in self.live:   # current(cpu), without its two calls per access
+            raise ProtocolError("no owner is current before the hypervisor loads")
+        cur = self.vmidr.get(cpu, HYPERVISOR)
         target = tables[cur].get(vpage)
-        if target is None or not (0 <= target < self.geom.pages_total):
+        if target is None or not 0 <= target < self.pages_total:
             return _UNMAPPED
         if self.check_owner(cur, target, cpu, seq) is not None:
             return _BLOCKED

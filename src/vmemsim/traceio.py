@@ -45,15 +45,29 @@ _CONVERTERS = {"write": _direction, "mode": _mode}
 
 #: TraceEvent's constructor arguments, in positional order
 _ARGUMENTS = tuple(f.name for f in dataclass_fields(TraceEvent))
-_SEQ, _KIND, _CPU = (_ARGUMENTS.index(name) for name in ("seq", "kind", "cpu"))
 
-#: kind token -> (kind, field names, ((argument position, field name, converter), ...))
+
+def _builder(kind: EventKind, names: tuple[str, ...]):
+    """The function that builds the event of a well-formed `kind` line from its tokens.
+
+    It is compiled once, as `lambda t: TraceEvent(int(t[0]), kind, int(t[2]), ...)`
+    with each field's converter at its argument's position, so a line costs
+    one positional call and no loop over fields.
+    """
+    args = ["None"] * len(_ARGUMENTS)
+    args[_ARGUMENTS.index("kind")] = "kind"
+    for i, name in enumerate(("seq", "kind", "cpu") + names):
+        if name != "kind":
+            args[_ARGUMENTS.index(name)] = f"{_CONVERTERS.get(name, int).__name__}(t[{i}])"
+    while args[-1] == "None":
+        args.pop()
+    scope = {"TraceEvent": TraceEvent, "kind": kind, "_direction": _direction, "_mode": _mode}
+    return eval(f"lambda t: TraceEvent({', '.join(args)})", scope)
+
+
+#: kind token -> (tokens per line, builder, field names)
 _PARSE_TABLE = {
-    kind.value: (
-        kind,
-        names,
-        tuple((_ARGUMENTS.index(name), name, _CONVERTERS.get(name, int)) for name in names),
-    )
+    kind.value: (3 + len(names), _builder(kind, names), names)
     for kind, names in EVENT_FIELDS.items()
 }
 
@@ -74,6 +88,21 @@ def format_event(ev: TraceEvent) -> str:
 def parse_line(line: str, lineno: int = 0) -> TraceEvent | None:
     """Parse one line; returns None for blanks and comments."""
     tokens = line.split()
+    try:
+        width, build, _ = _PARSE_TABLE[tokens[1]]
+        if len(tokens) == width:
+            return build(tokens)
+    except (IndexError, KeyError, ValueError):
+        pass
+    return _diagnose(tokens, lineno)
+
+
+def _diagnose(tokens: list[str], lineno: int) -> None:
+    """None for a blank or comment line; else raise the line's TraceFormatError.
+
+    `parse_line` sends here only the lines its one-step build rejects; the
+    checks run in the order their errors take precedence.
+    """
     if not tokens or tokens[0].startswith("#"):
         return None
     if len(tokens) < 3:
@@ -81,26 +110,24 @@ def parse_line(line: str, lineno: int = 0) -> TraceEvent | None:
     entry = _PARSE_TABLE.get(tokens[1])
     if entry is None:
         raise TraceFormatError(f"line {lineno}: unknown event kind {tokens[1]!r}")
-    kind, names, slots = entry
-    if len(tokens) != 3 + len(names):
+    width, _, names = entry
+    if len(tokens) != width:
         raise TraceFormatError(
-            f"line {lineno}: {kind.value} takes {len(names)} fields "
+            f"line {lineno}: {tokens[1]} takes {len(names)} fields "
             f"({' '.join(names) or 'none'}), got {len(tokens) - 3}"
         )
-    args = [None] * len(_ARGUMENTS)
     try:
-        args[_SEQ] = int(tokens[0])
-        args[_CPU] = int(tokens[2])
+        int(tokens[0]), int(tokens[2])
     except ValueError:
         raise TraceFormatError(f"line {lineno}: seq and cpu must be integers") from None
-    args[_KIND] = kind
-    for (position, name, convert), token in zip(slots, tokens[3:]):
+    for name, token in zip(names, tokens[3:]):
+        convert = _CONVERTERS.get(name, int)
         try:
-            args[position] = convert(token)
+            convert(token)
         except ValueError as exc:
             reason = f"field {name} must be an integer, got {token!r}" if convert is int else str(exc)
             raise TraceFormatError(f"line {lineno}: {reason}") from None
-    return TraceEvent(*args)
+    raise AssertionError(f"line {lineno} is well-formed but did not build")
 
 
 def parse_lines(chunks: Iterable[str]) -> Iterator[TraceEvent]:

@@ -1,0 +1,93 @@
+"""Reference trace-line parser: the field-by-field loop, kept to check the fast one.
+
+`parse_line` here checks each rule of the format in turn and fills
+TraceEvent's arguments one field at a time.  `vmemsim.traceio.parse_line`
+builds a well-formed line's event in one positional call instead, and
+must return the same event, or raise the same TraceFormatError, for
+every line.  This module imports nothing from `vmemsim.traceio`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import fields as dataclass_fields
+
+from vmemsim.baselines import PageMode
+from vmemsim.engine import EVENT_FIELDS, TraceEvent
+from vmemsim.errors import TraceFormatError
+
+_MODE_TOKENS = {mode.value for mode in PageMode}
+
+
+def _direction(token: str) -> bool:
+    if token == "w":
+        return True
+    if token == "r":
+        return False
+    raise ValueError("direction must be `r` or `w`")
+
+
+def _mode(token: str) -> str:
+    if token not in _MODE_TOKENS:
+        raise ValueError(
+            f"unknown protection mode {token!r}; known: {', '.join(sorted(_MODE_TOKENS))}"
+        )
+    return token
+
+
+_CONVERTERS = {"write": _direction, "mode": _mode}
+
+#: TraceEvent's constructor arguments, in positional order
+_ARGUMENTS = tuple(f.name for f in dataclass_fields(TraceEvent))
+_SEQ, _KIND, _CPU = (_ARGUMENTS.index(name) for name in ("seq", "kind", "cpu"))
+
+#: kind token -> (kind, field names, ((argument position, field name, converter), ...))
+_PARSE_TABLE = {
+    kind.value: (
+        kind,
+        names,
+        tuple((_ARGUMENTS.index(name), name, _CONVERTERS.get(name, int)) for name in names),
+    )
+    for kind, names in EVENT_FIELDS.items()
+}
+
+
+def parse_line(line: str, lineno: int = 0) -> TraceEvent | None:
+    """Parse one line; returns None for blanks and comments."""
+    tokens = line.split()
+    if not tokens or tokens[0].startswith("#"):
+        return None
+    if len(tokens) < 3:
+        raise TraceFormatError(f"line {lineno}: expected `seq kind cpu ...`")
+    entry = _PARSE_TABLE.get(tokens[1])
+    if entry is None:
+        raise TraceFormatError(f"line {lineno}: unknown event kind {tokens[1]!r}")
+    kind, names, slots = entry
+    if len(tokens) != 3 + len(names):
+        raise TraceFormatError(
+            f"line {lineno}: {kind.value} takes {len(names)} fields "
+            f"({' '.join(names) or 'none'}), got {len(tokens) - 3}"
+        )
+    args = [None] * len(_ARGUMENTS)
+    try:
+        args[_SEQ] = int(tokens[0])
+        args[_CPU] = int(tokens[2])
+    except ValueError:
+        raise TraceFormatError(f"line {lineno}: seq and cpu must be integers") from None
+    args[_KIND] = kind
+    for (position, name, convert), token in zip(slots, tokens[3:]):
+        try:
+            args[position] = convert(token)
+        except ValueError as exc:
+            reason = f"field {name} must be an integer, got {token!r}" if convert is int else str(exc)
+            raise TraceFormatError(f"line {lineno}: {reason}") from None
+    return TraceEvent(*args)
+
+
+def loads(text: str) -> list[TraceEvent]:
+    """Every event of `text`, numbered by `str.splitlines` lines."""
+    events = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        ev = parse_line(line, lineno)
+        if ev is not None:
+            events.append(ev)
+    return events

@@ -4,11 +4,14 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_golden import all_kinds_trace
-from vmemsim.baselines import RemappingTables
+from vmemsim import engine
+from vmemsim.baselines import PageMode, RemappingTables, VirtualTlb
 from vmemsim.core import Geometry
 from vmemsim.engine import (
+    EVENT_FIELDS,
     MODES,
     AsmiMachine,
     CostModel,
@@ -22,7 +25,8 @@ from vmemsim.engine import (
     run,
     static_partition_utilization,
 )
-from vmemsim.errors import ConfigError, DuplicateRunError, ModeError, SimulationError
+from vmemsim.errors import ConfigError, DuplicateRunError, ModeError, SimError, SimulationError
+from vmemsim.promem import ProMem
 
 TINY = Geometry(256, 4, 8)
 
@@ -396,6 +400,44 @@ def test_guest_read_of_an_unheld_page_is_a_page_fault(mode):
     rep = run(t, mode, TINY, options=opts())
     assert rep.counters.page_faults == 1
     assert rep.violations == []
+
+
+# perfbench/tracer.py times each layer by patching these names, so every
+# access must still call them through the attribute the tracer patches.
+# per mode: ProMem.translate, check_owner, VirtualTlb.lookup, insert,
+# engine.nested_translate, engine.shadow_translate
+LAYER_CALLS = {
+    "asmi": (5, 3, 0, 0, 0, 0),
+    "nested": (0, 0, 4, 2, 3, 0),
+    "nested_shadow": (0, 0, 0, 0, 0, 4),
+    "iommu": (0, 0, 4, 2, 3, 0),
+    "hyperwall": (0, 0, 4, 2, 3, 0),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_access_calls_the_traced_layer_names(mode, monkeypatch):
+    page = TINY.page_size_bytes
+    t = trace(
+        (E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1}), (E.ALLOC, {"vm": 1}),
+        (E.ENTER, {"vm": 1}),
+        (E.READ, {"vaddr": 0}),            # a vTLB miss that walks and inserts
+        (E.READ, {"vaddr": 1}),            # a hit
+        (E.WRITE, {"vaddr": page}),        # a miss on the second page
+        (E.READ, {"vaddr": 5 * page}),     # no mapping: a miss with no insert
+        (E.EXIT, {}),
+        (E.READ, {"vaddr": 0}),            # the hypervisor's: a traced walk only under asmi
+    )
+    names = [(ProMem, "translate"), (ProMem, "check_owner"), (VirtualTlb, "lookup"),
+             (VirtualTlb, "insert"), (engine, "nested_translate"), (engine, "shadow_translate")]
+    calls = dict.fromkeys(names, 0)
+    for holder, name in names:
+        def counted(*args, _key=(holder, name), _fn=getattr(holder, name)):
+            calls[_key] += 1
+            return _fn(*args)
+        monkeypatch.setattr(holder, name, counted)
+    run(t, mode, TINY, options=opts())
+    assert tuple(calls.values()) == LAYER_CALLS[mode]
 
 
 def test_hyperwall_charges_a_check_per_access():
@@ -785,3 +827,49 @@ def test_static_partition_tracks_frees():
     )
     samples = static_partition_utilization(t, TINY, sample_interval=1)
     assert samples == [0.0, 1 / 8, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any trace fails, if at all, with a SimError
+# ---------------------------------------------------------------------------
+
+FUZZ_GEOM = Geometry(256, 2, 4)
+_SMALL = st.integers(-1, 6)
+_FIELDS = {
+    "vaddr": st.integers(-8, 2048), "dva": st.integers(-8, 2048),
+    "write": st.booleans(), "mode": st.sampled_from([m.value for m in PageMode]),
+}
+
+
+@st.composite
+def fuzz_traces(draw):
+    """1-40 events of any kind, small fields (negative ones included), cpu -1 to 1.
+
+    A `vm` field is drawn half the time from the VMs created so far (the
+    next one, for create_vm), so that VMs exist and more events replay
+    before an error stops the trace.
+    """
+    events = []
+    created = 0
+    for seq in range(1, draw(st.integers(1, 40)) + 1):
+        kind = draw(st.sampled_from(list(EventKind)))
+        likely = [created + 1] if kind is E.CREATE_VM else list(range(1, created + 1)) or [0]
+        fields = {
+            name: draw(st.sampled_from(likely) | _SMALL if name == "vm" else
+                       _FIELDS.get(name, _SMALL))
+            for name in EVENT_FIELDS[kind]
+        }
+        created += kind is E.CREATE_VM and fields["vm"] == created + 1
+        events.append(TraceEvent(seq, kind, draw(st.integers(-1, 1)), **fields))
+    return events
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_traces())
+def test_replay_raises_nothing_but_sim_errors(events):
+    for mode in MODES:
+        for options in (opts(), opts(tlb_entries=0, tlb_policy="flush", dma_policy="off")):
+            try:
+                run(events, mode, FUZZ_GEOM, options=options)
+            except SimError:
+                pass

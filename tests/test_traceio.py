@@ -1,9 +1,14 @@
 """Text trace format round-trips and error reporting."""
 
-import pytest
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import parser_reference
+from vmemsim.baselines import PageMode
 from vmemsim.core import Geometry
-from vmemsim.engine import EventKind, TraceEvent
+from vmemsim.engine import EVENT_FIELDS, EventKind, TraceEvent
 from vmemsim.errors import TraceFormatError
 from vmemsim.traceio import (
     dumps,
@@ -153,3 +158,65 @@ def test_validate_rejects_device_coordinates_out_of_range():
             bus, device, function = coords
             with pytest.raises(TraceFormatError, match=f"event seq 3: {needle} outside"):
                 validate([TraceEvent(seq=3, bus=bus, device=device, function=function, **fields)])
+
+
+# ---------------------------------------------------------------------------
+# the one-step parser against the field-by-field reference
+# ---------------------------------------------------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+KIND_TOKENS = [kind.value for kind in EventKind]
+# spellings int() accepts (sign, underscore, a non-ASCII digit) and ones it rejects
+INT_TOKENS = ["0", "7", "+7", "0_1", "-3", "\u0663", "4096"]
+NOT_INT_TOKENS = ["x", "1.5", "0x1", "_1", "1__0", "7-"]
+FIELD_TOKENS = INT_TOKENS + NOT_INT_TOKENS + ["r", "w", "x"] + [m.value for m in PageMode]
+TOKENS = KIND_TOKENS + ["warp", "#", "#read", "#1"] + FIELD_TOKENS
+SEPARATORS = [" ", "\t", "\x0b", "\x0c", "\x1c"]
+
+
+@st.composite
+def trace_lines(draw):
+    """Any 0-9 tokens, or `seq kind cpu` and about as many fields as the kind takes.
+
+    The second shape draws mostly tokens its fields accept, so that many
+    lines parse and the rest fail on one rule at a time.
+    """
+    if draw(st.booleans()):
+        tokens = draw(st.lists(st.sampled_from(TOKENS), max_size=9))
+    else:
+        kind = draw(st.sampled_from(list(EventKind)))
+        names = EVENT_FIELDS[kind][:len(EVENT_FIELDS[kind]) + draw(st.sampled_from([0, 0, -1]))]
+        names += ("vm",) * draw(st.sampled_from([0, 0, 0, 1]))
+        good = {"write": ["r", "w"], "mode": [m.value for m in PageMode]}
+        number = st.sampled_from(INT_TOKENS * 6 + NOT_INT_TOKENS + ["#"])
+        tokens = [draw(number), draw(st.sampled_from([kind.value] * 9 + ["warp"])), draw(number)]
+        tokens += [draw(st.sampled_from(good.get(name, INT_TOKENS) * 6 + FIELD_TOKENS))
+                   for name in names]
+    edge = st.sampled_from(["", *SEPARATORS])
+    gaps = max(len(tokens) - 1, 0)
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=gaps, max_size=gaps))
+    return draw(edge) + "".join(t + s for t, s in zip(tokens, [*seps, ""])) + draw(edge)
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line, 5)
+    except TraceFormatError as exc:
+        return f"TraceFormatError: {exc}"
+
+
+@settings(max_examples=600, deadline=None)
+@given(trace_lines())
+def test_parse_line_matches_the_reference(line):
+    assert _outcome(parse_line, line) == _outcome(parser_reference.parse_line, line)
+
+
+def test_loads_matches_the_reference_on_real_traces():
+    spec = WorkloadSpec(
+        seed=1, vm_count=3, events=25_000, demand=(DemandProfile(48, 0.0, 0.9),) * 3,
+        switch_rate=0.01,
+    )
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.trace"))]
+    texts.append(dumps(generate(spec, Geometry(4096, 512, 64))))
+    for text in texts:
+        assert loads(text) == parser_reference.loads(text)
