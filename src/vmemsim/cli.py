@@ -233,6 +233,8 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least one --trace")
     modes_token = getattr(args, "modes", None) or cfg.get("modes") or ",".join(MODES)
     modes = [canonical_mode(m) for m in modes_token.split(",") if m.strip()]
+    if not modes:
+        raise ConfigError("compare needs at least one mode")
     traces = [(_trace_name(p), read_trace(p)) for p in paths]
     result: ComparisonReport = compare(traces, modes, geom, cost, opts)
     del traces  # not needed to write the outputs

@@ -9,6 +9,11 @@ with `#` are ignored.  Round-trips are exact.
 `parse_lines` turns text into events lazily, so a caller that replays
 a file as it reads it (`vmemsim run`) holds one event at a time; `loads`
 collects them into a list.  Trace files are UTF-8 text.
+
+Both directions take one step per well-formed line: a builder compiled
+per kind parses a line in one call, and a formatter compiled per kind
+writes one.  `dumps` still joins the whole trace into one string, so
+`vmemsim gen` holds every line in memory.
 """
 
 from __future__ import annotations
@@ -72,17 +77,41 @@ _PARSE_TABLE = {
 }
 
 
+def _missing(ev: TraceEvent) -> None:
+    """Raise the TraceFormatError that names `ev`'s first required field left None."""
+    name = next(name for name in EVENT_FIELDS[ev.kind] if getattr(ev, name) is None)
+    raise TraceFormatError(f"event seq {ev.seq}: missing field {name!r}")
+
+
+def _formatter(kind: EventKind, names: tuple[str, ...]):
+    """The function that writes the line of a `kind` event.
+
+    It is compiled once, as `def fmt(ev)` that checks each field against
+    None and returns `f"{ev.seq!s} kind {ev.cpu!s} {ev.vm!s} ..."`, with
+    `write` spelled `r` or `w`, so a line costs one call and no loop over
+    fields.
+    """
+    parts = ["{ev.seq!s}", kind.value, "{ev.cpu!s}"]
+    parts += ["{'w' if ev.write else 'r'}" if name == "write" else f"{{ev.{name}!s}}"
+              for name in names]
+    source = "def fmt(ev):\n"
+    if names:
+        source += f"    if {' or '.join(f'ev.{name} is None' for name in names)}:\n"
+        source += "        _missing(ev)\n"
+    source += f'    return f"{" ".join(parts)}"\n'
+    scope = {"_missing": _missing}
+    exec(source, scope)
+    return scope["fmt"]
+
+
+#: kind token -> the function that writes a line of that kind; looked up by
+#: the member's `_value_` attribute, which costs no Enum hash or property call
+_FORMAT_TABLE = {kind.value: _formatter(kind, names) for kind, names in EVENT_FIELDS.items()}
+
+
 def format_event(ev: TraceEvent) -> str:
-    parts = [str(ev.seq), ev.kind.value, str(ev.cpu)]
-    for name in EVENT_FIELDS[ev.kind]:
-        value = getattr(ev, name)
-        if value is None:
-            raise TraceFormatError(f"event seq {ev.seq}: missing field {name!r}")
-        if name == "write":
-            parts.append("w" if value else "r")
-        else:
-            parts.append(str(value))
-    return " ".join(parts)
+    """The line of `ev`, without its newline."""
+    return _FORMAT_TABLE[ev.kind._value_](ev)
 
 
 def parse_line(line: str, lineno: int = 0) -> TraceEvent | None:
@@ -148,7 +177,7 @@ def parse_lines(chunks: Iterable[str]) -> Iterator[TraceEvent]:
 
 def dumps(events: list[TraceEvent]) -> str:
     lines = ["# vmemsim trace"]
-    lines += [format_event(ev) for ev in events]
+    lines += [_FORMAT_TABLE[ev.kind._value_](ev) for ev in events]
     return "\n".join(lines) + "\n"
 
 

@@ -137,10 +137,20 @@ def generate(spec: WorkloadSpec, geom: Geometry | None = None) -> list[TraceEven
         raise WorkloadError(f"events must be >= {preamble} to fit the preamble")
 
     rng = Xorshift64Star(spec.seed)
+    # one call per draw: `draw() % n` is rng.below(n), and
+    # `draw() % 1_000_000 < scaled` is rng.chance(scaled)
+    draw = rng.next_u64
+    page_size = geom.page_size_bytes
+    pages_total = geom.pages_total
     dma_scaled = _scale(spec.dma_rate)
     switch_scaled = _scale(spec.switch_rate)
-    churn_scaled = [_scale(p.churn_rate) for p in spec.demand]
-    locality_scaled = [_scale(p.locality) for p in spec.demand]
+    # per-VM settings and state, indexed by VM id (0, the hypervisor, unused)
+    working_set = [0] + [p.working_set_pages for p in spec.demand]
+    churn_scaled = [0] + [_scale(p.churn_rate) for p in spec.demand]
+    locality_scaled = [0] + [_scale(p.locality) for p in spec.demand]
+    live: list[list[int]] = [[] for _ in range(spec.vm_count + 1)]
+    next_vpage = [0] * (spec.vm_count + 1)
+    recent: list[deque[int]] = [deque(maxlen=LOCALITY_WINDOW) for _ in range(spec.vm_count + 1)]
 
     trace: list[TraceEvent] = []
     emit = _emitter(trace)
@@ -153,59 +163,56 @@ def generate(spec: WorkloadSpec, geom: Geometry | None = None) -> list[TraceEven
             domain=vm, vm=vm, bus=bus, device=device, function=function,
         )
 
-    live: list[list[int]] = [[] for _ in range(spec.vm_count + 1)]
-    next_vpage = [0] * (spec.vm_count + 1)
-    recent: list[deque[int]] = [deque(maxlen=LOCALITY_WINDOW) for _ in range(spec.vm_count + 1)]
+    # every pass of the body loop appends exactly one event, numbered `seq`
+    append = trace.append
+    read, write = EventKind.READ, EventKind.WRITE  # most events are one of these
     current = 0  # guest on cpu 0; 0 means the hypervisor
-
-    while len(trace) < spec.events:
+    for seq in range(preamble + 1, spec.events + 1):
         if current == 0:
-            current = 1 + rng.below(spec.vm_count)
-            emit(EventKind.ENTER, vm=current)
+            current = 1 + draw() % spec.vm_count
+            append(TraceEvent(seq, EventKind.ENTER, 0, current))
             continue
         vm = current
-        idx = vm - 1
-        if dma_scaled and rng.chance(dma_scaled):
-            if next_vpage[vm] > 0 and rng.chance(800_000):
-                dva_page = rng.below(next_vpage[vm])
+        if dma_scaled and draw() % 1_000_000 < dma_scaled:
+            if next_vpage[vm] > 0 and draw() % 1_000_000 < 800_000:
+                dva_page = draw() % next_vpage[vm]
             else:
-                dva_page = rng.below(geom.pages_total)
+                dva_page = draw() % pages_total
             bus, device, function = _device_of(vm)
-            emit(
-                EventKind.DMA,
+            append(TraceEvent(
+                seq, EventKind.DMA,
                 bus=bus, device=device, function=function,
-                dva=dva_page * geom.page_size_bytes,
-                write=rng.chance(500_000),
-            )
+                dva=dva_page * page_size,
+                write=draw() % 1_000_000 < 500_000,
+            ))
             continue
-        if switch_scaled and rng.chance(switch_scaled):
-            emit(EventKind.EXIT)
+        if switch_scaled and draw() % 1_000_000 < switch_scaled:
+            append(TraceEvent(seq, EventKind.EXIT))
             current = 0
             continue
-        profile = spec.demand[idx]
-        if len(live[vm]) < profile.working_set_pages:
-            vpage = next_vpage[vm]
+        pages = live[vm]
+        if len(pages) < working_set[vm]:
+            pages.append(next_vpage[vm])
             next_vpage[vm] += 1
-            live[vm].append(vpage)
-            emit(EventKind.ALLOC, vm=vm)
+            append(TraceEvent(seq, EventKind.ALLOC, 0, vm))
             continue
-        if live[vm] and rng.chance(churn_scaled[idx]):
-            pick = rng.below(len(live[vm]))
-            vpage = live[vm][pick]
-            live[vm][pick] = live[vm][-1]
-            live[vm].pop()
-            emit(EventKind.FREE, vm=vm, vaddr=vpage * geom.page_size_bytes)
+        if pages and draw() % 1_000_000 < churn_scaled[vm]:
+            pick = draw() % len(pages)
+            vpage = pages[pick]
+            pages[pick] = pages[-1]
+            pages.pop()
+            append(TraceEvent(seq, EventKind.FREE, 0, vm, vpage * page_size))
             continue
-        if recent[vm] and rng.chance(locality_scaled[idx]):
-            vpage = recent[vm][rng.below(len(recent[vm]))]
-        elif live[vm]:
-            vpage = live[vm][rng.below(len(live[vm]))]
+        window = recent[vm]
+        if window and draw() % 1_000_000 < locality_scaled[vm]:
+            vpage = window[draw() % len(window)]
+        elif pages:
+            vpage = pages[draw() % len(pages)]
         else:
             vpage = 0
-        recent[vm].append(vpage)
-        offset = rng.below(geom.page_size_bytes)
-        kind = EventKind.READ if rng.chance(700_000) else EventKind.WRITE
-        emit(kind, vaddr=vpage * geom.page_size_bytes + offset)
+        window.append(vpage)
+        vaddr = vpage * page_size + draw() % page_size
+        append(TraceEvent(seq, read if draw() % 1_000_000 < 700_000 else write, 0, None, vaddr))
 
     return trace
 

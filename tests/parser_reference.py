@@ -1,10 +1,13 @@
-"""Reference trace-line parser: the field-by-field loop, kept to check the fast one.
+"""Reference trace-line parser and writer: the field-by-field loops, kept to check the fast ones.
 
 `parse_line` here checks each rule of the format in turn and fills
 TraceEvent's arguments one field at a time.  `vmemsim.traceio.parse_line`
 builds a well-formed line's event in one positional call instead, and
 must return the same event, or raise the same TraceFormatError, for
-every line.  This module imports nothing from `vmemsim.traceio`.
+every line.  Likewise `format_event` here writes a line one field at a
+time, and `vmemsim.traceio.format_event`, one call to a formatter
+compiled per kind, must return the same line or raise the same error
+for every event.  This module imports nothing from `vmemsim.traceio`.
 """
 
 from __future__ import annotations
@@ -91,3 +94,17 @@ def loads(text: str) -> list[TraceEvent]:
         if ev is not None:
             events.append(ev)
     return events
+
+
+def format_event(ev: TraceEvent) -> str:
+    """The line of `ev`: `seq kind cpu` and each of the kind's fields, in order."""
+    parts = [str(ev.seq), ev.kind.value, str(ev.cpu)]
+    for name in EVENT_FIELDS[ev.kind]:
+        value = getattr(ev, name)
+        if value is None:
+            raise TraceFormatError(f"event seq {ev.seq}: missing field {name!r}")
+        if name == "write":
+            parts.append("w" if value else "r")
+        else:
+            parts.append(str(value))
+    return " ".join(parts)

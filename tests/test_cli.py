@@ -158,6 +158,35 @@ def test_compare_rejects_two_traces_with_one_name(tmp_path, capsys):
     assert not csv_out.exists()
 
 
+def test_compare_rejects_a_modes_flag_naming_no_mode(tmp_path, capsys):
+    csv_out = tmp_path / "cmp.csv"
+    for modes in (",", " , ,"):
+        rc = run_cli("compare", "--geometry", "256x4x8", "--trace",
+                     str(FIXTURES / "cross_vm_dma.trace"), "--modes", modes, "--out", str(csv_out))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: compare needs at least one mode\n"
+        assert captured.out == ""
+        assert not csv_out.exists()
+
+
+def test_compare_rejects_a_modes_config_entry_naming_no_mode(tmp_path, capsys):
+    conf = tmp_path / "cmp.conf"
+    json_out = tmp_path / "cmp.json"
+    conf.write_text(
+        "geometry = 256x4x8\n"
+        f"trace = {FIXTURES / 'cross_vm_dma.trace'}\n"
+        "modes = ,\n"
+        f"json_out = {json_out}\n"
+    )
+    assert run_cli("compare", "--config", str(conf)) == 1
+    assert capsys.readouterr().err == "error: compare needs at least one mode\n"
+    assert not json_out.exists()
+    # a flag that names a mode wins over the empty entry
+    assert run_cli("compare", "--config", str(conf), "--modes", "asmi") == 0
+    assert set(json.loads(json_out.read_text())) == {"cross_vm_dma/asmi"}
+
+
 def test_attack_subcommand(tmp_path, capsys):
     path = tmp_path / "atk.trace"
     rc = run_cli("attack", "cross_vm_dma", "--geometry", "256x4x8", "--out", str(path))

@@ -1,5 +1,6 @@
 """Text trace format round-trips and error reporting."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -129,9 +130,21 @@ def test_a_file_parses_alike_line_by_line_and_whole(tmp_path):
     assert streamed[1] == "line 6: expected `seq kind cpu ...`"
 
 
+def sample_fields(kind):
+    """Each field of `kind`, set to a value a line can carry."""
+    return {name: True if name == "write" else "locked" if name == "mode" else 1
+            for name in EVENT_FIELDS[kind]}
+
+
 def test_format_event_requires_fields():
-    with pytest.raises(TraceFormatError):
-        format_event(TraceEvent(seq=1, kind=EventKind.READ, vm=1))   # no vaddr
+    for kind, names in EVENT_FIELDS.items():
+        for name in names:
+            ev = TraceEvent(seq=4, kind=kind, **{**sample_fields(kind), name: None})
+            needle = f"^event seq 4: missing field '{name}'$"
+            with pytest.raises(TraceFormatError, match=needle):
+                format_event(ev)
+            with pytest.raises(TraceFormatError, match=needle):
+                dumps([ev])
 
 
 def test_validate_rejects_bad_sequences():
@@ -220,3 +233,68 @@ def test_loads_matches_the_reference_on_real_traces():
     texts.append(dumps(generate(spec, Geometry(4096, 512, 64))))
     for text in texts:
         assert loads(text) == parser_reference.loads(text)
+
+
+# ---------------------------------------------------------------------------
+# the compiled formatters against the field-by-field reference
+# ---------------------------------------------------------------------------
+
+ARGUMENT_NAMES = [f.name for f in dataclasses.fields(TraceEvent)][3:]
+MODE_TOKENS = [mode.value for mode in PageMode]
+
+
+def field_values(name):
+    """Values a parsed line can give field `name`."""
+    if name == "write":
+        return st.booleans()
+    if name == "mode":
+        return st.sampled_from(MODE_TOKENS)
+    return st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def well_formed_events(draw):
+    """An event as a parsed line gives it: every field of its kind set, all others None."""
+    kind = draw(st.sampled_from(list(EventKind)))
+    fields = {name: draw(field_values(name)) for name in EVENT_FIELDS[kind]}
+    return TraceEvent(draw(st.integers(-5, 2**64)), kind, draw(st.integers(-5, 2**64)), **fields)
+
+
+@st.composite
+def any_events(draw):
+    """An event whose fields, its kind's or not, may hold None or a value of another type."""
+    kind = draw(st.sampled_from(list(EventKind)))
+    value = st.one_of(st.none(), st.integers(-9, 2**64), st.booleans(),
+                      st.sampled_from(MODE_TOKENS + ["", "x y"]))
+    fields = {name: draw(value) for name in ARGUMENT_NAMES if draw(st.booleans())}
+    for name in EVENT_FIELDS[kind]:
+        if draw(st.integers(0, 3)):
+            fields[name] = draw(field_values(name))
+    return TraceEvent(draw(st.integers(-5, 2**64)), kind, draw(value), **fields)
+
+
+def _format_outcome(format_line, ev):
+    try:
+        return format_line(ev)
+    except TraceFormatError as exc:
+        return f"TraceFormatError: {exc}"
+
+
+@settings(max_examples=250, deadline=None)
+@given(any_events())
+def test_format_event_matches_the_reference(ev):
+    assert _format_outcome(format_event, ev) == _format_outcome(parser_reference.format_event, ev)
+
+
+@settings(max_examples=300, deadline=None)
+@given(well_formed_events())
+def test_a_formatted_event_parses_back(ev):
+    assert parse_line(format_event(ev)) == ev
+
+
+def test_dumps_matches_the_reference_on_every_kind():
+    events = [TraceEvent(seq, kind, 2, **sample_fields(kind))
+              for seq, kind in enumerate(EventKind, start=1)]
+    assert dumps(events).splitlines() == [
+        "# vmemsim trace", *(parser_reference.format_event(ev) for ev in events)
+    ]

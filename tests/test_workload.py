@@ -1,11 +1,13 @@
 """Workload generator and the scripted attack traces."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import workload_reference
 from vmemsim.core import Geometry
 from vmemsim.engine import MODES, EventKind, run
 from vmemsim.errors import WorkloadError
-from vmemsim.traceio import validate
+from vmemsim.traceio import dumps, validate
 from vmemsim.workload import (
     DemandProfile,
     WorkloadSpec,
@@ -160,6 +162,47 @@ def test_hypervisor_stays_idle():
             current = 0
         elif e.kind in (EventKind.READ, EventKind.WRITE):
             assert current != 0               # demand accesses only run in guests
+
+
+# ---------------------------------------------------------------------------
+# the one-call-per-draw generator against the draw-by-draw reference
+# ---------------------------------------------------------------------------
+
+RATES = [0.0, 0.05, 0.5, 1.0]
+# from a pool with room for one VM to the default geometry
+ORACLE_GEOMETRIES = [Geometry(256, 1, 2), Geometry(256, 2, 4), TINY, ROOMY, Geometry()]
+
+
+@st.composite
+def workload_specs(draw):
+    """A spec of 0-6 VMs whose working sets and length may or may not fit a geometry."""
+    vm_count = draw(st.integers(0, 6))
+    profile = st.builds(DemandProfile, st.integers(0, 12), st.sampled_from(RATES),
+                        st.sampled_from(RATES))
+    return WorkloadSpec(
+        seed=draw(st.integers(0, 2**64 - 1)),
+        vm_count=vm_count,
+        events=draw(st.integers(max(0, 2 * vm_count - 2), 2 * vm_count + 150)),
+        demand=tuple(draw(st.lists(profile, min_size=vm_count, max_size=vm_count))),
+        dma_rate=draw(st.sampled_from(RATES)),
+        switch_rate=draw(st.sampled_from(RATES)),
+    )
+
+
+def _generated(generator, workload, geom):
+    try:
+        trace = generator(workload, geom)
+    except WorkloadError as exc:
+        return f"WorkloadError: {exc}"
+    return trace, dumps(trace)
+
+
+@settings(max_examples=300, deadline=None)
+@given(workload_specs(), st.sampled_from(ORACLE_GEOMETRIES))
+def test_generate_matches_the_reference(workload, geom):
+    assert _generated(generate, workload, geom) == _generated(
+        workload_reference.generate, workload, geom
+    )
 
 
 # ---------------------------------------------------------------------------
