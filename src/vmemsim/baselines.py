@@ -167,7 +167,7 @@ class DmaRequest:
 @dataclass
 class ProtectionDomain:
     table: dict[int, int] = field(default_factory=dict)  # dva page -> phys page
-    dvas_of: dict[int, set[int]] = field(default_factory=dict)  # phys page -> dva pages
+    dvas_of: dict[int, tuple[int, ...]] = field(default_factory=dict)  # phys page -> dva pages
 
 
 class DmaResult(NamedTuple):
@@ -194,15 +194,24 @@ class RemappingTables:
         self.root.setdefault(bus, {})[(device, function)] = domain_id
 
     def map_page(self, domain_id: int, dva_page: int, phys_page: int) -> None:
+        """Point `dva_page` at `phys_page`.
+
+        A physical page is almost always mapped from one dva page, so its
+        reverse entry is a tuple: a one-page set takes over four times its memory.
+        """
         dom = self.domains[domain_id]
         old = dom.table.get(dva_page)
-        if old is not None and old != phys_page:
-            dvas = dom.dvas_of[old]
-            dvas.discard(dva_page)
-            if not dvas:
-                del dom.dvas_of[old]
+        if old == phys_page:
+            return
+        dvas_of = dom.dvas_of
+        if old is not None:
+            dvas = tuple(dva for dva in dvas_of[old] if dva != dva_page)
+            if dvas:
+                dvas_of[old] = dvas
+            else:
+                del dvas_of[old]
         dom.table[dva_page] = phys_page
-        dom.dvas_of.setdefault(phys_page, set()).add(dva_page)
+        dvas_of[phys_page] = dvas_of.get(phys_page, ()) + (dva_page,)
 
     def unmap_phys(self, phys_page: int) -> None:
         """Drop every mapping of a physical page, in every domain."""

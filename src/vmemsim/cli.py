@@ -38,7 +38,15 @@ from .engine import (
     run,
 )
 from .errors import ConfigError, SimError
-from .traceio import dumps, open_trace, parse_lines, read_trace, validate, write_trace
+from .traceio import (
+    dumps,
+    open_trace,
+    parse_lines,
+    read_blocks,
+    read_trace,
+    validate,
+    write_trace,
+)
 from .workload import (
     WorkloadSpec,
     attack_cross_vm_dma,
@@ -153,25 +161,29 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _write_outputs(args, cfg, reports: dict[tuple[str, str], MetricsReport], geom: Geometry,
-                   json_text) -> None:
+                   json_parts) -> None:
     """Write the --out CSV, --util-out CSV and --json-out file that are asked for.
 
-    `json_text()` builds the JSON document; it is called only for --json-out.
+    Each file is written a row or a piece at a time, as it is made, so no
+    file's whole text is ever held.  `json_parts()` yields the pieces of the
+    JSON document; it is called only for --json-out.
     """
     out = _out_path(args, cfg, "out")
     if out:
-        _write_csv(out, CSV_COLUMNS, [_csv_row(name, rep, geom) for (name, _), rep in reports.items()])
+        _write_csv(out, CSV_COLUMNS, (_csv_row(name, rep, geom) for (name, _), rep in reports.items()))
     util_out = _out_path(args, cfg, "util_out")
     if util_out:
-        rows = [
+        rows = (
             [name, rep.mode, u.event_index, u.owner, u.segments, u.pages]
             for (name, _), rep in reports.items()
             for u in rep.utilization
-        ]
+        )
         _write_csv(util_out, UTIL_COLUMNS, rows)
     json_out = _out_path(args, cfg, "json_out")
     if json_out:
-        Path(json_out).write_text(json_text() + "\n", encoding="utf-8")
+        with open(json_out, "w", encoding="utf-8") as fh:
+            fh.writelines(json_parts())
+            fh.write("\n")
 
 
 def _summary(name: str, report: MetricsReport, geom: Geometry, verbosity: int) -> str:
@@ -216,9 +228,9 @@ def cmd_run(args) -> int:
         raise ConfigError("run needs --trace or a `trace` config entry")
     mode = getattr(args, "mode", None) or cfg.get("mode") or "asmi"
     with open_trace(trace_path) as fh:
-        report = run(parse_lines(fh), mode, geom, cost, opts)   # replays as it parses
+        report = run(parse_lines(read_blocks(fh)), mode, geom, cost, opts)   # replays as it parses
     name = _trace_name(trace_path)
-    _write_outputs(args, cfg, {(name, report.mode): report}, geom, report.to_json)
+    _write_outputs(args, cfg, {(name, report.mode): report}, geom, lambda: [report.to_json()])
     verbosity = _pick(args, cfg, "verbosity", 1, int) + getattr(args, "verbose", 0)
     print(_summary(name, report, geom, verbosity))
     return 0
@@ -240,11 +252,15 @@ def cmd_compare(args) -> int:
     del traces  # not needed to write the outputs
     print(result.to_table())
 
-    def json_text() -> str:
-        payload = {f"{name}/{mode}": rep.to_dict() for (name, mode), rep in result.reports.items()}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    def json_parts():
+        """The key-sorted object of every report by `trace/mode`, one report's text at a time."""
+        keyed = {f"{name}/{mode}": rep for (name, mode), rep in result.reports.items()}
+        yield "{"
+        for i, key in enumerate(sorted(keyed)):
+            yield f"{',' if i else ''}{json.dumps(key)}:{keyed[key].to_json()}"
+        yield "}"
 
-    _write_outputs(args, cfg, result.reports, geom, json_text)
+    _write_outputs(args, cfg, result.reports, geom, json_parts)
     return 0
 
 

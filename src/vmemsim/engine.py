@@ -642,7 +642,11 @@ class BaselineMachine(_Machine):
     under dma_policy=off); `hyperwall` adds per-page protection bits.
     Only `remap` keeps remapping tables: elsewhere `domain_assign` only
     names a device's VM.  Per-guest state lives in `guests`; `owner_of`
-    names the holder of every page not in the free heap.  Real ASIDs come
+    names the holder of every page handed out and not freed since.  The
+    free pool is the heap `free_pages` of freed pages, all below
+    `fresh_page`, plus every page from `fresh_page` up, none of which has
+    been handed out: it costs what the trace touches, not the geometry's
+    size.  The lowest free page goes out first.  Real ASIDs come
     from one counter, so a destroyed guest's ASIDs leave with its record
     and no later guest reuses them.
     """
@@ -651,7 +655,8 @@ class BaselineMachine(_Machine):
         super().__init__(geom, cost, opts, report)
         self.shadowed = shadow
         self.hyperwall = hyperwall
-        self.free_pages: list[int] = list(range(geom.pages_total))  # a heap
+        self.free_pages: list[int] = []     # a heap of freed pages, all below fresh_page
+        self.fresh_page = 0                 # no page at or above it was ever handed out
         self.owner_of: dict[int, int] = {}  # held page -> owner
         self.real_asids = itertools.count(1)
         # the hypervisor maps straight to physical pages and has no shadow
@@ -770,14 +775,20 @@ class BaselineMachine(_Machine):
         c = self.report.counters
         c.allocs += 1
         cycles = 0
-        if not self.free_pages:
-            if self._reclaim_one_page(vm) is None:
-                self.report.memory_full.append(MemoryFull(ev.seq, vm))
-                self.charge(ev.kind, 0)
-                return
+        free = self.free_pages
+        if free:
+            page = heapq.heappop(free)
+        elif self.fresh_page < self.pages_total:
+            page = self.fresh_page
+            self.fresh_page = page + 1
+        elif self._reclaim_one_page(vm) is None:
+            self.report.memory_full.append(MemoryFull(ev.seq, vm))
+            self.charge(ev.kind, 0)
+            return
+        else:
             c.pages_swapped += 1
             cycles += self.cost.swap_page
-        page = heapq.heappop(self.free_pages)
+            page = heapq.heappop(free)
         self.owner_of[page] = vm
         guest = self.guests[vm]
         vpage = guest.next_vpage
@@ -1006,7 +1017,10 @@ class BaselineMachine(_Machine):
         for vm, guest in self.guests.items():
             assert guest.held == sorted(guest.backing), f"vm {vm}'s held list is not its backing"
         assert sum(len(g.backing) for g in self.guests.values()) == len(held), "page held twice"
-        assert len(self.free_pages) + len(held) == self.pages_total, "pages lost"
+        # the freed and the held pages are every page below the mark, once each: no
+        # freed page is at or above it, and freed + held == fresh_page
+        pool = sorted([*self.free_pages, *held])
+        assert pool == list(range(self.fresh_page)), "pages lost, doubled or freed past the mark"
         # the vTLB caches the nested walk: entries of destroyed guests never hit again
         guest_of = {asid: g for g in self.guests.values() for asid in g.asids.values()}
         for (asid, vpage), page in self.tlb.entries.items():

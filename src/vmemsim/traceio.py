@@ -8,7 +8,10 @@ with `#` are ignored.  Round-trips are exact.
 
 `parse_lines` turns text into events lazily, so a caller that replays
 a file as it reads it (`vmemsim run`) holds one event at a time; `loads`
-collects them into a list.  Trace files are UTF-8 text.
+collects them into a list.  Trace files are UTF-8 text, read by
+`read_blocks` in blocks of BLOCK_SIZE characters, each cut after its last
+newline, so `run` and `read_trace` hold one block's text and lines at a
+time, never the whole file's.
 
 Both directions take one step per well-formed line: a builder compiled
 per kind parses a line in one call, and a formatter compiled per kind
@@ -162,9 +165,10 @@ def _diagnose(tokens: list[str], lineno: int) -> None:
 def parse_lines(chunks: Iterable[str]) -> Iterator[TraceEvent]:
     """The events of the text in `chunks`, parsed one at a time as they are read.
 
-    Each chunk is whole lines: all of a trace's text, or one line of its
-    file.  Lines split where `str.splitlines` splits and are numbered from
-    1, so a file read line by line parses exactly as its whole text does.
+    Each chunk is whole lines: all of a trace's text, one line of its file
+    or one block of `read_blocks`.  Lines split where `str.splitlines`
+    splits and are numbered from 1, so a file read in pieces parses exactly
+    as its whole text does.
     """
     lineno = 0
     for chunk in chunks:
@@ -183,6 +187,33 @@ def dumps(events: list[TraceEvent]) -> str:
 
 def loads(text: str) -> list[TraceEvent]:
     return list(parse_lines([text]))
+
+
+#: characters `read_blocks` reads at a time
+BLOCK_SIZE = 1 << 16
+
+
+def read_blocks(fh: TextIO) -> Iterator[str]:
+    """The text of `fh` in blocks of whole lines, each cut after its last newline.
+
+    A cut after a newline is a line break wherever `str.splitlines` would
+    also split, so `parse_lines` numbers and splits the lines of the blocks
+    as it would the whole text.  A line longer than a block is joined up
+    from the blocks it spans; the text after the file's last newline comes
+    last.
+    """
+    head: list[str] = []        # the start of a line that runs past the blocks read so far
+    while block := fh.read(BLOCK_SIZE):
+        cut = block.rfind("\n") + 1
+        if cut:
+            head.append(block[:cut])
+            yield "".join(head)
+            head = [block[cut:]]
+        else:
+            head.append(block)
+    tail = "".join(head)
+    if tail:
+        yield tail
 
 
 @contextmanager
@@ -207,7 +238,7 @@ def write_trace(path: str, events: list[TraceEvent]) -> None:
 
 def read_trace(path: str) -> list[TraceEvent]:
     with open_trace(path) as fh:
-        return loads(fh.read())
+        return list(parse_lines(read_blocks(fh)))
 
 
 def validate(events: list[TraceEvent]) -> None:

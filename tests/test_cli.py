@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import vmemsim
+from vmemsim import traceio
 from vmemsim.cli import CSV_COLUMNS, UTIL_COLUMNS, main
-from vmemsim.engine import MODES
+from vmemsim.core import Geometry
+from vmemsim.engine import MODES, compare
 from vmemsim.traceio import read_trace
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -187,6 +189,25 @@ def test_compare_rejects_a_modes_config_entry_naming_no_mode(tmp_path, capsys):
     assert set(json.loads(json_out.read_text())) == {"cross_vm_dma/asmi"}
 
 
+@pytest.mark.parametrize("modes", [None, "iommu,asmi"])
+def test_compare_json_is_the_key_sorted_object_of_every_report(tmp_path, capsys, modes):
+    # stems that sort apart from their argument order, one of them escaped in JSON
+    paths = []
+    for stem, fixture in zip(["zeta", 'q"\u00e9', "alpha"], sorted(FIXTURES.glob("*.trace"))):
+        paths.append(tmp_path / f"{stem}.trace")
+        paths[-1].write_bytes(fixture.read_bytes())
+    json_out = tmp_path / "cmp.json"
+    argv = ["compare", "--geometry", "256x4x8", "--json-out", str(json_out)]
+    argv += [arg for path in paths for arg in ("--trace", str(path))]
+    assert run_cli(*argv, *(["--modes", modes] if modes else [])) == 0
+    result = compare([(path.stem, read_trace(str(path))) for path in paths],
+                     modes.split(",") if modes else MODES, Geometry(256, 4, 8))
+    payload = {f"{name}/{mode}": rep.to_dict() for (name, mode), rep in result.reports.items()}
+    want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert json_out.read_bytes() == want.encode()
+    assert '"q\\"\\u00e9/asmi"' in want and len(payload) == 3 * (2 if modes else len(MODES))
+
+
 def test_attack_subcommand(tmp_path, capsys):
     path = tmp_path / "atk.trace"
     rc = run_cli("attack", "cross_vm_dma", "--geometry", "256x4x8", "--out", str(path))
@@ -287,6 +308,17 @@ def test_error_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         run_cli()                            # a subcommand is required
+
+
+def test_a_byte_that_is_not_utf8_in_a_later_block_names_the_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(traceio, "BLOCK_SIZE", 1024)
+    latin = tmp_path / "late.trace"
+    padding = b"# padding\n" * 2000                 # about 20 blocks before the bad byte
+    latin.write_bytes((FIXTURES / "cross_vm_dma.trace").read_bytes() + padding + b"# caf\xe9\n")
+    for argv in (["run", "--geometry", "256x4x8"], ["compare", "--geometry", "256x4x8"],
+                 ["validate"]):
+        assert run_cli(*argv, "--trace", str(latin)) == 1
+        assert capsys.readouterr().err == f"error: {latin}: not UTF-8 text (bytes e9)\n"
 
 
 def test_run_without_trace_is_an_error(capsys):

@@ -1,6 +1,8 @@
 """Trace interpreter: dispatch, cost charging, ledgers, determinism."""
 
 import gc
+import heapq
+import tracemalloc
 import weakref
 
 import pytest
@@ -205,7 +207,11 @@ def _corrupt_backing_twice(m):
 
 
 def _corrupt_free_heap(m):
-    m.free_pages.pop()                             # a free page vanishes
+    m.free_pages.pop()                             # a freed page vanishes
+
+
+def _corrupt_fresh_freed(m):
+    m.free_pages[0] = m.fresh_page                 # a never-handed-out page reads as freed
 
 
 def _corrupt_held(m):
@@ -219,7 +225,8 @@ def _corrupt_tlb(m):
 @pytest.mark.parametrize("mode", BASELINE_MODES)
 @pytest.mark.parametrize("corrupt", [
     _corrupt_owner_drop, _corrupt_owner_swap, _corrupt_backing_drop,
-    _corrupt_backing_twice, _corrupt_free_heap, _corrupt_held, _corrupt_tlb,
+    _corrupt_backing_twice, _corrupt_free_heap, _corrupt_fresh_freed, _corrupt_held,
+    _corrupt_tlb,
 ])
 def test_baseline_invariant_check_can_fail(mode, corrupt):
     machine = _MACHINES[mode](TINY, CostModel(), RunOptions(), MetricsReport(mode=mode))
@@ -227,13 +234,86 @@ def test_baseline_invariant_check_can_fail(mode, corrupt):
         (E.CREATE_VM, {"vm": 1}), (E.CREATE_VM, {"vm": 2}),
         (E.ALLOC, {"vm": 1}), (E.ALLOC, {"vm": 2}), (E.ALLOC, {"vm": 1}),
         (E.ALLOC, {"vm": 2}), (E.FREE, {"vm": 1, "vaddr": 0}), (E.ALLOC, {"vm": 0}),
+        (E.FREE, {"vm": 2, "vaddr": 0}),
     )
     for event in events:
         machine.apply(event)
     machine.check_invariants()
+    assert machine.free_pages == [1] and machine.fresh_page == 4
     corrupt(machine)
     with pytest.raises(AssertionError):
         machine.check_invariants()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(BASELINE_MODES),
+       st.lists(st.tuples(st.sampled_from("caaaafd"), st.integers(0, 7), st.integers(0, 15)),
+                max_size=90))
+def test_page_pool_hands_out_what_a_heap_of_every_page_would(mode, ops):
+    # the pool grows from fresh_page on demand; a heap over range(pages_total)
+    # is the pool it stands for, so each newly held page must be that heap's top
+    machine = _MACHINES[mode](TINY, CostModel(), opts(), MetricsReport(mode=mode))
+    full = list(range(TINY.pages_total))
+    live, next_vm, held = [0], 1, {}
+    for seq, (op, pick, vpage) in enumerate(ops, start=1):
+        vm = live[pick % len(live)]
+        if op == "c":
+            event = ev(seq, E.CREATE_VM, vm=next_vm)
+            live.append(next_vm)
+            next_vm += 1
+        elif op == "a":
+            event = ev(seq, E.ALLOC, vm=vm)
+        elif op == "f":
+            event = ev(seq, E.FREE, vm=vm, vaddr=vpage * TINY.page_size_bytes)
+        elif vm != 0:
+            event = ev(seq, E.DESTROY_VM, vm=vm)
+            live.remove(vm)
+        else:
+            continue                                # the hypervisor is never destroyed
+        machine.apply(event)
+        machine.check_invariants()
+        now = dict(machine.owner_of)
+        for page, owner in held.items():
+            if now.get(page) != owner:              # freed, or reclaimed for a new holder
+                heapq.heappush(full, page)
+        for page, owner in now.items():
+            if held.get(page) != owner:
+                assert page == heapq.heappop(full), (seq, op)
+        held = now
+    pool = sorted(machine.free_pages) + list(range(machine.fresh_page, TINY.pages_total))
+    assert pool == sorted(full)
+
+
+@pytest.mark.parametrize("mode", BASELINE_MODES)
+def test_a_baseline_machine_costs_nothing_per_page_of_its_geometry(mode):
+    huge = Geometry(4096, 512, 2048)               # 2^20 pages
+    tracemalloc.start()
+    try:
+        _MACHINES[mode](huge, CostModel(), RunOptions(), MetricsReport(mode=mode))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10, peak
+
+
+def test_an_aliased_page_unmaps_from_every_dva():
+    page = TINY.page_size_bytes
+    t = trace(
+        (E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1}), (E.ALLOC, {"vm": 1}),
+        (E.RMAP_WRITE, {"vm": 1, "ppage": 1, "phys": 0}),   # ppages 0 and 1 both reach page 0
+        (E.DOMAIN_ASSIGN, {"domain": 1, "vm": 1, "bus": 0, "device": 0, "function": 0}),
+    )
+    machine = _MACHINES["iommu"](TINY, CostModel(), opts(), MetricsReport(mode="iommu"))
+    for event in t:
+        machine.apply(event)
+    domain = machine.remap.domains[1]
+    assert domain.table == {0: 0, 1: 0} and domain.dvas_of == {0: (0, 1)}
+    machine.apply(ev(6, E.FREE, vm=1, vaddr=0))
+    assert domain.table == {} and domain.dvas_of == {}
+    for seq, dva in ((7, 0), (8, page)):
+        machine.apply(ev(seq, E.DMA, bus=0, device=0, function=0, dva=dva, write=True))
+    assert machine.report.counters.dma_blocked == 2
+    assert [fault.reason for fault in machine.report.dma_faults] == ["no_mapping"] * 2
 
 
 @pytest.mark.parametrize("policy", ["asid", "flush"])

@@ -1,6 +1,8 @@
 """Text trace format round-trips and error reporting."""
 
 import dataclasses
+import io
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import parser_reference
 from vmemsim.baselines import PageMode
 from vmemsim.core import Geometry
 from vmemsim.engine import EVENT_FIELDS, EventKind, TraceEvent
+from vmemsim import traceio
 from vmemsim.errors import TraceFormatError
 from vmemsim.traceio import (
     dumps,
@@ -18,6 +21,7 @@ from vmemsim.traceio import (
     open_trace,
     parse_line,
     parse_lines,
+    read_blocks,
     read_trace,
     validate,
     write_trace,
@@ -233,6 +237,54 @@ def test_loads_matches_the_reference_on_real_traces():
     texts.append(dumps(generate(spec, Geometry(4096, 512, 64))))
     for text in texts:
         assert loads(text) == parser_reference.loads(text)
+
+
+# every separator `str.splitlines` breaks a line at
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@st.composite
+def trace_texts(draw):
+    """Lines of any shape, most longer than a 7-character block, joined by any line
+    break, with or without a final one."""
+    lines = draw(st.lists(trace_lines(), max_size=8))
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    return text[:-len(breaks[-1])] if lines and draw(st.booleans()) else text
+
+
+def _parse_outcome(parse):
+    try:
+        return parse()
+    except TraceFormatError as exc:
+        return f"TraceFormatError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(trace_texts(), st.integers(1, 7))
+def test_blocks_parse_as_the_whole_text_does(text, block_size):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traceio, "BLOCK_SIZE", block_size)
+        blocks = list(read_blocks(io.StringIO(text)))
+    assert "".join(blocks) == text
+    assert all(block.endswith("\n") for block in blocks[:-1])
+    streamed = _parse_outcome(lambda: list(parse_lines(blocks)))
+    assert streamed == _parse_outcome(lambda: loads(text))
+
+
+def test_read_trace_holds_little_beyond_its_events(tmp_path):
+    path = tmp_path / "long.trace"
+    spec = WorkloadSpec(seed=3, vm_count=2, events=20_000, demand=(DemandProfile(4, 0.2, 0.5),) * 2)
+    write_trace(str(path), generate(spec, Geometry(256, 4, 16)))
+    tracemalloc.start()
+    try:
+        events = read_trace(str(path))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(events) > 19_000
+    assert peak - kept < 1 << 20, (peak, kept)
 
 
 # ---------------------------------------------------------------------------
