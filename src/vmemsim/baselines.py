@@ -30,7 +30,6 @@ physical address, and cross-VM hits succeed.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from enum import Enum, unique
 from typing import NamedTuple
 
@@ -145,15 +144,19 @@ class VirtualTlb:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DmaRequest:
+class _DmaRequestFields(NamedTuple):
     bus: int
     device: int
     function: int
     dva: int          # device-issued flat byte address
     is_write: bool
 
-    def __post_init__(self) -> None:
+
+class DmaRequest(_DmaRequestFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> DmaRequest:
+        self = super().__new__(cls, *args, **kwargs)
         if not (0 <= self.bus < MAX_BUS):
             raise OutOfRangeError(f"bus {self.bus} outside 0..{MAX_BUS - 1}")
         if not (0 <= self.device < MAX_DEVICE):
@@ -162,12 +165,13 @@ class DmaRequest:
             raise OutOfRangeError(f"function {self.function} outside 0..{MAX_FUNCTION - 1}")
         if self.dva < 0:
             raise OutOfRangeError(f"dva {self.dva} is negative")
+        return self
 
 
-@dataclass
 class ProtectionDomain:
-    table: dict[int, int] = field(default_factory=dict)  # dva page -> phys page
-    dvas_of: dict[int, tuple[int, ...]] = field(default_factory=dict)  # phys page -> dva pages
+    def __init__(self) -> None:
+        self.table: dict[int, int] = {}  # dva page -> phys page
+        self.dvas_of: dict[int, tuple[int, ...]] = {}  # phys page -> dva pages
 
 
 class DmaResult(NamedTuple):

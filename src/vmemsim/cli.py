@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from .baselines import ASID_POLICY, FLUSH_POLICY
@@ -24,13 +23,13 @@ from .config import (
 )
 from .core import Geometry
 from .engine import (
+    COUNTER_NAMES,
     LEDGERS,
     MODES,
     NO_DMA,
     RAW_DMA,
     ComparisonReport,
     CostModel,
-    Counters,
     MetricsReport,
     RunOptions,
     canonical_mode,
@@ -127,14 +126,12 @@ def _out_path(args, cfg, key: str) -> str | None:
 # report formatting
 # ---------------------------------------------------------------------------
 
-_COUNTER_NAMES = tuple(f.name for f in dataclass_fields(Counters))
-
 CSV_COLUMNS = (
     "trace",
     "mode",
     "events",
     "total_cycles",
-    *_COUNTER_NAMES,
+    *COUNTER_NAMES,
     *LEDGERS,
     "mean_seg_util",
     "mean_page_util",
@@ -146,7 +143,7 @@ UTIL_COLUMNS = ("trace", "mode", "event_index", "owner", "segments", "pages")
 def _csv_row(name: str, report: MetricsReport, geom: Geometry) -> list:
     return [
         name, report.mode, report.events, report.total_cycles,
-        *(getattr(report.counters, n) for n in _COUNTER_NAMES),
+        *(getattr(report.counters, n) for n in COUNTER_NAMES),
         *report.ledger_counts().values(),
         f"{report.mean_segment_utilization(geom):.6f}",
         f"{report.mean_page_utilization(geom):.6f}",
@@ -201,7 +198,7 @@ def _summary(name: str, report: MetricsReport, geom: Geometry, verbosity: int) -
     if verbosity >= 1:
         counters = "  ".join(
             f"{n}={getattr(report.counters, n)}"
-            for n in _COUNTER_NAMES
+            for n in COUNTER_NAMES
             if getattr(report.counters, n)
         )
         lines.append(f"  counters {counters or '(all zero)'}")

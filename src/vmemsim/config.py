@@ -7,8 +7,6 @@ stay strings here; the CLI casts them when it merges config with flags.
 
 from __future__ import annotations
 
-from dataclasses import fields as dataclass_fields
-
 from .core import Geometry
 from .errors import ConfigError
 from .workload import DemandProfile
@@ -38,7 +36,7 @@ WORKLOAD_KEYS = frozenset({"vm_count", "events", "demand", "dma_rate", "switch_r
 def _cost_keys() -> frozenset[str]:
     from .engine import CostModel
 
-    return frozenset(f.name for f in dataclass_fields(CostModel))
+    return frozenset(CostModel.__slots__)
 
 
 def parse_config_text(text: str) -> dict[str, str]:

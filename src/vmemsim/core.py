@@ -8,7 +8,7 @@ across segments; only the segment controller splits it further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GeometryError
 
@@ -19,15 +19,19 @@ HYPERVISOR = 0
 MIN_PAGE_SIZE = 256
 
 
-@dataclass(frozen=True)
-class Geometry:
-    """Shape of the simulated physical memory."""
-
+class _GeometryFields(NamedTuple):
     page_size_bytes: int = 4096
     pages_per_segment: int = 512
     total_segments: int = 64
 
-    def __post_init__(self) -> None:
+
+class Geometry(_GeometryFields):
+    """Shape of the simulated physical memory."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Geometry:
+        self = super().__new__(cls, *args, **kwargs)
         p = self.page_size_bytes
         if p < MIN_PAGE_SIZE or (p & (p - 1)) != 0:
             raise GeometryError(
@@ -41,6 +45,7 @@ class Geometry:
             raise GeometryError(
                 f"total_segments must be at least 2, got {self.total_segments}"
             )
+        return self
 
     @property
     def pages_total(self) -> int:

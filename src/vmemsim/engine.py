@@ -46,7 +46,6 @@ import heapq
 import itertools
 import json
 from collections.abc import Collection, Iterable
-from dataclasses import asdict, dataclass, field, replace
 from enum import Enum, unique
 from functools import partial
 from typing import NamedTuple
@@ -131,26 +130,38 @@ EVENT_FIELDS: dict[EventKind, tuple[str, ...]] = {
 }
 
 
-@dataclass(slots=True)
 class TraceEvent:
-    seq: int
-    kind: EventKind
-    cpu: int = 0
-    vm: int | None = None
-    vaddr: int | None = None          # flat virtual byte address
-    vpage: int | None = None
-    target: int | None = None         # gpt_write target page
-    ppage: int | None = None
-    phys: int | None = None
-    bus: int | None = None
-    device: int | None = None
-    function: int | None = None
-    dva: int | None = None            # flat device byte address
-    page: int | None = None           # global physical page
-    domain: int | None = None
-    mode: str | None = None           # PageMode value token
-    vasid: int | None = None
-    write: bool | None = None
+    """One trace line; the fields its kind does not carry stay None.
+
+    `vaddr` and `dva` are flat byte addresses, `target` is a gpt_write's
+    target page, `page` a global physical page and `mode` a PageMode value
+    token.  Slotted, because the parser and every handler read its fields.
+    """
+
+    __slots__ = ("seq", "kind", "cpu", "vm", "vaddr", "vpage", "target", "ppage", "phys",
+                 "bus", "device", "function", "dva", "page", "domain", "mode", "vasid", "write")
+
+    def __init__(self, seq: int, kind: EventKind, cpu: int = 0, vm=None, vaddr=None, vpage=None,
+                 target=None, ppage=None, phys=None, bus=None, device=None, function=None,
+                 dva=None, page=None, domain=None, mode=None, vasid=None, write=None) -> None:
+        self.seq, self.kind, self.cpu = seq, kind, cpu
+        self.vm, self.vaddr, self.vpage = vm, vaddr, vpage
+        self.target, self.ppage, self.phys = target, ppage, phys
+        self.bus, self.device, self.function = bus, device, function
+        self.dva, self.page, self.domain = dva, page, domain
+        self.mode, self.vasid, self.write = mode, vasid, write
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
 
 
 # ---------------------------------------------------------------------------
@@ -160,30 +171,36 @@ class TraceEvent:
 _SAT = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
 class CostModel:
-    """Cycle prices; each kind's total and the grand total saturate at 2^64-1."""
+    """Cycle prices; each kind's total and the grand total saturate at 2^64-1.
 
-    tlb_hit: int = 1
-    pt_walk_level: int = 25
-    mpt_check: int = 5
-    tlb_flush: int = 200
-    swap_page: int = 5000
-    context_switch: int = 300
-    programmed_io_word: int = 50
-    dma_setup: int = 100
+    Frozen, and slotted because handlers read a price on every event.
+    """
 
-    def __post_init__(self) -> None:
-        for name, value in asdict(self).items():
+    __slots__ = ("tlb_hit", "pt_walk_level", "mpt_check", "tlb_flush", "swap_page",
+                 "context_switch", "programmed_io_word", "dma_setup")
+
+    def __init__(
+        self, tlb_hit: int = 1, pt_walk_level: int = 25, mpt_check: int = 5,
+        tlb_flush: int = 200, swap_page: int = 5000, context_switch: int = 300,
+        programmed_io_word: int = 50, dma_setup: int = 100,
+    ) -> None:
+        prices = (tlb_hit, pt_walk_level, mpt_check, tlb_flush, swap_page,
+                  context_switch, programmed_io_word, dma_setup)
+        for name, value in zip(self.__slots__, prices):
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"cost {name} must be a non-negative integer")
+            object.__setattr__(self, name, value)
 
-    def with_overrides(self, overrides: dict[str, int]) -> "CostModel":
-        known = set(asdict(self))
-        bad = set(overrides) - known
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def with_overrides(self, overrides: dict[str, int]) -> CostModel:
+        bad = set(overrides) - set(self.__slots__)
         if bad:
             raise ValueError(f"unknown cost keys: {sorted(bad)}")
-        return replace(self, **overrides)
+        values = {name: overrides.get(name, getattr(self, name)) for name in self.__slots__}
+        return CostModel(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -222,28 +239,21 @@ class Denial(NamedTuple):
     owner: int | None
 
 
-@dataclass
+#: the report's counters, in the order of the JSON, CSV and `run -vv` listings
+COUNTER_NAMES = (
+    "cpu_accesses", "tlb_hits", "tlb_misses", "walk_steps", "mpt_checks", "shadow_update_steps",
+    "page_faults", "allocs", "frees", "invalid_frees", "pages_swapped", "dma_ops",
+    "dma_completed", "dma_blocked", "dma_walk_steps", "pio_transfers", "context_switches",
+    "process_switches", "tlb_flushes", "hw_set_denied",
+)
+
+
 class Counters:
-    cpu_accesses: int = 0
-    tlb_hits: int = 0
-    tlb_misses: int = 0
-    walk_steps: int = 0
-    mpt_checks: int = 0
-    shadow_update_steps: int = 0
-    page_faults: int = 0
-    allocs: int = 0
-    frees: int = 0
-    invalid_frees: int = 0
-    pages_swapped: int = 0
-    dma_ops: int = 0
-    dma_completed: int = 0
-    dma_blocked: int = 0
-    dma_walk_steps: int = 0
-    pio_transfers: int = 0
-    context_switches: int = 0
-    process_switches: int = 0
-    tlb_flushes: int = 0
-    hw_set_denied: int = 0
+    """One int per name in COUNTER_NAMES, each starting at 0."""
+
+    def __init__(self) -> None:
+        for name in COUNTER_NAMES:
+            setattr(self, name, 0)
 
 
 class UtilSample(NamedTuple):
@@ -257,22 +267,22 @@ class UtilSample(NamedTuple):
 LEDGERS = ("isolation_faults", "violations", "dma_faults", "denials", "memory_full", "reclaims")
 
 
-@dataclass
 class MetricsReport:
-    mode: str
-    events: int = 0
-    total_cycles: int = 0
-    cycles_by_kind: dict[str, int] = field(default_factory=dict)
-    counters: Counters = field(default_factory=Counters)
-    isolation_faults: list[IsolationFault] = field(default_factory=list)
-    violations: list[Violation] = field(default_factory=list)
-    dma_faults: list[DmaFault] = field(default_factory=list)
-    denials: list[Denial] = field(default_factory=list)
-    memory_full: list[MemoryFull] = field(default_factory=list)
-    reclaims: list[ReclaimNotice] = field(default_factory=list)
-    utilization: list[UtilSample] = field(default_factory=list)
-    final_segments: dict[int, int] = field(default_factory=dict)
-    final_pages: dict[int, int] = field(default_factory=dict)
+    def __init__(self, mode: str) -> None:
+        self.mode = mode
+        self.events = 0
+        self.total_cycles = 0
+        self.cycles_by_kind: dict[str, int] = {}
+        self.counters = Counters()
+        self.isolation_faults: list[IsolationFault] = []
+        self.violations: list[Violation] = []
+        self.dma_faults: list[DmaFault] = []
+        self.denials: list[Denial] = []
+        self.memory_full: list[MemoryFull] = []
+        self.reclaims: list[ReclaimNotice] = []
+        self.utilization: list[UtilSample] = []
+        self.final_segments: dict[int, int] = {}
+        self.final_pages: dict[int, int] = {}
 
     def ledger_dict(self) -> dict:
         """Each ledger as a list of dicts keyed by its record's field names."""
@@ -323,8 +333,7 @@ RAW_DMA = "raw"
 NO_DMA = "off"
 
 
-@dataclass(frozen=True)
-class RunOptions:
+class _RunOptionsFields(NamedTuple):
     sample_interval: int = 100
     check_invariants: bool = False
     tlb_policy: str = ASID_POLICY
@@ -332,7 +341,12 @@ class RunOptions:
     walk_levels: int = DEFAULT_WALK_LEVELS
     dma_policy: str = RAW_DMA          # raw | off; iommu always remaps
 
-    def __post_init__(self) -> None:
+
+class RunOptions(_RunOptionsFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RunOptions:
+        self = super().__new__(cls, *args, **kwargs)
         if self.tlb_policy not in (FLUSH_POLICY, ASID_POLICY):
             raise ConfigError(
                 f"tlb_policy must be {FLUSH_POLICY} or {ASID_POLICY}, got {self.tlb_policy!r}"
@@ -349,6 +363,7 @@ class RunOptions:
             raise ConfigError(
                 f"iommu_levels (walk_levels) must be >= 1, got {self.walk_levels}"
             )
+        return self
 
 
 MODES = ("asmi", "nested", "nested_shadow", "iommu", "hyperwall")
@@ -1091,12 +1106,12 @@ def run(
     return report
 
 
-@dataclass
 class ComparisonReport:
     """One report per (trace name, mode), in trace-major, mode-minor order."""
 
-    reports: dict[tuple[str, str], MetricsReport]
-    geom: Geometry
+    def __init__(self, reports: dict[tuple[str, str], MetricsReport], geom: Geometry) -> None:
+        self.reports = reports
+        self.geom = geom
 
     def to_table(self) -> str:
         headers = (

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import fields as dataclass_fields
 from typing import TextIO
 
 from .baselines import DmaRequest, PageMode
@@ -52,7 +51,7 @@ def _mode(token: str) -> str:
 _CONVERTERS = {"write": _direction, "mode": _mode}
 
 #: TraceEvent's constructor arguments, in positional order
-_ARGUMENTS = tuple(f.name for f in dataclass_fields(TraceEvent))
+_ARGUMENTS = TraceEvent.__slots__
 
 
 def _builder(kind: EventKind, names: tuple[str, ...]):

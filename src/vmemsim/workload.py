@@ -9,7 +9,7 @@ function of (spec, geometry).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .baselines import MAX_BUS, MAX_DEVICE, PageMode
 from .core import Geometry
@@ -59,23 +59,27 @@ def _scale(rate: float) -> int:
     return round(rate * _MILLION)
 
 
-@dataclass(frozen=True)
-class DemandProfile:
+class _DemandProfileFields(NamedTuple):
     working_set_pages: int
     churn_rate: float = 0.0
     locality: float = 0.0
 
-    def __post_init__(self) -> None:
+
+class DemandProfile(_DemandProfileFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> DemandProfile:
+        self = super().__new__(cls, *args, **kwargs)
         if self.working_set_pages < 0:
             raise WorkloadError("working_set_pages must be >= 0")
         for name in ("churn_rate", "locality"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise WorkloadError(f"{name} must be within [0, 1]")
+        return self
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class _WorkloadSpecFields(NamedTuple):
     seed: int
     vm_count: int
     events: int
@@ -83,7 +87,12 @@ class WorkloadSpec:
     dma_rate: float = 0.0
     switch_rate: float = 0.0
 
-    def __post_init__(self) -> None:
+
+class WorkloadSpec(_WorkloadSpecFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> WorkloadSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.vm_count < 0:
             raise WorkloadError("vm_count must be >= 0")
         if self.events < 0:
@@ -94,6 +103,7 @@ class WorkloadSpec:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise WorkloadError(f"{name} must be within [0, 1]")
+        return self
 
 
 def _emitter(events: list[TraceEvent]):

@@ -12,8 +12,6 @@ for every event.  This module imports nothing from `vmemsim.traceio`.
 
 from __future__ import annotations
 
-from dataclasses import fields as dataclass_fields
-
 from vmemsim.baselines import PageMode
 from vmemsim.engine import EVENT_FIELDS, TraceEvent
 from vmemsim.errors import TraceFormatError
@@ -40,7 +38,7 @@ def _mode(token: str) -> str:
 _CONVERTERS = {"write": _direction, "mode": _mode}
 
 #: TraceEvent's constructor arguments, in positional order
-_ARGUMENTS = tuple(f.name for f in dataclass_fields(TraceEvent))
+_ARGUMENTS = TraceEvent.__slots__
 _SEQ, _KIND, _CPU = (_ARGUMENTS.index(name) for name in ("seq", "kind", "cpu"))
 
 #: kind token -> (kind, field names, ((argument position, field name, converter), ...))

@@ -1,6 +1,5 @@
 """Text trace format round-trips and error reporting."""
 
-import dataclasses
 import io
 import tracemalloc
 from pathlib import Path
@@ -291,7 +290,7 @@ def test_read_trace_holds_little_beyond_its_events(tmp_path):
 # the compiled formatters against the field-by-field reference
 # ---------------------------------------------------------------------------
 
-ARGUMENT_NAMES = [f.name for f in dataclasses.fields(TraceEvent)][3:]
+ARGUMENT_NAMES = list(TraceEvent.__slots__)[3:]
 MODE_TOKENS = [mode.value for mode in PageMode]
 
 
