@@ -1,15 +1,17 @@
 """Reference designs the segment controller is measured against.
 
-Four families, each reduced to the structures that matter for walk
+Five families, each reduced to the structures that matter for walk
 counts and isolation outcomes:
 
   nested paging    guest table (vpage -> ppage) composed with a
                    hypervisor real-map table (ppage -> physical page);
                    every miss costs two table walks.
-  shadow tables    hypervisor-maintained composition (vpage -> physical
-                   page) walked in one step; kept consistent by eagerly
-                   re-deriving affected entries on every guest or
-                   real-map write.
+  shadow tables    guest table composed with the real map (vpage ->
+                   physical page), walked in one step.  An entry is
+                   computed when it is read, so it always equals the
+                   nested walk; every guest or real-map write is still
+                   charged the eager re-derivation of the entries it
+                   affects.
   virtual TLB      software TLB tagged by real ASIDs.  The hypervisor
                    gives each (vm, guest asid) pair a distinct real ASID,
                    never recycled, so entries of different VMs can coexist
@@ -44,8 +46,9 @@ DEFAULT_WALK_LEVELS = 4
 # ---------------------------------------------------------------------------
 # nested / shadow page tables
 #
-# Each table is a plain dict: a guest table maps vpage -> ppage, a real-map
-# table ppage -> physical page, and a shadow table vpage -> physical page.
+# Each table is a plain dict: a guest table maps vpage -> ppage and a
+# real-map table ppage -> physical page.  No shadow table is stored: its
+# entry for a vpage is the composition of the two.
 # ---------------------------------------------------------------------------
 
 
@@ -62,35 +65,19 @@ def nested_translate(vpage: int, gpt: dict[int, int], rmap: dict[int, int]) -> W
     return WalkResult(rmap.get(ppage), walks=2)
 
 
-def shadow_translate(vpage: int, shadow: dict[int, int]) -> WalkResult:
-    return WalkResult(shadow.get(vpage), walks=1)
+def shadow_translate(vpage: int, gpt: dict[int, int], rmap: dict[int, int]) -> WalkResult:
+    """One walk of `vpage`'s shadow entry, rmap[gpt[vpage]] by construction."""
+    return WalkResult(rmap.get(gpt.get(vpage)), walks=1)
 
 
-def shadow_update_vpage(
-    shadow: dict[int, int], gpt: dict[int, int], rmap: dict[int, int], vpage: int
-) -> int:
-    """Re-derive one shadow entry after a guest table write.
-
-    Returns the number of real-map walks spent.
-    """
-    ppage = gpt.get(vpage)
-    phys = rmap.get(ppage) if ppage is not None else None
-    if phys is None:
-        shadow.pop(vpage, None)
-    else:
-        shadow[vpage] = phys
+def shadow_update_vpage() -> int:
+    """Real-map walks an eager shadow re-derivation spends on one entry."""
     return 1
 
 
-def shadow_update_ppage(
-    shadow: dict[int, int], gpt: dict[int, int], rmap: dict[int, int], ppage: int
-) -> int:
-    """Re-derive every shadow entry affected by a real-map write."""
-    steps = 0
-    for vpage, mapped in gpt.items():
-        if mapped == ppage:
-            steps += shadow_update_vpage(shadow, gpt, rmap, vpage)
-    return steps
+def shadow_update_ppage(gpt: dict[int, int], ppage: int) -> int:
+    """Real-map walks a real-map write spends: one per vpage mapped to `ppage`."""
+    return sum(shadow_update_vpage() for mapped in gpt.values() if mapped == ppage)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os.path
 import sys
-from pathlib import Path
 
 from .baselines import ASID_POLICY, FLUSH_POLICY
 from .config import (
@@ -210,7 +210,13 @@ def _summary(name: str, report: MetricsReport, geom: Geometry, verbosity: int) -
 
 
 def _trace_name(path: str) -> str:
-    return Path(path).stem
+    """The last component of `path`, less its last suffix, by `PurePath.stem`'s rules.
+
+    A trailing "/" is stripped, and a leading or trailing dot stays in the name.
+    """
+    name = os.path.basename(path.rstrip("/"))
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
 
 
 # ---------------------------------------------------------------------------

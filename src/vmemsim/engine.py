@@ -11,9 +11,10 @@ Modes
                  quota reclaim, DMA checked against segment ownership.
   nested         two-level translation (guest + real-map walk) behind a
                  virtual TLB, page-pool allocator, untranslated DMA.
-  nested_shadow  like nested but accesses walk a hypervisor-maintained
-                 shadow table in one step; every guest or real-map write
-                 pays the eager re-derivation of affected entries.
+  nested_shadow  like nested but accesses walk the shadow entry, the
+                 composition of guest and real-map tables, in one step;
+                 every guest or real-map write pays the eager
+                 re-derivation of the entries it affects.
   iommu          nested CPU path plus per-device DMA remapping through
                  root/context tables and a multi-level domain walk.
   hyperwall      nested CPU path plus raw DMA, with per-page protection
@@ -23,9 +24,11 @@ Modes
 
 Well-behaved guests are modeled by the engine itself: a successful
 AllocPage installs the next sequential vpage mapping in whatever
-structures the mode uses (direct table, guest+real tables, shadow,
-domain table), and FreePage removes it.  Explicit gpt_write/rmap_write
-events exist to model adversarial or manual mappings on top of that.
+structures the mode uses (direct table, guest+real tables, domain
+table), and FreePage removes it.  No shadow entry is stored: it is
+computed from the guest and real tables when it is read.  Explicit
+gpt_write/rmap_write events exist to model adversarial or manual
+mappings on top of that.
 
 Each machine dispatches through a table from event kind to handler,
 filled once by its constructor, which also binds the mode's choices of
@@ -621,7 +624,7 @@ class AsmiMachine(_Machine):
         self.report.isolation_faults.extend(self.pm.faults)
         self.report.memory_full.extend(self.pm.memory_full_events)
         self.report.reclaims.extend(self.pm.notices)
-        self.report.counters.pages_swapped += self.pm.pages_swapped_total
+        self.report.counters.pages_swapped += sum(n.pages_swapped for n in self.pm.notices)
         for vm in sorted(self.pm.live):
             self.report.final_segments[vm] = self.pm.segment_count(vm)
             self.report.final_pages[vm] = self.pm.allocated_pages(vm)
@@ -634,13 +637,11 @@ class AsmiMachine(_Machine):
 class _Guest:
     """What the page-pool hypervisor keeps for one live guest (or itself)."""
 
-    __slots__ = ("gpt", "rmap", "shadow", "backing", "held", "next_vpage", "asids", "asid",
-                 "domain")
+    __slots__ = ("gpt", "rmap", "backing", "held", "next_vpage", "asids", "asid", "domain")
 
-    def __init__(self, shadow: bool, asid: int):
+    def __init__(self, asid: int):
         self.gpt: dict[int, int] = {}       # vpage -> ppage (the hypervisor's: -> page)
         self.rmap: dict[int, int] = {}      # ppage -> page
-        self.shadow: dict[int, int] | None = {} if shadow else None  # vpage -> page
         self.backing: dict[int, tuple[int, int]] = {}  # held page -> (vpage, its gpt entry)
         self.held: list[int] = []           # the pages of `backing`, ascending
         self.next_vpage = 0
@@ -652,9 +653,11 @@ class _Guest:
 class BaselineMachine(_Machine):
     """Page-pool hypervisor shared by nested, shadow, iommu, and hyperwall.
 
-    `shadow` walks shadow tables instead of the nested walk behind the
-    vTLB; `remap` sends DMA through the IOMMU, else it is raw (or PIO
-    under dma_policy=off); `hyperwall` adds per-page protection bits.
+    `shadow` walks the shadow entry, rmap[gpt[vpage]], in one step instead
+    of the nested walk behind the vTLB, and charges a guest's table writes
+    the re-derivation of the entries they affect; `remap` sends DMA
+    through the IOMMU, else it is raw (or PIO under dma_policy=off);
+    `hyperwall` adds per-page protection bits.
     Only `remap` keeps remapping tables: elsewhere `domain_assign` only
     names a device's VM.  Per-guest state lives in `guests`; `owner_of`
     names the holder of every page handed out and not freed since.  The
@@ -674,8 +677,7 @@ class BaselineMachine(_Machine):
         self.fresh_page = 0                 # no page at or above it was ever handed out
         self.owner_of: dict[int, int] = {}  # held page -> owner
         self.real_asids = itertools.count(1)
-        # the hypervisor maps straight to physical pages and has no shadow
-        self.guests: dict[int, _Guest] = {HYPERVISOR: _Guest(False, next(self.real_asids))}
+        self.guests: dict[int, _Guest] = {HYPERVISOR: _Guest(next(self.real_asids))}
         self.live = self.guests  # the live ids are its keys
         self.current: dict[int, int] = {}
         self.next_vmid = 1
@@ -718,8 +720,6 @@ class BaselineMachine(_Machine):
         mapped = guest.rmap.pop(ppage, page)
         if mapped != page:                  # an rmap_write moved ppage elsewhere
             self.tlb.invalidate_phys(mapped)
-        if guest.shadow is not None:
-            guest.shadow.pop(vpage, None)
         if self.remap is not None:
             self.remap.unmap_phys(page)
         self.page_mode.pop(page, None)
@@ -752,7 +752,7 @@ class BaselineMachine(_Machine):
         self.next_vmid += 1
         if vm != ev.vm:
             raise self.err(ev, f"trace expects vm {ev.vm}, hypervisor assigned {vm}")
-        self.guests[vm] = _Guest(self.shadowed, next(self.real_asids))
+        self.guests[vm] = _Guest(next(self.real_asids))
 
     def on_destroy_vm(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
@@ -821,10 +821,8 @@ class BaselineMachine(_Machine):
             if old is not None:
                 self.tlb.invalidate_phys(old)
             guest.rmap[ppage] = page
-            if guest.shadow is not None:
-                cycles += self._shadow_cycles(
-                    shadow_update_vpage(guest.shadow, guest.gpt, guest.rmap, vpage)
-                )
+            if self.shadowed:
+                cycles += self._shadow_cycles(shadow_update_vpage())
             if guest.domain is not None:
                 self.remap.map_page(guest.domain, ppage, page)
         if self.hyperwall:
@@ -851,10 +849,8 @@ class BaselineMachine(_Machine):
         guest = self.guests[ev.vm]
         guest.gpt[ev.vpage] = ev.target
         self.tlb.invalidate(guest.asids.values(), ev.vpage)
-        if guest.shadow is not None:        # never the hypervisor's
-            self.charge(ev.kind, self._shadow_cycles(
-                shadow_update_vpage(guest.shadow, guest.gpt, guest.rmap, ev.vpage)
-            ))
+        if self.shadowed and ev.vm != HYPERVISOR:   # it maps straight to physical pages
+            self.charge(ev.kind, self._shadow_cycles(shadow_update_vpage()))
 
     def on_rmap_write(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
@@ -863,10 +859,8 @@ class BaselineMachine(_Machine):
         guest.rmap[ev.ppage] = ev.phys
         if old is not None:
             self.tlb.invalidate_phys(old)
-        if guest.shadow is not None:
-            self.charge(ev.kind, self._shadow_cycles(
-                shadow_update_ppage(guest.shadow, guest.gpt, guest.rmap, ev.ppage)
-            ))
+        if self.shadowed and ev.vm != HYPERVISOR:
+            self.charge(ev.kind, self._shadow_cycles(shadow_update_ppage(guest.gpt, ev.ppage)))
 
     # -- CPU access --
 
@@ -896,7 +890,7 @@ class BaselineMachine(_Machine):
         if vm == HYPERVISOR:
             page, walks = guest.gpt.get(vpage), 1
         elif self.shadowed:
-            page, walks = shadow_translate(vpage, guest.shadow)
+            page, walks = shadow_translate(vpage, guest.gpt, guest.rmap)
         else:
             page = self.tlb.lookup(guest.asid, vpage)
             if page is None:

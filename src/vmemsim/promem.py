@@ -160,7 +160,6 @@ class ProMem:
         self.faults: list[IsolationFault] = []
         self.notices: list[ReclaimNotice] = []
         self.memory_full_events: list[MemoryFull] = []
-        self.pages_swapped_total = 0
 
     # -- queries --------------------------------------------------------
 
@@ -343,7 +342,6 @@ class ProMem:
         swapped = sum(self._release(s) for s in freed)
         notice = ReclaimNotice(seq, victim, worst_excess, tuple(freed), swapped)
         self.notices.append(notice)
-        self.pages_swapped_total += swapped
         return notice
 
     def free_page(self, vm: int, page: int, seq: int = -1) -> IsolationFault | None:

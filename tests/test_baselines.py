@@ -37,34 +37,32 @@ def test_nested_translate_three_outcomes():
 
 
 def test_shadow_translate_is_single_walk():
-    shadow = {4: 99}
-    hit = shadow_translate(4, shadow)
+    gpt = {4: 10, 6: 11}
+    rmap = {10: 99}
+    hit = shadow_translate(4, gpt, rmap)
     assert (hit.page, hit.walks) == (99, 1)
-    miss = shadow_translate(5, shadow)
-    assert (miss.page, miss.walks) == (None, 1)
+    for vpage in (5, 6):           # no guest entry; a guest entry with no real mapping
+        miss = shadow_translate(vpage, gpt, rmap)
+        assert (miss.page, miss.walks) == (None, 1)
 
 
 def test_shadow_update_tracks_guest_write():
     gpt = {0: 10}
     rmap = {10: 50}
-    shadow = {}
-    assert shadow_update_vpage(shadow, gpt, rmap, 0) == 1
-    assert shadow == {0: 50}
+    assert shadow_update_vpage() == 1
+    assert shadow_translate(0, gpt, rmap).page == 50
     gpt[0] = 11                    # now dangling: no real mapping
-    shadow_update_vpage(shadow, gpt, rmap, 0)
-    assert shadow == {}
+    assert shadow_translate(0, gpt, rmap).page is None
 
 
 def test_shadow_update_ppage_rederives_all_aliases():
     gpt = {0: 10, 1: 10, 2: 20}
     rmap = {10: 50, 20: 60}
-    shadow = {}
-    for v in gpt:
-        shadow_update_vpage(shadow, gpt, rmap, v)
     rmap[10] = 51
-    steps = shadow_update_ppage(shadow, gpt, rmap, 10)
+    steps = shadow_update_ppage(gpt, 10)
     assert steps == 2              # vpages 0 and 1 alias ppage 10
-    assert shadow == {0: 51, 1: 51, 2: 60}
+    assert [shadow_translate(v, gpt, rmap).page for v in gpt] == [51, 51, 60]
+    assert shadow_update_ppage(gpt, 30) == 0
 
 
 @given(
@@ -72,14 +70,10 @@ def test_shadow_update_ppage_rederives_all_aliases():
     st.dictionaries(st.integers(0, 15), st.integers(0, 63), max_size=12),
 )
 def test_shadow_composes_nested(gpt_map, rmap_map):
-    """A shadow rebuilt entry-by-entry answers exactly like the two-level walk."""
-    gpt = dict(gpt_map)
-    rmap = dict(rmap_map)
-    shadow = {}
+    """The one-step shadow walk resolves exactly the page of the two-level walk."""
     for vpage in range(16):
-        shadow_update_vpage(shadow, gpt, rmap, vpage)
-    for vpage in range(16):
-        assert shadow_translate(vpage, shadow).page == nested_translate(vpage, gpt, rmap).page
+        shadow = shadow_translate(vpage, gpt_map, rmap_map)
+        assert shadow == (nested_translate(vpage, gpt_map, rmap_map).page, 1)
 
 
 # ---------------------------------------------------------------------------

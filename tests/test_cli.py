@@ -5,13 +5,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 
 import vmemsim
 from vmemsim import traceio
-from vmemsim.cli import CSV_COLUMNS, UTIL_COLUMNS, main
+from vmemsim.cli import CSV_COLUMNS, UTIL_COLUMNS, _trace_name, main
 from vmemsim.core import Geometry
 from vmemsim.engine import MODES, compare
 from vmemsim.traceio import read_trace
@@ -21,6 +21,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@pytest.mark.parametrize("path", ["a/x.trace", "a/x.trace/", ".trace", "foo.", "a.b.trace", "x"])
+def test_trace_name_is_the_path_stem(path):
+    assert _trace_name(path) == PurePosixPath(path).stem
 
 
 @pytest.fixture()

@@ -482,6 +482,32 @@ def test_guest_read_of_an_unheld_page_is_a_page_fault(mode):
     assert rep.violations == []
 
 
+def test_a_shadow_entry_follows_a_later_alloc_of_its_ppage():
+    # vpage 5 points at ppage 1 before any page backs it; the second alloc maps ppage 1
+    t = trace(
+        (E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1}),
+        (E.GPT_WRITE, {"vm": 1, "vpage": 5, "target": 1}),
+        (E.ALLOC, {"vm": 1}),
+        (E.ENTER, {"vm": 1}), (E.READ, {"vaddr": 5 * TINY.page_size_bytes}),
+    )
+    shadow = run(t, "nested_shadow", TINY, options=opts(tlb_entries=0))
+    nested = run(t, "nested", TINY, options=opts(tlb_entries=0))
+    assert shadow.counters.page_faults == nested.counters.page_faults == 0
+    assert shadow.violations == nested.violations == []
+
+
+def test_the_shadow_walk_reaches_what_the_nested_walk_reaches():
+    # tampered tables: gpt_write and rmap_write land on vpages and ppages that later
+    # allocs, frees and reclaims reuse
+    geom = Geometry(256, 2, 4)
+    for seed in range(1, 41):
+        events = all_kinds_trace(seed, 600, geom)
+        shadow = run(events, "nested_shadow", geom, options=opts(tlb_entries=0))
+        walked = run(events, "nested", geom, options=opts(tlb_entries=0))
+        assert shadow.violations == walked.violations, seed
+        assert shadow.counters.page_faults == walked.counters.page_faults, seed
+
+
 # perfbench/tracer.py times each layer by patching these names, so every
 # access must still call them through the attribute the tracer patches.
 # per mode: ProMem.translate, check_owner, VirtualTlb.lookup, insert,

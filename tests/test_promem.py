@@ -235,7 +235,7 @@ def test_reclaim_trims_most_over_quota_owner():
     assert r.page == page(5, 0)
     assert pm.mpt.get(5) == 3
     assert pm.owned_segments(1) == [1, 4]
-    assert pm.pages_swapped_total == 12
+    assert sum(n.pages_swapped for n in pm.notices) == 12
     pm.check_invariants()
 
 

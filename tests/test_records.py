@@ -3,7 +3,8 @@
 The config records are validated `NamedTuple`s, `TraceEvent` and
 `CostModel` are slotted classes, and nothing in the package imports
 `dataclasses`, which would add its import and code generation to every
-command's start-up.
+command's start-up, or `pathlib`, which would add its own and that of
+`urllib.parse` and `ipaddress`.
 """
 
 import subprocess
@@ -130,14 +131,14 @@ def test_trace_event_repr():
     )
 
 
-def test_the_package_imports_neither_dataclasses_nor_inspect():
-    # -E -S: no environment and no site hooks, which may import either module themselves;
+def test_the_package_imports_no_dataclasses_inspect_or_pathlib():
+    # -E -S: no environment and no site hooks, which may import these modules themselves;
     # -B: no bytecode written into the package
     root = str(Path(vmemsim.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {root!r}); import vmemsim, vmemsim.cli; "
         "vmemsim.cli.build_parser(); "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"
     )
     out = subprocess.run([sys.executable, "-E", "-S", "-B", "-c", code],
                          capture_output=True, text=True, check=True).stdout
