@@ -89,6 +89,12 @@ def shadow_update_ppage(gpt: dict[int, int], ppage: int) -> int:
 FLUSH_POLICY = "flush"
 ASID_POLICY = "asid"
 
+# DMA policies of the page-pool baselines without remapping (nested,
+# nested_shadow, hyperwall): devices reach physical pages untranslated,
+# or data moves by programmed I/O.
+RAW_DMA = "raw"
+NO_DMA = "off"
+
 
 class VirtualTlb:
     """Software TLB keyed by (real asid, vpage), FIFO eviction.

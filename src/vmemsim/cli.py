@@ -4,17 +4,22 @@ Exit codes: 0 success, 1 simulation/config/trace error, 2 usage error
 (argparse).  All outputs are deterministic for identical inputs: JSON is
 key-sorted, CSV columns are fixed, and tables derive from report fields
 only.
+
+Each command imports only the modules it runs: `run` and `compare` load
+the replay engine, `gen` and `attack` the trace generators, and
+`validate` neither.  The engine's `run` and `compare`, and `generate`,
+are looked up when a command calls them, so a name patched in its
+defining module is the one called.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os.path
 import sys
+from typing import TYPE_CHECKING
 
-from .baselines import ASID_POLICY, FLUSH_POLICY
+from .baselines import ASID_POLICY, FLUSH_POLICY, NO_DMA, RAW_DMA
 from .config import (
     load_config,
     parse_cost_overrides,
@@ -22,20 +27,6 @@ from .config import (
     parse_geometry,
 )
 from .core import Geometry
-from .engine import (
-    COUNTER_NAMES,
-    LEDGERS,
-    MODES,
-    NO_DMA,
-    RAW_DMA,
-    ComparisonReport,
-    CostModel,
-    MetricsReport,
-    RunOptions,
-    canonical_mode,
-    compare,
-    run,
-)
 from .errors import ConfigError, SimError
 from .traceio import (
     dumps,
@@ -46,19 +37,12 @@ from .traceio import (
     validate,
     write_trace,
 )
-from .workload import (
-    WorkloadSpec,
-    attack_cross_vm_dma,
-    attack_hyperwall_starvation,
-    attack_malicious_hypervisor,
-    generate,
-)
 
-ATTACKS = {
-    "cross_vm_dma": attack_cross_vm_dma,
-    "malicious_hypervisor": attack_malicious_hypervisor,
-    "hyperwall_starvation": attack_hyperwall_starvation,
-}
+if TYPE_CHECKING:
+    from .engine import CostModel, MetricsReport, RunOptions
+
+#: `attack NAME` runs `workload.attack_NAME`
+ATTACKS = ("cross_vm_dma", "hyperwall_starvation", "malicious_hypervisor")
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +52,7 @@ ATTACKS = {
 
 def _load_cfg(args) -> dict[str, str]:
     path = getattr(args, "config", None)
-    return load_config(path) if path else {}
+    return {} if path is None else load_config(path)
 
 
 def _pick(args, cfg: dict[str, str], key: str, default, cast, flag: str | None = None):
@@ -85,11 +69,12 @@ def _pick(args, cfg: dict[str, str], key: str, default, cast, flag: str | None =
 
 
 def _geometry(args, cfg) -> Geometry:
-    token = getattr(args, "geometry", None) or cfg.get("geometry")
-    return parse_geometry(token) if token else Geometry()
+    return _pick(args, cfg, "geometry", Geometry(), parse_geometry)
 
 
 def _cost(args, cfg) -> CostModel:
+    from .engine import CostModel
+
     pairs = [f"{k[len('cost.'):]}={v}" for k, v in cfg.items() if k.startswith("cost.")]
     pairs += getattr(args, "cost", None) or []
     overrides = parse_cost_overrides(pairs)
@@ -101,6 +86,8 @@ def _cost(args, cfg) -> CostModel:
 
 def _options(args, cfg) -> RunOptions:
     """Run options from the settings a flag or config entry gives; the rest default."""
+    from .engine import RunOptions
+
     picked = {
         "sample_interval": _pick(args, cfg, "sample_interval", None, int),
         "tlb_policy": _pick(args, cfg, "tlb_policy", None, str),
@@ -119,28 +106,43 @@ def _settings(args) -> tuple[dict[str, str], Geometry, CostModel, RunOptions]:
 
 
 def _out_path(args, cfg, key: str) -> str | None:
-    return getattr(args, key, None) or cfg.get(key)
+    return _pick(args, cfg, key, None, str)
 
 
 # ---------------------------------------------------------------------------
 # report formatting
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "trace",
-    "mode",
-    "events",
-    "total_cycles",
-    *COUNTER_NAMES,
-    *LEDGERS,
-    "mean_seg_util",
-    "mean_page_util",
-)
-
 UTIL_COLUMNS = ("trace", "mode", "event_index", "owner", "segments", "pages")
 
 
+def _csv_columns() -> tuple[str, ...]:
+    """The columns of the --out CSV: trace, mode, totals, counters, ledgers, utilization."""
+    from .engine import COUNTER_NAMES, LEDGERS
+
+    return ("trace", "mode", "events", "total_cycles", *COUNTER_NAMES, *LEDGERS,
+            "mean_seg_util", "mean_page_util")
+
+
+def __getattr__(name: str):
+    """`CSV_COLUMNS`, and the engine's `run` and `compare`, made on each use.
+
+    Each needs the engine, which only `run` and `compare` load.  Nothing
+    is cached, so `cli.run is engine.run` holds while `engine.run` is
+    patched.
+    """
+    if name == "CSV_COLUMNS":
+        return _csv_columns()
+    if name in ("run", "compare"):
+        from . import engine
+
+        return getattr(engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _csv_row(name: str, report: MetricsReport, geom: Geometry) -> list:
+    from .engine import COUNTER_NAMES
+
     return [
         name, report.mode, report.events, report.total_cycles,
         *(getattr(report.counters, n) for n in COUNTER_NAMES),
@@ -151,6 +153,8 @@ def _csv_row(name: str, report: MetricsReport, geom: Geometry) -> list:
 
 
 def _write_csv(path: str, header, rows) -> None:
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -166,10 +170,10 @@ def _write_outputs(args, cfg, reports: dict[tuple[str, str], MetricsReport], geo
     JSON document; it is called only for --json-out.
     """
     out = _out_path(args, cfg, "out")
-    if out:
-        _write_csv(out, CSV_COLUMNS, (_csv_row(name, rep, geom) for (name, _), rep in reports.items()))
+    if out is not None:
+        _write_csv(out, _csv_columns(), (_csv_row(name, rep, geom) for (name, _), rep in reports.items()))
     util_out = _out_path(args, cfg, "util_out")
-    if util_out:
+    if util_out is not None:
         rows = (
             [name, rep.mode, u.event_index, u.owner, u.segments, u.pages]
             for (name, _), rep in reports.items()
@@ -177,13 +181,15 @@ def _write_outputs(args, cfg, reports: dict[tuple[str, str], MetricsReport], geo
         )
         _write_csv(util_out, UTIL_COLUMNS, rows)
     json_out = _out_path(args, cfg, "json_out")
-    if json_out:
+    if json_out is not None:
         with open(json_out, "w", encoding="utf-8") as fh:
             fh.writelines(json_parts())
             fh.write("\n")
 
 
 def _summary(name: str, report: MetricsReport, geom: Geometry, verbosity: int) -> str:
+    from .engine import COUNTER_NAMES
+
     lines = [
         f"trace {name}: {report.events} events under {report.mode}",
         f"  cycles {report.total_cycles}",
@@ -225,11 +231,13 @@ def _trace_name(path: str) -> str:
 
 
 def cmd_run(args) -> int:
+    from .engine import run
+
     cfg, geom, cost, opts = _settings(args)
-    trace_path = getattr(args, "trace", None) or cfg.get("trace")
-    if not trace_path:
+    trace_path = _pick(args, cfg, "trace", None, str)
+    if trace_path is None:
         raise ConfigError("run needs --trace or a `trace` config entry")
-    mode = getattr(args, "mode", None) or cfg.get("mode") or "asmi"
+    mode = _pick(args, cfg, "mode", "asmi", str)
     with open_trace(trace_path) as fh:
         report = run(parse_lines(read_blocks(fh)), mode, geom, cost, opts)   # replays as it parses
     name = _trace_name(trace_path)
@@ -240,23 +248,27 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .engine import MODES, canonical_mode, compare
+
     cfg, geom, cost, opts = _settings(args)
     paths = list(getattr(args, "trace", None) or [])
     if not paths and cfg.get("trace"):
         paths = [cfg["trace"]]
     if not paths:
         raise ConfigError("compare needs at least one --trace")
-    modes_token = getattr(args, "modes", None) or cfg.get("modes") or ",".join(MODES)
+    modes_token = _pick(args, cfg, "modes", ",".join(MODES), str)
     modes = [canonical_mode(m) for m in modes_token.split(",") if m.strip()]
     if not modes:
         raise ConfigError("compare needs at least one mode")
     traces = [(_trace_name(p), read_trace(p)) for p in paths]
-    result: ComparisonReport = compare(traces, modes, geom, cost, opts)
+    result = compare(traces, modes, geom, cost, opts)
     del traces  # not needed to write the outputs
     print(result.to_table())
 
     def json_parts():
         """The key-sorted object of every report by `trace/mode`, one report's text at a time."""
+        import json
+
         keyed = {f"{name}/{mode}": rep for (name, mode), rep in result.reports.items()}
         yield "{"
         for i, key in enumerate(sorted(keyed)):
@@ -270,7 +282,7 @@ def cmd_compare(args) -> int:
 def _emit_trace(args, cfg, trace) -> int:
     """Write a gen/attack trace to --out, or to stdout without one."""
     out = _out_path(args, cfg, "out")
-    if out:
+    if out is not None:
         write_trace(out, trace)
         print(f"wrote {len(trace)} events to {out}")
     else:
@@ -279,6 +291,8 @@ def _emit_trace(args, cfg, trace) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .workload import WorkloadSpec, generate
+
     cfg = _load_cfg(args)
     geom = _geometry(args, cfg)
     vm_count = _pick(args, cfg, "workload.vm_count", None, int, flag="vms")
@@ -302,8 +316,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    from . import workload
+
     cfg = _load_cfg(args)
-    return _emit_trace(args, cfg, ATTACKS[args.name](_geometry(args, cfg)))
+    attack = getattr(workload, f"attack_{args.name}")
+    return _emit_trace(args, cfg, attack(_geometry(args, cfg)))
 
 
 def cmd_validate(args) -> int:
@@ -376,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_atk = sub.add_parser("attack", parents=[gen_opts], help="emit a scripted attack trace")
-    p_atk.add_argument("name", choices=sorted(ATTACKS))
+    p_atk.add_argument("name", choices=ATTACKS)
     p_atk.set_defaults(func=cmd_attack)
 
     p_val = sub.add_parser("validate", help="parse and statically check a trace file")

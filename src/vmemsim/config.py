@@ -7,9 +7,13 @@ stay strings here; the CLI casts them when it merges config with flags.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .core import Geometry
 from .errors import ConfigError
-from .workload import DemandProfile
+
+if TYPE_CHECKING:
+    from .workload import DemandProfile
 
 TOP_LEVEL_KEYS = frozenset(
     {
@@ -34,6 +38,7 @@ WORKLOAD_KEYS = frozenset({"vm_count", "events", "demand", "dma_rate", "switch_r
 
 
 def _cost_keys() -> frozenset[str]:
+    """CostModel's fields; imports the engine, so asked for only when a cost key is read."""
     from .engine import CostModel
 
     return frozenset(CostModel.__slots__)
@@ -41,7 +46,6 @@ def _cost_keys() -> frozenset[str]:
 
 def parse_config_text(text: str) -> dict[str, str]:
     settings: dict[str, str] = {}
-    cost_keys = _cost_keys()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -52,7 +56,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip().lower()
         value = value.strip()
         if key.startswith("cost."):
-            if key[len("cost."):] not in cost_keys:
+            if key[len("cost."):] not in _cost_keys():
                 raise ConfigError(f"line {lineno}: unknown cost key {key!r}")
         elif key.startswith("workload."):
             if key[len("workload."):] not in WORKLOAD_KEYS:
@@ -92,6 +96,8 @@ def parse_geometry(token: str) -> Geometry:
 
 def parse_demand(token: str, vm_count: int) -> tuple[DemandProfile, ...]:
     """`ws:churn:locality[,ws:churn:locality...]`; one triple fans out to all VMs."""
+    from .workload import DemandProfile
+
     profiles = []
     for part in token.split(","):
         bits = part.strip().split(":")

@@ -40,6 +40,10 @@ Faults never abort a run; they are recorded in the report's ledgers.
 Errors that make the trace itself meaningless (entering a dead VM,
 unknown ids, non-monotone seq, a negative vaddr, a device address outside
 DmaRequest's bounds) raise SimulationError naming the seq in every mode.
+
+The events replayed here (`EventKind`, `EVENT_FIELDS`, `TraceEvent`) are
+defined in `events` and re-exported.  Only `vmemsim run` and `compare`
+load this module and `promem`; `gen`, `attack` and `validate` do not.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ import heapq
 import itertools
 import json
 from collections.abc import Collection, Iterable
-from enum import Enum, unique
 from functools import partial
 from typing import NamedTuple
 
@@ -57,6 +60,8 @@ from .baselines import (
     ASID_POLICY,
     DEFAULT_WALK_LEVELS,
     FLUSH_POLICY,
+    NO_DMA,
+    RAW_DMA,
     DmaRequest,
     PageMode,
     RemappingTables,
@@ -81,6 +86,7 @@ from .errors import (
     SimError,
     SimulationError,
 )
+from .events import EVENT_FIELDS, EventKind, TraceEvent  # EVENT_FIELDS only re-exported
 from .promem import (
     IsolationFault,
     MemoryFull,
@@ -88,84 +94,6 @@ from .promem import (
     ProMem,
     ReclaimNotice,
 )
-
-# ---------------------------------------------------------------------------
-# events
-# ---------------------------------------------------------------------------
-
-
-@unique
-class EventKind(Enum):
-    CREATE_VM = "create_vm"
-    DESTROY_VM = "destroy_vm"
-    ENTER = "enter"
-    EXIT = "exit"
-    ALLOC = "alloc"
-    FREE = "free"
-    READ = "read"
-    WRITE = "write"
-    GPT_WRITE = "gpt_write"
-    RMAP_WRITE = "rmap_write"
-    DMA = "dma"
-    DMA_RAW = "dma_raw"
-    DOMAIN_ASSIGN = "domain_assign"
-    HW_SET = "hw_set"
-    PSWITCH = "pswitch"
-
-
-#: fields each kind must carry, in wire order
-EVENT_FIELDS: dict[EventKind, tuple[str, ...]] = {
-    EventKind.CREATE_VM: ("vm",),
-    EventKind.DESTROY_VM: ("vm",),
-    EventKind.ENTER: ("vm",),
-    EventKind.EXIT: (),
-    EventKind.ALLOC: ("vm",),
-    EventKind.FREE: ("vm", "vaddr"),
-    EventKind.READ: ("vaddr",),
-    EventKind.WRITE: ("vaddr",),
-    EventKind.GPT_WRITE: ("vm", "vpage", "target"),
-    EventKind.RMAP_WRITE: ("vm", "ppage", "phys"),
-    EventKind.DMA: ("bus", "device", "function", "dva", "write"),
-    EventKind.DMA_RAW: ("vm", "page", "write"),
-    EventKind.DOMAIN_ASSIGN: ("domain", "vm", "bus", "device", "function"),
-    EventKind.HW_SET: ("page", "mode"),
-    EventKind.PSWITCH: ("vasid",),
-}
-
-
-class TraceEvent:
-    """One trace line; the fields its kind does not carry stay None.
-
-    `vaddr` and `dva` are flat byte addresses, `target` is a gpt_write's
-    target page, `page` a global physical page and `mode` a PageMode value
-    token.  Slotted, because the parser and every handler read its fields.
-    """
-
-    __slots__ = ("seq", "kind", "cpu", "vm", "vaddr", "vpage", "target", "ppage", "phys",
-                 "bus", "device", "function", "dva", "page", "domain", "mode", "vasid", "write")
-
-    def __init__(self, seq: int, kind: EventKind, cpu: int = 0, vm=None, vaddr=None, vpage=None,
-                 target=None, ppage=None, phys=None, bus=None, device=None, function=None,
-                 dva=None, page=None, domain=None, mode=None, vasid=None, write=None) -> None:
-        self.seq, self.kind, self.cpu = seq, kind, cpu
-        self.vm, self.vaddr, self.vpage = vm, vaddr, vpage
-        self.target, self.ppage, self.phys = target, ppage, phys
-        self.bus, self.device, self.function = bus, device, function
-        self.dva, self.page, self.domain = dva, page, domain
-        self.mode, self.vasid, self.write = mode, vasid, write
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"{type(self).__qualname__}({', '.join(fields)})"
-
 
 # ---------------------------------------------------------------------------
 # cost model
@@ -331,10 +259,6 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 # run options and mode table
 # ---------------------------------------------------------------------------
-
-RAW_DMA = "raw"
-NO_DMA = "off"
-
 
 class _RunOptionsFields(NamedTuple):
     sample_interval: int = 100

@@ -17,6 +17,10 @@ Both directions take one step per well-formed line: a builder compiled
 per kind parses a line in one call, and a formatter compiled per kind
 writes one.  `dumps` still joins the whole trace into one string, so
 `vmemsim gen` holds every line in memory.
+
+The event kinds, their fields and `TraceEvent` come from `events`, and
+`PageMode` and `DmaRequest`'s bounds from `baselines`.  Neither imports
+the engine, so `vmemsim gen`, `attack` and `validate` never load it.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from contextlib import contextmanager
 from typing import TextIO
 
 from .baselines import DmaRequest, PageMode
-from .engine import EVENT_FIELDS, EventKind, TraceEvent
 from .errors import OutOfRangeError, TraceFormatError
+from .events import EVENT_FIELDS, EventKind, TraceEvent
 
 _MODE_TOKENS = {mode.value for mode in PageMode}
 

@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 from .baselines import MAX_BUS, MAX_DEVICE, PageMode
 from .core import Geometry
-from .engine import EventKind, TraceEvent
 from .errors import WorkloadError
+from .events import EventKind, TraceEvent
 
 _MASK64 = (1 << 64) - 1
 _MILLION = 1_000_000

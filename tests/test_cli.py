@@ -387,3 +387,69 @@ def test_module_runs_as_a_script():
     )
     assert done.returncode == 0, done.stderr
     assert "14 events ok" in done.stdout
+
+
+GEN_ARGS = ("--geometry", "256x4x16", "--seed", "5", "--vms", "2", "--events", "300",
+            "--demand", "4:0.2:0.5")
+
+
+# an empty flag value is the value given, not a missing flag: no fallback to the
+# config file or the default, and no silently skipped output file
+EMPTY_FLAGS = [
+    ("run", "--mode", "error: unknown mode ''"),
+    ("run", "--geometry", "error: geometry must be PAGExPAGES_PER_SEGxSEGS, got ''"),
+    ("run", "--out", "error: "),
+    ("run", "--util-out", "error: "),
+    ("run", "--json-out", "error: "),
+    ("run", "--trace", "error: "),
+    ("run", "--config", "error: cannot read config "),
+    ("compare", "--modes", "error: compare needs at least one mode"),
+    ("compare", "--geometry", "error: geometry must be PAGExPAGES_PER_SEGxSEGS, got ''"),
+    ("compare", "--out", "error: "),
+    ("compare", "--json-out", "error: "),
+    ("gen", "--geometry", "error: geometry must be PAGExPAGES_PER_SEGxSEGS, got ''"),
+    ("gen", "--out", "error: "),
+]
+
+
+@pytest.mark.parametrize("command, flag, message", EMPTY_FLAGS,
+                         ids=[f"{command} {flag}" for command, flag, _ in EMPTY_FLAGS])
+def test_an_empty_flag_value_is_an_error(tmp_path, capsys, command, flag, message):
+    conf = tmp_path / "settings.conf"
+    conf.write_text("mode = nested\nmodes = asmi\ngeometry = 256x4x8\n")
+    if command == "gen":
+        argv = ["gen", *GEN_ARGS]
+    else:
+        argv = [command, "--config", str(conf), "--trace", str(FIXTURES / "cross_vm_dma.trace")]
+    assert run_cli(*argv, flag, "") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["settings.conf"]
+
+
+# which package modules each command loads, in a fresh interpreter: -E -S keep
+# environment and site hooks out, -B writes no bytecode into the package
+@pytest.mark.parametrize("argv, absent", [
+    (["gen", *GEN_ARGS, "--out", "{tmp}/noise.trace"], ("vmemsim.engine", "vmemsim.promem")),
+    (["attack", "cross_vm_dma"], ("vmemsim.engine", "vmemsim.promem")),
+    (["validate", "--trace", str(FIXTURES / "cross_vm_dma.trace")],
+     ("vmemsim.engine", "vmemsim.promem", "vmemsim.workload")),
+    (["run", "--geometry", "256x4x8", "--trace", str(FIXTURES / "cross_vm_dma.trace")],
+     ("vmemsim.workload",)),
+    (["compare", "--geometry", "256x4x8", "--trace", str(FIXTURES / "cross_vm_dma.trace")],
+     ("vmemsim.workload",)),
+], ids=["gen", "attack", "validate", "run", "compare"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
+    root = str(Path(vmemsim.__file__).resolve().parents[1])
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code = (
+        f"import sys; sys.path.insert(0, {root!r}); from vmemsim.cli import main; "
+        f"rc = main({argv!r}); "
+        "print(rc, sorted(m for m in sys.modules if m.startswith('vmemsim')), file=sys.stderr)"
+    )
+    done = subprocess.run([sys.executable, "-E", "-S", "-B", "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    rc, loaded = done.stderr.strip().split(" ", 1)
+    assert rc == "0", done.stderr
+    assert "vmemsim.cli" in loaded
+    assert [name for name in absent if repr(name) in loaded] == []
