@@ -30,20 +30,19 @@ computed from the guest and real tables when it is read.  Explicit
 gpt_write/rmap_write events exist to model adversarial or manual
 mappings on top of that.
 
-Each machine dispatches through a table from event kind to handler,
-filled once by its constructor, which also binds the mode's choices of
-translation walk and DMA path.  Kinds a mode's hardware does not
-implement (hw_set outside hyperwall, rmap_write under asmi) have no
-entry and are no-ops; a raw-target DMA under iommu is a mode error.
+Each mode is one machine class that dispatches each event kind to its
+`on_<kind>` method; `BaselineMachine` is `nested`, and the other three
+baselines subclass it.  Kinds a mode's hardware does not implement
+(hw_set outside hyperwall, rmap_write under asmi) have no handler and
+are no-ops; a raw-target DMA under iommu is a mode error.
 
 Faults never abort a run; they are recorded in the report's ledgers.
 Errors that make the trace itself meaningless (entering a dead VM,
 unknown ids, non-monotone seq, a negative vaddr, a device address outside
 DmaRequest's bounds) raise SimulationError naming the seq in every mode.
 
-The events replayed here (`EventKind`, `EVENT_FIELDS`, `TraceEvent`) are
-defined in `events` and re-exported.  Only `vmemsim run` and `compare`
-load this module and `promem`; `gen`, `attack` and `validate` do not.
+Only `vmemsim run` and `compare` load this module and `promem`; `gen`,
+`attack` and `validate` do not.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ import heapq
 import itertools
 import json
 from collections.abc import Collection, Iterable
-from functools import partial
 from typing import NamedTuple
 
 from .baselines import (
@@ -86,7 +84,7 @@ from .errors import (
     SimError,
     SimulationError,
 )
-from .events import EVENT_FIELDS, EventKind, TraceEvent  # EVENT_FIELDS only re-exported
+from .events import EventKind, TraceEvent
 from .promem import (
     IsolationFault,
     MemoryFull,
@@ -320,9 +318,8 @@ class _Machine:
     """The skeleton every mode shares.
 
     `handlers` maps the token of each kind with an `on_<kind>` method to
-    that method; subclasses bind mode choices into it and provide `live`
-    (live owner ids) and `_dma` (accounting for a DMA with a known issuer
-    and page).  Tokens are read as `kind._value_`: `.value` and hashing
+    that method; subclasses provide `live` (live owner ids) and `_dma`
+    (accounting for a DMA with a known issuer and page).  Tokens are read as `kind._value_`: `.value` and hashing
     an `Enum` both run Python code on every event.
     """
 
@@ -575,15 +572,13 @@ class _Guest:
 
 
 class BaselineMachine(_Machine):
-    """Page-pool hypervisor shared by nested, shadow, iommu, and hyperwall.
+    """Page-pool hypervisor, and the `nested` mode itself.
 
-    `shadow` walks the shadow entry, rmap[gpt[vpage]], in one step instead
-    of the nested walk behind the vTLB, and charges a guest's table writes
-    the re-derivation of the entries they affect; `remap` sends DMA
-    through the IOMMU, else it is raw (or PIO under dma_policy=off);
-    `hyperwall` adds per-page protection bits.
-    Only `remap` keeps remapping tables: elsewhere `domain_assign` only
-    names a device's VM.  Per-guest state lives in `guests`; `owner_of`
+    Accesses walk the guest and real-map tables behind a virtual TLB, and
+    DMA is raw (or PIO under dma_policy=off).  Each other baseline mode is
+    a subclass that overrides only what it does differently; it calls a
+    base handler as `BaselineMachine.on_<kind>(self, ev)`, which costs no
+    `super()` lookup.  Per-guest state lives in `guests`; `owner_of`
     names the holder of every page handed out and not freed since.  The
     free pool is the heap `free_pages` of freed pages, all below
     `fresh_page`, plus every page from `fresh_page` up, none of which has
@@ -593,10 +588,8 @@ class BaselineMachine(_Machine):
     and no later guest reuses them.
     """
 
-    def __init__(self, geom, cost, opts, report, *, shadow: bool, remap: bool, hyperwall: bool):
+    def __init__(self, geom, cost, opts, report):
         super().__init__(geom, cost, opts, report)
-        self.shadowed = shadow
-        self.hyperwall = hyperwall
         self.free_pages: list[int] = []     # a heap of freed pages, all below fresh_page
         self.fresh_page = 0                 # no page at or above it was ever handed out
         self.owner_of: dict[int, int] = {}  # held page -> owner
@@ -606,31 +599,13 @@ class BaselineMachine(_Machine):
         self.current: dict[int, int] = {}
         self.next_vmid = 1
         self.tlb = VirtualTlb(opts.tlb_entries)
-        self.remap = RemappingTables(opts.walk_levels) if remap else None
-        self.page_mode: dict[int, PageMode] = {}
-
-        cls = type(self)
-        self.flush_on_switch = not shadow and opts.tlb_policy == FLUSH_POLICY
-        handlers = self.handlers
-        if remap:
-            handlers[EventKind.DMA.value] = cls._dma_remap
-            handlers[EventKind.DMA_RAW.value] = cls._raw_target_error
-        elif opts.dma_policy == NO_DMA:
-            handlers[EventKind.DMA.value] = handlers[EventKind.DMA_RAW.value] = cls._dma_pio
-        if hyperwall:
-            handlers[EventKind.HW_SET.value] = cls._set_page_mode
+        self.page_mode: dict[int, PageMode] = {}  # protection bits: only hyperwall sets any
+        self.flush_on_switch = opts.tlb_policy == FLUSH_POLICY
+        self.pio = opts.dma_policy == NO_DMA      # DMA moves each word through the CPU
 
     apply = _Machine.dispatch
 
     # -- small helpers --
-
-    def cur_vm(self, cpu: int) -> int:
-        return self.current.get(cpu, HYPERVISOR)
-
-    def _shadow_cycles(self, steps: int) -> int:
-        """Count shadow re-derivation steps; their price in cycles."""
-        self.report.counters.shadow_update_steps += steps
-        return self.cost.pt_walk_level * steps
 
     def _free_page(self, page: int) -> None:
         """Unmap a held page from every structure and return it to the pool."""
@@ -644,8 +619,6 @@ class BaselineMachine(_Machine):
         mapped = guest.rmap.pop(ppage, page)
         if mapped != page:                  # an rmap_write moved ppage elsewhere
             self.tlb.invalidate_phys(mapped)
-        if self.remap is not None:
-            self.remap.unmap_phys(page)
         self.page_mode.pop(page, None)
         self.tlb.invalidate_phys(page)
         heapq.heappush(self.free_pages, page)
@@ -688,19 +661,19 @@ class BaselineMachine(_Machine):
 
     def on_enter(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
-        if self.cur_vm(ev.cpu) != HYPERVISOR or ev.vm == HYPERVISOR:
+        if self.current.get(ev.cpu, HYPERVISOR) != HYPERVISOR or ev.vm == HYPERVISOR:
             raise self.err(ev, "entry requires the hypervisor to be current")
         self.current[ev.cpu] = ev.vm
         self._charge_switch(ev.kind)
 
     def on_exit(self, ev: TraceEvent) -> None:
-        if self.cur_vm(ev.cpu) == HYPERVISOR:
+        if self.current.get(ev.cpu, HYPERVISOR) == HYPERVISOR:
             raise self.err(ev, "exit requires a guest to be current")
         self.current[ev.cpu] = HYPERVISOR
         self._charge_switch(ev.kind)
 
     def on_pswitch(self, ev: TraceEvent) -> None:
-        guest = self.guests[self.cur_vm(ev.cpu)]
+        guest = self.guests[self.current.get(ev.cpu, HYPERVISOR)]
         if ev.vasid not in guest.asids:
             guest.asids[ev.vasid] = next(self.real_asids)
         guest.asid = guest.asids[ev.vasid]
@@ -708,7 +681,8 @@ class BaselineMachine(_Machine):
 
     # -- memory --
 
-    def on_alloc(self, ev: TraceEvent) -> None:
+    def on_alloc(self, ev: TraceEvent) -> int | None:
+        """Hand out and map the lowest free page: it, or None when memory is full."""
         vm = ev.vm
         self._require_live(ev, vm)
         c = self.report.counters
@@ -723,10 +697,10 @@ class BaselineMachine(_Machine):
         elif self._reclaim_one_page(vm) is None:
             self.report.memory_full.append(MemoryFull(ev.seq, vm))
             self.charge(ev.kind, 0)
-            return
+            return None
         else:
             c.pages_swapped += 1
-            cycles += self.cost.swap_page
+            cycles = self.cost.swap_page
             page = heapq.heappop(free)
         self.owner_of[page] = vm
         guest = self.guests[vm]
@@ -745,13 +719,10 @@ class BaselineMachine(_Machine):
             if old is not None:
                 self.tlb.invalidate_phys(old)
             guest.rmap[ppage] = page
-            if self.shadowed:
-                cycles += self._shadow_cycles(shadow_update_vpage())
-            if guest.domain is not None:
-                self.remap.map_page(guest.domain, ppage, page)
-        if self.hyperwall:
-            self.page_mode[page] = PageMode.HYPERVISOR_AND_DMA
-        self.charge(ev.kind, cycles)
+        by_kind = self.report.cycles_by_kind
+        key = ev.kind._value_
+        by_kind[key] = by_kind.get(key, 0) + cycles
+        return page
 
     def on_free(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
@@ -773,8 +744,6 @@ class BaselineMachine(_Machine):
         guest = self.guests[ev.vm]
         guest.gpt[ev.vpage] = ev.target
         self.tlb.invalidate(guest.asids.values(), ev.vpage)
-        if self.shadowed and ev.vm != HYPERVISOR:   # it maps straight to physical pages
-            self.charge(ev.kind, self._shadow_cycles(shadow_update_vpage()))
 
     def on_rmap_write(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
@@ -783,24 +752,11 @@ class BaselineMachine(_Machine):
         guest.rmap[ev.ppage] = ev.phys
         if old is not None:
             self.tlb.invalidate_phys(old)
-        if self.shadowed and ev.vm != HYPERVISOR:
-            self.charge(ev.kind, self._shadow_cycles(shadow_update_ppage(guest.gpt, ev.ppage)))
 
     # -- CPU access --
 
-    def _hyperwall_gate(self, ev: TraceEvent, requester: Requester, page: int) -> bool:
-        """Under hyperwall, whether a page's protection bits let a DMA proceed."""
-        mode = self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)
-        self.charge(ev.kind, self.cost.mpt_check)
-        if page_mode_allows(mode, requester):
-            return True
-        self.report.denials.append(
-            Denial(ev.seq, ev.cpu, requester.value, page, mode.value, self.owner_of.get(page))
-        )
-        return False
-
     def on_read(self, ev: TraceEvent) -> None:
-        """One frame per access: walk (or vTLB hit), range check, charge, gate, owner."""
+        """One frame per access: vTLB hit or nested walk, range check, charge, owner."""
         c = self.report.counters
         c.cpu_accesses += 1
         if ev.vaddr < 0:
@@ -808,51 +764,27 @@ class BaselineMachine(_Machine):
         vpage = ev.vaddr // self.page_size_bytes
         vm = self.current.get(ev.cpu, HYPERVISOR)
         guest = self.guests[vm]
-        cost = self.cost
         cycles = 0
-        missed = False
         if vm == HYPERVISOR:
             page, walks = guest.gpt.get(vpage), 1
-        elif self.shadowed:
-            page, walks = shadow_translate(vpage, guest.gpt, guest.rmap)
         else:
             page = self.tlb.lookup(guest.asid, vpage)
-            if page is None:
+            if page is not None:
+                c.tlb_hits += 1
+                cycles, walks = self.cost.tlb_hit, 0
+            else:
                 c.tlb_misses += 1
                 page, walks = nested_translate(vpage, guest.gpt, guest.rmap)
-                missed = True
-            else:
-                c.tlb_hits += 1
-                cycles, walks = cost.tlb_hit, 0
+                if page is not None and 0 <= page < self.pages_total:
+                    self.tlb.insert(guest.asid, vpage, page)
         c.walk_steps += walks
-        cycles += cost.pt_walk_level * walks
-        if page is None or not 0 <= page < self.pages_total:
-            c.page_faults += 1
-            page = None
-        else:
-            if missed:
-                self.tlb.insert(guest.asid, vpage, page)
-            if self.hyperwall:
-                cycles += cost.mpt_check
         by_kind = self.report.cycles_by_kind
         key = ev.kind._value_
-        by_kind[key] = by_kind.get(key, 0) + cycles
-        if page is None:
+        by_kind[key] = by_kind.get(key, 0) + cycles + self.cost.pt_walk_level * walks
+        if page is None or not 0 <= page < self.pages_total:
+            c.page_faults += 1
             return
         owner = self.owner_of.get(page)
-        if self.hyperwall:
-            if vm == HYPERVISOR:
-                requester = Requester.HYPERVISOR
-            elif owner == vm:
-                requester = Requester.OWNER_VM
-            else:
-                requester = Requester.OTHER_VM
-            mode = self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)
-            if not page_mode_allows(mode, requester):
-                self.report.denials.append(
-                    Denial(ev.seq, ev.cpu, requester.value, page, mode.value, owner)
-                )
-                return
         if owner is None:
             if vm != HYPERVISOR:
                 c.page_faults += 1  # resolved to an unbacked frame
@@ -862,38 +794,18 @@ class BaselineMachine(_Machine):
 
     on_write = on_read
 
-    def _set_page_mode(self, ev: TraceEvent) -> None:
-        """hw_set, bound only under hyperwall."""
-        if not (0 <= ev.page < self.pages_total):
-            raise self.err(ev, f"page {ev.page} outside the geometry")
-        requester = self.cur_vm(ev.cpu)
-        owner = self.owner_of.get(ev.page)
-        if requester == owner or (requester == HYPERVISOR and owner is None):
-            self.page_mode[ev.page] = PageMode(ev.mode)
-        else:
-            self.report.counters.hw_set_denied += 1
-
     # -- DMA --
 
-    def on_domain_assign(self, ev: TraceEvent) -> None:
-        super().on_domain_assign(ev)
-        if self.remap is None:
-            return
-        self.remap.assign(ev.domain, ev.bus, ev.device, ev.function)
-        guest = self.guests[ev.vm]
-        guest.domain = ev.domain
-        # late assignment adopts mappings that already exist
-        for ppage, page in guest.rmap.items():
-            self.remap.map_page(ev.domain, ppage, page)
-
     def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
-        """Raw DMA: lands unless a protection bit stops it."""
+        """Raw DMA, which lands whoever owns the page; PIO under dma_policy=off."""
         c = self.report.counters
         c.dma_ops += 1
+        if self.pio:
+            c.pio_transfers += 1
+            self.charge(ev.kind, self.cost.programmed_io_word * (self.page_size_bytes // 8))
+            return
         self.charge(ev.kind, self.cost.dma_setup)
-        if not self._dma_in_range(ev, page, dva) or (
-            self.hyperwall and not self._hyperwall_gate(ev, Requester.DMA, page)
-        ):
+        if not self._dma_in_range(ev, page, dva):
             c.dma_blocked += 1
             return
         owner = self.owner_of.get(page)
@@ -903,34 +815,6 @@ class BaselineMachine(_Machine):
                 Violation(ev.seq, ev.cpu, "dma", -1 if issuer is None else issuer, page, owner)
             )
         c.dma_completed += 1
-
-    def _dma_remap(self, ev: TraceEvent) -> None:
-        c = self.report.counters
-        c.dma_ops += 1
-        req = self._device_request(ev)
-        result = iommu_dma_translate(req, self.remap, self.page_size_bytes)
-        c.dma_walk_steps += result.steps
-        self.charge(ev.kind, self.cost.dma_setup + self.cost.pt_walk_level * result.steps)
-        if result.fault is not None:
-            self._dma_fault(ev, ev.dva, result.fault)
-            c.dma_blocked += 1
-            return
-        c.dma_completed += 1
-
-    def _raw_target_error(self, ev: TraceEvent) -> None:
-        raise ModeError(
-            f"event seq {ev.seq}: raw-target DMA cannot be remapped; "
-            "this mode requires device coordinates"
-        )
-
-    def _dma_pio(self, ev: TraceEvent) -> None:
-        if ev.kind is EventKind.DMA:
-            self._device_request(ev)  # range check only
-        c = self.report.counters
-        c.dma_ops += 1
-        c.pio_transfers += 1
-        words = self.page_size_bytes // 8
-        self.charge(ev.kind, self.cost.programmed_io_word * words)
 
     # -- bookkeeping --
 
@@ -962,16 +846,207 @@ class BaselineMachine(_Machine):
             assert not stale, f"stale vTLB entry {(asid, vpage)} -> {page}"
 
 
+class ShadowMachine(BaselineMachine):
+    """nested_shadow: an access walks the shadow entry, rmap[gpt[vpage]], in
+    one step and fills no vTLB; a guest's table writes pay the re-derivation
+    of the entries they affect.  The hypervisor's table maps straight to
+    physical pages, so its writes derive nothing."""
+
+    def __init__(self, geom, cost, opts, report):
+        super().__init__(geom, cost, opts, report)
+        self.flush_on_switch = False  # nothing fills the vTLB, so a switch has none to flush
+
+    def _shadow_cycles(self, steps: int) -> int:
+        """Count shadow re-derivation steps; their price in cycles."""
+        self.report.counters.shadow_update_steps += steps
+        return self.cost.pt_walk_level * steps
+
+    def on_alloc(self, ev: TraceEvent) -> None:
+        if BaselineMachine.on_alloc(self, ev) is not None and ev.vm != HYPERVISOR:
+            cycles = self._shadow_cycles(shadow_update_vpage())
+            self.report.cycles_by_kind[ev.kind._value_] += cycles  # the base charged the key
+
+    def on_gpt_write(self, ev: TraceEvent) -> None:
+        BaselineMachine.on_gpt_write(self, ev)
+        if ev.vm != HYPERVISOR:
+            self.charge(ev.kind, self._shadow_cycles(shadow_update_vpage()))
+
+    def on_rmap_write(self, ev: TraceEvent) -> None:
+        BaselineMachine.on_rmap_write(self, ev)
+        if ev.vm != HYPERVISOR:
+            steps = shadow_update_ppage(self.guests[ev.vm].gpt, ev.ppage)
+            self.charge(ev.kind, self._shadow_cycles(steps))
+
+    def on_read(self, ev: TraceEvent) -> None:
+        """One frame per access: shadow walk, range check, charge, owner."""
+        c = self.report.counters
+        c.cpu_accesses += 1
+        if ev.vaddr < 0:
+            raise self.err(ev, f"negative vaddr {ev.vaddr}")
+        vpage = ev.vaddr // self.page_size_bytes
+        vm = self.current.get(ev.cpu, HYPERVISOR)
+        guest = self.guests[vm]
+        if vm == HYPERVISOR:
+            page, walks = guest.gpt.get(vpage), 1
+        else:
+            page, walks = shadow_translate(vpage, guest.gpt, guest.rmap)
+        c.walk_steps += walks
+        by_kind = self.report.cycles_by_kind
+        key = ev.kind._value_
+        by_kind[key] = by_kind.get(key, 0) + self.cost.pt_walk_level * walks
+        if page is None or not 0 <= page < self.pages_total:
+            c.page_faults += 1
+            return
+        owner = self.owner_of.get(page)
+        if owner is None:
+            if vm != HYPERVISOR:
+                c.page_faults += 1  # resolved to an unbacked frame
+            return
+        if owner != vm:
+            self.report.violations.append(Violation(ev.seq, ev.cpu, "cpu", vm, page, owner))
+
+    on_write = on_read
+
+
+class IommuMachine(BaselineMachine):
+    """iommu: the nested CPU path, and every DMA, whatever dma_policy says,
+    walks its device's remapping tables, which no other mode keeps.  A
+    raw-target DMA names no device, so it is a mode error."""
+
+    def __init__(self, geom, cost, opts, report):
+        super().__init__(geom, cost, opts, report)
+        self.remap = RemappingTables(opts.walk_levels)
+
+    def _free_page(self, page: int) -> None:
+        BaselineMachine._free_page(self, page)
+        self.remap.unmap_phys(page)
+
+    def on_alloc(self, ev: TraceEvent) -> None:
+        page = BaselineMachine.on_alloc(self, ev)
+        guest = self.guests[ev.vm]
+        if guest.domain is not None and page is not None and ev.vm != HYPERVISOR:
+            self.remap.map_page(guest.domain, guest.backing[page][1], page)
+
+    def on_domain_assign(self, ev: TraceEvent) -> None:
+        BaselineMachine.on_domain_assign(self, ev)
+        self.remap.assign(ev.domain, ev.bus, ev.device, ev.function)
+        guest = self.guests[ev.vm]
+        guest.domain = ev.domain
+        # late assignment adopts mappings that already exist
+        for ppage, page in guest.rmap.items():
+            self.remap.map_page(ev.domain, ppage, page)
+
+    def on_dma(self, ev: TraceEvent) -> None:
+        c = self.report.counters
+        c.dma_ops += 1
+        result = iommu_dma_translate(self._device_request(ev), self.remap, self.page_size_bytes)
+        c.dma_walk_steps += result.steps
+        self.charge(ev.kind, self.cost.dma_setup + self.cost.pt_walk_level * result.steps)
+        if result.fault is not None:
+            self._dma_fault(ev, ev.dva, result.fault)
+            c.dma_blocked += 1
+            return
+        c.dma_completed += 1
+
+    def on_dma_raw(self, ev: TraceEvent) -> None:
+        raise ModeError(f"event seq {ev.seq}: raw-target DMA cannot be remapped; "
+                        "this mode requires device coordinates")
+
+
+class HyperwallMachine(BaselineMachine):
+    """hyperwall: the nested CPU path and raw DMA, behind per-page protection
+    bits checked on every access and set by hw_set."""
+
+    def on_alloc(self, ev: TraceEvent) -> None:
+        page = BaselineMachine.on_alloc(self, ev)
+        if page is not None:
+            self.page_mode[page] = PageMode.HYPERVISOR_AND_DMA
+
+    def on_hw_set(self, ev: TraceEvent) -> None:
+        if not (0 <= ev.page < self.pages_total):
+            raise self.err(ev, f"page {ev.page} outside the geometry")
+        requester = self.current.get(ev.cpu, HYPERVISOR)
+        owner = self.owner_of.get(ev.page)
+        if requester == owner or (requester == HYPERVISOR and owner is None):
+            self.page_mode[ev.page] = PageMode(ev.mode)
+        else:
+            self.report.counters.hw_set_denied += 1
+
+    def on_read(self, ev: TraceEvent) -> None:
+        """One frame per access: as nested, then a check of the page's bits."""
+        c = self.report.counters
+        c.cpu_accesses += 1
+        if ev.vaddr < 0:
+            raise self.err(ev, f"negative vaddr {ev.vaddr}")
+        vpage = ev.vaddr // self.page_size_bytes
+        vm = self.current.get(ev.cpu, HYPERVISOR)
+        guest = self.guests[vm]
+        cycles = 0
+        if vm == HYPERVISOR:
+            page, walks = guest.gpt.get(vpage), 1
+        else:
+            page = self.tlb.lookup(guest.asid, vpage)
+            if page is not None:
+                c.tlb_hits += 1
+                cycles, walks = self.cost.tlb_hit, 0
+            else:
+                c.tlb_misses += 1
+                page, walks = nested_translate(vpage, guest.gpt, guest.rmap)
+                if page is not None and 0 <= page < self.pages_total:
+                    self.tlb.insert(guest.asid, vpage, page)
+        c.walk_steps += walks
+        cycles += self.cost.pt_walk_level * walks
+        by_kind = self.report.cycles_by_kind
+        key = ev.kind._value_
+        if page is None or not 0 <= page < self.pages_total:
+            c.page_faults += 1
+            by_kind[key] = by_kind.get(key, 0) + cycles
+            return
+        by_kind[key] = by_kind.get(key, 0) + cycles + self.cost.mpt_check
+        owner = self.owner_of.get(page)
+        requester = (Requester.HYPERVISOR if vm == HYPERVISOR
+                     else Requester.OWNER_VM if owner == vm else Requester.OTHER_VM)
+        mode = self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)
+        if not page_mode_allows(mode, requester):
+            self.report.denials.append(
+                Denial(ev.seq, ev.cpu, requester.value, page, mode.value, owner)
+            )
+            return
+        if owner is None:
+            if vm != HYPERVISOR:
+                c.page_faults += 1  # resolved to an unbacked frame
+            return
+        if owner != vm:
+            self.report.violations.append(Violation(ev.seq, ev.cpu, "cpu", vm, page, owner))
+
+    on_write = on_read
+
+    def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
+        """Raw DMA stops at a page whose bits deny it; PIO and range faults pass no gate."""
+        if not self.pio and 0 <= page < self.pages_total:
+            mode = self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)
+            self.charge(ev.kind, self.cost.mpt_check)
+            if not page_mode_allows(mode, Requester.DMA):
+                c = self.report.counters
+                c.dma_ops += 1
+                c.dma_blocked += 1
+                self.charge(ev.kind, self.cost.dma_setup)
+                self.report.denials.append(Denial(ev.seq, ev.cpu, Requester.DMA.value, page,
+                                                  mode.value, self.owner_of.get(page)))
+                return
+        BaselineMachine._dma(self, ev, issuer, page, dva)
+
+
 # ---------------------------------------------------------------------------
 # run / compare
 # ---------------------------------------------------------------------------
 
 _MACHINES = {
     "asmi": AsmiMachine,
-    "nested": partial(BaselineMachine, shadow=False, remap=False, hyperwall=False),
-    "nested_shadow": partial(BaselineMachine, shadow=True, remap=False, hyperwall=False),
-    "iommu": partial(BaselineMachine, shadow=False, remap=True, hyperwall=False),
-    "hyperwall": partial(BaselineMachine, shadow=False, remap=False, hyperwall=True),
+    "nested": BaselineMachine,
+    "nested_shadow": ShadowMachine,
+    "iommu": IommuMachine,
+    "hyperwall": HyperwallMachine,
 }
 
 def run(

@@ -115,11 +115,6 @@ def _formatter(kind: EventKind, names: tuple[str, ...]):
 _FORMAT_TABLE = {kind.value: _formatter(kind, names) for kind, names in EVENT_FIELDS.items()}
 
 
-def format_event(ev: TraceEvent) -> str:
-    """The line of `ev`, without its newline."""
-    return _FORMAT_TABLE[ev.kind._value_](ev)
-
-
 def parse_line(line: str, lineno: int = 0) -> TraceEvent | None:
     """Parse one line; returns None for blanks and comments."""
     tokens = line.split()

@@ -5,15 +5,15 @@ TraceEvent's arguments one field at a time.  `vmemsim.traceio.parse_line`
 builds a well-formed line's event in one positional call instead, and
 must return the same event, or raise the same TraceFormatError, for
 every line.  Likewise `format_event` here writes a line one field at a
-time, and `vmemsim.traceio.format_event`, one call to a formatter
-compiled per kind, must return the same line or raise the same error
-for every event.  This module imports nothing from `vmemsim.traceio`.
+time, and `vmemsim.traceio.dumps`, one call to a formatter compiled per
+kind, must write the same line or raise the same error for every event.
+This module imports nothing from `vmemsim.traceio`.
 """
 
 from __future__ import annotations
 
 from vmemsim.baselines import PageMode
-from vmemsim.engine import EVENT_FIELDS, TraceEvent
+from vmemsim.events import EVENT_FIELDS, TraceEvent
 from vmemsim.errors import TraceFormatError
 
 _MODE_TOKENS = {mode.value for mode in PageMode}

@@ -331,6 +331,24 @@ def test_run_without_trace_is_an_error(capsys):
     assert "run needs --trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["compare"], "compare needs at least one --trace"),
+    (["gen", "--vms", "2"], "gen needs --vms and --events"),
+    (["gen", "--vms", "2", "--events", "10"], "gen needs --demand"),
+])
+def test_a_missing_required_setting_is_an_error(capsys, argv, message):
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_compare_of_a_header_only_trace_reports_zeros(tmp_path, capsys):
+    empty = tmp_path / "empty.trace"
+    empty.write_text("# vmemsim trace\n")
+    assert run_cli("compare", "--trace", str(empty)) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert rows == [["empty", mode, *["0"] * 7, "0.0000", "0.0000"] for mode in MODES]
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_malformed_trace_names_its_seq_in_every_mode(tmp_path, capsys, mode):
     bad = tmp_path / "exit_first.trace"

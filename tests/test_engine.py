@@ -13,13 +13,16 @@ from vmemsim import engine
 from vmemsim.baselines import PageMode, RemappingTables, VirtualTlb
 from vmemsim.core import Geometry
 from vmemsim.engine import (
-    EVENT_FIELDS,
     MODES,
     AsmiMachine,
+    BaselineMachine,
     CostModel,
     EventKind,
+    HyperwallMachine,
+    IommuMachine,
     MetricsReport,
     RunOptions,
+    ShadowMachine,
     TraceEvent,
     _MACHINES,
     canonical_mode,
@@ -28,6 +31,7 @@ from vmemsim.engine import (
     static_partition_utilization,
 )
 from vmemsim.errors import ConfigError, DuplicateRunError, ModeError, SimError, SimulationError
+from vmemsim.events import EVENT_FIELDS
 from vmemsim.promem import ProMem
 
 TINY = Geometry(256, 4, 8)
@@ -129,6 +133,11 @@ MALFORMED = {
     ),
     "negative_free_vaddr": (
         trace((E.CREATE_VM, {"vm": 1}), (E.FREE, {"vm": 1, "vaddr": -256})), 2, MODES,
+    ),
+    # asmi has no real-map table, so rmap_write is a no-op there, even for a dead vm
+    "rmap_write_dead": (
+        trace((E.CREATE_VM, {"vm": 1}), (E.RMAP_WRITE, {"vm": 2, "ppage": 0, "phys": 0})), 2,
+        ("nested", "nested_shadow", "iommu", "hyperwall"),
     ),
 }
 
@@ -749,6 +758,38 @@ def test_raw_target_dma_is_a_mode_error_under_iommu():
         run(t, "iommu", TINY)
     run(t, "nested", TINY)      # raw modes accept it
     run(t, "asmi", TINY)
+
+
+MACHINE_CLASSES = {
+    "asmi": AsmiMachine,
+    "nested": BaselineMachine,
+    "nested_shadow": ShadowMachine,
+    "iommu": IommuMachine,
+    "hyperwall": HyperwallMachine,
+}
+
+
+@pytest.mark.parametrize("dma_policy", ["raw", "off"])
+@pytest.mark.parametrize("mode", MODES)
+def test_each_mode_has_its_own_class_and_the_handlers_of_its_hardware(mode, dma_policy):
+    machine = _MACHINES[mode](TINY, CostModel(), opts(dma_policy=dma_policy), MetricsReport(mode))
+    assert type(machine) is MACHINE_CLASSES[mode]
+    assert (E.HW_SET.value in machine.handlers) == (mode == "hyperwall")
+    assert (E.RMAP_WRITE.value in machine.handlers) == (mode != "asmi")
+
+
+def test_iommu_remaps_dma_whatever_the_dma_policy():
+    t = trace(
+        (E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1}),
+        (E.DOMAIN_ASSIGN, {"domain": 1, "vm": 1, "bus": 0, "device": 0, "function": 0}),
+        (E.DMA, {"bus": 0, "device": 0, "function": 0, "dva": 0, "write": True}),
+    )
+    rep = run(t, "iommu", TINY, options=opts(dma_policy="off"))
+    assert rep.counters.dma_walk_steps > 0 and rep.counters.pio_transfers == 0
+    assert rep.counters.dma_completed == 1
+    raw = trace((E.CREATE_VM, {"vm": 1}), (E.DMA_RAW, {"vm": 1, "page": 0, "write": True}))
+    with pytest.raises(ModeError):
+        run(raw, "iommu", TINY, options=opts(dma_policy="off"))
 
 
 def test_hw_set_is_a_noop_outside_hyperwall():
