@@ -498,7 +498,9 @@ class AsmiMachine(_Machine):
 
     def on_read(self, ev: TraceEvent) -> None:
         c = self.report.counters
-        tr = self.pm.translate(ev.cpu, self._vpage(ev), self.tables, ev.seq)
+        if ev.vaddr < 0:
+            raise self.err(ev, f"negative vaddr {ev.vaddr}")
+        tr = self.pm.translate(ev.cpu, ev.vaddr // self.page_size_bytes, self.tables, ev.seq)
         c.cpu_accesses += 1
         c.walk_steps += tr.walks
         c.mpt_checks += tr.checks

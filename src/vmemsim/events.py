@@ -4,11 +4,16 @@ The trace parser and writer (`traceio`), the generators (`workload`) and
 the replay engine (`engine`) share these definitions.  This module imports
 nothing else from the package, so a command that only writes or checks a
 trace loads neither the engine nor the segment controller.
+
+An event holds only the fields its kind carries, so the parsed event
+list, the largest allocation of a `vmemsim compare`, takes about half of
+what 18-slot records would (see TraceEvent).
 """
 
 from __future__ import annotations
 
 from enum import Enum, unique
+from operator import attrgetter
 
 
 @unique
@@ -50,35 +55,88 @@ EVENT_FIELDS: dict[EventKind, tuple[str, ...]] = {
 }
 
 
+#: every field an event can carry, in TraceEvent's positional order
+FIELD_ORDER = ("seq", "kind", "cpu", "vm", "vaddr", "vpage", "target", "ppage", "phys",
+               "bus", "device", "function", "dva", "page", "domain", "mode", "vasid", "write")
+
+_values = attrgetter(*FIELD_ORDER)
+
+
 class TraceEvent:
-    """One trace line; the fields its kind does not carry stay None.
+    """One trace line; the fields its kind does not carry read None.
 
     `vaddr` and `dva` are flat byte addresses, `target` is a gpt_write's
     target page, `page` a global physical page and `mode` a PageMode value
-    token.  Slotted, because the parser and every handler read its fields.
+    token.
+
+    An event is an instance of one slotted subclass per field layout:
+    `seq`, `kind` and `cpu` plus its kind's fields, so a `read` holds four
+    slots, not eighteen.  Kinds with the same fields share a class (`read`
+    and `write`; `create_vm`, `destroy_vm`, `enter` and `alloc`), so a
+    handler shared by such kinds sees one class.  The fields a layout
+    lacks read None from this base, and assigning one raises
+    AttributeError.  `TraceEvent(...)` picks the kind's layout, or the
+    18-slot FULL_LAYOUT for an event that sets a field its kind lacks; the
+    parser and the generator build LAYOUT_OF's classes directly, with
+    `object.__new__` and slot stores.  Equality compares all 18 values
+    whatever the layouts, events are unhashable, and a copy or a pickle
+    keeps the layout.
     """
 
-    __slots__ = ("seq", "kind", "cpu", "vm", "vaddr", "vpage", "target", "ppage", "phys",
-                 "bus", "device", "function", "dva", "page", "domain", "mode", "vasid", "write")
+    __slots__ = ()
 
-    def __init__(self, seq: int, kind: EventKind, cpu: int = 0, vm=None, vaddr=None, vpage=None,
-                 target=None, ppage=None, phys=None, bus=None, device=None, function=None,
-                 dva=None, page=None, domain=None, mode=None, vasid=None, write=None) -> None:
+    # what the fields a layout lacks read
+    vm = vaddr = vpage = target = ppage = phys = bus = device = function = None
+    dva = page = domain = mode = vasid = write = None
+
+    def __new__(cls, seq: int, kind: EventKind, cpu: int = 0, vm=None, vaddr=None, vpage=None,
+                target=None, ppage=None, phys=None, bus=None, device=None, function=None,
+                dva=None, page=None, domain=None, mode=None, vasid=None, write=None):
+        fields = {"vm": vm, "vaddr": vaddr, "vpage": vpage, "target": target, "ppage": ppage,
+                  "phys": phys, "bus": bus, "device": device, "function": function, "dva": dva,
+                  "page": page, "domain": domain, "mode": mode, "vasid": vasid, "write": write}
+        if cls is TraceEvent:
+            cls = LAYOUT_OF[kind] if isinstance(kind, EventKind) else FULL_LAYOUT
+            if any(fields[name] is not None for name in fields.keys() - cls.__slots__):
+                cls = FULL_LAYOUT
+        self = object.__new__(cls)
         self.seq, self.kind, self.cpu = seq, kind, cpu
-        self.vm, self.vaddr, self.vpage = vm, vaddr, vpage
-        self.target, self.ppage, self.phys = target, ppage, phys
-        self.bus, self.device, self.function = bus, device, function
-        self.dva, self.page, self.domain = dva, page, domain
-        self.mode, self.vasid, self.write = mode, vasid, write
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        for name, value in fields.items():
+            if value is not None or name in cls.__slots__:
+                setattr(self, name, value)   # AttributeError for a field the layout lacks
+        return self
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
+        if not isinstance(other, TraceEvent):
             return NotImplemented
-        return self._values() == other._values()
+        return _values(self) == _values(other)
+
+    def __reduce__(self):
+        return type(self), _values(self)
 
     def __repr__(self) -> str:
-        fields = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"{type(self).__qualname__}({', '.join(fields)})"
+        fields = (f"{name}={value!r}" for name, value in zip(FIELD_ORDER, _values(self)))
+        return f"TraceEvent({', '.join(fields)})"
+
+
+def _layout(names: tuple[str, ...]) -> type[TraceEvent]:
+    """The slotted TraceEvent subclass that holds `seq`, `kind`, `cpu` and `names`.
+
+    One class per set of names, kept as a global of this module under its
+    own name, so kinds with the same fields share it and pickle finds it.
+    """
+    names = tuple(name for name in FIELD_ORDER[3:] if name in names)
+    name = "_Event" + "".join(map(str.title, names))
+    if name not in globals():
+        globals()[name] = type(name, (TraceEvent,), {"__slots__": FIELD_ORDER[:3] + names,
+                                                     "__module__": __name__})
+    return globals()[name]
+
+
+#: the layout of an event that sets a field its kind does not carry
+FULL_LAYOUT = _layout(FIELD_ORDER[3:])
+
+#: kind -> the layout a well-formed event of that kind is built in
+LAYOUT_OF: dict[EventKind, type[TraceEvent]] = {
+    kind: _layout(names) for kind, names in EVENT_FIELDS.items()
+}

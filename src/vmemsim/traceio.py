@@ -13,10 +13,12 @@ collects them into a list.  Trace files are UTF-8 text, read by
 newline, so `run` and `read_trace` hold one block's text and lines at a
 time, never the whole file's.
 
-Both directions take one step per well-formed line: a builder compiled
-per kind parses a line in one call, and a formatter compiled per kind
-writes one.  `dumps` still joins the whole trace into one string, so
-`vmemsim gen` holds every line in memory.
+Both directions take one step per well-formed line.  The parse loop
+splits a line, looks up its kind and calls a builder compiled per kind,
+which makes the kind's event layout (`events.LAYOUT_OF`) in one frame; a
+formatter compiled per kind writes a line in one call.  `dumps` still
+joins the whole trace into one string, so `vmemsim gen` holds every line
+in memory.
 
 The event kinds, their fields and `TraceEvent` come from `events`, and
 `PageMode` and `DmaRequest`'s bounds from `baselines`.  Neither imports
@@ -27,11 +29,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from itertools import chain
 from typing import TextIO
 
 from .baselines import DmaRequest, PageMode
 from .errors import OutOfRangeError, TraceFormatError
-from .events import EVENT_FIELDS, EventKind, TraceEvent
+from .events import EVENT_FIELDS, LAYOUT_OF, EventKind, TraceEvent
 
 _MODE_TOKENS = {mode.value for mode in PageMode}
 
@@ -54,26 +57,24 @@ def _mode(token: str) -> str:
 
 _CONVERTERS = {"write": _direction, "mode": _mode}
 
-#: TraceEvent's constructor arguments, in positional order
-_ARGUMENTS = TraceEvent.__slots__
-
 
 def _builder(kind: EventKind, names: tuple[str, ...]):
     """The function that builds the event of a well-formed `kind` line from its tokens.
 
-    It is compiled once, as `lambda t: TraceEvent(int(t[0]), kind, int(t[2]), ...)`
-    with each field's converter at its argument's position, so a line costs
-    one positional call and no loop over fields.
+    It is compiled once, as `def build(t)` that makes an instance of the
+    kind's layout with `object.__new__` and stores `int(t[0])`, `kind`,
+    `int(t[2])` and each field's converted token in its slot, so a line
+    costs one frame and no loop over fields.
     """
-    args = ["None"] * len(_ARGUMENTS)
-    args[_ARGUMENTS.index("kind")] = "kind"
+    source = "def build(t):\n    ev = new(layout)\n"
     for i, name in enumerate(("seq", "kind", "cpu") + names):
-        if name != "kind":
-            args[_ARGUMENTS.index(name)] = f"{_CONVERTERS.get(name, int).__name__}(t[{i}])"
-    while args[-1] == "None":
-        args.pop()
-    scope = {"TraceEvent": TraceEvent, "kind": kind, "_direction": _direction, "_mode": _mode}
-    return eval(f"lambda t: TraceEvent({', '.join(args)})", scope)
+        value = "kind" if name == "kind" else f"{_CONVERTERS.get(name, int).__name__}(t[{i}])"
+        source += f"    ev.{name} = {value}\n"
+    source += "    return ev\n"
+    scope = {"new": object.__new__, "layout": LAYOUT_OF[kind], "kind": kind,
+             "_direction": _direction, "_mode": _mode}
+    exec(source, scope)
+    return scope["build"]
 
 
 #: kind token -> (tokens per line, builder, field names)
@@ -116,21 +117,14 @@ _FORMAT_TABLE = {kind.value: _formatter(kind, names) for kind, names in EVENT_FI
 
 
 def parse_line(line: str, lineno: int = 0) -> TraceEvent | None:
-    """Parse one line; returns None for blanks and comments."""
-    tokens = line.split()
-    try:
-        width, build, _ = _PARSE_TABLE[tokens[1]]
-        if len(tokens) == width:
-            return build(tokens)
-    except (IndexError, KeyError, ValueError):
-        pass
-    return _diagnose(tokens, lineno)
+    """Parse one line, numbered `lineno` in errors; returns None for blanks and comments."""
+    return next(_events((line,), lineno), None)
 
 
 def _diagnose(tokens: list[str], lineno: int) -> None:
     """None for a blank or comment line; else raise the line's TraceFormatError.
 
-    `parse_line` sends here only the lines its one-step build rejects; the
+    The parser sends here only the lines its one-step build rejects; the
     checks run in the order their errors take precedence.
     """
     if not tokens or tokens[0].startswith("#"):
@@ -168,13 +162,28 @@ def parse_lines(chunks: Iterable[str]) -> Iterator[TraceEvent]:
     splits and are numbered from 1, so a file read in pieces parses exactly
     as its whole text does.
     """
-    lineno = 0
-    for chunk in chunks:
-        for line in chunk.splitlines():
-            lineno += 1
-            ev = parse_line(line, lineno)
-            if ev is not None:
-                yield ev
+    return _events(chain.from_iterable(map(str.splitlines, chunks)), 1)
+
+
+def _events(lines: Iterable[str], lineno: int) -> Iterator[TraceEvent]:
+    """The events of `lines`, the first numbered `lineno`: the parser's one fast path.
+
+    A well-formed line costs one split, one table lookup, one width check
+    and its builder's frame, all inline here; only a line the build
+    rejects goes to `_diagnose`.
+    """
+    table = _PARSE_TABLE
+    for lineno, line in enumerate(lines, lineno):
+        tokens = line.split()
+        try:
+            width, build, _ = table[tokens[1]]
+            ev = build(tokens) if len(tokens) == width else None
+        except (IndexError, KeyError, ValueError):
+            ev = None
+        if ev is None:
+            _diagnose(tokens, lineno)
+        else:
+            yield ev
 
 
 def dumps(events: list[TraceEvent]) -> str:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 from .baselines import MAX_BUS, MAX_DEVICE, PageMode
 from .core import Geometry
 from .errors import WorkloadError
-from .events import EventKind, TraceEvent
+from .events import LAYOUT_OF, EventKind, TraceEvent
 
 _MASK64 = (1 << 64) - 1
 _MILLION = 1_000_000
@@ -173,14 +173,23 @@ def generate(spec: WorkloadSpec, geom: Geometry | None = None) -> list[TraceEven
             domain=vm, vm=vm, bus=bus, device=device, function=function,
         )
 
-    # every pass of the body loop appends exactly one event, numbered `seq`
+    # every pass of the body loop appends exactly one event, numbered `seq`, built
+    # in its kind's layout by `object.__new__` and slot stores, with no call to
+    # TraceEvent's generic constructor
     append = trace.append
+    new = object.__new__
     read, write = EventKind.READ, EventKind.WRITE  # most events are one of these
+    access_layout, vm_layout, free_layout, exit_layout, dma_layout = (
+        LAYOUT_OF[kind] for kind in (read, EventKind.ALLOC, EventKind.FREE, EventKind.EXIT,
+                                     EventKind.DMA)
+    )
     current = 0  # guest on cpu 0; 0 means the hypervisor
     for seq in range(preamble + 1, spec.events + 1):
         if current == 0:
             current = 1 + draw() % spec.vm_count
-            append(TraceEvent(seq, EventKind.ENTER, 0, current))
+            ev = new(vm_layout)
+            ev.seq, ev.kind, ev.cpu, ev.vm = seq, EventKind.ENTER, 0, current
+            append(ev)
             continue
         vm = current
         if dma_scaled and draw() % 1_000_000 < dma_scaled:
@@ -189,29 +198,35 @@ def generate(spec: WorkloadSpec, geom: Geometry | None = None) -> list[TraceEven
             else:
                 dva_page = draw() % pages_total
             bus, device, function = _device_of(vm)
-            append(TraceEvent(
-                seq, EventKind.DMA,
-                bus=bus, device=device, function=function,
-                dva=dva_page * page_size,
-                write=draw() % 1_000_000 < 500_000,
-            ))
+            ev = new(dma_layout)
+            ev.seq, ev.kind, ev.cpu = seq, EventKind.DMA, 0
+            ev.bus, ev.device, ev.function = bus, device, function
+            ev.dva, ev.write = dva_page * page_size, draw() % 1_000_000 < 500_000
+            append(ev)
             continue
         if switch_scaled and draw() % 1_000_000 < switch_scaled:
-            append(TraceEvent(seq, EventKind.EXIT))
+            ev = new(exit_layout)
+            ev.seq, ev.kind, ev.cpu = seq, EventKind.EXIT, 0
+            append(ev)
             current = 0
             continue
         pages = live[vm]
         if len(pages) < working_set[vm]:
             pages.append(next_vpage[vm])
             next_vpage[vm] += 1
-            append(TraceEvent(seq, EventKind.ALLOC, 0, vm))
+            ev = new(vm_layout)
+            ev.seq, ev.kind, ev.cpu, ev.vm = seq, EventKind.ALLOC, 0, vm
+            append(ev)
             continue
         if pages and draw() % 1_000_000 < churn_scaled[vm]:
             pick = draw() % len(pages)
             vpage = pages[pick]
             pages[pick] = pages[-1]
             pages.pop()
-            append(TraceEvent(seq, EventKind.FREE, 0, vm, vpage * page_size))
+            ev = new(free_layout)
+            ev.seq, ev.kind, ev.cpu = seq, EventKind.FREE, 0
+            ev.vm, ev.vaddr = vm, vpage * page_size
+            append(ev)
             continue
         window = recent[vm]
         if window and draw() % 1_000_000 < locality_scaled[vm]:
@@ -222,7 +237,10 @@ def generate(spec: WorkloadSpec, geom: Geometry | None = None) -> list[TraceEven
             vpage = 0
         window.append(vpage)
         vaddr = vpage * page_size + draw() % page_size
-        append(TraceEvent(seq, read if draw() % 1_000_000 < 700_000 else write, 0, None, vaddr))
+        ev = new(access_layout)
+        ev.seq, ev.kind, ev.cpu = seq, read if draw() % 1_000_000 < 700_000 else write, 0
+        ev.vaddr = vaddr
+        append(ev)
 
     return trace
 

@@ -1,10 +1,11 @@
 """Reference trace-line parser and writer: the field-by-field loops, kept to check the fast ones.
 
 `parse_line` here checks each rule of the format in turn and fills
-TraceEvent's arguments one field at a time.  `vmemsim.traceio.parse_line`
-builds a well-formed line's event in one positional call instead, and
-must return the same event, or raise the same TraceFormatError, for
-every line.  Likewise `format_event` here writes a line one field at a
+TraceEvent's arguments one field at a time.  `vmemsim.traceio` builds a
+well-formed line's event in one call to a builder compiled per kind
+instead, and must return the same event, or raise the same
+TraceFormatError, for every line (`parse_line`) and every whole text
+(`loads`).  Likewise `format_event` here writes a line one field at a
 time, and `vmemsim.traceio.dumps`, one call to a formatter compiled per
 kind, must write the same line or raise the same error for every event.
 This module imports nothing from `vmemsim.traceio`.
@@ -13,7 +14,7 @@ This module imports nothing from `vmemsim.traceio`.
 from __future__ import annotations
 
 from vmemsim.baselines import PageMode
-from vmemsim.events import EVENT_FIELDS, TraceEvent
+from vmemsim.events import EVENT_FIELDS, FIELD_ORDER, TraceEvent
 from vmemsim.errors import TraceFormatError
 
 _MODE_TOKENS = {mode.value for mode in PageMode}
@@ -38,7 +39,7 @@ def _mode(token: str) -> str:
 _CONVERTERS = {"write": _direction, "mode": _mode}
 
 #: TraceEvent's constructor arguments, in positional order
-_ARGUMENTS = TraceEvent.__slots__
+_ARGUMENTS = FIELD_ORDER
 _SEQ, _KIND, _CPU = (_ARGUMENTS.index(name) for name in ("seq", "kind", "cpu"))
 
 #: kind token -> (kind, field names, ((argument position, field name, converter), ...))

@@ -1,12 +1,14 @@
 """The records' contract: validation, immutability, field order, equality and repr.
 
-The config records are validated `NamedTuple`s, `TraceEvent` and
-`CostModel` are slotted classes, and nothing in the package imports
-`dataclasses`, which would add its import and code generation to every
-command's start-up, or `pathlib`, which would add its own and that of
-`urllib.parse` and `ipaddress`.
+The config records are validated `NamedTuple`s, `TraceEvent` is a slotted
+class per field layout and `CostModel` a slotted class, and nothing in the
+package imports `dataclasses`, which would add its import and code
+generation to every command's start-up, or `pathlib`, which would add its
+own and that of `urllib.parse` and `ipaddress`.
 """
 
+import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,7 @@ import vmemsim
 from vmemsim.baselines import DmaRequest
 from vmemsim.core import Geometry
 from vmemsim.engine import CostModel, EventKind, RunOptions, TraceEvent
+from vmemsim.events import EVENT_FIELDS, FIELD_ORDER, FULL_LAYOUT, LAYOUT_OF
 from vmemsim.errors import ConfigError, GeometryError, OutOfRangeError, WorkloadError
 from vmemsim.workload import DemandProfile, WorkloadSpec
 
@@ -101,7 +104,7 @@ TRACE_EVENT_FIELDS = (
 
 
 def test_trace_event_positional_order_and_defaults():
-    assert TraceEvent.__slots__ == TRACE_EVENT_FIELDS
+    assert FIELD_ORDER == TRACE_EVENT_FIELDS
     values = (9, EventKind.DMA) + tuple(range(100, 116))
     ev = TraceEvent(*values)
     assert [getattr(ev, name) for name in TRACE_EVENT_FIELDS] == list(values)
@@ -111,15 +114,64 @@ def test_trace_event_positional_order_and_defaults():
 
 
 def test_trace_event_equality_and_hash():
+    fields = {"seq": 3, "kind": EventKind.FREE, "cpu": 1, "vm": 2, "vaddr": 4096}
     ev = TraceEvent(3, EventKind.FREE, 1, vm=2, vaddr=4096)
-    assert ev == TraceEvent(seq=3, kind=EventKind.FREE, cpu=1, vm=2, vaddr=4096)
+    assert ev == TraceEvent(**fields)
     for name in TRACE_EVENT_FIELDS:
-        changed = TraceEvent(3, EventKind.FREE, 1, vm=2, vaddr=4096)
-        setattr(changed, name, "other")
-        assert ev != changed, name
+        assert ev != TraceEvent(**{**fields, name: "other"}), name
     assert ev != (3, EventKind.FREE, 1, 2, 4096)
     with pytest.raises(TypeError):
         hash(ev)
+
+
+def sample_event(kind):
+    """A `kind` event with each of its fields set, in the kind's layout."""
+    return TraceEvent(7, kind, 1, **{name: 5 for name in EVENT_FIELDS[kind]})
+
+
+#: one event per layout, and one that sets a field its kind lacks (the 18-slot layout)
+LAYOUT_SAMPLES = [sample_event(kind)
+                  for kind in {LAYOUT_OF[kind]: kind for kind in EventKind}.values()]
+LAYOUT_SAMPLES.append(TraceEvent(7, EventKind.READ, 1, vaddr=5, page=2))
+
+
+def test_trace_event_layouts():
+    # a layout is seq, kind, cpu and the kind's fields; kinds with the same fields share one
+    for kind, names in EVENT_FIELDS.items():
+        event = sample_event(kind)
+        assert type(event) is LAYOUT_OF[kind]
+        assert sorted(type(event).__slots__) == sorted(("seq", "kind", "cpu") + names)
+    assert LAYOUT_OF[EventKind.READ] is LAYOUT_OF[EventKind.WRITE]
+    assert len({LAYOUT_OF[kind] for kind in (EventKind.CREATE_VM, EventKind.DESTROY_VM,
+                                              EventKind.ENTER, EventKind.ALLOC)}) == 1
+    assert len(set(LAYOUT_OF.values())) == len({frozenset(n) for n in EVENT_FIELDS.values()})
+    # a field the kind does not carry, even set to a falsy value, needs all 18 slots
+    for value in (0, False, "other"):
+        assert type(TraceEvent(7, EventKind.READ, 1, vaddr=5, page=value)) is FULL_LAYOUT
+    assert type(TraceEvent(7, EventKind.READ, 1, vaddr=5, page=None)) is LAYOUT_OF[EventKind.READ]
+    assert type(TraceEvent(7, "read", 1, vaddr=5)) is FULL_LAYOUT
+    assert FULL_LAYOUT.__slots__ == TRACE_EVENT_FIELDS
+
+
+@pytest.mark.parametrize("ev", LAYOUT_SAMPLES, ids=lambda ev: type(ev).__name__)
+def test_every_layout_keeps_the_record_contract(ev):
+    full = FULL_LAYOUT(*(getattr(ev, name) for name in TRACE_EVENT_FIELDS))
+    assert ev == full and full == ev
+    assert ev != FULL_LAYOUT(*(getattr(ev, name) for name in TRACE_EVENT_FIELDS[:-1]), "w")
+    for copied in (copy.copy(ev), copy.deepcopy(ev), pickle.loads(pickle.dumps(ev))):
+        assert copied == ev and copied is not ev
+        assert type(copied) is type(ev)
+    with pytest.raises(TypeError):
+        hash(ev)
+    assert repr(ev) == repr(full) and repr(ev).startswith("TraceEvent(seq=7, ")
+    for name in TRACE_EVENT_FIELDS:
+        if name not in type(ev).__slots__:
+            assert getattr(ev, name) is None
+            with pytest.raises(AttributeError):
+                setattr(ev, name, 1)
+            with pytest.raises(AttributeError):
+                type(ev)(*(getattr(ev, n) if n != name else 1 for n in TRACE_EVENT_FIELDS))
+    assert ev == full
 
 
 def test_trace_event_repr():

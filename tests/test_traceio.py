@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import parser_reference
 from vmemsim.baselines import PageMode
 from vmemsim.core import Geometry
-from vmemsim.events import EVENT_FIELDS, EventKind, TraceEvent
+from vmemsim.events import EVENT_FIELDS, FIELD_ORDER, EventKind, TraceEvent
 from vmemsim import traceio
 from vmemsim.errors import TraceFormatError
 from vmemsim.traceio import (
@@ -292,7 +292,7 @@ def test_read_trace_holds_little_beyond_its_events(tmp_path):
 # the compiled formatters against the field-by-field reference
 # ---------------------------------------------------------------------------
 
-ARGUMENT_NAMES = list(TraceEvent.__slots__)[3:]
+ARGUMENT_NAMES = list(FIELD_ORDER)[3:]
 MODE_TOKENS = [mode.value for mode in PageMode]
 
 
@@ -351,3 +351,31 @@ def test_dumps_matches_the_reference_on_every_kind():
     assert dumps(events).splitlines() == [
         "# vmemsim trace", *(parser_reference.format_event(ev) for ev in events)
     ]
+
+
+# ---------------------------------------------------------------------------
+# whole texts: the inlined parse loop against the line-by-line reference
+# ---------------------------------------------------------------------------
+
+BLANK_AND_COMMENT_LINES = ["", " ", "\t", "#", "# vmemsim trace", "#1 read 0 5", "  # 2 exit 0"]
+
+
+@st.composite
+def mixed_texts(draw):
+    """Well-formed, malformed, blank and comment lines, mostly LF or CRLF terminated."""
+    line = st.one_of(well_formed_events().map(format_line), trace_lines(),
+                     st.sampled_from(BLANK_AND_COMMENT_LINES))
+    lines = draw(st.lists(line, max_size=12))
+    brk = st.sampled_from(["\n"] * 4 + ["\r\n"] * 4 + LINE_BREAKS)
+    text = "".join(line + draw(brk) for line in lines)
+    return text + draw(st.sampled_from(["", "", "1 create_vm 0 1", "1 warp 0"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mixed_texts(), st.integers(1, 64))
+def test_a_whole_text_parses_as_the_reference_does(text, block_size):
+    want = _parse_outcome(lambda: parser_reference.loads(text))
+    assert _parse_outcome(lambda: loads(text)) == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traceio, "BLOCK_SIZE", block_size)
+        assert _parse_outcome(lambda: list(parse_lines(read_blocks(io.StringIO(text))))) == want

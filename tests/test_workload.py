@@ -1,5 +1,8 @@
 """Workload generator and the scripted attack traces."""
 
+import copy
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +10,7 @@ import workload_reference
 from vmemsim.core import Geometry
 from vmemsim.engine import MODES, EventKind, run
 from vmemsim.errors import WorkloadError
+from vmemsim.events import FIELD_ORDER, FULL_LAYOUT
 from vmemsim.traceio import dumps, validate
 from vmemsim.workload import (
     DemandProfile,
@@ -194,7 +198,8 @@ def _generated(generator, workload, geom):
         trace = generator(workload, geom)
     except WorkloadError as exc:
         return f"WorkloadError: {exc}"
-    return trace, dumps(trace)
+    # each event's class too: equality alone does not see a wrong layout
+    return trace, [type(ev) for ev in trace], dumps(trace)
 
 
 @settings(max_examples=300, deadline=None)
@@ -203,6 +208,32 @@ def test_generate_matches_the_reference(workload, geom):
     assert _generated(generate, workload, geom) == _generated(
         workload_reference.generate, workload, geom
     )
+
+
+def _kept_bytes(build):
+    """The bytes still allocated after `build()`, and its result."""
+    tracemalloc.start()
+    try:
+        result = build()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return kept, result
+
+
+def test_generated_events_take_under_60_percent_of_18_slot_events():
+    # read_hot's shape: three VMs, resident working sets, reads and writes, rare switches
+    spec = WorkloadSpec(seed=1, vm_count=3, events=20_000,
+                        demand=(DemandProfile(48, 0.0, 0.9),) * 3, switch_rate=0.01)
+    trace = generate(spec, Geometry(4096, 512, 64))
+    assert sum(ev.kind in (EventKind.READ, EventKind.WRITE) for ev in trace) > 19_000
+    # copies share the field values, so each side counts the event objects and one list
+    layouts, copies = _kept_bytes(lambda: [copy.copy(ev) for ev in trace])
+    full, full_copies = _kept_bytes(
+        lambda: [FULL_LAYOUT(*(getattr(ev, name) for name in FIELD_ORDER)) for ev in trace])
+    assert copies == trace == full_copies
+    assert {type(ev) for ev in full_copies} == {FULL_LAYOUT}
+    assert layouts < 0.6 * full, (layouts, full)
 
 
 # ---------------------------------------------------------------------------
