@@ -36,6 +36,11 @@ baselines subclass it.  Kinds a mode's hardware does not implement
 (hw_set outside hyperwall, rmap_write under asmi) have no handler and
 are no-ops; a raw-target DMA under iommu is a mode error.
 
+Machines count and `run` prices.  A handler adds each priced count
+(walks, checks, vTLB hits, swapped pages, switches, flushes, DMA and PIO
+transfers) to its kind's `tally` and reads no price; after the replay,
+`run` prices each tally with `_cycles` and adds it to the counters.
+
 Faults never abort a run; they are recorded in the report's ledgers.
 Errors that make the trace itself meaningless (entering a dead VM,
 unknown ids, non-monotone seq, a negative vaddr, a device address outside
@@ -51,6 +56,7 @@ import bisect
 import heapq
 import itertools
 import json
+from collections import defaultdict
 from collections.abc import Collection, Iterable
 from typing import NamedTuple
 
@@ -103,7 +109,7 @@ _SAT = (1 << 64) - 1
 class CostModel:
     """Cycle prices; each kind's total and the grand total saturate at 2^64-1.
 
-    Frozen, and slotted because handlers read a price on every event.
+    Frozen and slotted; `run` reads the prices once, after the replay.
     """
 
     __slots__ = ("tlb_hit", "pt_walk_level", "mpt_check", "tlb_flush", "swap_page",
@@ -178,11 +184,29 @@ COUNTER_NAMES = (
 
 
 class Counters:
-    """One int per name in COUNTER_NAMES, each starting at 0."""
+    """One int per name in COUNTER_NAMES, each starting at 0, and `unreported_checks`:
+    the checks `mpt_check` prices that `mpt_checks` leaves out (asmi's alloc and
+    DMA checks, hyperwall's protection bits), which no report lists."""
+
+    __slots__ = (*COUNTER_NAMES, "unreported_checks")
 
     def __init__(self) -> None:
-        for name in COUNTER_NAMES:
+        for name in self.__slots__:
             setattr(self, name, 0)
+
+
+def _cycles(t: Counters, cost: CostModel, pio_cycles: int) -> int:
+    """The unsaturated cycles of one kind's priced counts; `pio_cycles` prices a PIO transfer."""
+    return (
+        cost.tlb_hit * t.tlb_hits
+        + cost.pt_walk_level * (t.walk_steps + t.shadow_update_steps + t.dma_walk_steps)
+        + cost.mpt_check * (t.mpt_checks + t.unreported_checks)
+        + cost.swap_page * t.pages_swapped
+        + cost.context_switch * (t.context_switches + t.process_switches)
+        + cost.tlb_flush * t.tlb_flushes
+        + cost.dma_setup * (t.dma_ops - t.pio_transfers)
+        + pio_cycles * t.pio_transfers
+    )
 
 
 class UtilSample(NamedTuple):
@@ -230,7 +254,7 @@ class MetricsReport:
             "events": self.events,
             "total_cycles": self.total_cycles,
             "cycles_by_kind": {k: self.cycles_by_kind[k] for k in sorted(self.cycles_by_kind)},
-            "counters": dict(vars(self.counters)),
+            "counters": {name: getattr(self.counters, name) for name in COUNTER_NAMES},
             "ledgers": self.ledger_dict(),
             "utilization": [u._asdict() for u in self.utilization],
             "final_segments": {str(k): v for k, v in sorted(self.final_segments.items())},
@@ -326,12 +350,14 @@ class _Machine:
     live: Collection[int]
     flush_on_switch = False
 
-    def __init__(self, geom: Geometry, cost: CostModel, opts: RunOptions, report: MetricsReport):
+    def __init__(self, geom: Geometry, opts: RunOptions, report: MetricsReport):
         self.geom = geom
         self.page_size_bytes = geom.page_size_bytes
         self.pages_total = geom.pages_total  # a property of Geometry, read on every access
-        self.cost = cost
         self.report = report
+        # kind token -> its priced counts, made on the kind's first count so
+        # that a kind keeps its key even when it prices to 0
+        self.tally: defaultdict[str, Counters] = defaultdict(Counters)
         self.device_owner: dict[tuple[int, int, int], int] = {}
         # plain functions, called with the machine: bound methods would make
         # every machine a reference cycle that outlives its run
@@ -346,12 +372,6 @@ class _Machine:
         handler = self.handlers.get(ev.kind._value_)
         if handler is not None:
             handler(self, ev)
-
-    def charge(self, kind: EventKind, cycles: int) -> None:
-        """Add unsaturated cycles to the kind's sum; `run` saturates the sums."""
-        by_kind = self.report.cycles_by_kind
-        key = kind._value_
-        by_kind[key] = by_kind.get(key, 0) + cycles
 
     def err(self, ev: TraceEvent, message: str) -> SimulationError:
         return SimulationError(f"event seq {ev.seq}: {message}")
@@ -370,22 +390,19 @@ class _Machine:
         """A dma event's device address; OutOfRangeError outside DmaRequest's bounds."""
         return DmaRequest(ev.bus, ev.device, ev.function, ev.dva, bool(ev.write))
 
-    def _charge_switch(self, kind: EventKind) -> None:
-        """Count and price a VM entry/exit or a process switch (and a flush)."""
-        c = self.report.counters
+    def _count_switch(self, kind: EventKind) -> None:
+        """Count a VM entry/exit or a process switch (and a flush)."""
+        t = self.tally[kind._value_]
         if kind is EventKind.PSWITCH:
-            c.process_switches += 1
+            t.process_switches += 1
         else:
-            c.context_switches += 1
-        cycles = self.cost.context_switch
+            t.context_switches += 1
         if self.flush_on_switch:
             self.tlb.flush()
-            c.tlb_flushes += 1
-            cycles += self.cost.tlb_flush
-        self.charge(kind, cycles)
+            t.tlb_flushes += 1
 
     def on_pswitch(self, ev: TraceEvent) -> None:
-        self._charge_switch(ev.kind)
+        self._count_switch(ev.kind)
 
     def on_domain_assign(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
@@ -419,8 +436,8 @@ class _Machine:
 class AsmiMachine(_Machine):
     """Segment controller mode."""
 
-    def __init__(self, geom, cost, opts, report):
-        super().__init__(geom, cost, opts, report)
+    def __init__(self, geom, opts, report):
+        super().__init__(geom, opts, report)
         self.pm = ProMem(geom)
         self.pm.load_hypervisor()
         self.live = self.pm.live
@@ -429,10 +446,10 @@ class AsmiMachine(_Machine):
 
     apply = _Machine.dispatch
 
-    def _charge_reclaim(self, kind: EventKind, notice: ReclaimNotice | None) -> None:
+    def _count_reclaim(self, kind: EventKind, notice: ReclaimNotice | None) -> None:
         if notice is None:
             return
-        self.charge(kind, self.cost.swap_page * notice.pages_swapped)
+        self.tally[kind._value_].pages_swapped += notice.pages_swapped
         # The victim's pages were swapped out; a well-behaved guest unmaps them.
         table = self.tables[notice.victim]
         gone = set(notice.segments)
@@ -448,7 +465,7 @@ class AsmiMachine(_Machine):
         if vm != ev.vm:
             raise self.err(ev, f"trace expects vm {ev.vm}, controller assigned {vm}")
         if len(self.pm.notices) > notices_before:
-            self._charge_reclaim(ev.kind, self.pm.notices[-1])
+            self._count_reclaim(ev.kind, self.pm.notices[-1])
         self.tables[vm] = {}
         self.next_vpage[vm] = 0
 
@@ -459,18 +476,18 @@ class AsmiMachine(_Machine):
 
     def on_enter(self, ev: TraceEvent) -> None:
         self.pm.vm_entry(ev.cpu, ev.vm)
-        self._charge_switch(ev.kind)
+        self._count_switch(ev.kind)
 
     def on_exit(self, ev: TraceEvent) -> None:
         self.pm.vm_exit(ev.cpu)
-        self._charge_switch(ev.kind)
+        self._count_switch(ev.kind)
 
     def on_alloc(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
         self.report.counters.allocs += 1
         result = self.pm.allocate_page(ev.vm, ev.seq)
-        self.charge(ev.kind, self.cost.mpt_check)
-        self._charge_reclaim(ev.kind, result.reclaim)
+        self.tally[ev.kind._value_].unreported_checks += 1
+        self._count_reclaim(ev.kind, result.reclaim)
         if result.page is not None:
             vpage = self.next_vpage[ev.vm]
             self.next_vpage[ev.vm] = vpage + 1
@@ -502,15 +519,11 @@ class AsmiMachine(_Machine):
             raise self.err(ev, f"negative vaddr {ev.vaddr}")
         tr = self.pm.translate(ev.cpu, ev.vaddr // self.page_size_bytes, self.tables, ev.seq)
         c.cpu_accesses += 1
-        c.walk_steps += tr.walks
-        c.mpt_checks += tr.checks
+        t = self.tally[ev.kind._value_]
+        t.walk_steps += tr.walks
+        t.mpt_checks += tr.checks
         if tr.fault == PAGE_FAULT:
             c.page_faults += 1
-        by_kind = self.report.cycles_by_kind
-        key = ev.kind._value_
-        by_kind[key] = (
-            by_kind.get(key, 0) + self.cost.pt_walk_level * tr.walks + self.cost.mpt_check * tr.checks
-        )
 
     on_write = on_read
 
@@ -519,20 +532,19 @@ class AsmiMachine(_Machine):
         self.tables[ev.vm][ev.vpage] = ev.target
 
     def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
-        c = self.report.counters
-        c.dma_ops += 1
+        t = self.tally[ev.kind._value_]
+        t.dma_ops += 1
+        # without an issuer or in-range page no ownership check is possible:
+        # the failure is in dma_faults only
         if issuer is None:
             self._dma_fault(ev, dva, "unassigned_device")
         elif self._dma_in_range(ev, page, dva):
             fault = self.pm.check_owner(issuer, page, ev.cpu, ev.seq)
-            self.charge(ev.kind, self.cost.dma_setup + self.cost.mpt_check)
+            t.unreported_checks += 1
             if fault is None:
-                c.dma_completed += 1
+                self.report.counters.dma_completed += 1
             else:
-                c.dma_blocked += 1
-            return
-        # no ownership check was possible: the failure is in dma_faults only
-        self.charge(ev.kind, self.cost.dma_setup)
+                self.report.counters.dma_blocked += 1
 
     # -- bookkeeping --
 
@@ -547,7 +559,6 @@ class AsmiMachine(_Machine):
         self.report.isolation_faults.extend(self.pm.faults)
         self.report.memory_full.extend(self.pm.memory_full_events)
         self.report.reclaims.extend(self.pm.notices)
-        self.report.counters.pages_swapped += sum(n.pages_swapped for n in self.pm.notices)
         for vm in sorted(self.pm.live):
             self.report.final_segments[vm] = self.pm.segment_count(vm)
             self.report.final_pages[vm] = self.pm.allocated_pages(vm)
@@ -590,8 +601,8 @@ class BaselineMachine(_Machine):
     and no later guest reuses them.
     """
 
-    def __init__(self, geom, cost, opts, report):
-        super().__init__(geom, cost, opts, report)
+    def __init__(self, geom, opts, report):
+        super().__init__(geom, opts, report)
         self.free_pages: list[int] = []     # a heap of freed pages, all below fresh_page
         self.fresh_page = 0                 # no page at or above it was ever handed out
         self.owner_of: dict[int, int] = {}  # held page -> owner
@@ -666,13 +677,13 @@ class BaselineMachine(_Machine):
         if self.current.get(ev.cpu, HYPERVISOR) != HYPERVISOR or ev.vm == HYPERVISOR:
             raise self.err(ev, "entry requires the hypervisor to be current")
         self.current[ev.cpu] = ev.vm
-        self._charge_switch(ev.kind)
+        self._count_switch(ev.kind)
 
     def on_exit(self, ev: TraceEvent) -> None:
         if self.current.get(ev.cpu, HYPERVISOR) == HYPERVISOR:
             raise self.err(ev, "exit requires a guest to be current")
         self.current[ev.cpu] = HYPERVISOR
-        self._charge_switch(ev.kind)
+        self._count_switch(ev.kind)
 
     def on_pswitch(self, ev: TraceEvent) -> None:
         guest = self.guests[self.current.get(ev.cpu, HYPERVISOR)]
@@ -687,9 +698,8 @@ class BaselineMachine(_Machine):
         """Hand out and map the lowest free page: it, or None when memory is full."""
         vm = ev.vm
         self._require_live(ev, vm)
-        c = self.report.counters
-        c.allocs += 1
-        cycles = 0
+        self.report.counters.allocs += 1
+        t = self.tally[ev.kind._value_]
         free = self.free_pages
         if free:
             page = heapq.heappop(free)
@@ -698,11 +708,9 @@ class BaselineMachine(_Machine):
             self.fresh_page = page + 1
         elif self._reclaim_one_page(vm) is None:
             self.report.memory_full.append(MemoryFull(ev.seq, vm))
-            self.charge(ev.kind, 0)
             return None
         else:
-            c.pages_swapped += 1
-            cycles = self.cost.swap_page
+            t.pages_swapped += 1
             page = heapq.heappop(free)
         self.owner_of[page] = vm
         guest = self.guests[vm]
@@ -721,9 +729,6 @@ class BaselineMachine(_Machine):
             if old is not None:
                 self.tlb.invalidate_phys(old)
             guest.rmap[ppage] = page
-        by_kind = self.report.cycles_by_kind
-        key = ev.kind._value_
-        by_kind[key] = by_kind.get(key, 0) + cycles
         return page
 
     def on_free(self, ev: TraceEvent) -> None:
@@ -758,7 +763,7 @@ class BaselineMachine(_Machine):
     # -- CPU access --
 
     def on_read(self, ev: TraceEvent) -> None:
-        """One frame per access: vTLB hit or nested walk, range check, charge, owner."""
+        """One frame per access: vTLB hit or nested walk, range check, count, owner."""
         c = self.report.counters
         c.cpu_accesses += 1
         if ev.vaddr < 0:
@@ -766,23 +771,20 @@ class BaselineMachine(_Machine):
         vpage = ev.vaddr // self.page_size_bytes
         vm = self.current.get(ev.cpu, HYPERVISOR)
         guest = self.guests[vm]
-        cycles = 0
+        t = self.tally[ev.kind._value_]
         if vm == HYPERVISOR:
             page, walks = guest.gpt.get(vpage), 1
         else:
             page = self.tlb.lookup(guest.asid, vpage)
             if page is not None:
-                c.tlb_hits += 1
-                cycles, walks = self.cost.tlb_hit, 0
+                t.tlb_hits += 1
+                walks = 0
             else:
                 c.tlb_misses += 1
                 page, walks = nested_translate(vpage, guest.gpt, guest.rmap)
                 if page is not None and 0 <= page < self.pages_total:
                     self.tlb.insert(guest.asid, vpage, page)
-        c.walk_steps += walks
-        by_kind = self.report.cycles_by_kind
-        key = ev.kind._value_
-        by_kind[key] = by_kind.get(key, 0) + cycles + self.cost.pt_walk_level * walks
+        t.walk_steps += walks
         if page is None or not 0 <= page < self.pages_total:
             c.page_faults += 1
             return
@@ -800,13 +802,12 @@ class BaselineMachine(_Machine):
 
     def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
         """Raw DMA, which lands whoever owns the page; PIO under dma_policy=off."""
-        c = self.report.counters
-        c.dma_ops += 1
+        t = self.tally[ev.kind._value_]
+        t.dma_ops += 1
         if self.pio:
-            c.pio_transfers += 1
-            self.charge(ev.kind, self.cost.programmed_io_word * (self.page_size_bytes // 8))
+            t.pio_transfers += 1
             return
-        self.charge(ev.kind, self.cost.dma_setup)
+        c = self.report.counters
         if not self._dma_in_range(ev, page, dva):
             c.dma_blocked += 1
             return
@@ -854,33 +855,27 @@ class ShadowMachine(BaselineMachine):
     of the entries they affect.  The hypervisor's table maps straight to
     physical pages, so its writes derive nothing."""
 
-    def __init__(self, geom, cost, opts, report):
-        super().__init__(geom, cost, opts, report)
+    def __init__(self, geom, opts, report):
+        super().__init__(geom, opts, report)
         self.flush_on_switch = False  # nothing fills the vTLB, so a switch has none to flush
-
-    def _shadow_cycles(self, steps: int) -> int:
-        """Count shadow re-derivation steps; their price in cycles."""
-        self.report.counters.shadow_update_steps += steps
-        return self.cost.pt_walk_level * steps
 
     def on_alloc(self, ev: TraceEvent) -> None:
         if BaselineMachine.on_alloc(self, ev) is not None and ev.vm != HYPERVISOR:
-            cycles = self._shadow_cycles(shadow_update_vpage())
-            self.report.cycles_by_kind[ev.kind._value_] += cycles  # the base charged the key
+            self.tally[ev.kind._value_].shadow_update_steps += shadow_update_vpage()
 
     def on_gpt_write(self, ev: TraceEvent) -> None:
         BaselineMachine.on_gpt_write(self, ev)
         if ev.vm != HYPERVISOR:
-            self.charge(ev.kind, self._shadow_cycles(shadow_update_vpage()))
+            self.tally[ev.kind._value_].shadow_update_steps += shadow_update_vpage()
 
     def on_rmap_write(self, ev: TraceEvent) -> None:
         BaselineMachine.on_rmap_write(self, ev)
         if ev.vm != HYPERVISOR:
             steps = shadow_update_ppage(self.guests[ev.vm].gpt, ev.ppage)
-            self.charge(ev.kind, self._shadow_cycles(steps))
+            self.tally[ev.kind._value_].shadow_update_steps += steps
 
     def on_read(self, ev: TraceEvent) -> None:
-        """One frame per access: shadow walk, range check, charge, owner."""
+        """One frame per access: shadow walk, range check, count, owner."""
         c = self.report.counters
         c.cpu_accesses += 1
         if ev.vaddr < 0:
@@ -892,10 +887,7 @@ class ShadowMachine(BaselineMachine):
             page, walks = guest.gpt.get(vpage), 1
         else:
             page, walks = shadow_translate(vpage, guest.gpt, guest.rmap)
-        c.walk_steps += walks
-        by_kind = self.report.cycles_by_kind
-        key = ev.kind._value_
-        by_kind[key] = by_kind.get(key, 0) + self.cost.pt_walk_level * walks
+        self.tally[ev.kind._value_].walk_steps += walks
         if page is None or not 0 <= page < self.pages_total:
             c.page_faults += 1
             return
@@ -915,8 +907,8 @@ class IommuMachine(BaselineMachine):
     walks its device's remapping tables, which no other mode keeps.  A
     raw-target DMA names no device, so it is a mode error."""
 
-    def __init__(self, geom, cost, opts, report):
-        super().__init__(geom, cost, opts, report)
+    def __init__(self, geom, opts, report):
+        super().__init__(geom, opts, report)
         self.remap = RemappingTables(opts.walk_levels)
 
     def _free_page(self, page: int) -> None:
@@ -940,10 +932,10 @@ class IommuMachine(BaselineMachine):
 
     def on_dma(self, ev: TraceEvent) -> None:
         c = self.report.counters
-        c.dma_ops += 1
+        t = self.tally[ev.kind._value_]
+        t.dma_ops += 1
         result = iommu_dma_translate(self._device_request(ev), self.remap, self.page_size_bytes)
-        c.dma_walk_steps += result.steps
-        self.charge(ev.kind, self.cost.dma_setup + self.cost.pt_walk_level * result.steps)
+        t.dma_walk_steps += result.steps
         if result.fault is not None:
             self._dma_fault(ev, ev.dva, result.fault)
             c.dma_blocked += 1
@@ -983,28 +975,24 @@ class HyperwallMachine(BaselineMachine):
         vpage = ev.vaddr // self.page_size_bytes
         vm = self.current.get(ev.cpu, HYPERVISOR)
         guest = self.guests[vm]
-        cycles = 0
+        t = self.tally[ev.kind._value_]
         if vm == HYPERVISOR:
             page, walks = guest.gpt.get(vpage), 1
         else:
             page = self.tlb.lookup(guest.asid, vpage)
             if page is not None:
-                c.tlb_hits += 1
-                cycles, walks = self.cost.tlb_hit, 0
+                t.tlb_hits += 1
+                walks = 0
             else:
                 c.tlb_misses += 1
                 page, walks = nested_translate(vpage, guest.gpt, guest.rmap)
                 if page is not None and 0 <= page < self.pages_total:
                     self.tlb.insert(guest.asid, vpage, page)
-        c.walk_steps += walks
-        cycles += self.cost.pt_walk_level * walks
-        by_kind = self.report.cycles_by_kind
-        key = ev.kind._value_
+        t.walk_steps += walks
         if page is None or not 0 <= page < self.pages_total:
             c.page_faults += 1
-            by_kind[key] = by_kind.get(key, 0) + cycles
             return
-        by_kind[key] = by_kind.get(key, 0) + cycles + self.cost.mpt_check
+        t.unreported_checks += 1
         owner = self.owner_of.get(page)
         requester = (Requester.HYPERVISOR if vm == HYPERVISOR
                      else Requester.OWNER_VM if owner == vm else Requester.OTHER_VM)
@@ -1027,12 +1015,11 @@ class HyperwallMachine(BaselineMachine):
         """Raw DMA stops at a page whose bits deny it; PIO and range faults pass no gate."""
         if not self.pio and 0 <= page < self.pages_total:
             mode = self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)
-            self.charge(ev.kind, self.cost.mpt_check)
+            t = self.tally[ev.kind._value_]
+            t.unreported_checks += 1
             if not page_mode_allows(mode, Requester.DMA):
-                c = self.report.counters
-                c.dma_ops += 1
-                c.dma_blocked += 1
-                self.charge(ev.kind, self.cost.dma_setup)
+                t.dma_ops += 1
+                self.report.counters.dma_blocked += 1
                 self.report.denials.append(Denial(ev.seq, ev.cpu, Requester.DMA.value, page,
                                                   mode.value, self.owner_of.get(page)))
                 return
@@ -1067,7 +1054,7 @@ def run(
     opts = options or RunOptions()
     mode = canonical_mode(mode)
     report = MetricsReport(mode=mode)
-    machine = _MACHINES[mode](geom, cost, opts, report)
+    machine = _MACHINES[mode](geom, opts, report)
     interval = opts.sample_interval
     apply, check = machine.apply, opts.check_invariants
     last_seq = None
@@ -1092,11 +1079,16 @@ def run(
     if count % interval != 0:
         machine.sample(count)
     report.events = count
-    # every price is >= 0, so this equals saturating after every charge
-    by_kind = report.cycles_by_kind
-    report.total_cycles = min(sum(by_kind.values()), _SAT)
-    for key, cycles in by_kind.items():
-        by_kind[key] = min(cycles, _SAT)
+    # every price is >= 0, so saturating the sums equals saturating after every count
+    pio_cycles = cost.programmed_io_word * (geom.page_size_bytes // 8)
+    counters, total = report.counters, 0
+    for key, t in machine.tally.items():
+        cycles = _cycles(t, cost, pio_cycles)
+        report.cycles_by_kind[key] = min(cycles, _SAT)
+        total += cycles
+        for name in COUNTER_NAMES:
+            setattr(counters, name, getattr(counters, name) + getattr(t, name))
+    report.total_cycles = min(total, _SAT)
     machine.finalize()
     return report
 

@@ -116,11 +116,6 @@ def _formatter(kind: EventKind, names: tuple[str, ...]):
 _FORMAT_TABLE = {kind.value: _formatter(kind, names) for kind, names in EVENT_FIELDS.items()}
 
 
-def parse_line(line: str, lineno: int = 0) -> TraceEvent | None:
-    """Parse one line, numbered `lineno` in errors; returns None for blanks and comments."""
-    return next(_events((line,), lineno), None)
-
-
 def _diagnose(tokens: list[str], lineno: int) -> None:
     """None for a blank or comment line; else raise the line's TraceFormatError.
 

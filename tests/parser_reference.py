@@ -4,7 +4,7 @@
 TraceEvent's arguments one field at a time.  `vmemsim.traceio` builds a
 well-formed line's event in one call to a builder compiled per kind
 instead, and must return the same event, or raise the same
-TraceFormatError, for every line (`parse_line`) and every whole text
+TraceFormatError, for every line (its parse loop, `_events`) and every whole text
 (`loads`).  Likewise `format_event` here writes a line one field at a
 time, and `vmemsim.traceio.dumps`, one call to a formatter compiled per
 kind, must write the same line or raise the same error for every event.

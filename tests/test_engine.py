@@ -4,6 +4,7 @@ import gc
 import heapq
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,8 +34,10 @@ from vmemsim.engine import (
 from vmemsim.errors import ConfigError, DuplicateRunError, ModeError, SimError, SimulationError
 from vmemsim.events import EVENT_FIELDS
 from vmemsim.promem import ProMem
+from vmemsim.traceio import read_trace
 
 TINY = Geometry(256, 4, 8)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 E = EventKind
 
@@ -186,7 +189,7 @@ def test_run_options_reject_bad_values():
 
 
 def test_asmi_invariant_check_can_fail():
-    machine = AsmiMachine(TINY, CostModel(), RunOptions(), MetricsReport(mode="asmi"))
+    machine = AsmiMachine(TINY, RunOptions(), MetricsReport(mode="asmi"))
     for event in trace((E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1})):
         machine.apply(event)
     machine.check_invariants()
@@ -238,7 +241,7 @@ def _corrupt_tlb(m):
     _corrupt_tlb,
 ])
 def test_baseline_invariant_check_can_fail(mode, corrupt):
-    machine = _MACHINES[mode](TINY, CostModel(), RunOptions(), MetricsReport(mode=mode))
+    machine = _MACHINES[mode](TINY, RunOptions(), MetricsReport(mode=mode))
     events = trace(
         (E.CREATE_VM, {"vm": 1}), (E.CREATE_VM, {"vm": 2}),
         (E.ALLOC, {"vm": 1}), (E.ALLOC, {"vm": 2}), (E.ALLOC, {"vm": 1}),
@@ -261,7 +264,7 @@ def test_baseline_invariant_check_can_fail(mode, corrupt):
 def test_page_pool_hands_out_what_a_heap_of_every_page_would(mode, ops):
     # the pool grows from fresh_page on demand; a heap over range(pages_total)
     # is the pool it stands for, so each newly held page must be that heap's top
-    machine = _MACHINES[mode](TINY, CostModel(), opts(), MetricsReport(mode=mode))
+    machine = _MACHINES[mode](TINY, opts(), MetricsReport(mode=mode))
     full = list(range(TINY.pages_total))
     live, next_vm, held = [0], 1, {}
     for seq, (op, pick, vpage) in enumerate(ops, start=1):
@@ -298,7 +301,7 @@ def test_a_baseline_machine_costs_nothing_per_page_of_its_geometry(mode):
     huge = Geometry(4096, 512, 2048)               # 2^20 pages
     tracemalloc.start()
     try:
-        _MACHINES[mode](huge, CostModel(), RunOptions(), MetricsReport(mode=mode))
+        _MACHINES[mode](huge, RunOptions(), MetricsReport(mode=mode))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -312,7 +315,7 @@ def test_an_aliased_page_unmaps_from_every_dva():
         (E.RMAP_WRITE, {"vm": 1, "ppage": 1, "phys": 0}),   # ppages 0 and 1 both reach page 0
         (E.DOMAIN_ASSIGN, {"domain": 1, "vm": 1, "bus": 0, "device": 0, "function": 0}),
     )
-    machine = _MACHINES["iommu"](TINY, CostModel(), opts(), MetricsReport(mode="iommu"))
+    machine = _MACHINES["iommu"](TINY, opts(), MetricsReport(mode="iommu"))
     for event in t:
         machine.apply(event)
     domain = machine.remap.domains[1]
@@ -345,7 +348,7 @@ def test_machines_are_freed_without_the_cycle_collector():
     gc.disable()
     try:
         for mode, make in _MACHINES.items():
-            machine = make(TINY, CostModel(), RunOptions(), MetricsReport(mode=mode))
+            machine = make(TINY, RunOptions(), MetricsReport(mode=mode))
             freed = weakref.ref(machine)
             del machine
             assert freed() is None, mode
@@ -369,19 +372,72 @@ def test_total_cycles_saturate_in_run():
 
 
 def test_zero_cycle_kinds_keep_their_keys():
+    # a kind has a key once a handler counts a priced thing for it, even 0 of it
     free_checks = CostModel().with_overrides({"mpt_check": 0})
     rep = run(trace((E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1})), "asmi", TINY, free_checks)
     assert rep.cycles_by_kind == {"alloc": 0}
     assert rep.total_cycles == 0
     # a baseline alloc that finds the pool full and nothing to reclaim
     small = Geometry(256, 2, 2)                        # four pages total
-    machine = _MACHINES["nested"](small, CostModel(), RunOptions(), MetricsReport(mode="nested"))
+    machine = _MACHINES["nested"](small, RunOptions(), MetricsReport(mode="nested"))
     for event in trace((E.CREATE_VM, {"vm": 1}), *[(E.ALLOC, {"vm": 1}) for _ in range(4)]):
         machine.apply(event)
-    machine.report.cycles_by_kind.clear()
+    machine.tally.clear()
     machine.apply(ev(6, E.ALLOC, vm=1))
     assert [m.vm for m in machine.report.memory_full] == [1]
-    assert machine.report.cycles_by_kind == {"alloc": 0}
+    assert list(machine.tally) == ["alloc"]
+    assert engine._cycles(machine.tally["alloc"], CostModel(), 1) == 0
+    # a guest's rmap_write of a ppage no vpage maps re-derives no shadow entry
+    rmap = trace((E.CREATE_VM, {"vm": 1}), (E.RMAP_WRITE, {"vm": 1, "ppage": 5, "phys": 0}))
+    assert run(rmap, "nested_shadow", TINY).cycles_by_kind == {"rmap_write": 0}
+    # the hypervisor's own table writes derive nothing, and a reclaim-free create_vm costs nothing
+    gpt = trace((E.GPT_WRITE, {"vm": 0, "vpage": 3, "target": 1}),)
+    assert run(gpt, "nested_shadow", TINY).cycles_by_kind == {}
+    assert run(trace((E.CREATE_VM, {"vm": 1}),), "asmi", TINY).cycles_by_kind == {}
+
+
+def _counted_cycles(rep, cost, geom):
+    """The cycles of `rep`'s reported counters at `cost`, summed by hand."""
+    c = rep.counters
+    return (
+        c.tlb_hits * cost.tlb_hit
+        + (c.walk_steps + c.shadow_update_steps + c.dma_walk_steps) * cost.pt_walk_level
+        + c.mpt_checks * cost.mpt_check
+        + c.pages_swapped * cost.swap_page
+        + (c.context_switches + c.process_switches) * cost.context_switch
+        + c.tlb_flushes * cost.tlb_flush
+        + (c.dma_ops - c.pio_transfers) * cost.dma_setup
+        + c.pio_transfers * cost.programmed_io_word * (geom.page_size_bytes // 8)
+    )
+
+
+RECONCILE_COSTS = (CostModel(), CostModel(*[0] * 8), CostModel(3, 7, 11, 13, 17, 19, 23, 29))
+
+
+@pytest.mark.parametrize("options", [
+    RunOptions(), RunOptions(dma_policy="off"), RunOptions(tlb_policy="flush"),
+], ids=["default", "dma_off", "flush"])
+def test_every_cycle_is_a_reported_count_times_its_price_but_unreported_checks(options):
+    # the only cycles no reported counter explains are the k checks that
+    # mpt_checks leaves out: asmi's alloc and DMA checks, and hyperwall's
+    traces = [read_trace(str(path)) for path in sorted(FIXTURES.glob("*.trace"))]
+    traces.append(all_kinds_trace(0x5EED, 700, TINY, raw_dma=False))
+    for events in traces:
+        for mode in MODES:
+            unreported = set()
+            for cost in RECONCILE_COSTS:
+                rep = run(events, mode, TINY, cost, options)
+                assert "unreported_checks" not in rep.to_dict()["counters"]
+                assert rep.counters.unreported_checks == 0
+                gap = rep.total_cycles - _counted_cycles(rep, cost, TINY)
+                if cost.mpt_check == 0:
+                    assert gap == 0, mode
+                else:
+                    assert gap % cost.mpt_check == 0, mode
+                    unreported.add(gap // cost.mpt_check)
+            assert len(unreported) == 1, (mode, unreported)
+            if mode in ("nested", "nested_shadow", "iommu"):
+                assert unreported == {0}, mode
 
 
 def test_cost_model_validation():
@@ -641,7 +697,7 @@ def test_freed_page_leaves_every_iommu_domain():
 
 @pytest.mark.parametrize("mode", ["nested", "nested_shadow", "hyperwall"])
 def test_domain_assign_outside_iommu_only_names_the_issuer(mode):
-    machine = _MACHINES[mode](TINY, CostModel(), RunOptions(), MetricsReport(mode=mode))
+    machine = _MACHINES[mode](TINY, RunOptions(), MetricsReport(mode=mode))
     for event in trace(
         (E.CREATE_VM, {"vm": 1}),
         (E.CREATE_VM, {"vm": 2}),
@@ -772,7 +828,7 @@ MACHINE_CLASSES = {
 @pytest.mark.parametrize("dma_policy", ["raw", "off"])
 @pytest.mark.parametrize("mode", MODES)
 def test_each_mode_has_its_own_class_and_the_handlers_of_its_hardware(mode, dma_policy):
-    machine = _MACHINES[mode](TINY, CostModel(), opts(dma_policy=dma_policy), MetricsReport(mode))
+    machine = _MACHINES[mode](TINY, opts(dma_policy=dma_policy), MetricsReport(mode))
     assert type(machine) is MACHINE_CLASSES[mode]
     assert (E.HW_SET.value in machine.handlers) == (mode == "hyperwall")
     assert (E.RMAP_WRITE.value in machine.handlers) == (mode != "asmi")
