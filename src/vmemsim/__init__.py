@@ -20,9 +20,9 @@ _EXPORTS = {
         "ASID_POLICY", "FLUSH_POLICY", "DmaRequest", "PageMode", "RemappingTables", "Requester",
         "VirtualTlb", "iommu_dma_translate", "nested_translate", "shadow_translate",
     ),
-    "core": ("HYPERVISOR", "Geometry"),
+    "core": ("HYPERVISOR", "CostModel", "Geometry"),
     "engine": (
-        "MODES", "ComparisonReport", "CostModel", "Counters", "MetricsReport", "RunOptions",
+        "MODES", "ComparisonReport", "Counters", "MetricsReport", "RunOptions",
         "canonical_mode", "compare", "run", "static_partition_utilization",
     ),
     "errors": (

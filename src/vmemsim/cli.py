@@ -7,9 +7,11 @@ only.
 
 Each command imports only the modules it runs: `run` and `compare` load
 the replay engine, `gen` and `attack` the trace generators, and
-`validate` neither.  The engine's `run` and `compare`, and `generate`,
-are looked up when a command calls them, so a name patched in its
-defining module is the one called.
+`validate` neither.  The prices and the report's column names come from
+`core`, so reading a `cost.*` key or naming a CSV column loads no engine.
+The engine's `run` and `compare`, and `generate`, are looked up when a
+command calls them, so a name patched in its defining module is the one
+called.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .config import (
     parse_demand,
     parse_geometry,
 )
-from .core import Geometry
+from .core import COUNTER_NAMES, LEDGERS, CostModel, Geometry
 from .errors import ConfigError, SimError
 from .traceio import (
     dumps,
@@ -39,7 +41,7 @@ from .traceio import (
 )
 
 if TYPE_CHECKING:
-    from .engine import CostModel, MetricsReport, RunOptions
+    from .engine import MetricsReport, RunOptions
 
 #: `attack NAME` runs `workload.attack_NAME`
 ATTACKS = ("cross_vm_dma", "hyperwall_starvation", "malicious_hypervisor")
@@ -73,8 +75,6 @@ def _geometry(args, cfg) -> Geometry:
 
 
 def _cost(args, cfg) -> CostModel:
-    from .engine import CostModel
-
     pairs = [f"{k[len('cost.'):]}={v}" for k, v in cfg.items() if k.startswith("cost.")]
     pairs += getattr(args, "cost", None) or []
     overrides = parse_cost_overrides(pairs)
@@ -113,26 +113,18 @@ def _out_path(args, cfg, key: str) -> str | None:
 # report formatting
 # ---------------------------------------------------------------------------
 
+#: the columns of the --out CSV: trace, mode, totals, counters, ledgers, utilization
+CSV_COLUMNS = ("trace", "mode", "events", "total_cycles", *COUNTER_NAMES, *LEDGERS,
+               "mean_seg_util", "mean_page_util")
 UTIL_COLUMNS = ("trace", "mode", "event_index", "owner", "segments", "pages")
 
 
-def _csv_columns() -> tuple[str, ...]:
-    """The columns of the --out CSV: trace, mode, totals, counters, ledgers, utilization."""
-    from .engine import COUNTER_NAMES, LEDGERS
-
-    return ("trace", "mode", "events", "total_cycles", *COUNTER_NAMES, *LEDGERS,
-            "mean_seg_util", "mean_page_util")
-
-
 def __getattr__(name: str):
-    """`CSV_COLUMNS`, and the engine's `run` and `compare`, made on each use.
+    """The engine's `run` and `compare`, looked up on each use.
 
-    Each needs the engine, which only `run` and `compare` load.  Nothing
-    is cached, so `cli.run is engine.run` holds while `engine.run` is
-    patched.
+    Only `run` and `compare` load the engine.  Nothing is cached, so
+    `cli.run is engine.run` holds while `engine.run` is patched.
     """
-    if name == "CSV_COLUMNS":
-        return _csv_columns()
     if name in ("run", "compare"):
         from . import engine
 
@@ -141,8 +133,6 @@ def __getattr__(name: str):
 
 
 def _csv_row(name: str, report: MetricsReport, geom: Geometry) -> list:
-    from .engine import COUNTER_NAMES
-
     return [
         name, report.mode, report.events, report.total_cycles,
         *(getattr(report.counters, n) for n in COUNTER_NAMES),
@@ -171,7 +161,7 @@ def _write_outputs(args, cfg, reports: dict[tuple[str, str], MetricsReport], geo
     """
     out = _out_path(args, cfg, "out")
     if out is not None:
-        _write_csv(out, _csv_columns(), (_csv_row(name, rep, geom) for (name, _), rep in reports.items()))
+        _write_csv(out, CSV_COLUMNS, (_csv_row(name, rep, geom) for (name, _), rep in reports.items()))
     util_out = _out_path(args, cfg, "util_out")
     if util_out is not None:
         rows = (
@@ -188,8 +178,6 @@ def _write_outputs(args, cfg, reports: dict[tuple[str, str], MetricsReport], geo
 
 
 def _summary(name: str, report: MetricsReport, geom: Geometry, verbosity: int) -> str:
-    from .engine import COUNTER_NAMES
-
     lines = [
         f"trace {name}: {report.events} events under {report.mode}",
         f"  cycles {report.total_cycles}",

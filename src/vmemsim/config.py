@@ -3,13 +3,15 @@
 Full-line comments start with `#`; blank lines are ignored.  Unknown keys
 are rejected so a typo cannot silently fall back to a default.  Values
 stay strings here; the CLI casts them when it merges config with flags.
+A `cost.*` key is checked against `CostModel`'s fields, which `core`
+defines, so reading one loads no engine.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .core import Geometry
+from .core import CostModel, Geometry
 from .errors import ConfigError
 
 if TYPE_CHECKING:
@@ -37,13 +39,6 @@ TOP_LEVEL_KEYS = frozenset(
 WORKLOAD_KEYS = frozenset({"vm_count", "events", "demand", "dma_rate", "switch_rate"})
 
 
-def _cost_keys() -> frozenset[str]:
-    """CostModel's fields; imports the engine, so asked for only when a cost key is read."""
-    from .engine import CostModel
-
-    return frozenset(CostModel.__slots__)
-
-
 def parse_config_text(text: str) -> dict[str, str]:
     settings: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -56,7 +51,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip().lower()
         value = value.strip()
         if key.startswith("cost."):
-            if key[len("cost."):] not in _cost_keys():
+            if key[len("cost."):] not in CostModel._fields:
                 raise ConfigError(f"line {lineno}: unknown cost key {key!r}")
         elif key.startswith("workload."):
             if key[len("workload."):] not in WORKLOAD_KEYS:
@@ -118,12 +113,11 @@ def parse_demand(token: str, vm_count: int) -> tuple[DemandProfile, ...]:
 
 def parse_cost_overrides(pairs: list[str]) -> dict[str, int]:
     """`key=value` items from --cost flags or cost.* config keys."""
-    cost_keys = _cost_keys()
     overrides: dict[str, int] = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
         key = key.strip()
-        if not sep or key not in cost_keys:
+        if not sep or key not in CostModel._fields:
             raise ConfigError(f"cost override must be KEY=CYCLES with a known key, got {pair!r}")
         try:
             overrides[key] = int(value.strip())

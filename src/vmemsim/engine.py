@@ -79,7 +79,7 @@ from .baselines import (
     shadow_update_ppage,
     shadow_update_vpage,
 )
-from .core import HYPERVISOR, Geometry
+from .core import COUNTER_NAMES, HYPERVISOR, LEDGERS, CostModel, Geometry
 from .errors import (
     ConfigError,
     DoubleFreeError,
@@ -98,45 +98,6 @@ from .promem import (
     ProMem,
     ReclaimNotice,
 )
-
-# ---------------------------------------------------------------------------
-# cost model
-# ---------------------------------------------------------------------------
-
-_SAT = (1 << 64) - 1
-
-
-class CostModel:
-    """Cycle prices; each kind's total and the grand total saturate at 2^64-1.
-
-    Frozen and slotted; `run` reads the prices once, after the replay.
-    """
-
-    __slots__ = ("tlb_hit", "pt_walk_level", "mpt_check", "tlb_flush", "swap_page",
-                 "context_switch", "programmed_io_word", "dma_setup")
-
-    def __init__(
-        self, tlb_hit: int = 1, pt_walk_level: int = 25, mpt_check: int = 5,
-        tlb_flush: int = 200, swap_page: int = 5000, context_switch: int = 300,
-        programmed_io_word: int = 50, dma_setup: int = 100,
-    ) -> None:
-        prices = (tlb_hit, pt_walk_level, mpt_check, tlb_flush, swap_page,
-                  context_switch, programmed_io_word, dma_setup)
-        for name, value in zip(self.__slots__, prices):
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"cost {name} must be a non-negative integer")
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def with_overrides(self, overrides: dict[str, int]) -> CostModel:
-        bad = set(overrides) - set(self.__slots__)
-        if bad:
-            raise ValueError(f"unknown cost keys: {sorted(bad)}")
-        values = {name: overrides.get(name, getattr(self, name)) for name in self.__slots__}
-        return CostModel(**values)
-
 
 # ---------------------------------------------------------------------------
 # report
@@ -174,15 +135,6 @@ class Denial(NamedTuple):
     owner: int | None
 
 
-#: the report's counters, in the order of the JSON, CSV and `run -vv` listings
-COUNTER_NAMES = (
-    "cpu_accesses", "tlb_hits", "tlb_misses", "walk_steps", "mpt_checks", "shadow_update_steps",
-    "page_faults", "allocs", "frees", "invalid_frees", "pages_swapped", "dma_ops",
-    "dma_completed", "dma_blocked", "dma_walk_steps", "pio_transfers", "context_switches",
-    "process_switches", "tlb_flushes", "hw_set_denied",
-)
-
-
 class Counters:
     """One int per name in COUNTER_NAMES, each starting at 0, and `unreported_checks`:
     the checks `mpt_check` prices that `mpt_checks` leaves out (asmi's alloc and
@@ -193,6 +145,10 @@ class Counters:
     def __init__(self) -> None:
         for name in self.__slots__:
             setattr(self, name, 0)
+
+
+#: where each kind's cycles and the total saturate
+_SAT = (1 << 64) - 1
 
 
 def _cycles(t: Counters, cost: CostModel, pio_cycles: int) -> int:
@@ -214,10 +170,6 @@ class UtilSample(NamedTuple):
     owner: int
     segments: int
     pages: int
-
-
-#: the report's ledgers, in the order of the table, CSV and summary columns
-LEDGERS = ("isolation_faults", "violations", "dma_faults", "denials", "memory_full", "reclaims")
 
 
 class MetricsReport:
@@ -470,7 +422,7 @@ class AsmiMachine(_Machine):
         self.next_vpage[vm] = 0
 
     def on_destroy_vm(self, ev: TraceEvent) -> None:
-        self.pm.destroy_vm(ev.vm, ev.seq)
+        self.pm.destroy_vm(ev.vm)
         del self.tables[ev.vm]
         del self.next_vpage[ev.vm]
 

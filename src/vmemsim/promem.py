@@ -254,7 +254,7 @@ class ProMem:
         self._install_slot_segment(vm, seq)
         return vm
 
-    def destroy_vm(self, vm: int, seq: int = -1) -> None:
+    def destroy_vm(self, vm: int) -> None:
         if vm == HYPERVISOR:
             raise LifecycleError("hypervisor cannot be destroyed")
         if vm not in self.live:

@@ -446,18 +446,24 @@ def test_an_empty_flag_value_is_an_error(tmp_path, capsys, command, flag, messag
 
 
 # which package modules each command loads, in a fresh interpreter: -E -S keep
-# environment and site hooks out, -B writes no bytecode into the package
+# environment and site hooks out, -B writes no bytecode into the package;
+# {tmp}/cost.conf sets a price, which gen and attack read without the engine
 @pytest.mark.parametrize("argv, absent", [
     (["gen", *GEN_ARGS, "--out", "{tmp}/noise.trace"], ("vmemsim.engine", "vmemsim.promem")),
+    (["gen", *GEN_ARGS, "--config", "{tmp}/cost.conf", "--out", "{tmp}/noise.trace"],
+     ("vmemsim.engine", "vmemsim.promem")),
     (["attack", "cross_vm_dma"], ("vmemsim.engine", "vmemsim.promem")),
+    (["attack", "cross_vm_dma", "--config", "{tmp}/cost.conf"],
+     ("vmemsim.engine", "vmemsim.promem")),
     (["validate", "--trace", str(FIXTURES / "cross_vm_dma.trace")],
      ("vmemsim.engine", "vmemsim.promem", "vmemsim.workload")),
     (["run", "--geometry", "256x4x8", "--trace", str(FIXTURES / "cross_vm_dma.trace")],
      ("vmemsim.workload",)),
     (["compare", "--geometry", "256x4x8", "--trace", str(FIXTURES / "cross_vm_dma.trace")],
      ("vmemsim.workload",)),
-], ids=["gen", "attack", "validate", "run", "compare"])
+], ids=["gen", "gen --config", "attack", "attack --config", "validate", "run", "compare"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
+    (tmp_path / "cost.conf").write_text("cost.tlb_hit = 3\n")
     root = str(Path(vmemsim.__file__).resolve().parents[1])
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     code = (

@@ -2,6 +2,7 @@
 
 import gc
 import heapq
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -1076,3 +1077,41 @@ def test_replay_raises_nothing_but_sim_errors(events):
                 run(events, mode, FUZZ_GEOM, options=options)
             except SimError:
                 pass
+
+
+_STOP = re.compile(r"event seq (\d+)")
+
+
+def _modes_that_may_differ(events) -> set[str]:
+    """The modes whose stop on `events` may differ by design, as README lists."""
+    kinds = {ev.kind for ev in events}
+    differ = set()
+    if E.DMA_RAW in kinds:
+        differ.add("iommu")        # a raw-target DMA is a mode error
+    if E.RMAP_WRITE in kinds:
+        differ.add("asmi")         # no real map: an rmap_write naming a dead VM replays on
+    if any(ev.kind is E.HW_SET and not 0 <= ev.page < FUZZ_GEOM.pages_total for ev in events):
+        differ.add("hyperwall")    # the only mode that reads an hw_set page
+    return differ
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_traces())
+def test_every_mode_stops_at_the_same_seq_or_none_stops(events):
+    differ = _modes_that_may_differ(events)
+    for options in (opts(), opts(tlb_entries=0, tlb_policy="flush", dma_policy="off")):
+        stops = {}
+        for mode in MODES:
+            if mode in differ:
+                continue
+            try:
+                run(events, mode, FUZZ_GEOM, options=options)
+            except SimError as exc:
+                if mode == "asmi" and "cannot host" in str(exc):
+                    continue       # asmi ran out of segments for a new VM: the model
+                stop = _STOP.match(str(exc))
+                assert stop, (mode, str(exc))
+                stops[mode] = int(stop[1])
+            else:
+                stops[mode] = None
+        assert len(set(stops.values())) <= 1, stops

@@ -1,7 +1,7 @@
 """The records' contract: validation, immutability, field order, equality and repr.
 
-The config records are validated `NamedTuple`s, `TraceEvent` is a slotted
-class per field layout and `CostModel` a slotted class, and nothing in the
+The config records, `CostModel` among them, are validated `NamedTuple`s,
+`TraceEvent` is a slotted class per field layout, and nothing in the
 package imports `dataclasses`, which would add its import and code
 generation to every command's start-up, or `pathlib`, which would add its
 own and that of `urllib.parse` and `ipaddress`.
