@@ -17,10 +17,10 @@ __version__ = "0.1.0"
 #: module -> the names of `__all__` it defines
 _EXPORTS = {
     "baselines": (
-        "ASID_POLICY", "FLUSH_POLICY", "DmaRequest", "PageMode", "RemappingTables", "Requester",
-        "VirtualTlb", "iommu_dma_translate", "nested_translate", "shadow_translate",
+        "RemappingTables", "Requester", "VirtualTlb", "iommu_dma_translate", "nested_translate",
+        "shadow_translate",
     ),
-    "core": ("HYPERVISOR", "CostModel", "Geometry"),
+    "core": ("ASID_POLICY", "FLUSH_POLICY", "HYPERVISOR", "CostModel", "Geometry"),
     "engine": (
         "MODES", "ComparisonReport", "Counters", "MetricsReport", "RunOptions",
         "canonical_mode", "compare", "run", "static_partition_utilization",
@@ -30,7 +30,7 @@ _EXPORTS = {
         "LifecycleError", "ModeError", "OutOfRangeError", "ProtocolError", "SimError",
         "SimulationError", "TraceFormatError", "WorkloadError",
     ),
-    "events": ("EventKind", "TraceEvent"),
+    "events": ("DmaRequest", "EventKind", "PageMode", "TraceEvent"),
     "promem": ("AllocResult", "IsolationFault", "MemoryFull", "ProMem", "ReclaimNotice"),
     "traceio": ("dumps", "loads", "read_trace", "validate", "write_trace"),
     "workload": (

@@ -27,21 +27,31 @@ counts and isolation outcomes:
 
 Raw DMA carries no protection at all: the device address is the
 physical address, and cross-VM hits succeed.
+
+The page-pool hypervisor that drives these structures is here too:
+`BaselineMachine` is the `nested` mode, and `ShadowMachine`,
+`IommuMachine` and `HyperwallMachine` subclass it.  `engine.run` loads
+this module on a baseline mode's first run, so an `asmi` replay and the
+commands that only write or check traces never compile it.  The machines
+call `nested_translate`, `shadow_translate`, `shadow_update_vpage`,
+`shadow_update_ppage` and `iommu_dma_translate` as globals of this module,
+where a patched name is the one they call.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import itertools
 from collections.abc import Iterable
 from enum import Enum, unique
 from typing import NamedTuple
 
-from .errors import OutOfRangeError
-
-MAX_BUS = 256
-MAX_DEVICE = 32
-MAX_FUNCTION = 8
-
-DEFAULT_WALK_LEVELS = 4
+from .core import DEFAULT_WALK_LEVELS, FLUSH_POLICY, HYPERVISOR, NO_DMA
+from .engine import Denial, UtilSample, Violation, _Machine
+from .errors import ModeError, OutOfRangeError
+from .events import DmaRequest, PageMode, TraceEvent
+from .promem import MemoryFull
 
 # ---------------------------------------------------------------------------
 # nested / shadow page tables
@@ -84,17 +94,6 @@ def shadow_update_ppage(gpt: dict[int, int], ppage: int) -> int:
 # virtual TLB
 # ---------------------------------------------------------------------------
 
-# Switch policies of the virtual TLB: flush it on every switch, or keep
-# entries of different address spaces apart by real ASID.
-FLUSH_POLICY = "flush"
-ASID_POLICY = "asid"
-
-# DMA policies of the page-pool baselines without remapping (nested,
-# nested_shadow, hyperwall): devices reach physical pages untranslated,
-# or data moves by programmed I/O.
-RAW_DMA = "raw"
-NO_DMA = "off"
-
 
 class VirtualTlb:
     """Software TLB keyed by (real asid, vpage), FIFO eviction.
@@ -135,30 +134,6 @@ class VirtualTlb:
 # ---------------------------------------------------------------------------
 # DMA remapping
 # ---------------------------------------------------------------------------
-
-
-class _DmaRequestFields(NamedTuple):
-    bus: int
-    device: int
-    function: int
-    dva: int          # device-issued flat byte address
-    is_write: bool
-
-
-class DmaRequest(_DmaRequestFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> DmaRequest:
-        self = super().__new__(cls, *args, **kwargs)
-        if not (0 <= self.bus < MAX_BUS):
-            raise OutOfRangeError(f"bus {self.bus} outside 0..{MAX_BUS - 1}")
-        if not (0 <= self.device < MAX_DEVICE):
-            raise OutOfRangeError(f"device {self.device} outside 0..{MAX_DEVICE - 1}")
-        if not (0 <= self.function < MAX_FUNCTION):
-            raise OutOfRangeError(f"function {self.function} outside 0..{MAX_FUNCTION - 1}")
-        if self.dva < 0:
-            raise OutOfRangeError(f"dva {self.dva} is negative")
-        return self
 
 
 class ProtectionDomain:
@@ -246,14 +221,6 @@ def iommu_dma_translate(
 
 
 @unique
-class PageMode(Enum):
-    HYPERVISOR_ONLY = "hyp_only"        # unassigned page
-    HYPERVISOR_AND_DMA = "hyp_dma"      # assigned; hypervisor and DMA allowed
-    HYPERVISOR_DENIED = "hyp_denied"    # assigned; DMA allowed, hypervisor not
-    LOCKED = "locked"                   # assigned; neither hypervisor nor DMA
-
-
-@unique
 class Requester(Enum):
     HYPERVISOR = "hypervisor"
     OWNER_VM = "owner_vm"
@@ -281,3 +248,466 @@ def page_mode_allows(mode: PageMode, requester: Requester) -> bool:
 def hypervisor_may_touch(mode: PageMode) -> bool:
     """Whether the hypervisor can reclaim/swap a page in this mode."""
     return page_mode_allows(mode, Requester.HYPERVISOR)
+
+
+# ---------------------------------------------------------------------------
+# the page-pool hypervisor: one machine class per baseline mode
+# ---------------------------------------------------------------------------
+
+
+class _Guest:
+    """What the page-pool hypervisor keeps for one live guest (or itself)."""
+
+    __slots__ = ("gpt", "rmap", "backing", "held", "next_vpage", "asids", "asid", "domain")
+
+    def __init__(self, asid: int):
+        self.gpt: dict[int, int] = {}       # vpage -> ppage (the hypervisor's: -> page)
+        self.rmap: dict[int, int] = {}      # ppage -> page
+        self.backing: dict[int, tuple[int, int]] = {}  # held page -> (vpage, its gpt entry)
+        self.held: list[int] = []           # the pages of `backing`, ascending
+        self.next_vpage = 0
+        self.asids = {0: asid}              # guest asid -> real asid, never recycled
+        self.asid = asid                    # the real asid of the current guest asid
+        self.domain: int | None = None      # IOMMU domain, once assigned (iommu only)
+
+
+class BaselineMachine(_Machine):
+    """Page-pool hypervisor, and the `nested` mode itself.
+
+    Accesses walk the guest and real-map tables behind a virtual TLB, and
+    DMA is raw (or PIO under dma_policy=off).  Each other baseline mode is
+    a subclass that overrides only what it does differently; it calls a
+    base handler as `BaselineMachine.on_<kind>(self, ev)`, which costs no
+    `super()` lookup.  Per-guest state lives in `guests`; `owner_of`
+    names the holder of every page handed out and not freed since.  The
+    free pool is the heap `free_pages` of freed pages, all below
+    `fresh_page`, plus every page from `fresh_page` up, none of which has
+    been handed out: it costs what the trace touches, not the geometry's
+    size.  The lowest free page goes out first.  Real ASIDs come
+    from one counter, so a destroyed guest's ASIDs leave with its record
+    and no later guest reuses them.
+    """
+
+    def __init__(self, geom, opts, report):
+        super().__init__(geom, opts, report)
+        self.free_pages: list[int] = []     # a heap of freed pages, all below fresh_page
+        self.fresh_page = 0                 # no page at or above it was ever handed out
+        self.owner_of: dict[int, int] = {}  # held page -> owner
+        self.real_asids = itertools.count(1)
+        self.guests: dict[int, _Guest] = {HYPERVISOR: _Guest(next(self.real_asids))}
+        self.live = self.guests  # the live ids are its keys
+        self.current: dict[int, int] = {}
+        self.next_vmid = 1
+        self.tlb = VirtualTlb(opts.tlb_entries)
+        self.page_mode: dict[int, PageMode] = {}  # protection bits: only hyperwall sets any
+        self.flush_on_switch = opts.tlb_policy == FLUSH_POLICY
+        self.pio = opts.dma_policy == NO_DMA      # DMA moves each word through the CPU
+
+    apply = _Machine.dispatch
+
+    # -- small helpers --
+
+    def _free_page(self, page: int) -> None:
+        """Unmap a held page from every structure and return it to the pool."""
+        vm = self.owner_of.pop(page)
+        guest = self.guests[vm]
+        vpage, ppage = guest.backing.pop(page)
+        held = guest.held
+        del held[bisect.bisect_left(held, page)]
+        if guest.gpt.get(vpage) == ppage:
+            del guest.gpt[vpage]
+        mapped = guest.rmap.pop(ppage, page)
+        if mapped != page:                  # an rmap_write moved ppage elsewhere
+            self.tlb.invalidate_phys(mapped)
+        self.page_mode.pop(page, None)
+        self.tlb.invalidate_phys(page)
+        heapq.heappush(self.free_pages, page)
+
+    def _reclaim_one_page(self, requester: int) -> int | None:
+        """Swap out one page from the largest other guest holder.
+
+        Outside hyperwall no page has a mode, so every page reads as
+        hyp_only, which the hypervisor may touch.
+        """
+        guests = self.guests
+        order = sorted(
+            (-len(guest.held), vm) for vm, guest in guests.items()
+            if vm != requester and vm != HYPERVISOR
+        )
+        for _, victim in order:
+            for page in reversed(guests[victim].held):
+                if not hypervisor_may_touch(self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)):
+                    continue
+                self._free_page(page)
+                return page
+        return None
+
+    # -- lifecycle and entry/exit --
+
+    def on_create_vm(self, ev: TraceEvent) -> None:
+        vm = self.next_vmid
+        self.next_vmid += 1
+        if vm != ev.vm:
+            raise self.err(ev, f"trace expects vm {ev.vm}, hypervisor assigned {vm}")
+        self.guests[vm] = _Guest(next(self.real_asids))
+
+    def on_destroy_vm(self, ev: TraceEvent) -> None:
+        self._require_live(ev, ev.vm)
+        if ev.vm == HYPERVISOR or ev.vm in self.current.values():
+            raise self.err(ev, f"vm {ev.vm} cannot be destroyed now")
+        for page in list(self.guests[ev.vm].held):
+            self._free_page(page)
+        del self.guests[ev.vm]
+
+    def on_enter(self, ev: TraceEvent) -> None:
+        self._require_live(ev, ev.vm)
+        if self.current.get(ev.cpu, HYPERVISOR) != HYPERVISOR or ev.vm == HYPERVISOR:
+            raise self.err(ev, "entry requires the hypervisor to be current")
+        self.current[ev.cpu] = ev.vm
+        self._count_switch(ev.kind)
+
+    def on_exit(self, ev: TraceEvent) -> None:
+        if self.current.get(ev.cpu, HYPERVISOR) == HYPERVISOR:
+            raise self.err(ev, "exit requires a guest to be current")
+        self.current[ev.cpu] = HYPERVISOR
+        self._count_switch(ev.kind)
+
+    def on_pswitch(self, ev: TraceEvent) -> None:
+        guest = self.guests[self.current.get(ev.cpu, HYPERVISOR)]
+        if ev.vasid not in guest.asids:
+            guest.asids[ev.vasid] = next(self.real_asids)
+        guest.asid = guest.asids[ev.vasid]
+        super().on_pswitch(ev)
+
+    # -- memory --
+
+    def on_alloc(self, ev: TraceEvent) -> int | None:
+        """Hand out and map the lowest free page: it, or None when memory is full."""
+        vm = ev.vm
+        self._require_live(ev, vm)
+        self.report.counters.allocs += 1
+        t = self.tally[ev.kind._value_]
+        free = self.free_pages
+        if free:
+            page = heapq.heappop(free)
+        elif self.fresh_page < self.pages_total:
+            page = self.fresh_page
+            self.fresh_page = page + 1
+        elif self._reclaim_one_page(vm) is None:
+            self.report.memory_full.append(MemoryFull(ev.seq, vm))
+            return None
+        else:
+            t.pages_swapped += 1
+            page = heapq.heappop(free)
+        self.owner_of[page] = vm
+        guest = self.guests[vm]
+        vpage = guest.next_vpage
+        guest.next_vpage = vpage + 1
+        # the hypervisor maps straight to physical pages; fresh guests map linearly
+        ppage = page if vm == HYPERVISOR else vpage
+        # entries cached from a gpt_write or rmap_write this alloc overrides
+        if vpage in guest.gpt:
+            self.tlb.invalidate(guest.asids.values(), vpage)
+        guest.gpt[vpage] = ppage
+        guest.backing[page] = (vpage, ppage)
+        bisect.insort(guest.held, page)
+        if vm != HYPERVISOR:
+            old = guest.rmap.get(ppage)
+            if old is not None:
+                self.tlb.invalidate_phys(old)
+            guest.rmap[ppage] = page
+        return page
+
+    def on_free(self, ev: TraceEvent) -> None:
+        self._require_live(ev, ev.vm)
+        c = self.report.counters
+        guest = self.guests[ev.vm]
+        mapped = guest.gpt.get(self._vpage(ev))
+        if mapped is None:
+            c.invalid_frees += 1
+            return
+        page = mapped if ev.vm == HYPERVISOR else guest.rmap.get(mapped)
+        if page is None or self.owner_of.get(page) != ev.vm:
+            c.invalid_frees += 1
+            return
+        c.frees += 1
+        self._free_page(page)
+
+    def on_gpt_write(self, ev: TraceEvent) -> None:
+        self._require_live(ev, ev.vm)
+        guest = self.guests[ev.vm]
+        guest.gpt[ev.vpage] = ev.target
+        self.tlb.invalidate(guest.asids.values(), ev.vpage)
+
+    def on_rmap_write(self, ev: TraceEvent) -> None:
+        self._require_live(ev, ev.vm)
+        guest = self.guests[ev.vm]
+        old = guest.rmap.get(ev.ppage)
+        guest.rmap[ev.ppage] = ev.phys
+        if old is not None:
+            self.tlb.invalidate_phys(old)
+
+    # -- CPU access --
+
+    def on_read(self, ev: TraceEvent) -> None:
+        """One frame per access: vTLB hit or nested walk, range check, count, owner."""
+        c = self.report.counters
+        c.cpu_accesses += 1
+        if ev.vaddr < 0:
+            raise self.err(ev, f"negative vaddr {ev.vaddr}")
+        vpage = ev.vaddr // self.page_size_bytes
+        vm = self.current.get(ev.cpu, HYPERVISOR)
+        guest = self.guests[vm]
+        t = self.tally[ev.kind._value_]
+        if vm == HYPERVISOR:
+            page, walks = guest.gpt.get(vpage), 1
+        else:
+            page = self.tlb.lookup(guest.asid, vpage)
+            if page is not None:
+                t.tlb_hits += 1
+                walks = 0
+            else:
+                c.tlb_misses += 1
+                page, walks = nested_translate(vpage, guest.gpt, guest.rmap)
+                if page is not None and 0 <= page < self.pages_total:
+                    self.tlb.insert(guest.asid, vpage, page)
+        t.walk_steps += walks
+        if page is None or not 0 <= page < self.pages_total:
+            c.page_faults += 1
+            return
+        owner = self.owner_of.get(page)
+        if owner is None:
+            if vm != HYPERVISOR:
+                c.page_faults += 1  # resolved to an unbacked frame
+            return
+        if owner != vm:
+            self.report.violations.append(Violation(ev.seq, ev.cpu, "cpu", vm, page, owner))
+
+    on_write = on_read
+
+    # -- DMA --
+
+    def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
+        """Raw DMA, which lands whoever owns the page; PIO under dma_policy=off."""
+        t = self.tally[ev.kind._value_]
+        t.dma_ops += 1
+        if self.pio:
+            t.pio_transfers += 1
+            return
+        c = self.report.counters
+        if not self._dma_in_range(ev, page, dva):
+            c.dma_blocked += 1
+            return
+        owner = self.owner_of.get(page)
+        if owner is not None and owner != issuer:
+            # raw DMA lands anyway: this is the vulnerability, record and proceed
+            self.report.violations.append(
+                Violation(ev.seq, ev.cpu, "dma", -1 if issuer is None else issuer, page, owner)
+            )
+        c.dma_completed += 1
+
+    # -- bookkeeping --
+
+    def sample(self, event_index: int) -> None:
+        for vm in sorted(self.guests):
+            self.report.utilization.append(
+                UtilSample(event_index, vm, 0, len(self.guests[vm].backing))
+            )
+
+    def finalize(self) -> None:
+        for vm in sorted(self.guests):
+            self.report.final_pages[vm] = len(self.guests[vm].backing)
+
+    def check_invariants(self) -> None:
+        held = {page: vm for vm, guest in self.guests.items() for page in guest.backing}
+        assert held == self.owner_of, "owner_of differs from the guests' backing"
+        for vm, guest in self.guests.items():
+            assert guest.held == sorted(guest.backing), f"vm {vm}'s held list is not its backing"
+        assert sum(len(g.backing) for g in self.guests.values()) == len(held), "page held twice"
+        # the freed and the held pages are every page below the mark, once each: no
+        # freed page is at or above it, and freed + held == fresh_page
+        pool = sorted([*self.free_pages, *held])
+        assert pool == list(range(self.fresh_page)), "pages lost, doubled or freed past the mark"
+        # the vTLB caches the nested walk: entries of destroyed guests never hit again
+        guest_of = {asid: g for g in self.guests.values() for asid in g.asids.values()}
+        for (asid, vpage), page in self.tlb.entries.items():
+            guest = guest_of.get(asid)
+            stale = guest is not None and guest.rmap.get(guest.gpt.get(vpage)) != page
+            assert not stale, f"stale vTLB entry {(asid, vpage)} -> {page}"
+
+
+class ShadowMachine(BaselineMachine):
+    """nested_shadow: an access walks the shadow entry, rmap[gpt[vpage]], in
+    one step and fills no vTLB; a guest's table writes pay the re-derivation
+    of the entries they affect.  The hypervisor's table maps straight to
+    physical pages, so its writes derive nothing."""
+
+    def __init__(self, geom, opts, report):
+        super().__init__(geom, opts, report)
+        self.flush_on_switch = False  # nothing fills the vTLB, so a switch has none to flush
+
+    def on_alloc(self, ev: TraceEvent) -> None:
+        if BaselineMachine.on_alloc(self, ev) is not None and ev.vm != HYPERVISOR:
+            self.tally[ev.kind._value_].shadow_update_steps += shadow_update_vpage()
+
+    def on_gpt_write(self, ev: TraceEvent) -> None:
+        BaselineMachine.on_gpt_write(self, ev)
+        if ev.vm != HYPERVISOR:
+            self.tally[ev.kind._value_].shadow_update_steps += shadow_update_vpage()
+
+    def on_rmap_write(self, ev: TraceEvent) -> None:
+        BaselineMachine.on_rmap_write(self, ev)
+        if ev.vm != HYPERVISOR:
+            steps = shadow_update_ppage(self.guests[ev.vm].gpt, ev.ppage)
+            self.tally[ev.kind._value_].shadow_update_steps += steps
+
+    def on_read(self, ev: TraceEvent) -> None:
+        """One frame per access: shadow walk, range check, count, owner."""
+        c = self.report.counters
+        c.cpu_accesses += 1
+        if ev.vaddr < 0:
+            raise self.err(ev, f"negative vaddr {ev.vaddr}")
+        vpage = ev.vaddr // self.page_size_bytes
+        vm = self.current.get(ev.cpu, HYPERVISOR)
+        guest = self.guests[vm]
+        if vm == HYPERVISOR:
+            page, walks = guest.gpt.get(vpage), 1
+        else:
+            page, walks = shadow_translate(vpage, guest.gpt, guest.rmap)
+        self.tally[ev.kind._value_].walk_steps += walks
+        if page is None or not 0 <= page < self.pages_total:
+            c.page_faults += 1
+            return
+        owner = self.owner_of.get(page)
+        if owner is None:
+            if vm != HYPERVISOR:
+                c.page_faults += 1  # resolved to an unbacked frame
+            return
+        if owner != vm:
+            self.report.violations.append(Violation(ev.seq, ev.cpu, "cpu", vm, page, owner))
+
+    on_write = on_read
+
+
+class IommuMachine(BaselineMachine):
+    """iommu: the nested CPU path, and every DMA, whatever dma_policy says,
+    walks its device's remapping tables, which no other mode keeps.  A
+    raw-target DMA names no device, so it is a mode error."""
+
+    def __init__(self, geom, opts, report):
+        super().__init__(geom, opts, report)
+        self.remap = RemappingTables(opts.walk_levels)
+
+    def _free_page(self, page: int) -> None:
+        BaselineMachine._free_page(self, page)
+        self.remap.unmap_phys(page)
+
+    def on_alloc(self, ev: TraceEvent) -> None:
+        page = BaselineMachine.on_alloc(self, ev)
+        guest = self.guests[ev.vm]
+        if guest.domain is not None and page is not None and ev.vm != HYPERVISOR:
+            self.remap.map_page(guest.domain, guest.backing[page][1], page)
+
+    def on_domain_assign(self, ev: TraceEvent) -> None:
+        BaselineMachine.on_domain_assign(self, ev)
+        self.remap.assign(ev.domain, ev.bus, ev.device, ev.function)
+        guest = self.guests[ev.vm]
+        guest.domain = ev.domain
+        # late assignment adopts mappings that already exist
+        for ppage, page in guest.rmap.items():
+            self.remap.map_page(ev.domain, ppage, page)
+
+    def on_dma(self, ev: TraceEvent) -> None:
+        c = self.report.counters
+        t = self.tally[ev.kind._value_]
+        t.dma_ops += 1
+        result = iommu_dma_translate(self._device_request(ev), self.remap, self.page_size_bytes)
+        t.dma_walk_steps += result.steps
+        if result.fault is not None:
+            self._dma_fault(ev, ev.dva, result.fault)
+            c.dma_blocked += 1
+            return
+        c.dma_completed += 1
+
+    def on_dma_raw(self, ev: TraceEvent) -> None:
+        raise ModeError(f"event seq {ev.seq}: raw-target DMA cannot be remapped; "
+                        "this mode requires device coordinates")
+
+
+class HyperwallMachine(BaselineMachine):
+    """hyperwall: the nested CPU path and raw DMA, behind per-page protection
+    bits checked on every access and set by hw_set."""
+
+    def on_alloc(self, ev: TraceEvent) -> None:
+        page = BaselineMachine.on_alloc(self, ev)
+        if page is not None:
+            self.page_mode[page] = PageMode.HYPERVISOR_AND_DMA
+
+    def on_hw_set(self, ev: TraceEvent) -> None:
+        if not (0 <= ev.page < self.pages_total):
+            raise self.err(ev, f"page {ev.page} outside the geometry")
+        requester = self.current.get(ev.cpu, HYPERVISOR)
+        owner = self.owner_of.get(ev.page)
+        if requester == owner or (requester == HYPERVISOR and owner is None):
+            self.page_mode[ev.page] = PageMode(ev.mode)
+        else:
+            self.report.counters.hw_set_denied += 1
+
+    def on_read(self, ev: TraceEvent) -> None:
+        """One frame per access: as nested, then a check of the page's bits."""
+        c = self.report.counters
+        c.cpu_accesses += 1
+        if ev.vaddr < 0:
+            raise self.err(ev, f"negative vaddr {ev.vaddr}")
+        vpage = ev.vaddr // self.page_size_bytes
+        vm = self.current.get(ev.cpu, HYPERVISOR)
+        guest = self.guests[vm]
+        t = self.tally[ev.kind._value_]
+        if vm == HYPERVISOR:
+            page, walks = guest.gpt.get(vpage), 1
+        else:
+            page = self.tlb.lookup(guest.asid, vpage)
+            if page is not None:
+                t.tlb_hits += 1
+                walks = 0
+            else:
+                c.tlb_misses += 1
+                page, walks = nested_translate(vpage, guest.gpt, guest.rmap)
+                if page is not None and 0 <= page < self.pages_total:
+                    self.tlb.insert(guest.asid, vpage, page)
+        t.walk_steps += walks
+        if page is None or not 0 <= page < self.pages_total:
+            c.page_faults += 1
+            return
+        t.unreported_checks += 1
+        owner = self.owner_of.get(page)
+        requester = (Requester.HYPERVISOR if vm == HYPERVISOR
+                     else Requester.OWNER_VM if owner == vm else Requester.OTHER_VM)
+        mode = self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)
+        if not page_mode_allows(mode, requester):
+            self.report.denials.append(
+                Denial(ev.seq, ev.cpu, requester.value, page, mode.value, owner)
+            )
+            return
+        if owner is None:
+            if vm != HYPERVISOR:
+                c.page_faults += 1  # resolved to an unbacked frame
+            return
+        if owner != vm:
+            self.report.violations.append(Violation(ev.seq, ev.cpu, "cpu", vm, page, owner))
+
+    on_write = on_read
+
+    def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
+        """Raw DMA stops at a page whose bits deny it; PIO and range faults pass no gate."""
+        if not self.pio and 0 <= page < self.pages_total:
+            mode = self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)
+            t = self.tally[ev.kind._value_]
+            t.unreported_checks += 1
+            if not page_mode_allows(mode, Requester.DMA):
+                t.dma_ops += 1
+                self.report.counters.dma_blocked += 1
+                self.report.denials.append(Denial(ev.seq, ev.cpu, Requester.DMA.value, page,
+                                                  mode.value, self.owner_of.get(page)))
+                return
+        BaselineMachine._dma(self, ev, issuer, page, dva)

@@ -7,28 +7,45 @@ only.
 
 Each command imports only the modules it runs: `run` and `compare` load
 the replay engine, `gen` and `attack` the trace generators, and
-`validate` neither.  The prices and the report's column names come from
-`core`, so reading a `cost.*` key or naming a CSV column loads no engine.
-The engine's `run` and `compare`, and `generate`, are looked up when a
-command calls them, so a name patched in its defining module is the one
-called.
+`validate` neither; `run --mode asmi` loads no page-pool baselines.  The
+prices, the policy names and the report's column names come from `core`,
+so reading a `cost.*` key, declaring a flag or naming a CSV column loads
+no engine.  The engine's `run` and `compare`, and `generate`, are looked
+up when a command calls them, so a name patched in its defining module is
+the one called.
+
+Each command's flags are declared once, in `COMMANDS`.  `main` reads a
+well-formed command line straight from that table and imports no
+`argparse`; anything else (`-h`, an unknown or abbreviated flag,
+`--flag=value`, a value that starts with `-`, a bad number or choice, a
+missing value) goes to the `argparse` parser `build_parser` makes from the
+same table, which prints the help and every usage error.
 """
 
 from __future__ import annotations
 
-import argparse
-import os.path
+import os
 import sys
+from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .baselines import ASID_POLICY, FLUSH_POLICY, NO_DMA, RAW_DMA
 from .config import (
     load_config,
     parse_cost_overrides,
     parse_demand,
     parse_geometry,
 )
-from .core import COUNTER_NAMES, LEDGERS, CostModel, Geometry
+from .core import (
+    ASID_POLICY,
+    COUNTER_NAMES,
+    FLUSH_POLICY,
+    LEDGERS,
+    NO_DMA,
+    RAW_DMA,
+    CostModel,
+    Geometry,
+)
 from .errors import ConfigError, SimError
 from .traceio import (
     dumps,
@@ -41,6 +58,8 @@ from .traceio import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .engine import MetricsReport, RunOptions
 
 #: `attack NAME` runs `workload.attack_NAME`
@@ -142,39 +161,71 @@ def _csv_row(name: str, report: MetricsReport, geom: Geometry) -> list:
     ]
 
 
-def _write_csv(path: str, header, rows) -> None:
+#: output setting -> the newline mode its file is opened with
+_OUTPUTS = {"out": "", "util_out": "", "json_out": None}
+
+
+@contextmanager
+def _open_outputs(args, cfg, inputs: list[str]):
+    """The --out, --util-out and --json-out files asked for, open for writing, by setting.
+
+    They are opened before any trace is read, so an unwritable path fails
+    before the replay, and a path that names an input trace or another
+    output is an error before any is opened.  If the command fails while
+    they are open, each is removed again: a failed run leaves no partial
+    output behind.
+    """
+    paths = {key: path for key in _OUTPUTS if (path := _out_path(args, cfg, key)) is not None}
+    seen = {os.path.realpath(path): "trace" for path in inputs}
+    for key, path in paths.items():
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{key} names the same file as {seen[real]}: {path!r}")
+        seen[real] = key
+    files = {}
+    try:
+        for key, path in paths.items():
+            files[key] = open(path, "w", encoding="utf-8", newline=_OUTPUTS[key])
+        yield files
+    except BaseException:
+        for fh in files.values():
+            fh.close()
+            if os.path.isfile(fh.name):  # a device such as /dev/null stays
+                os.remove(fh.name)
+        raise
+    for fh in files.values():
+        fh.close()
+
+
+def _write_csv(fh, header, rows) -> None:
     import csv
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
-def _write_outputs(args, cfg, reports: dict[tuple[str, str], MetricsReport], geom: Geometry,
+def _write_outputs(files, reports: dict[tuple[str, str], MetricsReport], geom: Geometry,
                    json_parts) -> None:
-    """Write the --out CSV, --util-out CSV and --json-out file that are asked for.
+    """Write the reports into the open output files of `_open_outputs`.
 
     Each file is written a row or a piece at a time, as it is made, so no
     file's whole text is ever held.  `json_parts()` yields the pieces of the
     JSON document; it is called only for --json-out.
     """
-    out = _out_path(args, cfg, "out")
-    if out is not None:
-        _write_csv(out, CSV_COLUMNS, (_csv_row(name, rep, geom) for (name, _), rep in reports.items()))
-    util_out = _out_path(args, cfg, "util_out")
-    if util_out is not None:
+    if "out" in files:
+        rows = (_csv_row(name, rep, geom) for (name, _), rep in reports.items())
+        _write_csv(files["out"], CSV_COLUMNS, rows)
+    if "util_out" in files:
         rows = (
             [name, rep.mode, u.event_index, u.owner, u.segments, u.pages]
             for (name, _), rep in reports.items()
             for u in rep.utilization
         )
-        _write_csv(util_out, UTIL_COLUMNS, rows)
-    json_out = _out_path(args, cfg, "json_out")
-    if json_out is not None:
-        with open(json_out, "w", encoding="utf-8") as fh:
-            fh.writelines(json_parts())
-            fh.write("\n")
+        _write_csv(files["util_out"], UTIL_COLUMNS, rows)
+    if "json_out" in files:
+        files["json_out"].writelines(json_parts())
+        files["json_out"].write("\n")
 
 
 def _summary(name: str, report: MetricsReport, geom: Geometry, verbosity: int) -> str:
@@ -226,10 +277,11 @@ def cmd_run(args) -> int:
     if trace_path is None:
         raise ConfigError("run needs --trace or a `trace` config entry")
     mode = _pick(args, cfg, "mode", "asmi", str)
-    with open_trace(trace_path) as fh:
-        report = run(parse_lines(read_blocks(fh)), mode, geom, cost, opts)   # replays as it parses
     name = _trace_name(trace_path)
-    _write_outputs(args, cfg, {(name, report.mode): report}, geom, lambda: [report.to_json()])
+    with _open_outputs(args, cfg, [trace_path]) as files:
+        with open_trace(trace_path) as fh:  # replays as it parses
+            report = run(parse_lines(read_blocks(fh)), mode, geom, cost, opts)
+        _write_outputs(files, {(name, report.mode): report}, geom, lambda: [report.to_json()])
     verbosity = _pick(args, cfg, "verbosity", 1, int) + getattr(args, "verbose", 0)
     print(_summary(name, report, geom, verbosity))
     return 0
@@ -248,10 +300,6 @@ def cmd_compare(args) -> int:
     modes = [canonical_mode(m) for m in modes_token.split(",") if m.strip()]
     if not modes:
         raise ConfigError("compare needs at least one mode")
-    traces = [(_trace_name(p), read_trace(p)) for p in paths]
-    result = compare(traces, modes, geom, cost, opts)
-    del traces  # not needed to write the outputs
-    print(result.to_table())
 
     def json_parts():
         """The key-sorted object of every report by `trace/mode`, one report's text at a time."""
@@ -263,7 +311,12 @@ def cmd_compare(args) -> int:
             yield f"{',' if i else ''}{json.dumps(key)}:{keyed[key].to_json()}"
         yield "}"
 
-    _write_outputs(args, cfg, result.reports, geom, json_parts)
+    with _open_outputs(args, cfg, paths) as files:
+        traces = [(_trace_name(p), read_trace(p)) for p in paths]
+        result = compare(traces, modes, geom, cost, opts)
+        del traces  # not needed to write the outputs
+        print(result.to_table())
+        _write_outputs(files, result.reports, geom, json_parts)
     return 0
 
 
@@ -319,80 +372,138 @@ def cmd_validate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# flags: one table, read by the fast path and by argparse
 # ---------------------------------------------------------------------------
+
+# Each flag is (option strings, argparse keywords).  Its destination is its
+# last option string, as argparse derives it: --util-out sets `util_out`.
+_ENGINE_FLAGS = (
+    (("--config",), {"help": "flat key = value settings file"}),
+    (("--geometry",), {"help": "PAGExPAGES_PER_SEGxSEGS, e.g. 4096x512x64"}),
+    (("--cost",), {"action": "append", "metavar": "KEY=CYCLES",
+                   "help": "override one cost parameter"}),
+    (("--sample-interval",), {"type": int}),
+    (("--tlb-policy",), {"choices": (FLUSH_POLICY, ASID_POLICY)}),
+    (("--tlb-entries",), {"type": int}),
+    (("--iommu-levels",), {"type": int}),
+    (("--dma-policy",), {"choices": (RAW_DMA, NO_DMA)}),
+    (("--check-invariants",), {"action": "store_true", "default": False}),
+    (("-v", "--verbose"), {"action": "count", "default": 0}),
+)
+_GEN_FLAGS = ((("--config",), {}), (("--geometry",), {}), (("--out",), {}))
+
+#: command -> (its help line, its flags in help order, the function it runs)
+COMMANDS = {
+    "run": ("replay one trace in one mode", (
+        *_ENGINE_FLAGS,
+        (("--trace",), {}),
+        (("--mode",), {}),
+        (("--out",), {"help": "CSV metrics row"}),
+        (("--util-out",), {"help": "long-format utilization CSV"}),
+        (("--json-out",), {"help": "full report as JSON"}),
+    ), cmd_run),
+    "compare": ("replay traces across modes", (
+        *_ENGINE_FLAGS,
+        (("--trace",), {"action": "append", "help": "repeatable"}),
+        (("--modes",), {"help": "comma-separated; default all"}),
+        (("--out",), {"help": "CSV metrics table"}),
+        (("--util-out",), {}),
+        (("--json-out",), {}),
+    ), cmd_compare),
+    "gen": ("generate a seeded workload trace", (
+        *_GEN_FLAGS,
+        (("--seed",), {"type": int}),
+        (("--vms",), {"type": int}),
+        (("--events",), {"type": int}),
+        (("--demand",), {"help": "ws:churn:locality[,...]; one triple fans out"}),
+        (("--dma-rate",), {"type": float}),
+        (("--switch-rate",), {"type": float}),
+    ), cmd_gen),
+    "attack": ("emit a scripted attack trace", (
+        *_GEN_FLAGS,
+        (("name",), {"choices": ATTACKS}),
+    ), cmd_attack),
+    "validate": ("parse and statically check a trace file", (
+        (("--trace",), {"required": True}),
+    ), cmd_validate),
+}
+
+
+def _dest(names: tuple[str, ...]) -> str:
+    return names[-1].lstrip("-").replace("-", "_")
+
+
+def fast_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` makes of a well-formed `argv`.
+
+    A well-formed command line is a command, then each flag by its full
+    name with its value as the next argument, and a command's positional
+    where it has one.  For anything else this returns None, and argparse
+    reads it.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, flags, func = COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    options, positionals = {}, []
+    for names, kw in flags:
+        if names[0].startswith("-"):
+            options.update(dict.fromkeys(names, (_dest(names), kw)))
+            values[_dest(names)] = kw.get("default")
+        else:
+            positionals.append((_dest(names), kw))
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            dest, kw = options[token]
+            action = kw.get("action")
+            if action == "count":
+                values[dest] += 1
+                continue
+            if action == "store_true":
+                values[dest] = True
+                continue
+            value = next(tokens, "-")  # a missing value reads as "-"
+            if value.startswith("-"):  # which, like a negative number, argparse must judge
+                return None
+        elif positionals and not token.startswith("-"):
+            (dest, kw), value = positionals.pop(0), token
+        else:
+            return None
+        try:
+            value = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+        values[dest] = [*(values[dest] or ()), value] if kw.get("action") == "append" else value
+    if positionals or any(kw.get("required") and values[dest] is None
+                          for dest, kw in options.values()):
+        return None
+    return SimpleNamespace(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    engine_opts = argparse.ArgumentParser(add_help=False)
-    engine_opts.add_argument("--config", help="flat key = value settings file")
-    engine_opts.add_argument("--geometry", help="PAGExPAGES_PER_SEGxSEGS, e.g. 4096x512x64")
-    engine_opts.add_argument(
-        "--cost", action="append", metavar="KEY=CYCLES", help="override one cost parameter"
-    )
-    engine_opts.add_argument("--sample-interval", dest="sample_interval", type=int)
-    engine_opts.add_argument(
-        "--tlb-policy", dest="tlb_policy", choices=(FLUSH_POLICY, ASID_POLICY)
-    )
-    engine_opts.add_argument("--tlb-entries", dest="tlb_entries", type=int)
-    engine_opts.add_argument("--iommu-levels", dest="iommu_levels", type=int)
-    engine_opts.add_argument("--dma-policy", dest="dma_policy", choices=(RAW_DMA, NO_DMA))
-    engine_opts.add_argument(
-        "--check-invariants", dest="check_invariants", action="store_true"
-    )
-    engine_opts.add_argument("-v", "--verbose", action="count", default=0)
-
-    gen_opts = argparse.ArgumentParser(add_help=False)
-    gen_opts.add_argument("--config")
-    gen_opts.add_argument("--geometry")
-    gen_opts.add_argument("--out")
+    """The argparse parser of COMMANDS: it prints the help and every usage error."""
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="vmemsim",
         description="trace-driven simulator for memory virtualization designs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", parents=[engine_opts], help="replay one trace in one mode")
-    p_run.add_argument("--trace")
-    p_run.add_argument("--mode")
-    p_run.add_argument("--out", help="CSV metrics row")
-    p_run.add_argument("--util-out", dest="util_out", help="long-format utilization CSV")
-    p_run.add_argument("--json-out", dest="json_out", help="full report as JSON")
-    p_run.set_defaults(func=cmd_run)
-
-    p_cmp = sub.add_parser(
-        "compare", parents=[engine_opts], help="replay traces across modes"
-    )
-    p_cmp.add_argument("--trace", action="append", help="repeatable")
-    p_cmp.add_argument("--modes", help="comma-separated; default all")
-    p_cmp.add_argument("--out", help="CSV metrics table")
-    p_cmp.add_argument("--util-out", dest="util_out")
-    p_cmp.add_argument("--json-out", dest="json_out")
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_gen = sub.add_parser("gen", parents=[gen_opts], help="generate a seeded workload trace")
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--vms", type=int)
-    p_gen.add_argument("--events", type=int)
-    p_gen.add_argument("--demand", help="ws:churn:locality[,...]; one triple fans out")
-    p_gen.add_argument("--dma-rate", dest="dma_rate", type=float)
-    p_gen.add_argument("--switch-rate", dest="switch_rate", type=float)
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_atk = sub.add_parser("attack", parents=[gen_opts], help="emit a scripted attack trace")
-    p_atk.add_argument("name", choices=ATTACKS)
-    p_atk.set_defaults(func=cmd_attack)
-
-    p_val = sub.add_parser("validate", help="parse and statically check a trace file")
-    p_val.add_argument("--trace", required=True)
-    p_val.set_defaults(func=cmd_validate)
-
+    for command, (help_line, flags, func) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for names, kw in flags:
+            p.add_argument(*names, **kw)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = fast_args(sys.argv[1:] if argv is None else list(argv))
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SimError as exc:

@@ -5,9 +5,10 @@ number of equal-sized pages.  Every table in the simulator names a
 physical page by its global page number, 0 .. pages_total - 1, counted
 across segments; only the segment controller splits it further.
 
-`CostModel`, `COUNTER_NAMES` and `LEDGERS` live here, beside `Geometry`,
-because the config parser and the CLI's report writers read them too, and
-those must not load the replay engine.
+`CostModel`, `COUNTER_NAMES`, `LEDGERS` and the run options' policy
+names live here, beside `Geometry`, because the config parser and the
+CLI's flags and report writers read them too, and those must not load the
+replay engine.
 """
 
 from __future__ import annotations
@@ -21,6 +22,20 @@ from .errors import GeometryError
 HYPERVISOR = 0
 
 MIN_PAGE_SIZE = 256
+
+# Switch policies of the virtual TLB: flush it on every switch, or keep
+# entries of different address spaces apart by real ASID.
+FLUSH_POLICY = "flush"
+ASID_POLICY = "asid"
+
+# DMA policies of the page-pool baselines without remapping (nested,
+# nested_shadow, hyperwall): devices reach physical pages untranslated,
+# or data moves by programmed I/O.
+RAW_DMA = "raw"
+NO_DMA = "off"
+
+# levels of an IOMMU domain's page walk
+DEFAULT_WALK_LEVELS = 4
 
 
 class _GeometryFields(NamedTuple):

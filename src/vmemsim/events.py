@@ -1,9 +1,11 @@
 """Trace events: the kinds, the fields each kind carries, and the event record.
 
 The trace parser and writer (`traceio`), the generators (`workload`) and
-the replay engine (`engine`) share these definitions.  This module imports
-nothing else from the package, so a command that only writes or checks a
-trace loads neither the engine nor the segment controller.
+the replay engine (`engine`) share these definitions, with the domains of
+the fields: device coordinates (`DmaRequest`'s bounds) and protection
+modes (`PageMode`).  This module imports nothing else from the package but
+`errors`, so a command that only writes or checks a trace loads neither
+the engine, the segment controller nor the page-pool baselines.
 
 An event holds only the fields its kind carries, so the parsed event
 list, the largest allocation of a `vmemsim compare`, takes about half of
@@ -14,6 +16,9 @@ from __future__ import annotations
 
 from enum import Enum, unique
 from operator import attrgetter
+from typing import NamedTuple
+
+from .errors import OutOfRangeError
 
 
 @unique
@@ -33,6 +38,46 @@ class EventKind(Enum):
     DOMAIN_ASSIGN = "domain_assign"
     HW_SET = "hw_set"
     PSWITCH = "pswitch"
+
+
+# device coordinates a dma event or domain_assign may name
+MAX_BUS = 256
+MAX_DEVICE = 32
+MAX_FUNCTION = 8
+
+
+class _DmaRequestFields(NamedTuple):
+    bus: int
+    device: int
+    function: int
+    dva: int          # device-issued flat byte address
+    is_write: bool
+
+
+class DmaRequest(_DmaRequestFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> DmaRequest:
+        self = super().__new__(cls, *args, **kwargs)
+        if not (0 <= self.bus < MAX_BUS):
+            raise OutOfRangeError(f"bus {self.bus} outside 0..{MAX_BUS - 1}")
+        if not (0 <= self.device < MAX_DEVICE):
+            raise OutOfRangeError(f"device {self.device} outside 0..{MAX_DEVICE - 1}")
+        if not (0 <= self.function < MAX_FUNCTION):
+            raise OutOfRangeError(f"function {self.function} outside 0..{MAX_FUNCTION - 1}")
+        if self.dva < 0:
+            raise OutOfRangeError(f"dva {self.dva} is negative")
+        return self
+
+
+@unique
+class PageMode(Enum):
+    """The per-page protection modes hw_set names, by their trace tokens."""
+
+    HYPERVISOR_ONLY = "hyp_only"        # unassigned page
+    HYPERVISOR_AND_DMA = "hyp_dma"      # assigned; hypervisor and DMA allowed
+    HYPERVISOR_DENIED = "hyp_denied"    # assigned; DMA allowed, hypervisor not
+    LOCKED = "locked"                   # assigned; neither hypervisor nor DMA
 
 
 #: fields each kind must carry, in wire order

@@ -20,9 +20,10 @@ formatter compiled per kind writes a line in one call.  `dumps` still
 joins the whole trace into one string, so `vmemsim gen` holds every line
 in memory.
 
-The event kinds, their fields and `TraceEvent` come from `events`, and
-`PageMode` and `DmaRequest`'s bounds from `baselines`.  Neither imports
-the engine, so `vmemsim gen`, `attack` and `validate` never load it.
+The event kinds, their fields, `TraceEvent`, `PageMode` and
+`DmaRequest`'s bounds come from `events`, which imports neither the
+engine nor the baselines, so `vmemsim gen`, `attack` and `validate` never
+load them.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from contextlib import contextmanager
 from itertools import chain
 from typing import TextIO
 
-from .baselines import DmaRequest, PageMode
 from .errors import OutOfRangeError, TraceFormatError
-from .events import EVENT_FIELDS, LAYOUT_OF, EventKind, TraceEvent
+from .events import EVENT_FIELDS, LAYOUT_OF, DmaRequest, EventKind, PageMode, TraceEvent
 
 _MODE_TOKENS = {mode.value for mode in PageMode}
 

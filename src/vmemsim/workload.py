@@ -11,10 +11,9 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from .baselines import MAX_BUS, MAX_DEVICE, PageMode
 from .core import Geometry
 from .errors import WorkloadError
-from .events import LAYOUT_OF, EventKind, TraceEvent
+from .events import LAYOUT_OF, MAX_BUS, MAX_DEVICE, EventKind, PageMode, TraceEvent
 
 _MASK64 = (1 << 64) - 1
 _MILLION = 1_000_000

@@ -13,9 +13,8 @@ This module imports nothing from `vmemsim.traceio`.
 
 from __future__ import annotations
 
-from vmemsim.baselines import PageMode
-from vmemsim.events import EVENT_FIELDS, FIELD_ORDER, TraceEvent
 from vmemsim.errors import TraceFormatError
+from vmemsim.events import EVENT_FIELDS, FIELD_ORDER, PageMode, TraceEvent
 
 _MODE_TOKENS = {mode.value for mode in PageMode}
 

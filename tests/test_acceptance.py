@@ -12,21 +12,15 @@ from collections import deque
 from pathlib import Path
 
 from reference_model import RefModel
-from vmemsim.core import Geometry
-from vmemsim.engine import (
-    CostModel,
-    EventKind,
-    RunOptions,
-    TraceEvent,
-    run,
-    static_partition_utilization,
-)
+from vmemsim.core import CostModel, Geometry
+from vmemsim.engine import RunOptions, run, static_partition_utilization
 from vmemsim.errors import (
     CapacityError,
     DoubleFreeError,
     LifecycleError,
     ProtocolError,
 )
+from vmemsim.events import EventKind, TraceEvent
 from vmemsim.promem import ProMem
 from vmemsim.traceio import read_trace
 from vmemsim.workload import DemandProfile, WorkloadSpec, generate

@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vmemsim.baselines import (
-    DmaRequest,
-    PageMode,
     RemappingTables,
     Requester,
     VirtualTlb,
@@ -18,6 +16,7 @@ from vmemsim.baselines import (
     shadow_update_vpage,
 )
 from vmemsim.errors import OutOfRangeError
+from vmemsim.events import DmaRequest, PageMode
 
 
 # ---------------------------------------------------------------------------

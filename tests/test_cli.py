@@ -1,5 +1,7 @@
 """End-to-end command line flows driven through main(argv)."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,10 +10,19 @@ import tracemalloc
 from pathlib import Path, PurePosixPath
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vmemsim
-from vmemsim import traceio
-from vmemsim.cli import CSV_COLUMNS, UTIL_COLUMNS, _trace_name, main
+from vmemsim import cli, traceio
+from vmemsim.cli import (
+    COMMANDS,
+    CSV_COLUMNS,
+    UTIL_COLUMNS,
+    _trace_name,
+    build_parser,
+    fast_args,
+    main,
+)
 from vmemsim.core import Geometry
 from vmemsim.engine import MODES, compare
 from vmemsim.traceio import read_trace
@@ -445,31 +456,39 @@ def test_an_empty_flag_value_is_an_error(tmp_path, capsys, command, flag, messag
     assert sorted(p.name for p in tmp_path.iterdir()) == ["settings.conf"]
 
 
-# which package modules each command loads, in a fresh interpreter: -E -S keep
-# environment and site hooks out, -B writes no bytecode into the package;
-# {tmp}/cost.conf sets a price, which gen and attack read without the engine
-@pytest.mark.parametrize("argv, absent", [
-    (["gen", *GEN_ARGS, "--out", "{tmp}/noise.trace"], ("vmemsim.engine", "vmemsim.promem")),
+# which package modules (and whether argparse) each command loads, in a fresh
+# interpreter: -E -S keep environment and site hooks out, -B writes no bytecode
+# into the package; {tmp}/cost.conf sets a price, which gen and attack read
+# without the engine
+NO_ENGINE = ("argparse", "vmemsim.engine", "vmemsim.promem", "vmemsim.baselines")
+
+
+@pytest.mark.parametrize("argv, absent, present", [
+    (["gen", *GEN_ARGS, "--out", "{tmp}/noise.trace"], NO_ENGINE, ()),
     (["gen", *GEN_ARGS, "--config", "{tmp}/cost.conf", "--out", "{tmp}/noise.trace"],
-     ("vmemsim.engine", "vmemsim.promem")),
-    (["attack", "cross_vm_dma"], ("vmemsim.engine", "vmemsim.promem")),
-    (["attack", "cross_vm_dma", "--config", "{tmp}/cost.conf"],
-     ("vmemsim.engine", "vmemsim.promem")),
+     NO_ENGINE, ()),
+    (["attack", "cross_vm_dma"], NO_ENGINE, ()),
+    (["attack", "cross_vm_dma", "--config", "{tmp}/cost.conf"], NO_ENGINE, ()),
     (["validate", "--trace", str(FIXTURES / "cross_vm_dma.trace")],
-     ("vmemsim.engine", "vmemsim.promem", "vmemsim.workload")),
+     (*NO_ENGINE, "vmemsim.workload"), ()),
     (["run", "--geometry", "256x4x8", "--trace", str(FIXTURES / "cross_vm_dma.trace")],
-     ("vmemsim.workload",)),
+     ("argparse", "vmemsim.baselines", "vmemsim.workload"), ("vmemsim.engine",)),
+    (["run", "--mode", "nested", "--geometry", "256x4x8",
+      "--trace", str(FIXTURES / "cross_vm_dma.trace")],
+     ("argparse", "vmemsim.workload"), ("vmemsim.baselines",)),
     (["compare", "--geometry", "256x4x8", "--trace", str(FIXTURES / "cross_vm_dma.trace")],
-     ("vmemsim.workload",)),
-], ids=["gen", "gen --config", "attack", "attack --config", "validate", "run", "compare"])
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
+     ("argparse", "vmemsim.workload"), ("vmemsim.baselines",)),
+], ids=["gen", "gen --config", "attack", "attack --config", "validate", "run", "run nested",
+        "compare"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent, present):
     (tmp_path / "cost.conf").write_text("cost.tlb_hit = 3\n")
     root = str(Path(vmemsim.__file__).resolve().parents[1])
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     code = (
         f"import sys; sys.path.insert(0, {root!r}); from vmemsim.cli import main; "
         f"rc = main({argv!r}); "
-        "print(rc, sorted(m for m in sys.modules if m.startswith('vmemsim')), file=sys.stderr)"
+        "print(rc, sorted(m for m in sys.modules if m.startswith('vmemsim') or m == 'argparse'), "
+        "file=sys.stderr)"
     )
     done = subprocess.run([sys.executable, "-E", "-S", "-B", "-c", code],
                           capture_output=True, text=True, timeout=120)
@@ -477,3 +496,142 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
     assert rc == "0", done.stderr
     assert "vmemsim.cli" in loaded
     assert [name for name in absent if repr(name) in loaded] == []
+    assert [name for name in present if repr(name) not in loaded] == []
+
+
+# ---------------------------------------------------------------------------
+# the fast path reads what argparse reads, and leaves argparse everything else
+# ---------------------------------------------------------------------------
+
+
+def argparse_args(argv):
+    """argparse's namespace of `argv` as a dict, or None where it exits (help or an error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+VALUES = st.text(alphabet="abx/._0123456789", max_size=6)  # a value that cannot read as a flag
+
+
+@st.composite
+def well_formed_argvs(draw):
+    """A command, then flags of its table in any order, with valid values, and its positional."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = COMMANDS[command][1]
+    groups = []
+    for names, kw in draw(st.lists(st.sampled_from(flags), max_size=8)):
+        if not names[0].startswith("-"):
+            continue
+        group = [draw(st.sampled_from(names))]
+        if kw.get("action") not in ("count", "store_true"):
+            if "choices" in kw:
+                group.append(draw(st.sampled_from(kw["choices"])))
+            elif kw.get("type") is int:
+                group.append(str(draw(st.integers(0, 10 ** 6))))
+            elif kw.get("type") is float:
+                group.append(repr(draw(st.floats(0, 1))))
+            else:
+                group.append(draw(VALUES))
+        groups.append(group)
+    for names, kw in flags:
+        if not names[0].startswith("-"):
+            groups.insert(draw(st.integers(0, len(groups))), [draw(st.sampled_from(kw["choices"]))])
+        elif kw.get("required"):
+            groups.append([names[0], draw(VALUES)])
+    return [command, *(token for group in groups for token in group)]
+
+
+OPTION_STRINGS = sorted({name for _, flags, _ in COMMANDS.values()
+                         for names, _ in flags for name in names if name.startswith("-")})
+# tokens argparse reads otherwise than as a full flag name or a plain value
+ODD_TOKENS = ["-h", "--help", "--geom", "--tr", "--geometry=256x4x8", "-vv", "--", "-3", "-x",
+              "", "x", "3", "0.5", "lru", "flush", "raw", "cross_vm_dma", "nope", "run", "gen"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(well_formed_argvs())
+def test_the_fast_path_reads_a_well_formed_command_as_argparse_does(argv):
+    fast = fast_args(argv)
+    assert fast is not None, argv
+    assert vars(fast) == argparse_args(argv)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([*COMMANDS, "frob", "-h"]),
+       st.lists(st.sampled_from(OPTION_STRINGS + ODD_TOKENS), max_size=6))
+def test_the_fast_path_accepts_nothing_argparse_would_not_read_alike(command, tokens):
+    argv = [command, *tokens]
+    fast = fast_args(argv)
+    if fast is not None:
+        assert vars(fast) == argparse_args(argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["run", "--help"], ["run", "--bogus"], ["run", "--trace"],
+    ["gen", "--seed", "x"], ["run", "--tlb-policy", "lru"], ["run", "--geometry=256x4x8"],
+    ["run", "--geom", "256x4x8"], ["run", "--sample-interval", "-3"], ["attack"],
+    ["attack", "nope"], ["validate"], ["run", "-vv"], ["run", "x"],
+])
+def test_each_malformed_or_help_argv_goes_to_argparse(argv):
+    assert fast_args(argv) is None
+
+
+def test_main_reads_sys_argv_without_argparse(monkeypatch, capsys):
+    def no_parser():
+        raise AssertionError("argparse built for a well-formed command line")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    monkeypatch.setattr(sys, "argv", ["vmemsim", "validate", "--trace",
+                                      str(FIXTURES / "cross_vm_dma.trace")])
+    assert main() == 0
+    assert "14 events ok" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# run and compare open their output files before any replay
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("bad", ["--out", "--util-out", "--json-out"])
+def test_an_unwritable_output_fails_before_the_replay(tmp_path, capsys, command, bad):
+    outputs = {flag: str(tmp_path / f"out{flag}") for flag in ("--out", "--util-out", "--json-out")}
+    outputs[bad] = str(tmp_path / "missing" / "x.csv")
+    argv = [command, "--geometry", "256x4x8", "--trace", str(FIXTURES / "cross_vm_dma.trace")]
+    assert run_cli(*argv, *(token for pair in outputs.items() for token in pair)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {outputs[bad]!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_a_failed_replay_leaves_no_output_file(tmp_path, capsys, command):
+    bad = tmp_path / "exit_first.trace"
+    bad.write_text("# vmemsim trace\n1 create_vm 0 1\n2 exit 0\n")
+    kept = tmp_path / "kept.csv"
+    kept.write_text("an older run's rows\n")
+    assert run_cli(command, "--trace", str(bad), "--out", str(kept),
+                   "--util-out", str(tmp_path / "util.csv"),
+                   "--json-out", str(tmp_path / "report.json")) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: event seq 2: "), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exit_first.trace"]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_an_output_that_names_the_trace_or_another_output_is_an_error(tmp_path, capsys, command):
+    trace = tmp_path / "in.trace"
+    trace.write_bytes((FIXTURES / "cross_vm_dma.trace").read_bytes())
+    argv = [command, "--geometry", "256x4x8", "--trace", str(trace)]
+    assert run_cli(*argv, "--json-out", str(tmp_path / "." / "in.trace")) == 1
+    assert capsys.readouterr().err.startswith("error: json_out names the same file as trace: ")
+    assert trace.read_bytes() == (FIXTURES / "cross_vm_dma.trace").read_bytes()
+    same = str(tmp_path / "out.csv")
+    assert run_cli(*argv, "--out", same, "--util-out", same) == 1
+    assert capsys.readouterr() == ("", f"error: util_out names the same file as out: {same!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.trace"]

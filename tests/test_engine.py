@@ -11,29 +11,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_golden import all_kinds_trace
-from vmemsim import engine
-from vmemsim.baselines import PageMode, RemappingTables, VirtualTlb
-from vmemsim.core import Geometry
+from vmemsim import baselines, engine
+from vmemsim.baselines import (
+    BaselineMachine,
+    HyperwallMachine,
+    IommuMachine,
+    RemappingTables,
+    ShadowMachine,
+    VirtualTlb,
+)
+from vmemsim.core import CostModel, Geometry
 from vmemsim.engine import (
     MODES,
     AsmiMachine,
-    BaselineMachine,
-    CostModel,
-    EventKind,
-    HyperwallMachine,
-    IommuMachine,
     MetricsReport,
     RunOptions,
-    ShadowMachine,
-    TraceEvent,
-    _MACHINES,
     canonical_mode,
     compare,
+    machine_class,
     run,
     static_partition_utilization,
 )
 from vmemsim.errors import ConfigError, DuplicateRunError, ModeError, SimError, SimulationError
-from vmemsim.events import EVENT_FIELDS
+from vmemsim.events import EVENT_FIELDS, EventKind, PageMode, TraceEvent
 from vmemsim.promem import ProMem
 from vmemsim.traceio import read_trace
 
@@ -242,7 +242,7 @@ def _corrupt_tlb(m):
     _corrupt_tlb,
 ])
 def test_baseline_invariant_check_can_fail(mode, corrupt):
-    machine = _MACHINES[mode](TINY, RunOptions(), MetricsReport(mode=mode))
+    machine = machine_class(mode)(TINY, RunOptions(), MetricsReport(mode=mode))
     events = trace(
         (E.CREATE_VM, {"vm": 1}), (E.CREATE_VM, {"vm": 2}),
         (E.ALLOC, {"vm": 1}), (E.ALLOC, {"vm": 2}), (E.ALLOC, {"vm": 1}),
@@ -265,7 +265,7 @@ def test_baseline_invariant_check_can_fail(mode, corrupt):
 def test_page_pool_hands_out_what_a_heap_of_every_page_would(mode, ops):
     # the pool grows from fresh_page on demand; a heap over range(pages_total)
     # is the pool it stands for, so each newly held page must be that heap's top
-    machine = _MACHINES[mode](TINY, opts(), MetricsReport(mode=mode))
+    machine = machine_class(mode)(TINY, opts(), MetricsReport(mode=mode))
     full = list(range(TINY.pages_total))
     live, next_vm, held = [0], 1, {}
     for seq, (op, pick, vpage) in enumerate(ops, start=1):
@@ -302,7 +302,7 @@ def test_a_baseline_machine_costs_nothing_per_page_of_its_geometry(mode):
     huge = Geometry(4096, 512, 2048)               # 2^20 pages
     tracemalloc.start()
     try:
-        _MACHINES[mode](huge, RunOptions(), MetricsReport(mode=mode))
+        machine_class(mode)(huge, RunOptions(), MetricsReport(mode=mode))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -316,7 +316,7 @@ def test_an_aliased_page_unmaps_from_every_dva():
         (E.RMAP_WRITE, {"vm": 1, "ppage": 1, "phys": 0}),   # ppages 0 and 1 both reach page 0
         (E.DOMAIN_ASSIGN, {"domain": 1, "vm": 1, "bus": 0, "device": 0, "function": 0}),
     )
-    machine = _MACHINES["iommu"](TINY, opts(), MetricsReport(mode="iommu"))
+    machine = machine_class("iommu")(TINY, opts(), MetricsReport(mode="iommu"))
     for event in t:
         machine.apply(event)
     domain = machine.remap.domains[1]
@@ -348,8 +348,8 @@ def test_machines_are_freed_without_the_cycle_collector():
     # cycle would stay in memory until the cyclic collector happened to run
     gc.disable()
     try:
-        for mode, make in _MACHINES.items():
-            machine = make(TINY, RunOptions(), MetricsReport(mode=mode))
+        for mode in MODES:
+            machine = machine_class(mode)(TINY, RunOptions(), MetricsReport(mode=mode))
             freed = weakref.ref(machine)
             del machine
             assert freed() is None, mode
@@ -380,7 +380,7 @@ def test_zero_cycle_kinds_keep_their_keys():
     assert rep.total_cycles == 0
     # a baseline alloc that finds the pool full and nothing to reclaim
     small = Geometry(256, 2, 2)                        # four pages total
-    machine = _MACHINES["nested"](small, RunOptions(), MetricsReport(mode="nested"))
+    machine = machine_class("nested")(small, RunOptions(), MetricsReport(mode="nested"))
     for event in trace((E.CREATE_VM, {"vm": 1}), *[(E.ALLOC, {"vm": 1}) for _ in range(4)]):
         machine.apply(event)
     machine.tally.clear()
@@ -577,7 +577,7 @@ def test_the_shadow_walk_reaches_what_the_nested_walk_reaches():
 # perfbench/tracer.py times each layer by patching these names, so every
 # access must still call them through the attribute the tracer patches.
 # per mode: ProMem.translate, check_owner, VirtualTlb.lookup, insert,
-# engine.nested_translate, engine.shadow_translate
+# baselines.nested_translate, baselines.shadow_translate
 LAYER_CALLS = {
     "asmi": (5, 3, 0, 0, 0, 0),
     "nested": (0, 0, 4, 2, 3, 0),
@@ -601,7 +601,8 @@ def test_each_access_calls_the_traced_layer_names(mode, monkeypatch):
         (E.READ, {"vaddr": 0}),            # the hypervisor's: a traced walk only under asmi
     )
     names = [(ProMem, "translate"), (ProMem, "check_owner"), (VirtualTlb, "lookup"),
-             (VirtualTlb, "insert"), (engine, "nested_translate"), (engine, "shadow_translate")]
+             (VirtualTlb, "insert"), (baselines, "nested_translate"),
+             (baselines, "shadow_translate")]
     calls = dict.fromkeys(names, 0)
     for holder, name in names:
         def counted(*args, _key=(holder, name), _fn=getattr(holder, name)):
@@ -698,7 +699,7 @@ def test_freed_page_leaves_every_iommu_domain():
 
 @pytest.mark.parametrize("mode", ["nested", "nested_shadow", "hyperwall"])
 def test_domain_assign_outside_iommu_only_names_the_issuer(mode):
-    machine = _MACHINES[mode](TINY, RunOptions(), MetricsReport(mode=mode))
+    machine = machine_class(mode)(TINY, RunOptions(), MetricsReport(mode=mode))
     for event in trace(
         (E.CREATE_VM, {"vm": 1}),
         (E.CREATE_VM, {"vm": 2}),
@@ -826,10 +827,18 @@ MACHINE_CLASSES = {
 }
 
 
+def test_engine_looks_up_the_moved_names_the_benchmark_reads_on_each_use(monkeypatch):
+    assert engine.BaselineMachine is BaselineMachine
+    monkeypatch.setattr(baselines, "nested_translate", len)
+    assert engine.nested_translate is len
+    with pytest.raises(AttributeError, match="ShadowMachine"):
+        engine.ShadowMachine
+
+
 @pytest.mark.parametrize("dma_policy", ["raw", "off"])
 @pytest.mark.parametrize("mode", MODES)
 def test_each_mode_has_its_own_class_and_the_handlers_of_its_hardware(mode, dma_policy):
-    machine = _MACHINES[mode](TINY, opts(dma_policy=dma_policy), MetricsReport(mode))
+    machine = machine_class(mode)(TINY, opts(dma_policy=dma_policy), MetricsReport(mode))
     assert type(machine) is MACHINE_CLASSES[mode]
     assert (E.HW_SET.value in machine.handlers) == (mode == "hyperwall")
     assert (E.RMAP_WRITE.value in machine.handlers) == (mode != "asmi")

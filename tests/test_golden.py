@@ -20,13 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from vmemsim.baselines import FLUSH_POLICY, PageMode
 from vmemsim.cli import _summary
-from vmemsim.core import Geometry
-from vmemsim.engine import (
-    MODES, NO_DMA, RAW_DMA, EventKind, RunOptions, TraceEvent, compare, run,
-)
+from vmemsim.core import FLUSH_POLICY, NO_DMA, RAW_DMA, Geometry
+from vmemsim.engine import MODES, RunOptions, compare, run
 from vmemsim.errors import ModeError
+from vmemsim.events import EventKind, PageMode, TraceEvent
 from vmemsim.traceio import read_trace
 from vmemsim.workload import DemandProfile, WorkloadSpec, Xorshift64Star, generate
 

@@ -16,10 +16,17 @@ from pathlib import Path
 import pytest
 
 import vmemsim
-from vmemsim.baselines import DmaRequest
-from vmemsim.core import Geometry
-from vmemsim.engine import CostModel, EventKind, RunOptions, TraceEvent
-from vmemsim.events import EVENT_FIELDS, FIELD_ORDER, FULL_LAYOUT, LAYOUT_OF
+from vmemsim.core import CostModel, Geometry
+from vmemsim.engine import RunOptions
+from vmemsim.events import (
+    EVENT_FIELDS,
+    FIELD_ORDER,
+    FULL_LAYOUT,
+    LAYOUT_OF,
+    DmaRequest,
+    EventKind,
+    TraceEvent,
+)
 from vmemsim.errors import ConfigError, GeometryError, OutOfRangeError, WorkloadError
 from vmemsim.workload import DemandProfile, WorkloadSpec
 

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parser_reference
-from vmemsim.baselines import PageMode
 from vmemsim.core import Geometry
-from vmemsim.events import EVENT_FIELDS, FIELD_ORDER, EventKind, TraceEvent
+from vmemsim.events import EVENT_FIELDS, FIELD_ORDER, EventKind, PageMode, TraceEvent
 from vmemsim import traceio
 from vmemsim.errors import TraceFormatError
 from vmemsim.traceio import (

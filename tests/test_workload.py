@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import workload_reference
 from vmemsim.core import Geometry
-from vmemsim.engine import MODES, EventKind, run
+from vmemsim.engine import MODES, run
 from vmemsim.errors import WorkloadError
-from vmemsim.events import FIELD_ORDER, FULL_LAYOUT
+from vmemsim.events import FIELD_ORDER, FULL_LAYOUT, EventKind
 from vmemsim.traceio import dumps, validate
 from vmemsim.workload import (
     DemandProfile,

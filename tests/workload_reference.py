@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from vmemsim.baselines import MAX_BUS, MAX_DEVICE
 from vmemsim.core import Geometry
-from vmemsim.engine import EventKind, TraceEvent
 from vmemsim.errors import WorkloadError
+from vmemsim.events import MAX_BUS, MAX_DEVICE, EventKind, TraceEvent
 from vmemsim.workload import WorkloadSpec, Xorshift64Star
 
 _MILLION = 1_000_000
