@@ -57,7 +57,6 @@ Only `vmemsim run` and `compare` load this module and `promem`; `gen`,
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from collections.abc import Collection, Iterable
 from typing import NamedTuple
@@ -208,6 +207,8 @@ class MetricsReport:
         }
 
     def to_json(self) -> str:
+        import json  # here, not at the top: only --json-out writes JSON
+
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def _mean_utilization(self, attr: str, capacity: int) -> float:

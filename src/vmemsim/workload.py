@@ -3,12 +3,18 @@
 Generated traces are mode-neutral: the same event list replays under any
 engine mode.  The generator is allocator-agnostic; it numbers guest pages
 by issue order and never peeks at engine state, so a trace is a pure
-function of (spec, geometry).
+function of (spec, geometry).  Its draws come from `Xorshift64Star`, which
+computes the xorshift64* stream ahead in packed lanes (see `_lane_words`).
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
+from collections.abc import Iterator
+from functools import cache
+from itertools import chain
 from typing import NamedTuple
 
 from .core import Geometry
@@ -21,27 +27,115 @@ _MILLION = 1_000_000
 #: pages an access re-touches with probability `locality`
 LOCALITY_WINDOW = 8
 
+_MULT = 0x2545F4914F6CDD1D
+_ZERO_SEED = 0x9E3779B97F4A7C15
+
+#: steps from one lane's start to the next's, and so the words each lane of a block draws
+_LANE_STEPS = 256
+#: lanes of the first block; each later block doubles them, up to _MAX_LANES
+_FIRST_LANES = 16
+_MAX_LANES = 256
+#: where a word sits in each pair of an array('Q') so that, read as one int in
+#: sys.byteorder, it is the low half of its pair's 128-bit lane
+_LOW_HALF = 0 if sys.byteorder == "little" else 1
+
+
+def _pack(words: list[int]) -> int:
+    """One int holding each 64-bit word as a lane: words[i] at bits 64*i and up."""
+    return int.from_bytes(array("Q", words), sys.byteorder)
+
+
+def _steps(x: int, lanes: int) -> list[int]:
+    """The next _LANE_STEPS xorshift states of every lane packed in x, one int per step.
+
+    The masks keep each shift's bits inside their own 64-bit lane.
+    """
+    ones = ((1 << 64 * lanes) - 1) // _MASK64  # 1 at the bottom of every lane
+    keep_r12 = ones * (_MASK64 >> 12)
+    keep_l25 = ones * (_MASK64 ^ ((1 << 25) - 1))
+    keep_r27 = ones * (_MASK64 >> 27)
+    states = []
+    for _ in range(_LANE_STEPS):
+        x ^= (x >> 12) & keep_r12
+        x ^= (x << 25) & keep_l25
+        x ^= (x >> 27) & keep_r27
+        states.append(x)
+    return states
+
+
+@cache
+def _jump_tables() -> tuple[list[int], ...]:
+    """T^L, the F2-linear map of a state _LANE_STEPS steps on, as eight byte tables.
+
+    Table b maps byte b of a state to its share of the image, so the image
+    is the xor of eight lookups.  Column i of T^L is unit vector i stepped
+    L times; all 64 step at once, as the lanes of one int.
+    """
+    after = _steps(_pack([1 << i for i in range(64)]), 64)[-1]
+    columns = array("Q", after.to_bytes(8 * 64, sys.byteorder))
+    tables = []
+    for b in range(8):
+        table = [0] * 256
+        for v in range(1, 256):
+            low = v & -v
+            table[v] = table[v ^ low] ^ columns[8 * b + low.bit_length() - 1]
+        tables.append(table)
+    return tuple(tables)
+
+
+def _lane_words(state: int) -> Iterator[array]:
+    """The xorshift64* output words after `state`, as one array per lane, in order.
+
+    A block of n lanes draws n * L words, L = _LANE_STEPS: lane i starts
+    i*L steps on from the block's start, found through T^L, and all n step
+    L times as one int.  Each state's output is its product with _MULT modulo 2**64; the block's
+    states are spread one to a 128-bit lane of one int, so a single multiply
+    makes every product and none carries into the next.
+    """
+    t0, t1, t2, t3, t4, t5, t6, t7 = _jump_tables()
+    lanes = _FIRST_LANES
+    while True:
+        starts = [state]
+        for _ in range(lanes - 1):
+            x = starts[-1]
+            starts.append(t0[x & 255] ^ t1[x >> 8 & 255] ^ t2[x >> 16 & 255]
+                          ^ t3[x >> 24 & 255] ^ t4[x >> 32 & 255] ^ t5[x >> 40 & 255]
+                          ^ t6[x >> 48 & 255] ^ t7[x >> 56])
+        nbytes = 8 * lanes
+        # word t*lanes + i: lane i's state after t + 1 steps
+        words = array("Q", b"".join([s.to_bytes(nbytes, sys.byteorder)
+                                     for s in _steps(_pack(starts), lanes)]))
+        state = words[-1]  # the last lane ends where the next block starts
+        size = 16 * len(words)  # bytes of the states spread to 128 bits each
+        spread = array("Q", bytes(size))
+        spread[_LOW_HALF::2] = words
+        # drop each buffer once the next is made: a 256-lane block's are 0.5-1 MB each
+        del words
+        product = int.from_bytes(spread, sys.byteorder) * _MULT
+        del spread
+        out = array("Q", product.to_bytes(size, sys.byteorder))
+        del product
+        for lane in range(lanes):
+            yield out[_LOW_HALF + 2 * lane::2 * lanes]
+        lanes = min(2 * lanes, _MAX_LANES)
+
 
 class Xorshift64Star:
     """xorshift64* generator: shifts 12/25/27, multiplier 0x2545F4914F6CDD1D.
 
-    Small, fast, and trivially portable; a zero seed is remapped to a
-    fixed odd constant because the all-zero state is a fixed point.
+    The algorithm is small and trivially portable; a zero seed is remapped
+    to a fixed odd constant because the all-zero state is a fixed point.
+    `next_u64()` returns the next output word.  The words are computed
+    ahead in blocks that grow from 16 * 256 to 256 * 256 words (see
+    _lane_words), so a draw is one C-level step of an iterator; the stream
+    is the scalar recurrence's, word for word.
     """
 
-    _MULT = 0x2545F4914F6CDD1D
-    _ZERO_SEED = 0x9E3779B97F4A7C15
+    __slots__ = ("next_u64",)
 
     def __init__(self, seed: int):
-        self.state = (seed & _MASK64) or self._ZERO_SEED
-
-    def next_u64(self) -> int:
-        x = self.state
-        x ^= x >> 12
-        x ^= (x << 25) & _MASK64
-        x ^= x >> 27
-        self.state = x
-        return (x * self._MULT) & _MASK64
+        words = chain.from_iterable(_lane_words((seed & _MASK64) or _ZERO_SEED))
+        self.next_u64 = words.__next__
 
     def below(self, n: int) -> int:
         # modulo bias is irrelevant at simulation scale

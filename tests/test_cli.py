@@ -456,8 +456,8 @@ def test_an_empty_flag_value_is_an_error(tmp_path, capsys, command, flag, messag
     assert sorted(p.name for p in tmp_path.iterdir()) == ["settings.conf"]
 
 
-# which package modules (and whether argparse) each command loads, in a fresh
-# interpreter: -E -S keep environment and site hooks out, -B writes no bytecode
+# which package modules (and whether argparse and json) each command loads, in a
+# fresh interpreter: -E -S keep environment and site hooks out, -B writes no bytecode
 # into the package; {tmp}/cost.conf sets a price, which gen and attack read
 # without the engine
 NO_ENGINE = ("argparse", "vmemsim.engine", "vmemsim.promem", "vmemsim.baselines")
@@ -473,13 +473,16 @@ NO_ENGINE = ("argparse", "vmemsim.engine", "vmemsim.promem", "vmemsim.baselines"
      (*NO_ENGINE, "vmemsim.workload"), ()),
     (["run", "--geometry", "256x4x8", "--trace", str(FIXTURES / "cross_vm_dma.trace")],
      ("argparse", "vmemsim.baselines", "vmemsim.workload"), ("vmemsim.engine",)),
+    (["run", "--mode", "asmi", "--geometry", "256x4x8",
+      "--trace", str(FIXTURES / "cross_vm_dma.trace")],
+     ("argparse", "json", "vmemsim.baselines", "vmemsim.workload"), ("vmemsim.engine",)),
     (["run", "--mode", "nested", "--geometry", "256x4x8",
       "--trace", str(FIXTURES / "cross_vm_dma.trace")],
      ("argparse", "vmemsim.workload"), ("vmemsim.baselines",)),
     (["compare", "--geometry", "256x4x8", "--trace", str(FIXTURES / "cross_vm_dma.trace")],
      ("argparse", "vmemsim.workload"), ("vmemsim.baselines",)),
-], ids=["gen", "gen --config", "attack", "attack --config", "validate", "run", "run nested",
-        "compare"])
+], ids=["gen", "gen --config", "attack", "attack --config", "validate", "run", "run asmi",
+        "run nested", "compare"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent, present):
     (tmp_path / "cost.conf").write_text("cost.tlb_hit = 3\n")
     root = str(Path(vmemsim.__file__).resolve().parents[1])
@@ -487,8 +490,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent, pre
     code = (
         f"import sys; sys.path.insert(0, {root!r}); from vmemsim.cli import main; "
         f"rc = main({argv!r}); "
-        "print(rc, sorted(m for m in sys.modules if m.startswith('vmemsim') or m == 'argparse'), "
-        "file=sys.stderr)"
+        "print(rc, sorted(m for m in sys.modules "
+        "if m.startswith('vmemsim') or m in ('argparse', 'json')), file=sys.stderr)"
     )
     done = subprocess.run([sys.executable, "-E", "-S", "-B", "-c", code],
                           capture_output=True, text=True, timeout=120)

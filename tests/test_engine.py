@@ -343,6 +343,56 @@ def test_vtlb_stays_a_cache_of_the_nested_walk(mode, policy):
     assert cached.counters.page_faults == walked.counters.page_faults
 
 
+# Each of the three tests below reads a vpage, so the vTLB caches its page, then
+# moves what the vpage reaches in one way, and reads it again. The invariant check
+# after every event fails on a stale entry, and the second read must miss.
+VTLB_MODES = ["nested", "iommu", "hyperwall"]
+
+
+@pytest.mark.parametrize("mode", VTLB_MODES)
+def test_an_rmap_write_drops_the_entries_of_the_page_it_unmaps(mode):
+    t = trace(
+        (E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1}), (E.ALLOC, {"vm": 1}),
+        (E.ENTER, {"vm": 1}), (E.READ, {"vaddr": 0}), (E.EXIT, {}),
+        (E.RMAP_WRITE, {"vm": 1, "ppage": 0, "phys": 1}),   # vpage 0 now reaches page 1
+        (E.ENTER, {"vm": 1}), (E.READ, {"vaddr": 0}), (E.EXIT, {}),
+    )
+    rep = run(t, mode, TINY, options=opts())
+    assert (rep.counters.tlb_hits, rep.counters.tlb_misses) == (0, 2)
+
+
+@pytest.mark.parametrize("mode", VTLB_MODES)
+def test_freeing_a_page_drops_the_entries_of_where_its_ppage_was_moved(mode):
+    page = TINY.page_size_bytes
+    t = trace(
+        (E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1}), (E.ALLOC, {"vm": 1}),
+        (E.RMAP_WRITE, {"vm": 1, "ppage": 1, "phys": 20}),  # vpage 1 reaches page 20, unheld
+        (E.ENTER, {"vm": 1}), (E.READ, {"vaddr": page}), (E.EXIT, {}),
+        # vpage 0 now reaches page 1, so freeing it frees page 1, whose ppage 1 was moved
+        (E.RMAP_WRITE, {"vm": 1, "ppage": 0, "phys": 1}),
+        (E.FREE, {"vm": 1, "vaddr": 0}),
+        (E.ENTER, {"vm": 1}), (E.READ, {"vaddr": page}), (E.EXIT, {}),
+    )
+    rep = run(t, mode, TINY, options=opts())
+    assert rep.counters.frees == 1
+    assert (rep.counters.tlb_hits, rep.counters.tlb_misses) == (0, 2)
+
+
+@pytest.mark.parametrize("mode", VTLB_MODES)
+def test_an_alloc_drops_the_entries_of_the_real_map_entry_it_replaces(mode):
+    far = 5 * TINY.page_size_bytes
+    t = trace(
+        (E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1}),
+        (E.GPT_WRITE, {"vm": 1, "vpage": 5, "target": 1}),
+        (E.RMAP_WRITE, {"vm": 1, "ppage": 1, "phys": 20}),  # vpage 5 reaches page 20, unheld
+        (E.ENTER, {"vm": 1}), (E.READ, {"vaddr": far}), (E.EXIT, {}),
+        (E.ALLOC, {"vm": 1}),                               # maps ppage 1 to page 1
+        (E.ENTER, {"vm": 1}), (E.READ, {"vaddr": far}), (E.EXIT, {}),
+    )
+    rep = run(t, mode, TINY, options=opts())
+    assert (rep.counters.tlb_hits, rep.counters.tlb_misses) == (0, 2)
+
+
 def test_machines_are_freed_without_the_cycle_collector():
     # compare replays one mode after another; a machine caught in a reference
     # cycle would stay in memory until the cyclic collector happened to run

@@ -48,9 +48,18 @@ def test_xorshift_frozen_streams():
 
 def test_xorshift_zero_seed_is_remapped():
     z = Xorshift64Star(0)
-    assert z.state == 0x9E3779B97F4A7C15
     assert z.next_u64() == 0x0D83B3E29A21487A
-    assert Xorshift64Star(0).next_u64() == Xorshift64Star(0x9E3779B97F4A7C15).next_u64()
+    zero, remapped = Xorshift64Star(0), Xorshift64Star(0x9E3779B97F4A7C15)
+    assert [zero.next_u64() for _ in range(100)] == [remapped.next_u64() for _ in range(100)]
+
+
+# 2**64 is remapped like 0, and -1 draws as 2**64 - 1
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**64 - 1, 2**64, -1, 0xD1B54A32D192ED03])
+def test_the_lane_kernel_draws_the_scalar_stream(seed):
+    # 300,000 draws span eight blocks: 16, 32, 64 and 128 lanes, then 256 lanes four times
+    n = 300_000
+    fast, scalar = Xorshift64Star(seed).next_u64, workload_reference.Xorshift64Star(seed).next_u64
+    assert [fast() for _ in range(n)] == [scalar() for _ in range(n)]
 
 
 def test_below_frozen_sequence():

@@ -1,12 +1,16 @@
-"""Reference workload generator: the draw-by-draw loop, kept to check the fast one.
+"""Reference workload generator and PRNG: the draw-by-draw loops, kept to check the fast ones.
 
-`generate` here draws through `Xorshift64Star.below` and `chance` and
+`Xorshift64Star` here is the scalar xorshift64* recurrence, one state step
+and one multiply per draw.  `vmemsim.workload.Xorshift64Star` computes the
+same stream ahead in packed lanes, and must return the same words for
+every seed.
+
+`generate` here draws through this module's `below` and `chance` and
 appends each event through a keyword emitter.  `vmemsim.workload.generate`
 draws with one `next_u64` call per draw and builds each event in one
 call instead, and must return the same events, or raise the same
 WorkloadError, for every spec and geometry.  This module imports nothing
-from `vmemsim.workload` but the generator the known-answer tests pin and
-the spec records it reads.
+from `vmemsim.workload` but the spec records it reads.
 """
 
 from __future__ import annotations
@@ -16,12 +20,35 @@ from collections import deque
 from vmemsim.core import Geometry
 from vmemsim.errors import WorkloadError
 from vmemsim.events import MAX_BUS, MAX_DEVICE, EventKind, TraceEvent
-from vmemsim.workload import WorkloadSpec, Xorshift64Star
+from vmemsim.workload import WorkloadSpec
 
+_MASK64 = (1 << 64) - 1
 _MILLION = 1_000_000
 
 #: pages an access re-touches with probability `locality`
 LOCALITY_WINDOW = 8
+
+
+class Xorshift64Star:
+    """xorshift64*: shifts 12/25/27, multiplier 0x2545F4914F6CDD1D, seed 0 remapped."""
+
+    def __init__(self, seed: int):
+        self.state = (seed & _MASK64) or 0x9E3779B97F4A7C15
+
+    def next_u64(self) -> int:
+        x = self.state
+        x ^= x >> 12
+        x ^= (x << 25) & _MASK64
+        x ^= x >> 27
+        self.state = x
+        return (x * 0x2545F4914F6CDD1D) & _MASK64
+
+    def below(self, n: int) -> int:
+        return self.next_u64() % n
+
+    def chance(self, scaled: int) -> bool:
+        """True with probability scaled/1_000_000."""
+        return self.below(_MILLION) < scaled
 
 
 def _scale(rate: float) -> int:
