@@ -88,9 +88,10 @@ def _lane_words(state: int) -> Iterator[array]:
 
     A block of n lanes draws n * L words, L = _LANE_STEPS: lane i starts
     i*L steps on from the block's start, found through T^L, and all n step
-    L times as one int.  Each state's output is its product with _MULT modulo 2**64; the block's
-    states are spread one to a 128-bit lane of one int, so a single multiply
-    makes every product and none carries into the next.
+    L times as one int.  Each state's output is its product with _MULT
+    modulo 2**64; the block's states are spread one to a 128-bit lane of
+    one int, so a single multiply makes every product and none carries
+    into the next.
     """
     t0, t1, t2, t3, t4, t5, t6, t7 = _jump_tables()
     lanes = _FIRST_LANES
