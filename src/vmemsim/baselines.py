@@ -36,6 +36,8 @@ commands that only write or check traces never compile it.  The machines
 call `nested_translate`, `shadow_translate`, `shadow_update_vpage`,
 `shadow_update_ppage` and `iommu_dma_translate` as globals of this module,
 where a patched name is the one they call.
+
+The machines and walk functions keep `engine._Machine`'s hot-path rules.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .core import DEFAULT_WALK_LEVELS, FLUSH_POLICY, HYPERVISOR, NO_DMA
 from .engine import Denial, UtilSample, Violation, _Machine
 from .errors import ModeError, OutOfRangeError
 from .events import DmaRequest, PageMode, TraceEvent
-from .promem import MemoryFull
+from .promem import MemoryFull, _new
 
 # ---------------------------------------------------------------------------
 # nested / shadow page tables
@@ -67,17 +69,20 @@ class WalkResult(NamedTuple):
     walks: int
 
 
+#: a walk that stops at the guest table: both walks' outcome for an unmapped vpage
+_GUEST_MISS = WalkResult(None, walks=1)
+
+
 def nested_translate(vpage: int, gpt: dict[int, int], rmap: dict[int, int]) -> WalkResult:
     """Two-level lookup: guest table then real map, one walk each."""
     ppage = gpt.get(vpage)
-    if ppage is None:
-        return WalkResult(None, walks=1)
-    return WalkResult(rmap.get(ppage), walks=2)
+    return _GUEST_MISS if ppage is None else _new(WalkResult, (rmap.get(ppage), 2))
 
 
 def shadow_translate(vpage: int, gpt: dict[int, int], rmap: dict[int, int]) -> WalkResult:
     """One walk of `vpage`'s shadow entry, rmap[gpt[vpage]] by construction."""
-    return WalkResult(rmap.get(gpt.get(vpage)), walks=1)
+    ppage = gpt.get(vpage)
+    return _GUEST_MISS if ppage is None else _new(WalkResult, (rmap.get(ppage), 1))
 
 
 def shadow_update_vpage() -> int:
@@ -99,36 +104,55 @@ class VirtualTlb:
     """Software TLB keyed by (real asid, vpage), FIFO eviction.
 
     capacity 0 disables the TLB entirely: every lookup misses and
-    inserts are dropped.
+    inserts are dropped.  `keys_of`, physical page -> the keys cached to it,
+    lets `invalidate_phys` cost only the entries it drops; most pages have
+    one key, so each is a tuple, as in `ProtectionDomain.dvas_of`.
     """
 
     def __init__(self, capacity: int = 64):
         self.capacity = capacity
         self.entries: dict[tuple[int, int], int] = {}
+        self.keys_of: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def lookup(self, real_asid: int, vpage: int) -> int | None:
         return self.entries.get((real_asid, vpage))
 
     def insert(self, real_asid: int, vpage: int, phys: int) -> None:
+        """Cache `phys` under the key; a present key keeps its place in FIFO order."""
         if self.capacity <= 0:
             return
         key = (real_asid, vpage)
-        if key not in self.entries and len(self.entries) >= self.capacity:
-            self.entries.pop(next(iter(self.entries)))
-        self.entries[key] = phys
+        entries = self.entries
+        old = entries.get(key)
+        if old is not None:
+            self._unindex(key, old)
+        elif len(entries) >= self.capacity:
+            victim = next(iter(entries))
+            self._unindex(victim, entries.pop(victim))
+        entries[key] = phys
+        self.keys_of[phys] = self.keys_of.get(phys, ()) + (key,)
+
+    def _unindex(self, key: tuple[int, int], page: int) -> None:
+        """Drop `key` from `page`'s index entry, and the entry once it is empty."""
+        keys = self.keys_of.pop(page)
+        if len(keys) > 1:
+            self.keys_of[page] = tuple(k for k in keys if k != key)
 
     def invalidate(self, asids: Iterable[int], vpage: int) -> None:
         """Drop the entries of `vpage` under each of `asids`."""
         for asid in asids:
-            self.entries.pop((asid, vpage), None)
+            page = self.entries.pop((asid, vpage), None)
+            if page is not None:
+                self._unindex((asid, vpage), page)
 
     def invalidate_phys(self, page: int) -> None:
         """Drop every entry that maps to physical page `page`."""
-        for key in [k for k, v in self.entries.items() if v == page]:
+        for key in self.keys_of.pop(page, ()):
             del self.entries[key]
 
     def flush(self) -> None:
         self.entries.clear()
+        self.keys_of.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +170,10 @@ class DmaResult(NamedTuple):
     page: int | None
     steps: int            # table lookups plus walk levels actually performed
     fault: str | None     # "no_root" | "no_context" | "no_mapping"
+
+
+_NO_ROOT = DmaResult(None, steps=1, fault="no_root")
+_NO_CONTEXT = DmaResult(None, steps=2, fault="no_context")
 
 
 class RemappingTables:
@@ -203,16 +231,12 @@ def iommu_dma_translate(
     """
     context = tables.root.get(req.bus)
     if context is None:
-        return DmaResult(None, steps=1, fault="no_root")
+        return _NO_ROOT
     domain_id = context.get((req.device, req.function))
     if domain_id is None:
-        return DmaResult(None, steps=2, fault="no_context")
-    dom = tables.domains[domain_id]
-    steps = 2 + tables.levels
-    phys = dom.table.get(req.dva // page_size)
-    if phys is None:
-        return DmaResult(None, steps=steps, fault="no_mapping")
-    return DmaResult(phys, steps=steps, fault=None)
+        return _NO_CONTEXT
+    phys = tables.domains[domain_id].table.get(req.dva // page_size)
+    return _new(DmaResult, (phys, 2 + tables.levels, "no_mapping" if phys is None else None))
 
 
 # ---------------------------------------------------------------------------
@@ -228,26 +252,23 @@ class Requester(Enum):
     DMA = "dma"
 
 
+# The members hyperwall reads per event; a requester as its token, as a Denial records it.
+_HYP_ONLY = PageMode.HYPERVISOR_ONLY    # a page no hw_set or alloc has given a mode
+_HYP_DMA = PageMode.HYPERVISOR_AND_DMA  # the mode of a freshly allocated page
+_BY_HYPERVISOR = Requester.HYPERVISOR.value
+_BY_OWNER = Requester.OWNER_VM.value
+_BY_OTHER = Requester.OTHER_VM.value
+_BY_DMA = Requester.DMA.value
+
 # Per-mode allow sets, keyed by value tokens: hashing an Enum member runs
 # Python code, and hyperwall reads this table on every access.  Other VMs
 # are never allowed, whatever the mode.
 _ALLOWED: dict[str, frozenset[str]] = {
-    PageMode.HYPERVISOR_ONLY.value: frozenset({Requester.HYPERVISOR.value}),
-    PageMode.HYPERVISOR_AND_DMA.value: frozenset(
-        {Requester.HYPERVISOR.value, Requester.OWNER_VM.value, Requester.DMA.value}
-    ),
-    PageMode.HYPERVISOR_DENIED.value: frozenset({Requester.OWNER_VM.value, Requester.DMA.value}),
-    PageMode.LOCKED.value: frozenset({Requester.OWNER_VM.value}),
+    PageMode.HYPERVISOR_ONLY.value: frozenset({_BY_HYPERVISOR}),
+    PageMode.HYPERVISOR_AND_DMA.value: frozenset({_BY_HYPERVISOR, _BY_OWNER, _BY_DMA}),
+    PageMode.HYPERVISOR_DENIED.value: frozenset({_BY_OWNER, _BY_DMA}),
+    PageMode.LOCKED.value: frozenset({_BY_OWNER}),
 }
-
-
-def page_mode_allows(mode: PageMode, requester: Requester) -> bool:
-    return requester._value_ in _ALLOWED[mode._value_]
-
-
-def hypervisor_may_touch(mode: PageMode) -> bool:
-    """Whether the hypervisor can reclaim/swap a page in this mode."""
-    return page_mode_allows(mode, Requester.HYPERVISOR)
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +350,14 @@ class BaselineMachine(_Machine):
         Outside hyperwall no page has a mode, so every page reads as
         hyp_only, which the hypervisor may touch.
         """
-        guests = self.guests
+        guests, page_mode = self.guests, self.page_mode
         order = sorted(
             (-len(guest.held), vm) for vm, guest in guests.items()
             if vm != requester and vm != HYPERVISOR
         )
         for _, victim in order:
             for page in reversed(guests[victim].held):
-                if not hypervisor_may_touch(self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)):
+                if _BY_HYPERVISOR not in _ALLOWED[page_mode.get(page, _HYP_ONLY)._value_]:
                     continue
                 self._free_page(page)
                 return page
@@ -377,14 +398,16 @@ class BaselineMachine(_Machine):
         if ev.vasid not in guest.asids:
             guest.asids[ev.vasid] = next(self.real_asids)
         guest.asid = guest.asids[ev.vasid]
-        super().on_pswitch(ev)
+        self._count_switch(ev.kind)
 
     # -- memory --
 
     def on_alloc(self, ev: TraceEvent) -> int | None:
         """Hand out and map the lowest free page: it, or None when memory is full."""
         vm = ev.vm
-        self._require_live(ev, vm)
+        guest = self.guests.get(vm)
+        if guest is None:
+            raise self.err(ev, f"vm {vm} is not live")
         self.report.counters.allocs += 1
         t = self.tally[ev.kind._value_]
         free = self.free_pages
@@ -400,7 +423,6 @@ class BaselineMachine(_Machine):
             t.pages_swapped += 1
             page = heapq.heappop(free)
         self.owner_of[page] = vm
-        guest = self.guests[vm]
         vpage = guest.next_vpage
         guest.next_vpage = vpage + 1
         # the hypervisor maps straight to physical pages; fresh guests map linearly
@@ -419,15 +441,19 @@ class BaselineMachine(_Machine):
         return page
 
     def on_free(self, ev: TraceEvent) -> None:
-        self._require_live(ev, ev.vm)
+        vm = ev.vm
+        guest = self.guests.get(vm)
+        if guest is None:
+            raise self.err(ev, f"vm {vm} is not live")
         c = self.report.counters
-        guest = self.guests[ev.vm]
-        mapped = guest.gpt.get(self._vpage(ev))
+        if ev.vaddr < 0:
+            raise self.err(ev, f"negative vaddr {ev.vaddr}")
+        mapped = guest.gpt.get(ev.vaddr // self.page_size_bytes)
         if mapped is None:
             c.invalid_frees += 1
             return
-        page = mapped if ev.vm == HYPERVISOR else guest.rmap.get(mapped)
-        if page is None or self.owner_of.get(page) != ev.vm:
+        page = mapped if vm == HYPERVISOR else guest.rmap.get(mapped)
+        if page is None or self.owner_of.get(page) != vm:
             c.invalid_frees += 1
             return
         c.frees += 1
@@ -495,7 +521,8 @@ class BaselineMachine(_Machine):
             t.pio_transfers += 1
             return
         c = self.report.counters
-        if not self._dma_in_range(ev, page, dva):
+        if not 0 <= page < self.pages_total:
+            self._dma_fault(ev, dva, "range")
             c.dma_blocked += 1
             return
         owner = self.owner_of.get(page)
@@ -528,6 +555,11 @@ class BaselineMachine(_Machine):
         # freed page is at or above it, and freed + held == fresh_page
         pool = sorted([*self.free_pages, *held])
         assert pool == list(range(self.fresh_page)), "pages lost, doubled or freed past the mark"
+        # the vTLB's reverse index holds each cached key once, under its page, and no empty entry
+        keys_of = self.tlb.keys_of
+        pairs = sorted((page, key) for page, keys in keys_of.items() for key in keys)
+        assert pairs == sorted((p, k) for k, p in self.tlb.entries.items()) and all(
+            keys_of.values()), "the vTLB's reverse index is not the inverse of its entries"
         # the vTLB caches the nested walk: entries of destroyed guests never hit again
         guest_of = {asid: g for g in self.guests.values() for asid in g.asids.values()}
         for (asid, vpage), page in self.tlb.entries.items():
@@ -617,14 +649,16 @@ class IommuMachine(BaselineMachine):
         for ppage, page in guest.rmap.items():
             self.remap.map_page(ev.domain, ppage, page)
 
-    def on_dma(self, ev: TraceEvent) -> None:
+    def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
+        """Remap a device's DMA through its domain: the issuer and page go unused."""
         c = self.report.counters
         t = self.tally[ev.kind._value_]
         t.dma_ops += 1
-        result = iommu_dma_translate(self._device_request(ev), self.remap, self.page_size_bytes)
+        request = _new(DmaRequest, (ev.bus, ev.device, ev.function, dva, bool(ev.write)))
+        result = iommu_dma_translate(request, self.remap, self.page_size_bytes)
         t.dma_walk_steps += result.steps
         if result.fault is not None:
-            self._dma_fault(ev, ev.dva, result.fault)
+            self._dma_fault(ev, dva, result.fault)
             c.dma_blocked += 1
             return
         c.dma_completed += 1
@@ -641,7 +675,7 @@ class HyperwallMachine(BaselineMachine):
     def on_alloc(self, ev: TraceEvent) -> None:
         page = BaselineMachine.on_alloc(self, ev)
         if page is not None:
-            self.page_mode[page] = PageMode.HYPERVISOR_AND_DMA
+            self.page_mode[page] = _HYP_DMA
 
     def on_hw_set(self, ev: TraceEvent) -> None:
         if not (0 <= ev.page < self.pages_total):
@@ -681,13 +715,11 @@ class HyperwallMachine(BaselineMachine):
             return
         t.unreported_checks += 1
         owner = self.owner_of.get(page)
-        requester = (Requester.HYPERVISOR if vm == HYPERVISOR
-                     else Requester.OWNER_VM if owner == vm else Requester.OTHER_VM)
-        mode = self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)
-        if not page_mode_allows(mode, requester):
-            self.report.denials.append(
-                Denial(ev.seq, ev.cpu, requester.value, page, mode.value, owner)
-            )
+        requester = (_BY_HYPERVISOR if vm == HYPERVISOR
+                     else _BY_OWNER if owner == vm else _BY_OTHER)
+        mode = self.page_mode.get(page, _HYP_ONLY)._value_
+        if requester not in _ALLOWED[mode]:
+            self.report.denials.append(Denial(ev.seq, ev.cpu, requester, page, mode, owner))
             return
         if owner is None:
             if vm != HYPERVISOR:
@@ -701,13 +733,13 @@ class HyperwallMachine(BaselineMachine):
     def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
         """Raw DMA stops at a page whose bits deny it; PIO and range faults pass no gate."""
         if not self.pio and 0 <= page < self.pages_total:
-            mode = self.page_mode.get(page, PageMode.HYPERVISOR_ONLY)
+            mode = self.page_mode.get(page, _HYP_ONLY)._value_
             t = self.tally[ev.kind._value_]
             t.unreported_checks += 1
-            if not page_mode_allows(mode, Requester.DMA):
+            if _BY_DMA not in _ALLOWED[mode]:
                 t.dma_ops += 1
                 self.report.counters.dma_blocked += 1
-                self.report.denials.append(Denial(ev.seq, ev.cpu, Requester.DMA.value, page,
-                                                  mode.value, self.owner_of.get(page)))
+                self.report.denials.append(Denial(ev.seq, ev.cpu, _BY_DMA, page, mode,
+                                                  self.owner_of.get(page)))
                 return
         BaselineMachine._dma(self, ev, issuer, page, dva)

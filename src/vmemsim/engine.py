@@ -83,7 +83,7 @@ from .errors import (
     SimError,
     SimulationError,
 )
-from .events import DmaRequest, EventKind, TraceEvent
+from .events import MAX_BUS, MAX_DEVICE, MAX_FUNCTION, DmaRequest, EventKind, TraceEvent
 from .promem import (
     IsolationFault,
     MemoryFull,
@@ -142,6 +142,7 @@ class Counters:
 
 #: where each kind's cycles and the total saturate
 _SAT = (1 << 64) - 1
+_PSWITCH = EventKind.PSWITCH  # an Enum class attribute is a Python-level lookup on each use
 
 
 def _cycles(t: Counters, cost: CostModel, pio_cycles: int) -> int:
@@ -290,8 +291,13 @@ class _Machine:
 
     `handlers` maps the token of each kind with an `on_<kind>` method to
     that method; subclasses provide `live` (live owner ids) and `_dma`
-    (accounting for a DMA with a known issuer and page).  Tokens are read as `kind._value_`: `.value` and hashing
-    an `Enum` both run Python code on every event.
+    (accounting for a DMA with a known issuer and page).
+
+    Hot-path rules for per-event code: tokens are read as `kind._value_`, as
+    `.value` and hashing an `Enum` run Python code; Enum members come from
+    module constants; records are shared or built by `tuple.__new__`, not by a
+    namedtuple's Python `__new__`; liveness and bounds are checked inline.
+    The traced hooks (`ProMem`'s methods, the vTLB's, the walks) stay calls.
     """
 
     live: Collection[int]
@@ -327,20 +333,10 @@ class _Machine:
         if vm not in self.live:
             raise self.err(ev, f"vm {vm} is not live")
 
-    def _vpage(self, ev: TraceEvent) -> int:
-        """The virtual page of a read, write or free."""
-        if ev.vaddr < 0:
-            raise self.err(ev, f"negative vaddr {ev.vaddr}")
-        return ev.vaddr // self.page_size_bytes
-
-    def _device_request(self, ev: TraceEvent) -> DmaRequest:
-        """A dma event's device address; OutOfRangeError outside DmaRequest's bounds."""
-        return DmaRequest(ev.bus, ev.device, ev.function, ev.dva, bool(ev.write))
-
     def _count_switch(self, kind: EventKind) -> None:
         """Count a VM entry/exit or a process switch (and a flush)."""
         t = self.tally[kind._value_]
-        if kind is EventKind.PSWITCH:
+        if kind is _PSWITCH:
             t.process_switches += 1
         else:
             t.context_switches += 1
@@ -360,9 +356,12 @@ class _Machine:
     #    event names the issuing VM and the physical page itself --
 
     def on_dma(self, ev: TraceEvent) -> None:
-        self._device_request(ev)  # range check only
-        issuer = self.device_owner.get((ev.bus, ev.device, ev.function))
-        self._dma(ev, issuer, ev.dva // self.page_size_bytes, ev.dva)
+        bus, device, function, dva = ev.bus, ev.device, ev.function, ev.dva
+        if not (0 <= bus < MAX_BUS and 0 <= device < MAX_DEVICE
+                and 0 <= function < MAX_FUNCTION and dva >= 0):
+            DmaRequest(bus, device, function, dva, bool(ev.write))  # raises its own message
+        issuer = self.device_owner.get((bus, device, function))
+        self._dma(ev, issuer, dva // self.page_size_bytes, dva)
 
     def on_dma_raw(self, ev: TraceEvent) -> None:
         self._dma(ev, ev.vm, ev.page, ev.page * self.page_size_bytes)
@@ -371,13 +370,6 @@ class _Machine:
         self.report.dma_faults.append(
             DmaFault(ev.seq, ev.bus or 0, ev.device or 0, ev.function or 0, dva, reason)
         )
-
-    def _dma_in_range(self, ev: TraceEvent, page: int, dva: int) -> bool:
-        """False, with a range fault recorded, when the page is outside the pool."""
-        if 0 <= page < self.pages_total:
-            return True
-        self._dma_fault(ev, dva, "range")
-        return False
 
 
 class AsmiMachine(_Machine):
@@ -393,10 +385,8 @@ class AsmiMachine(_Machine):
 
     apply = _Machine.dispatch
 
-    def _count_reclaim(self, kind: EventKind, notice: ReclaimNotice | None) -> None:
-        if notice is None:
-            return
-        self.tally[kind._value_].pages_swapped += notice.pages_swapped
+    def _count_reclaim(self, t: Counters, notice: ReclaimNotice) -> None:
+        t.pages_swapped += notice.pages_swapped
         # The victim's pages were swapped out; a well-behaved guest unmaps them.
         table = self.tables[notice.victim]
         gone = set(notice.segments)
@@ -412,7 +402,7 @@ class AsmiMachine(_Machine):
         if vm != ev.vm:
             raise self.err(ev, f"trace expects vm {ev.vm}, controller assigned {vm}")
         if len(self.pm.notices) > notices_before:
-            self._count_reclaim(ev.kind, self.pm.notices[-1])
+            self._count_reclaim(self.tally[ev.kind._value_], self.pm.notices[-1])
         self.tables[vm] = {}
         self.next_vpage[vm] = 0
 
@@ -430,27 +420,33 @@ class AsmiMachine(_Machine):
         self._count_switch(ev.kind)
 
     def on_alloc(self, ev: TraceEvent) -> None:
-        self._require_live(ev, ev.vm)
+        vm = ev.vm  # allocate_page raises "vm {vm} is not live" for a dead one
         self.report.counters.allocs += 1
-        result = self.pm.allocate_page(ev.vm, ev.seq)
-        self.tally[ev.kind._value_].unreported_checks += 1
-        self._count_reclaim(ev.kind, result.reclaim)
-        if result.page is not None:
-            vpage = self.next_vpage[ev.vm]
-            self.next_vpage[ev.vm] = vpage + 1
-            self.tables[ev.vm][vpage] = result.page
+        page, notice = self.pm.allocate_page(vm, ev.seq)
+        t = self.tally[ev.kind._value_]
+        t.unreported_checks += 1
+        if notice is not None:
+            self._count_reclaim(t, notice)
+        if page is not None:
+            vpage = self.next_vpage[vm]
+            self.next_vpage[vm] = vpage + 1
+            self.tables[vm][vpage] = page
 
     def on_free(self, ev: TraceEvent) -> None:
-        self._require_live(ev, ev.vm)
+        vm = ev.vm
+        if vm not in self.live:
+            raise self.err(ev, f"vm {vm} is not live")
         c = self.report.counters
-        table = self.tables[ev.vm]
-        vpage = self._vpage(ev)
+        table = self.tables[vm]
+        if ev.vaddr < 0:
+            raise self.err(ev, f"negative vaddr {ev.vaddr}")
+        vpage = ev.vaddr // self.page_size_bytes
         page = table.get(vpage)
         if page is None:
             c.invalid_frees += 1
             return
         try:
-            fault = self.pm.free_page(ev.vm, page, ev.seq)
+            fault = self.pm.free_page(vm, page, ev.seq)
         except (DoubleFreeError, GeometryError, ProtocolError):
             # a gpt_write left the vpage on a page of its own segment the vm
             # does not hold (free or its save slot), or outside the pool
@@ -485,7 +481,9 @@ class AsmiMachine(_Machine):
         # the failure is in dma_faults only
         if issuer is None:
             self._dma_fault(ev, dva, "unassigned_device")
-        elif self._dma_in_range(ev, page, dva):
+        elif not 0 <= page < self.pages_total:
+            self._dma_fault(ev, dva, "range")
+        else:
             fault = self.pm.check_owner(issuer, page, ev.cpu, ev.seq)
             t.unreported_checks += 1
             if fault is None:
@@ -577,6 +575,7 @@ def run(
     apply, check = machine.apply, opts.check_invariants
     last_seq = None
     count = 0
+    countdown = interval  # events to the next sample
     for ev in trace:
         if last_seq is not None and ev.seq <= last_seq:
             raise SimulationError(
@@ -590,11 +589,13 @@ def run(
         except SimError as exc:
             raise SimulationError(f"event seq {ev.seq}: {exc}") from exc
         count += 1
-        if count % interval == 0:
+        countdown -= 1
+        if not countdown:
             machine.sample(count)
+            countdown = interval
         if check:
             machine.check_invariants()
-    if count % interval != 0:
+    if countdown != interval:  # events since the last sample
         machine.sample(count)
     report.events = count
     # every price is >= 0, so saturating the sums equals saturating after every count

@@ -112,6 +112,9 @@ class AllocResult(NamedTuple):
     reclaim: ReclaimNotice | None = None
 
 
+_new = tuple.__new__  # a namedtuple's own constructor, without its Python __new__ frame
+
+
 #: translation outcome kinds
 PAGE_FAULT = "page_fault"
 ISOLATION_FAULT = "isolation_fault"
@@ -278,7 +281,9 @@ class ProMem:
     # atomic: no intermediate state is observable.
 
     def vm_entry(self, cpu: int, vm: int) -> None:
-        cur = self.current(cpu)
+        if HYPERVISOR not in self.live:   # current(cpu), without its two calls per switch
+            raise ProtocolError("no owner is current before the hypervisor loads")
+        cur = self.vmidr.get(cpu, HYPERVISOR)
         if cur != HYPERVISOR:
             raise ProtocolError(f"entry while vm {cur} is current on cpu {cpu}")
         if vm == HYPERVISOR:
@@ -289,7 +294,9 @@ class ProMem:
         self.vmidr[cpu] = self.save_slot[vm]
 
     def vm_exit(self, cpu: int) -> None:
-        cur = self.current(cpu)
+        if HYPERVISOR not in self.live:
+            raise ProtocolError("no owner is current before the hypervisor loads")
+        cur = self.vmidr.get(cpu, HYPERVISOR)
         if cur == HYPERVISOR:
             raise ProtocolError(f"exit while hypervisor is current on cpu {cpu}")
         self.save_slot[cur] = cur
@@ -298,35 +305,31 @@ class ProMem:
     # -- allocation ------------------------------------------------------
 
     def allocate_page(self, vm: int, seq: int = -1) -> AllocResult:
+        """The next page of the allocation cascade; after a reclaim, retry once."""
         if vm not in self.live:
             raise LifecycleError(f"vm {vm} is not live")
-        page = self._allocate_once(vm)
-        if page is not None:
-            return AllocResult(page)
-        notice = self._reclaim(seq)
-        if notice is None:
-            self.memory_full_events.append(MemoryFull(seq, vm))
-            return AllocResult(None)
-        page = self._allocate_once(vm)
-        assert page is not None, "retry after reclaim must succeed"
-        return AllocResult(page, notice)
-
-    def _allocate_once(self, vm: int) -> int | None:
-        heap = self.open_of[vm]
-        while heap and self.mpt.get(heap[0]) != vm:
-            heappop(heap)  # released since it was pushed
-        if not heap:
+        heap, mpt, notice = self.open_of[vm], self.mpt, None
+        while True:
+            while heap and mpt.get(heap[0]) != vm:
+                heappop(heap)  # released since it was pushed
+            if heap:
+                s = heap[0]
+                mask = self.masks[s]
+                index = ((~mask) & (mask + 1)).bit_length() - 1
+                mask |= 1 << index
+                self.masks[s] = mask
+                if mask == self.full_mask:
+                    heappop(heap)
+                self.pages_of[vm] += 1
+                return _new(AllocResult, (s * self.pps + index, notice))
             s = self._claim(vm)
-            return None if s is None else s * self.pps
-        s = heap[0]
-        mask = self.masks[s]
-        index = ((~mask) & (mask + 1)).bit_length() - 1
-        mask |= 1 << index
-        self.masks[s] = mask
-        if mask == self.full_mask:
-            heappop(heap)
-        self.pages_of[vm] += 1
-        return s * self.pps + index
+            if s is not None:
+                return _new(AllocResult, (s * self.pps, notice))
+            assert notice is None, "retry after reclaim must succeed"
+            notice = self._reclaim(seq)
+            if notice is None:
+                self.memory_full_events.append(MemoryFull(seq, vm))
+                return _new(AllocResult, (None, None))
 
     def _reclaim(self, seq: int) -> ReclaimNotice | None:
         victim = None

@@ -1,22 +1,23 @@
 """Reference designs: nested/shadow walks, vTLB, DMA remapping, page modes."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vmemsim.baselines import (
+    _ALLOWED,
     RemappingTables,
     Requester,
     VirtualTlb,
-    hypervisor_may_touch,
     iommu_dma_translate,
     nested_translate,
-    page_mode_allows,
     shadow_translate,
     shadow_update_ppage,
     shadow_update_vpage,
 )
+from vmemsim.core import Geometry
+from vmemsim.engine import RunOptions, run
 from vmemsim.errors import OutOfRangeError
-from vmemsim.events import DmaRequest, PageMode
+from vmemsim.events import DmaRequest, EventKind, PageMode, TraceEvent
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +121,83 @@ def test_tlb_flush_empties():
     tlb.insert(1, 0, 1)
     tlb.insert(2, 1, 2)
     tlb.flush()
-    assert tlb.entries == {}
+    assert tlb.entries == {} and tlb.keys_of == {}
     assert tlb.lookup(1, 0) is None and tlb.lookup(2, 1) is None
+
+
+def test_tlb_reinsert_keeps_its_fifo_place_and_moves_its_index_entry():
+    tlb = VirtualTlb(capacity=3)
+    for vpage in range(3):
+        tlb.insert(1, vpage, 100 + vpage)
+    tlb.insert(1, 0, 101)                  # the oldest key, now aliasing vpage 1's page
+    assert list(tlb.entries) == [(1, 0), (1, 1), (1, 2)]
+    assert tlb.keys_of == {101: ((1, 1), (1, 0)), 102: ((1, 2),)}
+    tlb.insert(1, 3, 103)                  # still evicts (1, 0) first
+    assert list(tlb.entries) == [(1, 1), (1, 2), (1, 3)]
+    assert tlb.keys_of == {101: ((1, 1),), 102: ((1, 2),), 103: ((1, 3),)}
+    tlb.insert(1, 1, 101)                  # the same value: nothing moves
+    assert list(tlb.entries.items()) == [((1, 1), 101), ((1, 2), 102), ((1, 3), 103)]
+    assert tlb.keys_of[101] == ((1, 1),)
+
+
+def test_tlb_invalidate_phys_drops_only_the_indexed_keys():
+    tlb = VirtualTlb(capacity=8)
+    tlb.insert(1, 0, 50)
+    tlb.insert(2, 4, 50)                   # two address spaces reach page 50
+    tlb.insert(1, 1, 51)
+    tlb.invalidate_phys(50)
+    assert tlb.entries == {(1, 1): 51} and tlb.keys_of == {51: ((1, 1),)}
+    tlb.invalidate_phys(50)                # nothing cached to it any more
+    tlb.invalidate([1, 2], 1)
+    assert tlb.entries == {} and tlb.keys_of == {}
+
+
+class ScanningTlb:
+    """The vTLB without a reverse index: `invalidate_phys` scans every entry."""
+
+    def __init__(self, capacity):
+        self.capacity, self.entries = capacity, {}
+
+    def insert(self, asid, vpage, phys):
+        if self.capacity <= 0:
+            return
+        if (asid, vpage) not in self.entries and len(self.entries) >= self.capacity:
+            del self.entries[next(iter(self.entries))]
+        self.entries[(asid, vpage)] = phys
+
+    def invalidate(self, asids, vpage):
+        for asid in asids:
+            self.entries.pop((asid, vpage), None)
+
+    def invalidate_phys(self, page):
+        for key in [k for k, v in self.entries.items() if v == page]:
+            del self.entries[key]
+
+    def flush(self):
+        self.entries.clear()
+
+
+@pytest.mark.parametrize("capacity", [0, 1, 3, 64])
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("iiiiivpf"), st.integers(0, 2), st.integers(0, 5),
+                          st.integers(0, 4)), max_size=80))
+def test_tlb_index_stays_the_inverse_of_a_scanning_tlbs_entries(capacity, ops):
+    tlb, ref = VirtualTlb(capacity), ScanningTlb(capacity)
+    for op, asid, vpage, page in ops:
+        for t in (tlb, ref):
+            if op == "i":
+                t.insert(asid, vpage, page)
+            elif op == "v":
+                t.invalidate(range(asid + 1), vpage)
+            elif op == "p":
+                t.invalidate_phys(page)
+            else:
+                t.flush()
+        # the same entries in the same FIFO order, and each key indexed once under its page
+        assert list(tlb.entries.items()) == list(ref.entries.items())
+        indexed = [(page, key) for page, keys in tlb.keys_of.items() for key in keys]
+        assert sorted(indexed) == sorted((p, k) for k, p in ref.entries.items())
+        assert all(tlb.keys_of.values())
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +309,32 @@ EXPECTED_ALLOW = {
 
 
 def test_page_mode_allow_table_exhaustive():
+    # hyperwall checks an access as `requester token in _ALLOWED[mode token]`
+    assert set(_ALLOWED) == {mode.value for mode in PageMode}
     for mode in PageMode:
         for requester in Requester:
-            assert page_mode_allows(mode, requester) == EXPECTED_ALLOW[(mode, requester)]
+            allowed = requester.value in _ALLOWED[mode.value]
+            assert allowed == EXPECTED_ALLOW[(mode, requester)]
 
 
 def test_other_vm_is_never_allowed():
     for mode in PageMode:
-        assert not page_mode_allows(mode, Requester.OTHER_VM)
+        assert Requester.OTHER_VM.value not in _ALLOWED[mode.value]
 
 
-def test_hypervisor_reclaim_gate():
-    assert hypervisor_may_touch(PageMode.HYPERVISOR_ONLY)
-    assert hypervisor_may_touch(PageMode.HYPERVISOR_AND_DMA)
-    assert not hypervisor_may_touch(PageMode.HYPERVISOR_DENIED)
-    assert not hypervisor_may_touch(PageMode.LOCKED)
+@pytest.mark.parametrize("mode, reclaimable", [
+    (PageMode.HYPERVISOR_ONLY, True), (PageMode.HYPERVISOR_AND_DMA, True),
+    (PageMode.HYPERVISOR_DENIED, False), (PageMode.LOCKED, False),
+])
+def test_hypervisor_reclaim_gate(mode, reclaimable):
+    # two pages: vm 1 gives its page a mode, vm 2 takes the other and asks for
+    # one more, which only a reclaim of vm 1's page can serve
+    t = [
+        TraceEvent(1, EventKind.CREATE_VM, vm=1), TraceEvent(2, EventKind.CREATE_VM, vm=2),
+        TraceEvent(3, EventKind.ALLOC, vm=1), TraceEvent(4, EventKind.ENTER, vm=1),
+        TraceEvent(5, EventKind.HW_SET, page=0, mode=mode.value), TraceEvent(6, EventKind.EXIT),
+        TraceEvent(7, EventKind.ALLOC, vm=2), TraceEvent(8, EventKind.ALLOC, vm=2),
+    ]
+    rep = run(t, "hyperwall", Geometry(256, 1, 2), options=RunOptions(check_invariants=True))
+    assert rep.counters.hw_set_denied == 0
+    assert (rep.counters.pages_swapped, len(rep.memory_full)) == ((1, 0) if reclaimable else (0, 1))

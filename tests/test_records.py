@@ -16,6 +16,14 @@ from pathlib import Path
 import pytest
 
 import vmemsim
+from vmemsim.baselines import (
+    DmaResult,
+    RemappingTables,
+    WalkResult,
+    iommu_dma_translate,
+    nested_translate,
+    shadow_translate,
+)
 from vmemsim.core import CostModel, Geometry
 from vmemsim.engine import RunOptions
 from vmemsim.events import (
@@ -28,6 +36,7 @@ from vmemsim.events import (
     TraceEvent,
 )
 from vmemsim.errors import ConfigError, GeometryError, OutOfRangeError, WorkloadError
+from vmemsim.promem import AllocResult, ProMem, Translation
 from vmemsim.workload import DemandProfile, WorkloadSpec
 
 ONE_VM = (DemandProfile(4),)
@@ -202,3 +211,50 @@ def test_the_package_imports_no_dataclasses_inspect_or_pathlib():
     out = subprocess.run([sys.executable, "-E", "-S", "-B", "-c", code],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _outcomes():
+    """(record type, its field names, one result) for every outcome of the
+    functions the replay calls per event, which build their results cheaply."""
+    walk, dma, alloc, tr = (
+        (WalkResult, ("page", "walks")), (DmaResult, ("page", "steps", "fault")),
+        (AllocResult, ("page", "reclaim")), (Translation, ("fault", "walks", "checks")),
+    )
+    gpt, rmap = {0: 10, 1: 11}, {10: 77}
+    for vpage in (0, 1, 9):                   # mapped, no real mapping, no guest entry
+        yield (*walk, nested_translate(vpage, gpt, rmap))
+        yield (*walk, shadow_translate(vpage, gpt, rmap))
+    tables = RemappingTables()
+    tables.assign(1, 0, 0, 0)
+    tables.map_page(1, 0, 42)
+    for bus, device, dva in ((0, 0, 0), (0, 0, 4096), (0, 1, 0), (1, 0, 0)):
+        # mapped, no mapping, no context, no root
+        yield (*dma, iommu_dma_translate(DmaRequest(bus, device, 0, dva, True), tables, 4096))
+
+    pm = ProMem(Geometry(256, 4, 4))           # hypervisor and vm 1 hold a slot segment each
+    pm.load_hypervisor()
+    pm.create_vm()
+    results = [pm.allocate_page(1) for _ in range(3 + 4 + 1)]   # fills segments 1 and 2
+    pm.create_vm()                             # reclaims vm 1's segments 2 and 3
+    results += [pm.allocate_page(vm) for vm in (2, 2, 2, 2, 1, 2)]  # the last two reclaim
+    assert {r.reclaim is None for r in results} == {True, False}
+    full = ProMem(Geometry(256, 1, 2))         # two slot segments, nothing left to hand out
+    full.load_hypervisor()
+    full.create_vm()
+    results.append(full.allocate_page(1))
+    assert results[-1] == (None, None) and results[-2].reclaim is not None
+    for result in results:
+        yield (*alloc, result)
+    tables = {0: {0: 0, 1: 16, 2: 4}}           # the hypervisor's page, no page, vm 1's
+    outcomes = [pm.translate(0, vpage, tables) for vpage in (0, 1, 2, 3)]
+    assert [t.fault for t in outcomes] == [None, "page_fault", "isolation_fault", "page_fault"]
+    for result in outcomes:
+        yield (*tr, result)
+
+
+def test_records_built_per_event_keep_their_types():
+    # a plain tuple would replay the same digests; only an attribute access deep
+    # in a rarely taken path would fail on it
+    for cls, fields, result in _outcomes():
+        assert type(result) is cls and isinstance(result, cls), result
+        assert result._fields == fields
