@@ -53,7 +53,9 @@ from .core import DEFAULT_WALK_LEVELS, FLUSH_POLICY, HYPERVISOR, NO_DMA
 from .engine import Denial, UtilSample, Violation, _Machine
 from .errors import ModeError, OutOfRangeError
 from .events import DmaRequest, PageMode, TraceEvent
-from .promem import MemoryFull, _new
+from .promem import MemoryFull
+
+_new = tuple.__new__  # a namedtuple's own constructor, without its Python __new__ frame
 
 # ---------------------------------------------------------------------------
 # nested / shadow page tables
@@ -122,15 +124,19 @@ class VirtualTlb:
         if self.capacity <= 0:
             return
         key = (real_asid, vpage)
-        entries = self.entries
+        entries, keys_of = self.entries, self.keys_of
         old = entries.get(key)
         if old is not None:
             self._unindex(key, old)
         elif len(entries) >= self.capacity:
+            # _unindex(victim, ...) without its frame: once full, most inserts evict
             victim = next(iter(entries))
-            self._unindex(victim, entries.pop(victim))
+            evicted = entries.pop(victim)
+            keys = keys_of.pop(evicted)
+            if len(keys) > 1:
+                keys_of[evicted] = tuple(k for k in keys if k != victim)
         entries[key] = phys
-        self.keys_of[phys] = self.keys_of.get(phys, ()) + (key,)
+        keys_of[phys] = keys_of.get(phys, ()) + (key,)
 
     def _unindex(self, key: tuple[int, int], page: int) -> None:
         """Drop `key` from `page`'s index entry, and the entry once it is empty."""

@@ -281,9 +281,7 @@ class ProMem:
     # atomic: no intermediate state is observable.
 
     def vm_entry(self, cpu: int, vm: int) -> None:
-        if HYPERVISOR not in self.live:   # current(cpu), without its two calls per switch
-            raise ProtocolError("no owner is current before the hypervisor loads")
-        cur = self.vmidr.get(cpu, HYPERVISOR)
+        cur = self.current(cpu)
         if cur != HYPERVISOR:
             raise ProtocolError(f"entry while vm {cur} is current on cpu {cpu}")
         if vm == HYPERVISOR:
@@ -294,9 +292,7 @@ class ProMem:
         self.vmidr[cpu] = self.save_slot[vm]
 
     def vm_exit(self, cpu: int) -> None:
-        if HYPERVISOR not in self.live:
-            raise ProtocolError("no owner is current before the hypervisor loads")
-        cur = self.vmidr.get(cpu, HYPERVISOR)
+        cur = self.current(cpu)
         if cur == HYPERVISOR:
             raise ProtocolError(f"exit while hypervisor is current on cpu {cpu}")
         self.save_slot[cur] = cur

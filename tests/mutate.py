@@ -1,8 +1,8 @@
 """Mutation check: every guard below must make a fast tier-1 subset fail when broken.
 
-    python tests/mutate.py                           # all mutants, two at a time
-    python tests/mutate.py --list                    # their names
-    python tests/mutate.py --jobs 1 vtlb_flush_keeps_index
+    python tests/mutate.py          # every mutant, JOBS at a time
+
+To run one mutant, call `first_failure(mutant, scratch_dir)`.
 
 Each mutant rewrites one statement or expression of one function in a copy
 of `src/vmemsim`, found by its source as `ast.unparse` prints it, so a
@@ -18,7 +18,6 @@ with its mutant.  Standard library only.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -41,6 +40,9 @@ SUBSET = (
 
 #: seconds one subset run may take before its mutant counts as killed by a hang
 TIMEOUT_S = 300
+
+#: mutants run at once
+JOBS = 2
 
 
 class Mutant(NamedTuple):
@@ -74,11 +76,13 @@ MUTANTS = (
            "not 0 <= page < self.pages_total", "page < 0"),
     # the vTLB's reverse index, kept in step with its entries
     Mutant("vtlb_insert_skips_index", "baselines.py", "VirtualTlb.insert",
-           "self.keys_of[phys] = self.keys_of.get(phys, ()) + (key,)", "pass"),
+           "keys_of[phys] = keys_of.get(phys, ()) + (key,)", "pass"),
     Mutant("vtlb_reinsert_keeps_old_index", "baselines.py", "VirtualTlb.insert",
            "self._unindex(key, old)", "pass"),
     Mutant("vtlb_evict_keeps_index", "baselines.py", "VirtualTlb.insert",
-           "self._unindex(victim, entries.pop(victim))", "entries.pop(victim)"),
+           "keys_of.pop(evicted)", "keys_of[evicted]"),
+    Mutant("vtlb_evict_keeps_shared_key", "baselines.py", "VirtualTlb.insert",
+           "len(keys) > 1", "len(keys) > 2"),
     Mutant("vtlb_unindex_keeps_shared_key", "baselines.py", "VirtualTlb._unindex",
            "len(keys) > 1", "len(keys) > 2"),
     Mutant("vtlb_invalidate_keeps_index", "baselines.py", "VirtualTlb.invalidate",
@@ -170,20 +174,8 @@ def first_failure(mutant: Mutant | None, scratch: Path) -> str | None:
     return failed[0] if failed else f"pytest exit status {done.returncode}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--jobs", type=int, default=2, help="mutants run at once (default 2)")
-    parser.add_argument("--list", action="store_true", help="print the mutants' names and exit")
-    args = parser.parse_args(argv)
-    if args.list:
-        print("\n".join(m.name for m in MUTANTS))
-        return 0
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-    for mutant in chosen:
+def main() -> int:
+    for mutant in MUTANTS:
         mutated_source(mutant)  # every target resolves before anything runs
     start = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="vmemsim-mutants-") as scratch:
@@ -191,14 +183,14 @@ def main(argv: list[str] | None = None) -> int:
         if failure is not None:
             print(f"the unmutated copy fails the subset: {failure}", file=sys.stderr)
             return 2
-        with ThreadPoolExecutor(max(1, args.jobs)) as pool:
-            outcomes = pool.map(lambda m: (m, first_failure(m, Path(scratch))), chosen)
+        with ThreadPoolExecutor(JOBS) as pool:
+            outcomes = pool.map(lambda m: (m, first_failure(m, Path(scratch))), MUTANTS)
             survivors = []
             for mutant, failure in outcomes:
                 if failure is None:
                     survivors.append(mutant.name)
                 print(f"{mutant.name}: {failure or 'SURVIVED'}", flush=True)
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed "
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed "
           f"in {time.monotonic() - start:.0f} s")
     if survivors:
         print(f"survivors: {', '.join(survivors)}", file=sys.stderr)
