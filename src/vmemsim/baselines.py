@@ -330,7 +330,7 @@ class BaselineMachine(_Machine):
         self.flush_on_switch = opts.tlb_policy == FLUSH_POLICY
         self.pio = opts.dma_policy == NO_DMA      # DMA moves each word through the CPU
 
-    apply = _Machine.dispatch
+    apply = _Machine.replay
 
     # -- small helpers --
 

@@ -30,15 +30,16 @@ computed from the guest and real tables when it is read.  Explicit
 gpt_write/rmap_write events exist to model adversarial or manual
 mappings on top of that.
 
-Each mode is one machine class that dispatches each event kind to its
-`on_<kind>` method.  This module holds the skeleton they share,
-`_Machine`, and `asmi`'s `AsmiMachine`.  The page-pool machines live in
-`baselines`, beside the structures they drive: `BaselineMachine` is
-`nested`, and the other three baselines subclass it.  `machine_class`
-loads that module on a baseline mode's first run, so an `asmi` replay
-never compiles it.  Kinds a mode's hardware does not implement (hw_set
-outside hyperwall, rmap_write under asmi) have no handler and are no-ops;
-a raw-target DMA under iommu is a mode error.
+Each mode is one machine class.  Its `apply` replays a whole trace in one
+loop, calling each event's `on_<kind>` method straight from the machine's
+kind→handler table, so an event costs one Python frame, its handler's.
+This module holds the skeleton they share, `_Machine`, and `asmi`'s
+`AsmiMachine`.  The page-pool machines live in `baselines`, beside the
+structures they drive: `BaselineMachine` is `nested`, and the other three
+baselines subclass it.  `machine_class` loads that module on a baseline
+mode's first run, so an `asmi` replay never compiles it.  Kinds a mode's
+hardware does not implement (hw_set outside hyperwall, rmap_write under
+asmi) map to a shared no-op; a raw-target DMA under iommu is a mode error.
 
 Machines count and `run` prices.  A handler adds each priced count
 (walks, checks, vTLB hits, swapped pages, switches, flushes, DMA and PIO
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Collection, Iterable
+from itertools import chain
 from typing import NamedTuple
 
 from .core import (
@@ -143,6 +145,10 @@ class Counters:
 #: where each kind's cycles and the total saturate
 _SAT = (1 << 64) - 1
 _PSWITCH = EventKind.PSWITCH  # an Enum class attribute is a Python-level lookup on each use
+
+
+def _ignore(machine: _Machine, ev: TraceEvent) -> None:
+    """The handler of every kind a mode's hardware does not implement."""
 
 
 def _cycles(t: Counters, cost: CostModel, pio_cycles: int) -> int:
@@ -289,9 +295,10 @@ def canonical_mode(name: str) -> str:
 class _Machine:
     """The skeleton every mode shares.
 
-    `handlers` maps the token of each kind with an `on_<kind>` method to
-    that method; subclasses provide `live` (live owner ids) and `_dma`
-    (accounting for a DMA with a known issuer and page).
+    `handlers` maps each kind's token to its `on_<kind>` method, or to
+    `_ignore`; `AsmiMachine` and `BaselineMachine` hold `replay` as `apply`,
+    which `run` calls and the benchmark's tracer patches.  Subclasses provide
+    `live` (live owner ids) and `_dma` (a DMA with a known issuer and page).
 
     Hot-path rules for per-event code: tokens are read as `kind._value_`, as
     `.value` and hashing an `Enum` run Python code; Enum members come from
@@ -316,15 +323,41 @@ class _Machine:
         # every machine a reference cycle that outlives its run
         cls = type(self)
         self.handlers = {
-            kind.value: getattr(cls, "on_" + kind.value)
-            for kind in EventKind
-            if hasattr(cls, "on_" + kind.value)
+            kind.value: getattr(cls, "on_" + kind.value, _ignore) for kind in EventKind
         }
 
-    def dispatch(self, ev: TraceEvent) -> None:
-        handler = self.handlers.get(ev.kind._value_)
-        if handler is not None:
-            handler(self, ev)
+    def replay(self, trace: Iterable[TraceEvent], interval: int, check: bool) -> int:
+        """Replay `trace` as it yields each event; sample every `interval` events and
+        after the last, check invariants after each when `check`, and return the
+        count.  Only a handler's `SimError` is renamed with the seq."""
+        events = iter(trace)
+        first = next(events, None)
+        if first is None:
+            return 0
+        handlers, sample = self.handlers, self.sample
+        last = first.seq - 1
+        due = interval  # the next sample's event count
+        for count, ev in enumerate(chain((first,), events), 1):
+            seq = ev.seq
+            if seq <= last:
+                raise SimulationError(
+                    f"event seq {seq} is not greater than its predecessor {last}"
+                )
+            last = seq
+            try:
+                handlers[ev.kind._value_](self, ev)
+            except (ModeError, SimulationError):
+                raise
+            except SimError as exc:
+                raise SimulationError(f"event seq {seq}: {exc}") from exc
+            if count == due:
+                sample(count)
+                due += interval
+            if check:
+                self.check_invariants()
+        if count % interval:
+            sample(count)
+        return count
 
     def err(self, ev: TraceEvent, message: str) -> SimulationError:
         return SimulationError(f"event seq {ev.seq}: {message}")
@@ -383,7 +416,7 @@ class AsmiMachine(_Machine):
         self.tables: dict[int, dict[int, int]] = {HYPERVISOR: {}}  # owner -> vpage -> page
         self.next_vpage: dict[int, int] = {HYPERVISOR: 0}
 
-    apply = _Machine.dispatch
+    apply = _Machine.replay
 
     def _count_reclaim(self, t: Counters, notice: ReclaimNotice) -> None:
         t.pages_swapped += notice.pages_swapped
@@ -571,33 +604,7 @@ def run(
     mode = canonical_mode(mode)
     report = MetricsReport(mode=mode)
     machine = machine_class(mode)(geom, opts, report)
-    interval = opts.sample_interval
-    apply, check = machine.apply, opts.check_invariants
-    last_seq = None
-    count = 0
-    countdown = interval  # events to the next sample
-    for ev in trace:
-        if last_seq is not None and ev.seq <= last_seq:
-            raise SimulationError(
-                f"event seq {ev.seq} is not greater than its predecessor {last_seq}"
-            )
-        last_seq = ev.seq
-        try:
-            apply(ev)
-        except (ModeError, SimulationError):
-            raise
-        except SimError as exc:
-            raise SimulationError(f"event seq {ev.seq}: {exc}") from exc
-        count += 1
-        countdown -= 1
-        if not countdown:
-            machine.sample(count)
-            countdown = interval
-        if check:
-            machine.check_invariants()
-    if countdown != interval:  # events since the last sample
-        machine.sample(count)
-    report.events = count
+    report.events = machine.apply(trace, opts.sample_interval, opts.check_invariants)
     # every price is >= 0, so saturating the sums equals saturating after every count
     pio_cycles = cost.programmed_io_word * (geom.page_size_bytes // 8)
     counters, total = report.counters, 0

@@ -54,6 +54,17 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    # the replay loop: seq order, the seq in a handler's error, sampling, invariant checks
+    Mutant("replay_allows_a_repeated_seq", "engine.py", "_Machine.replay",
+           "seq <= last", "seq < last"),
+    Mutant("replay_skips_error_rewrite", "engine.py", "_Machine.replay",
+           "raise SimulationError(f'event seq {seq}: {exc}') from exc", "raise"),
+    Mutant("replay_sample_point_off_by_one", "engine.py", "_Machine.replay",
+           "due = interval", "due = interval + 1"),
+    Mutant("replay_drops_final_sample", "engine.py", "_Machine.replay",
+           "if count % interval:\n    sample(count)", "pass"),
+    Mutant("replay_skips_invariant_check", "engine.py", "_Machine.replay",
+           "self.check_invariants()", "pass"),
     # liveness checked inline, not through a helper (asmi's alloc relies on
     # ProMem.allocate_page's own check, which raises the same text)
     Mutant("asmi_free_skips_liveness", "engine.py", "AsmiMachine.on_free",

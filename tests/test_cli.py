@@ -362,13 +362,20 @@ def test_compare_of_a_header_only_trace_reports_zeros(tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_malformed_trace_names_its_seq_in_every_mode(tmp_path, capsys, mode):
+    # run replays each event as it parses it, so the error at seq 2 wins over line 5's
     bad = tmp_path / "exit_first.trace"
-    bad.write_text("# vmemsim trace\n1 create_vm 0 1\n2 exit 0\n")
+    bad.write_text("# vmemsim trace\n1 create_vm 0 1\n2 exit 0\n3 alloc 0 1\n4 read 0 xyz\n")
     assert run_cli("run", "--trace", str(bad), "--mode", mode) == 1
-    assert capsys.readouterr().err.startswith("error: event seq 2: ")
+    cause = ("exit while hypervisor is current on cpu 0" if mode == "asmi"
+             else "exit requires a guest to be current")
+    assert capsys.readouterr().err == f"error: event seq 2: {cause}\n"
+    assert run_cli("compare", "--trace", str(bad), "--modes", mode) == 1
+    assert capsys.readouterr().err == "error: line 5: field vaddr must be an integer, got 'xyz'\n"
 
 
-def test_run_memory_does_not_grow_with_trace_length(tmp_path, capsys):
+@pytest.mark.parametrize("sampling", [(), ("--sample-interval", "1000000")])
+def test_run_memory_does_not_grow_with_trace_length(tmp_path, capsys, sampling):
+    # a sample interval longer than the trace holds no more events than the default
     peaks = []
     for events in (2_000, 20_000):
         path = tmp_path / f"{events}.trace"
@@ -377,7 +384,8 @@ def test_run_memory_does_not_grow_with_trace_length(tmp_path, capsys):
                        "--out", str(path)) == 0
         tracemalloc.start()
         try:
-            assert run_cli("run", "--geometry", "256x4x16", "--trace", str(path)) == 0
+            assert run_cli("run", "--geometry", "256x4x16", "--trace", str(path),
+                           *sampling) == 0
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -51,6 +51,11 @@ def trace(*specs):
     return [ev(i + 1, kind, **fields) for i, (kind, fields) in enumerate(specs)]
 
 
+def step(machine, event):
+    """Replay one event through its kind's handler-table entry, as `replay` does."""
+    machine.handlers[event.kind.value](machine, event)
+
+
 def opts(**kw):
     base = {"check_invariants": True}
     base.update(kw)
@@ -225,7 +230,7 @@ def test_run_options_reject_bad_values():
 def test_asmi_invariant_check_can_fail():
     machine = AsmiMachine(TINY, RunOptions(), MetricsReport(mode="asmi"))
     for event in trace((E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1})):
-        machine.apply(event)
+        step(machine, event)
     machine.check_invariants()
     del machine.next_vpage[1]          # a live guest loses its vpage counter
     with pytest.raises(AssertionError):
@@ -293,7 +298,7 @@ def test_baseline_invariant_check_can_fail(mode, corrupt):
         (E.FREE, {"vm": 2, "vaddr": 0}),
     )
     for event in events:
-        machine.apply(event)
+        step(machine, event)
     machine.check_invariants()
     assert machine.free_pages == [1] and machine.fresh_page == 4
     corrupt(machine)
@@ -326,7 +331,7 @@ def test_page_pool_hands_out_what_a_heap_of_every_page_would(mode, ops):
             live.remove(vm)
         else:
             continue                                # the hypervisor is never destroyed
-        machine.apply(event)
+        step(machine, event)
         machine.check_invariants()
         now = dict(machine.owner_of)
         for page, owner in held.items():
@@ -361,13 +366,13 @@ def test_an_aliased_page_unmaps_from_every_dva():
     )
     machine = machine_class("iommu")(TINY, opts(), MetricsReport(mode="iommu"))
     for event in t:
-        machine.apply(event)
+        step(machine, event)
     domain = machine.remap.domains[1]
     assert domain.table == {0: 0, 1: 0} and domain.dvas_of == {0: (0, 1)}
-    machine.apply(ev(6, E.FREE, vm=1, vaddr=0))
+    step(machine, ev(6, E.FREE, vm=1, vaddr=0))
     assert domain.table == {} and domain.dvas_of == {}
     for seq, dva in ((7, 0), (8, page)):
-        machine.apply(ev(seq, E.DMA, bus=0, device=0, function=0, dva=dva, write=True))
+        step(machine, ev(seq, E.DMA, bus=0, device=0, function=0, dva=dva, write=True))
     assert machine.report.counters.dma_blocked == 2
     assert [fault.reason for fault in machine.report.dma_faults] == ["no_mapping"] * 2
 
@@ -475,9 +480,9 @@ def test_zero_cycle_kinds_keep_their_keys():
     small = Geometry(256, 2, 2)                        # four pages total
     machine = machine_class("nested")(small, RunOptions(), MetricsReport(mode="nested"))
     for event in trace((E.CREATE_VM, {"vm": 1}), *[(E.ALLOC, {"vm": 1}) for _ in range(4)]):
-        machine.apply(event)
+        step(machine, event)
     machine.tally.clear()
-    machine.apply(ev(6, E.ALLOC, vm=1))
+    step(machine, ev(6, E.ALLOC, vm=1))
     assert [m.vm for m in machine.report.memory_full] == [1]
     assert list(machine.tally) == ["alloc"]
     assert engine._cycles(machine.tally["alloc"], CostModel(), 1) == 0
@@ -818,7 +823,7 @@ def test_domain_assign_outside_iommu_only_names_the_issuer(mode):
         (E.ALLOC, {"vm": 2}),                      # page 0
         (E.DMA, {"bus": 0, "device": 0, "function": 0, "dva": 0, "write": True}),
     ):
-        machine.apply(event)
+        step(machine, event)
         machine.check_invariants()
     assert [(v.source, v.vm, v.page, v.owner) for v in machine.report.violations] == [
         ("dma", 1, 0, 2)
@@ -951,8 +956,9 @@ def test_engine_looks_up_the_moved_names_the_benchmark_reads_on_each_use(monkeyp
 def test_each_mode_has_its_own_class_and_the_handlers_of_its_hardware(mode, dma_policy):
     machine = machine_class(mode)(TINY, opts(dma_policy=dma_policy), MetricsReport(mode))
     assert type(machine) is MACHINE_CLASSES[mode]
-    assert (E.HW_SET.value in machine.handlers) == (mode == "hyperwall")
-    assert (E.RMAP_WRITE.value in machine.handlers) == (mode != "asmi")
+    assert list(machine.handlers) == [kind.value for kind in E]
+    ignored = {kind for kind, handler in machine.handlers.items() if handler is engine._ignore}
+    assert ignored == {"asmi": {"hw_set", "rmap_write"}, "hyperwall": set()}.get(mode, {"hw_set"})
 
 
 def test_iommu_remaps_dma_whatever_the_dma_policy():
@@ -1076,16 +1082,35 @@ def test_reports_are_byte_identical_across_runs():
         assert a.to_json() == b.to_json()
 
 
-def test_sampling_cadence_and_final_partial():
+@pytest.mark.parametrize("mode", MODES)
+def test_sampling_cadence_and_final_partial(mode):
     t = trace(
         (E.CREATE_VM, {"vm": 1}),
         *[(E.ALLOC, {"vm": 1}) for _ in range(4)],
     )
-    rep = run(t, "asmi", TINY, options=opts(sample_interval=2))
-    indexes = sorted({u.event_index for u in rep.utilization})
+
+    def sampled_at(events):
+        rep = run(events, mode, TINY, options=opts(sample_interval=2))
+        return sorted({u.event_index for u in rep.utilization}), rep.utilization
+
+    indexes, rows = sampled_at(t)
     assert indexes == [2, 4, 5]
-    owners_at_end = [u.owner for u in rep.utilization if u.event_index == 5]
-    assert owners_at_end == [0, 1]
+    assert [u.owner for u in rows if u.event_index == 5] == [0, 1]
+    assert sampled_at(t[:4])[0] == [2, 4]         # an exact multiple adds no final sample
+    assert sampled_at([]) == ([], [])
+    assert sampled_at(e for e in t)[1] == rows    # a generator samples as the list does
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_invariants_are_checked_after_every_event_when_asked(mode, monkeypatch):
+    # each check sees its event's effect: the live owners after each create_vm
+    cls, seen = machine_class(mode), []
+    monkeypatch.setattr(cls, "check_invariants", lambda machine: seen.append(len(machine.live)))
+    t = trace((E.CREATE_VM, {"vm": 1}), (E.CREATE_VM, {"vm": 2}))
+    run(t, mode, TINY, options=opts())
+    assert seen == [2, 3]
+    run(t, mode, TINY, options=opts(check_invariants=False))
+    assert seen == [2, 3]
 
 
 def test_compare_row_order_is_trace_major():
