@@ -258,9 +258,9 @@ class Requester(Enum):
     DMA = "dma"
 
 
-# The members hyperwall reads per event; a requester as its token, as a Denial records it.
-_HYP_ONLY = PageMode.HYPERVISOR_ONLY    # a page no hw_set or alloc has given a mode
-_HYP_DMA = PageMode.HYPERVISOR_AND_DMA  # the mode of a freshly allocated page
+# The tokens hyperwall reads per event: a page's mode and a requester, as a Denial records them.
+_HYP_ONLY = PageMode.HYPERVISOR_ONLY.value    # a page no hw_set or alloc has given a mode
+_HYP_DMA = PageMode.HYPERVISOR_AND_DMA.value  # the mode of a freshly allocated page
 _BY_HYPERVISOR = Requester.HYPERVISOR.value
 _BY_OWNER = Requester.OWNER_VM.value
 _BY_OTHER = Requester.OTHER_VM.value
@@ -326,7 +326,7 @@ class BaselineMachine(_Machine):
         self.current: dict[int, int] = {}
         self.next_vmid = 1
         self.tlb = VirtualTlb(opts.tlb_entries)
-        self.page_mode: dict[int, PageMode] = {}  # protection bits: only hyperwall sets any
+        self.page_mode: dict[int, str] = {}  # protection bits: only hyperwall sets any
         self.flush_on_switch = opts.tlb_policy == FLUSH_POLICY
         self.pio = opts.dma_policy == NO_DMA      # DMA moves each word through the CPU
 
@@ -363,7 +363,7 @@ class BaselineMachine(_Machine):
         )
         for _, victim in order:
             for page in reversed(guests[victim].held):
-                if _BY_HYPERVISOR not in _ALLOWED[page_mode.get(page, _HYP_ONLY)._value_]:
+                if _BY_HYPERVISOR not in _ALLOWED[page_mode.get(page, _HYP_ONLY)]:
                     continue
                 self._free_page(page)
                 return page
@@ -686,10 +686,12 @@ class HyperwallMachine(BaselineMachine):
     def on_hw_set(self, ev: TraceEvent) -> None:
         if not (0 <= ev.page < self.pages_total):
             raise self.err(ev, f"page {ev.page} outside the geometry")
+        if ev.mode not in _ALLOWED:
+            raise self.err(ev, f"unknown protection mode {ev.mode!r}")
         requester = self.current.get(ev.cpu, HYPERVISOR)
         owner = self.owner_of.get(ev.page)
         if requester == owner or (requester == HYPERVISOR and owner is None):
-            self.page_mode[ev.page] = PageMode(ev.mode)
+            self.page_mode[ev.page] = ev.mode
         else:
             self.report.counters.hw_set_denied += 1
 
@@ -723,7 +725,7 @@ class HyperwallMachine(BaselineMachine):
         owner = self.owner_of.get(page)
         requester = (_BY_HYPERVISOR if vm == HYPERVISOR
                      else _BY_OWNER if owner == vm else _BY_OTHER)
-        mode = self.page_mode.get(page, _HYP_ONLY)._value_
+        mode = self.page_mode.get(page, _HYP_ONLY)
         if requester not in _ALLOWED[mode]:
             self.report.denials.append(Denial(ev.seq, ev.cpu, requester, page, mode, owner))
             return
@@ -739,7 +741,7 @@ class HyperwallMachine(BaselineMachine):
     def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
         """Raw DMA stops at a page whose bits deny it; PIO and range faults pass no gate."""
         if not self.pio and 0 <= page < self.pages_total:
-            mode = self.page_mode.get(page, _HYP_ONLY)._value_
+            mode = self.page_mode.get(page, _HYP_ONLY)
             t = self.tally[ev.kind._value_]
             t.unreported_checks += 1
             if _BY_DMA not in _ALLOWED[mode]:

@@ -406,22 +406,21 @@ class _Machine:
 
 
 class AsmiMachine(_Machine):
-    """Segment controller mode."""
+    """Segment controller mode.  It keeps no per-owner state: `live` is the
+    controller's `owners`, whose records hold each page table and next vpage."""
 
     def __init__(self, geom, opts, report):
         super().__init__(geom, opts, report)
         self.pm = ProMem(geom)
         self.pm.load_hypervisor()
-        self.live = self.pm.live
-        self.tables: dict[int, dict[int, int]] = {HYPERVISOR: {}}  # owner -> vpage -> page
-        self.next_vpage: dict[int, int] = {HYPERVISOR: 0}
+        self.live = self.pm.owners
 
     apply = _Machine.replay
 
     def _count_reclaim(self, t: Counters, notice: ReclaimNotice) -> None:
         t.pages_swapped += notice.pages_swapped
         # The victim's pages were swapped out; a well-behaved guest unmaps them.
-        table = self.tables[notice.victim]
+        table = self.live[notice.victim].table
         gone = set(notice.segments)
         pps = self.geom.pages_per_segment
         for vpage in [v for v, p in table.items() if p // pps in gone]:
@@ -436,13 +435,9 @@ class AsmiMachine(_Machine):
             raise self.err(ev, f"trace expects vm {ev.vm}, controller assigned {vm}")
         if len(self.pm.notices) > notices_before:
             self._count_reclaim(self.tally[ev.kind._value_], self.pm.notices[-1])
-        self.tables[vm] = {}
-        self.next_vpage[vm] = 0
 
     def on_destroy_vm(self, ev: TraceEvent) -> None:
         self.pm.destroy_vm(ev.vm)
-        del self.tables[ev.vm]
-        del self.next_vpage[ev.vm]
 
     def on_enter(self, ev: TraceEvent) -> None:
         self.pm.vm_entry(ev.cpu, ev.vm)
@@ -461,16 +456,16 @@ class AsmiMachine(_Machine):
         if notice is not None:
             self._count_reclaim(t, notice)
         if page is not None:
-            vpage = self.next_vpage[vm]
-            self.next_vpage[vm] = vpage + 1
-            self.tables[vm][vpage] = page
+            owner = self.live[vm]
+            owner.table[owner.next_vpage] = page
+            owner.next_vpage += 1
 
     def on_free(self, ev: TraceEvent) -> None:
         vm = ev.vm
         if vm not in self.live:
             raise self.err(ev, f"vm {vm} is not live")
         c = self.report.counters
-        table = self.tables[vm]
+        table = self.live[vm].table
         if ev.vaddr < 0:
             raise self.err(ev, f"negative vaddr {ev.vaddr}")
         vpage = ev.vaddr // self.page_size_bytes
@@ -493,7 +488,7 @@ class AsmiMachine(_Machine):
         c = self.report.counters
         if ev.vaddr < 0:
             raise self.err(ev, f"negative vaddr {ev.vaddr}")
-        tr = self.pm.translate(ev.cpu, ev.vaddr // self.page_size_bytes, self.tables, ev.seq)
+        tr = self.pm.translate(ev.cpu, ev.vaddr // self.page_size_bytes, ev.seq)
         c.cpu_accesses += 1
         t = self.tally[ev.kind._value_]
         t.walk_steps += tr.walks
@@ -505,7 +500,7 @@ class AsmiMachine(_Machine):
 
     def on_gpt_write(self, ev: TraceEvent) -> None:
         self._require_live(ev, ev.vm)
-        self.tables[ev.vm][ev.vpage] = ev.target
+        self.live[ev.vm].table[ev.vpage] = ev.target
 
     def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
         t = self.tally[ev.kind._value_]
@@ -543,7 +538,6 @@ class AsmiMachine(_Machine):
 
     def check_invariants(self) -> None:
         self.pm.check_invariants()
-        assert set(self.tables) == set(self.next_vpage) == self.pm.live, "owner sets differ"
 
 
 # ---------------------------------------------------------------------------

@@ -35,20 +35,21 @@ it: p lies in segment p // pages_per_segment at index
 p % pages_per_segment, and a page outside 0 .. pages_total - 1 lies in
 no segment.
 
-Besides the MPT and the per-segment page masks, the controller keeps
-indexes that every MPT write updates, so that no allocation, reclaim or
+Besides the MPT and the masks, the controller keeps `free`, the heap of
+the segments the MPT does not map (every claim pops its top), and in
+`owners` one `_Owner` record per live owner, keyed by its id.  A record
+holds the owner's save slot, slot segment and page table, and indexes
+that every MPT write updates, so that no allocation, reclaim or
 utilization sample scans the segment pool:
 
-  free      heap of the free segment numbers.  Every claim pops its top,
-            so it holds exactly the segments the MPT does not map.
-  segs_of   owner -> set of the segments it owns.
-  pages_of  owner -> count of its taken pages, save-slot page included.
-  open_of   owner -> heap of its segments that have a free page.  A
-            segment is pushed when it is claimed or a free makes a full
-            one non-full, and popped when an allocation fills it; an
-            entry whose segment was released since is dropped when it
-            reaches the top.  A claim happens only once this heap is
-            empty, so no segment is in it twice.
+  segs      the segments it owns.
+  pages     the count of its taken pages, save-slot page included.
+  open      heap of its segments that have a free page.  A segment is
+            pushed when it is claimed or a free makes a full one
+            non-full, and popped when an allocation fills it; an entry
+            whose segment was released since is dropped when it reaches
+            the top.  A claim happens only once this heap is empty, so
+            no segment is in it twice.
 
 Every MPT write goes through `_claim` (lowest free segment to an owner)
 or `_release` (segment back to the free heap).  `check_invariants`
@@ -137,6 +138,21 @@ _TRANSLATED = Translation(None, walks=1, checks=1)
 # ---------------------------------------------------------------------------
 
 
+class _Owner:
+    """What the controller keeps for one live owner (the hypervisor included)."""
+
+    __slots__ = ("segs", "pages", "open", "slot_segment", "save_slot", "table", "next_vpage")
+
+    def __init__(self, vm: int):
+        self.segs: set[int] = set()
+        self.pages = 0
+        self.open: list[int] = []
+        self.slot_segment = -1           # set once its first claim succeeds
+        self.save_slot = vm              # the id its next entry loads into VMIDR
+        self.table: dict[int, int] = {}  # its page table, vpage -> page
+        self.next_vpage = 0              # where the engine's well-behaved guest maps next
+
+
 class ProMem:
     """Boots over a geometry with an empty MPT and no owners."""
 
@@ -151,13 +167,8 @@ class ProMem:
         self.mpt: dict[int, int] = {}
         self.masks: dict[int, int] = {}      # segment -> bitmask of taken pages
         self.free: list[int] = list(range(self.tseg))  # heap; sorted is a heap
-        self.segs_of: dict[int, set[int]] = {}
-        self.pages_of: dict[int, int] = {}
-        self.open_of: dict[int, list[int]] = {}
-        self.slot_segment: dict[int, int] = {}
-        self.save_slot: dict[int, int] = {}
+        self.owners: dict[int, _Owner] = {}
         self.vmidr: dict[int, int] = {}
-        self.live: set[int] = set()
         self.next_vmid = 1
         # outcome ledgers, in occurrence order
         self.faults: list[IsolationFault] = []
@@ -166,8 +177,12 @@ class ProMem:
 
     # -- queries --------------------------------------------------------
 
+    @property
+    def live(self):  # the live owner ids, hypervisor included: a view of `owners`' keys
+        return self.owners.keys()
+
     def hypervisor_loaded(self) -> bool:
-        return HYPERVISOR in self.live
+        return HYPERVISOR in self.owners
 
     def current(self, cpu: int) -> int:
         if not self.hypervisor_loaded():
@@ -175,21 +190,21 @@ class ProMem:
         return self.vmidr.get(cpu, HYPERVISOR)
 
     def owned_segments(self, vm: int) -> list[int]:
-        return sorted(self.segs_of.get(vm, ()))
+        return sorted(self.owners[vm].segs) if vm in self.owners else []
 
     def segment_count(self, vm: int) -> int:
-        return len(self.segs_of.get(vm, ()))
+        return len(self.owners[vm].segs) if vm in self.owners else 0
 
     def allocated_pages(self, vm: int) -> int:
         """Pages in use by `vm`, save-slot page included."""
-        return self.pages_of.get(vm, 0)
+        return self.owners[vm].pages if vm in self.owners else 0
 
     # -- lifecycle ------------------------------------------------------
 
     def _recompute_mseg(self) -> None:
         self.mseg = max(1, self.tseg // self.tot) if self.tot else 0
 
-    def _claim(self, vm: int) -> int | None:
+    def _claim(self, vm: int, owner: _Owner) -> int | None:
         """Give the lowest free segment to `vm` with page 0 taken; None if none is free.
 
         Page 0 is the save slot of a slot segment and the first data page
@@ -200,45 +215,40 @@ class ProMem:
         s = heappop(self.free)
         self.mpt[s] = vm
         self.masks[s] = 1
-        self.segs_of[vm].add(s)
-        self.pages_of[vm] += 1
+        owner.segs.add(s)
+        owner.pages += 1
         if self.pps > 1:
-            heappush(self.open_of[vm], s)
+            heappush(owner.open, s)
         return s
 
     def _release(self, s: int) -> int:
         """Return segment `s` to the free heap; the pages it had taken."""
-        vm = self.mpt.pop(s)
+        owner = self.owners[self.mpt.pop(s)]
         taken = self.masks.pop(s).bit_count()
-        self.segs_of[vm].discard(s)
-        self.pages_of[vm] -= taken
+        owner.segs.discard(s)
+        owner.pages -= taken
         heappush(self.free, s)
         return taken
 
-    def _install_slot_segment(self, vm: int, seq: int) -> int:
-        # the reclaim below reads the new owner's indexes
-        self.segs_of[vm] = set()
-        self.pages_of[vm] = 0
-        self.open_of[vm] = []
-        s = self._claim(vm)
+    def _admit(self, vm: int, seq: int) -> None:
+        """Make `vm` a live owner, counted in TOT, and claim its slot segment."""
+        self.owners[vm] = owner = _Owner(vm)
+        self.tot += 1
+        self._recompute_mseg()
+        s = self._claim(vm, owner)
         if s is None:
             # TOT <= TSEG guarantees some owner is over quota here, so the
             # reclaim always produces a free segment.
             notice = self._reclaim(seq)
             assert notice is not None, "no free segment and nobody over quota"
-            s = self._claim(vm)
+            s = self._claim(vm, owner)
             assert s is not None
-        self.slot_segment[vm] = s
-        self.save_slot[vm] = vm
-        return s
+        owner.slot_segment = s
 
     def load_hypervisor(self, seq: int = -1) -> int:
         if self.tot != 0:
             raise LifecycleError("hypervisor already loaded")
-        self.live.add(HYPERVISOR)
-        self.tot = 1
-        self._recompute_mseg()
-        self._install_slot_segment(HYPERVISOR, seq)
+        self._admit(HYPERVISOR, seq)
         self.vmidr[0] = HYPERVISOR
         return HYPERVISOR
 
@@ -251,25 +261,19 @@ class ProMem:
             )
         vm = self.next_vmid
         self.next_vmid += 1
-        self.live.add(vm)
-        self.tot += 1
-        self._recompute_mseg()
-        self._install_slot_segment(vm, seq)
+        self._admit(vm, seq)
         return vm
 
     def destroy_vm(self, vm: int) -> None:
         if vm == HYPERVISOR:
             raise LifecycleError("hypervisor cannot be destroyed")
-        if vm not in self.live:
+        if vm not in self.owners:
             raise LifecycleError(f"vm {vm} is not live")
         if vm in self.vmidr.values():
             raise LifecycleError(f"vm {vm} is current on a processor")
-        for s in list(self.segs_of[vm]):
+        for s in list(self.owners[vm].segs):
             self._release(s)
-        del self.segs_of[vm], self.pages_of[vm], self.open_of[vm]
-        del self.slot_segment[vm]
-        del self.save_slot[vm]
-        self.live.discard(vm)
+        del self.owners[vm]
         self.tot -= 1
         self._recompute_mseg()
 
@@ -286,25 +290,26 @@ class ProMem:
             raise ProtocolError(f"entry while vm {cur} is current on cpu {cpu}")
         if vm == HYPERVISOR:
             raise ProtocolError("entry must target a guest VM")
-        if vm not in self.live:
+        if vm not in self.owners:
             raise LifecycleError(f"entry to dead vm {vm}")
-        self.save_slot[HYPERVISOR] = cur
-        self.vmidr[cpu] = self.save_slot[vm]
+        self.owners[HYPERVISOR].save_slot = cur
+        self.vmidr[cpu] = self.owners[vm].save_slot
 
     def vm_exit(self, cpu: int) -> None:
         cur = self.current(cpu)
         if cur == HYPERVISOR:
             raise ProtocolError(f"exit while hypervisor is current on cpu {cpu}")
-        self.save_slot[cur] = cur
-        self.vmidr[cpu] = self.save_slot[HYPERVISOR]
+        self.owners[cur].save_slot = cur
+        self.vmidr[cpu] = self.owners[HYPERVISOR].save_slot
 
     # -- allocation ------------------------------------------------------
 
     def allocate_page(self, vm: int, seq: int = -1) -> AllocResult:
         """The next page of the allocation cascade; after a reclaim, retry once."""
-        if vm not in self.live:
+        owner = self.owners.get(vm)
+        if owner is None:
             raise LifecycleError(f"vm {vm} is not live")
-        heap, mpt, notice = self.open_of[vm], self.mpt, None
+        heap, mpt, notice = owner.open, self.mpt, None
         while True:
             while heap and mpt.get(heap[0]) != vm:
                 heappop(heap)  # released since it was pushed
@@ -316,9 +321,9 @@ class ProMem:
                 self.masks[s] = mask
                 if mask == self.full_mask:
                     heappop(heap)
-                self.pages_of[vm] += 1
+                owner.pages += 1
                 return _new(AllocResult, (s * self.pps + index, notice))
-            s = self._claim(vm)
+            s = self._claim(vm, owner)
             if s is not None:
                 return _new(AllocResult, (s * self.pps, notice))
             assert notice is None, "retry after reclaim must succeed"
@@ -328,44 +333,44 @@ class ProMem:
                 return _new(AllocResult, (None, None))
 
     def _reclaim(self, seq: int) -> ReclaimNotice | None:
-        victim = None
-        worst_excess = 0
-        for vm in sorted(self.live):
-            excess = len(self.segs_of[vm]) - self.mseg
+        owners, victim, worst_excess = self.owners, None, 0
+        for vm in sorted(owners):
+            excess = len(owners[vm].segs) - self.mseg
             if excess > worst_excess:
                 victim, worst_excess = vm, excess
         if victim is None:
             return None
-        slot = self.slot_segment[victim]
-        freed = sorted(nlargest(worst_excess, (s for s in self.segs_of[victim] if s != slot)))
+        slot, segs = owners[victim].slot_segment, owners[victim].segs
+        freed = sorted(nlargest(worst_excess, (s for s in segs if s != slot)))
         swapped = sum(self._release(s) for s in freed)
         notice = ReclaimNotice(seq, victim, worst_excess, tuple(freed), swapped)
         self.notices.append(notice)
         return notice
 
     def free_page(self, vm: int, page: int, seq: int = -1) -> IsolationFault | None:
-        if vm not in self.live:
+        owner = self.owners.get(vm)
+        if owner is None:
             raise LifecycleError(f"vm {vm} is not live")
         if not (0 <= page < self.pages_total):
             raise GeometryError(f"page {page} outside 0..{self.pages_total - 1}")
         s, index = divmod(page, self.pps)
-        owner = self.mpt.get(s)
-        if owner != vm:
-            fault = IsolationFault(seq, -1, vm, s, owner)
+        holder = self.mpt.get(s)
+        if holder != vm:
+            fault = IsolationFault(seq, -1, vm, s, holder)
             self.faults.append(fault)
             return fault
-        if s == self.slot_segment[vm] and index == 0:
+        if s == owner.slot_segment and index == 0:
             raise ProtocolError(f"page 0 of segment {s} hosts the save slot of vm {vm}")
         bit = 1 << index
         mask = self.masks[s]
         if not (mask & bit):
             raise DoubleFreeError(f"segment {s} page {index} is already free")
         self.masks[s] = mask ^ bit
-        self.pages_of[vm] -= 1
-        if mask == bit and s != self.slot_segment[vm]:
+        owner.pages -= 1
+        if mask == bit and s != owner.slot_segment:
             self._release(s)
         elif mask == self.full_mask:
-            heappush(self.open_of[vm], s)
+            heappush(owner.open, s)
         return None
 
     # -- access ----------------------------------------------------------
@@ -382,14 +387,13 @@ class ProMem:
         self.faults.append(fault)
         return fault
 
-    def translate(
-        self, cpu: int, vpage: int, tables: dict[int, dict[int, int]], seq: int = -1
-    ) -> Translation:
-        """Walk the current owner's table in `tables` (owner -> vpage -> page)."""
-        if HYPERVISOR not in self.live:   # current(cpu), without its two calls per access
+    def translate(self, cpu: int, vpage: int, seq: int = -1) -> Translation:
+        """Walk the page table of the owner current on `cpu`."""
+        cur = self.vmidr.get(cpu, HYPERVISOR)   # current(cpu), without its two calls
+        owner = self.owners.get(cur)            # VMIDR only names live owners
+        if owner is None:
             raise ProtocolError("no owner is current before the hypervisor loads")
-        cur = self.vmidr.get(cpu, HYPERVISOR)
-        target = tables[cur].get(vpage)
+        target = owner.table.get(vpage)
         if target is None or not 0 <= target < self.pages_total:
             return _UNMAPPED
         if self.check_owner(cur, target, cpu, seq) is not None:
@@ -404,21 +408,20 @@ class ProMem:
         Each index is checked against a recompute from the MPT and the masks.
         """
         assert set(self.masks) == set(self.mpt), "mask table out of sync with MPT"
-        owners = set(self.mpt.values())
-        assert owners <= self.live, f"segments owned by dead ids: {owners - self.live}"
-        assert self.tot == len(self.live)
+        owners, held = self.owners, set(self.mpt.values())
+        assert held <= owners.keys(), f"segments owned by dead ids: {held - owners.keys()}"
+        assert self.tot == len(owners)
         expected = max(1, self.tseg // self.tot) if self.tot else 0
         assert self.mseg == expected, f"mseg {self.mseg} != {expected}"
-        for vm in self.live:
-            s = self.slot_segment[vm]
+        for vm, owner in owners.items():
+            s = owner.slot_segment
             assert self.mpt.get(s) == vm, f"slot segment {s} not owned by vm {vm}"
             assert self.masks[s] & 1, f"slot page of vm {vm} not reserved"
-        assert set(self.save_slot) == self.live
         for cpu, cur in self.vmidr.items():
-            assert cur in self.live, f"cpu {cpu} current vm {cur} is not live"
+            assert cur in owners, f"cpu {cpu} current vm {cur} is not live"
 
         full = self.full_mask
-        pages = dict.fromkeys(self.live, 0)
+        pages = dict.fromkeys(owners, 0)
         not_full = set()
         for s, vm in self.mpt.items():
             mask = self.masks[s]
@@ -426,22 +429,21 @@ class ProMem:
             pages[vm] += mask.bit_count()
             if mask != full:
                 not_full.add(s)
-        assert self.pages_of == pages, f"pages_of {self.pages_of} != {pages}"
+        assert {vm: o.pages for vm, o in owners.items()} == pages, f"page counts != {pages}"
         assert sorted(self.free) == [s for s in range(self.tseg) if s not in self.mpt], (
             "free heap is not the unowned segments"
         )
-        assert set(self.segs_of) == set(self.open_of) == self.live
-        inverse = {s: vm for vm, segs in self.segs_of.items() for s in segs}
-        assert inverse == self.mpt and len(inverse) == sum(map(len, self.segs_of.values())), (
-            "segs_of is not the MPT by owner"
+        inverse = {s: vm for vm, owner in owners.items() for s in owner.segs}
+        assert inverse == self.mpt and len(inverse) == sum(len(o.segs) for o in owners.values()), (
+            "the owners' segment sets are not the MPT by owner"
         )
         # an open heap may still list segments released since they were pushed,
         # but each segment its owner holds must be listed once iff it is not full
-        listed = [s for vm, heap in self.open_of.items() for s in heap if self.mpt.get(s) == vm]
+        listed = [s for vm, owner in owners.items() for s in owner.open if self.mpt.get(s) == vm]
         assert len(listed) == len(not_full) and not_full == set(listed), (
             f"open heaps list {listed}, not-full segments {not_full}"
         )
-        assert all(map(_is_heap, self.open_of.values())) and _is_heap(self.free), (
+        assert all(_is_heap(o.open) for o in owners.values()) and _is_heap(self.free), (
             "a heap is out of order"
         )
 

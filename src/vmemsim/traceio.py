@@ -264,8 +264,10 @@ def validate(events: list[TraceEvent]) -> None:
                 raise TraceFormatError(
                     f"event seq {ev.seq}: field {name} must be >= 0, got {value}"
                 )
-        if "bus" in EVENT_FIELDS[ev.kind]:
-            try:
+        try:
+            if "bus" in EVENT_FIELDS[ev.kind]:
                 DmaRequest(ev.bus, ev.device, ev.function, 0, False)
-            except OutOfRangeError as exc:
-                raise TraceFormatError(f"event seq {ev.seq}: {exc}") from None
+            if "mode" in EVENT_FIELDS[ev.kind]:
+                _mode(ev.mode)
+        except (OutOfRangeError, ValueError) as exc:
+            raise TraceFormatError(f"event seq {ev.seq}: {exc}") from None

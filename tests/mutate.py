@@ -115,6 +115,30 @@ MUTANTS = (
            "self.tlb.invalidate(guest.asids.values(), vpage)", "pass"),
     Mutant("gpt_write_skips_invalidation", "baselines.py", "BaselineMachine.on_gpt_write",
            "self.tlb.invalidate(guest.asids.values(), ev.vpage)", "pass"),
+    # the segment controller's guards, each read from the owner's record
+    Mutant("promem_alloc_skips_liveness", "promem.py", "ProMem.allocate_page",
+           "if owner is None:\n    raise LifecycleError(f'vm {vm} is not live')", "pass"),
+    Mutant("promem_free_skips_cross_owner_fault", "promem.py", "ProMem.free_page",
+           "holder != vm", "False"),
+    Mutant("promem_free_skips_save_slot_guard", "promem.py", "ProMem.free_page",
+           "s == owner.slot_segment and index == 0", "False"),
+    Mutant("promem_free_skips_double_free_guard", "promem.py", "ProMem.free_page",
+           "not mask & bit", "False"),
+    Mutant("promem_reclaim_tie_goes_to_higher_vm", "promem.py", "ProMem._reclaim",
+           "excess > worst_excess", "excess >= worst_excess"),
+    Mutant("promem_reclaim_takes_slot_segment", "promem.py", "ProMem._reclaim",
+           "s != slot", "True"),
+    Mutant("promem_translate_skips_pre_boot_check", "promem.py", "ProMem.translate",
+           "if owner is None:\n    raise ProtocolError('no owner is current before the "
+           "hypervisor loads')", "pass"),
+    Mutant("promem_check_owner_passes_free_segments", "promem.py", "ProMem.check_owner",
+           "owner == vmid", "owner == vmid or owner is None"),
+    # the page-pool hypervisor's reclaim: the largest other holder's highest page
+    Mutant("baseline_reclaim_takes_lowest_page", "baselines.py",
+           "BaselineMachine._reclaim_one_page", "reversed(guests[victim].held)",
+           "guests[victim].held"),
+    Mutant("baseline_reclaim_takes_smallest_holder", "baselines.py",
+           "BaselineMachine._reclaim_one_page", "-len(guest.held)", "len(guest.held)"),
 )
 
 

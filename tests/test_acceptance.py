@@ -11,6 +11,8 @@ import time
 from collections import deque
 from pathlib import Path
 
+import pytest
+
 from reference_model import RefModel
 from vmemsim.core import CostModel, Geometry
 from vmemsim.engine import RunOptions, run, static_partition_utilization
@@ -21,7 +23,7 @@ from vmemsim.errors import (
     ProtocolError,
 )
 from vmemsim.events import EventKind, TraceEvent
-from vmemsim.promem import ProMem
+from vmemsim.promem import IsolationFault, MemoryFull, ProMem, ReclaimNotice, _Owner
 from vmemsim.traceio import read_trace
 from vmemsim.workload import DemandProfile, WorkloadSpec, generate
 
@@ -236,18 +238,37 @@ MAX_GUESTS = 2
 DEPTH = 12
 
 
+#: the immutable types either model's state holds, which a clone shares
+_LEAVES = frozenset({int, bool, str, type(None), tuple, Geometry,
+                     IsolationFault, MemoryFull, ReclaimNotice})
+
+
 def _clone_value(v):
-    if isinstance(v, dict):
+    """A copy of `v` that shares no mutable state with it.
+
+    Dispatch is on the exact type, so a state type not listed here, a later
+    record or container included, raises instead of being shared between
+    two search states.
+    """
+    t = type(v)
+    if t in _LEAVES:
+        return v
+    if t is dict:
         return {k: _clone_value(x) for k, x in v.items()}
-    if isinstance(v, list):
+    if t is list:
         return [_clone_value(x) for x in v]
-    if isinstance(v, set):
+    if t is set:
         return set(v)
-    return v
+    if t is _Owner:
+        new = object.__new__(_Owner)
+        for name in _Owner.__slots__:
+            setattr(new, name, _clone_value(getattr(v, name)))
+        return new
+    raise TypeError(f"no clone rule for {t.__name__}")
 
 
 def clone_model(obj):
-    """Structural copy; both models keep all mutable state in plain containers."""
+    """Structural copy of a model whose state is in its `__dict__`."""
     new = object.__new__(type(obj))
     new.__dict__.update({k: _clone_value(v) for k, v in obj.__dict__.items()})
     return new
@@ -260,10 +281,10 @@ def pm_snapshot(pm: ProMem):
             (s, tuple(p for p in range(pm.geom.pages_per_segment) if pm.masks[s] >> p & 1))
             for s in sorted(pm.masks)
         ),
-        tuple(sorted(pm.slot_segment.items())),
-        tuple(sorted(pm.save_slot.items())),
+        tuple(sorted((vm, owner.slot_segment) for vm, owner in pm.owners.items())),
+        tuple(sorted((vm, owner.save_slot) for vm, owner in pm.owners.items())),
         tuple(sorted(pm.vmidr.items())),
-        tuple(sorted(pm.live)),
+        tuple(sorted(pm.owners)),
         pm.tot,
         pm.mseg,
         pm.next_vmid,
@@ -354,6 +375,12 @@ def test_criterion_7_exhaustive_oracle_equivalence():
     ref0.load_hypervisor()
     root = pm_snapshot(pm0)
     assert root == ref0.snapshot()
+    probe = clone_model(pm0)         # a clone shares no state with its source
+    probe.allocate_page(0)
+    probe.create_vm()
+    assert pm_snapshot(pm0) == root and pm0.allocated_pages(0) == 1 and pm0.owners[0].open
+    with pytest.raises(TypeError):
+        _clone_value(object())
 
     seen = {root}
     queue = deque([((pm0, ref0), 0)])
@@ -410,13 +437,13 @@ def test_criterion_8_mseg_arithmetic():
             # entry/exit round trip restores the register file exactly
             vm = rng.choice(guests)
             before_vmidr = dict(pm.vmidr)
-            before_slots = dict(pm.save_slot)
+            before_slots = {v: owner.save_slot for v, owner in pm.owners.items()}
             pm.vm_entry(0, vm)
             assert pm.current(0) == vm
             pm.vm_exit(0)
             assert pm.current(0) == 0
             assert dict(pm.vmidr) == before_vmidr
-            assert dict(pm.save_slot) == before_slots
+            assert {v: owner.save_slot for v, owner in pm.owners.items()} == before_slots
         assert pm.tot == len(pm.live)
         assert pm.mseg == max(1, geom.total_segments // pm.tot)
     print("PASS: criterion 8 mseg tracks max(1, tseg//tot) across 10k lifecycle steps")

@@ -164,6 +164,11 @@ MALFORMED = {
         trace((E.HW_SET, {"page": TINY.pages_total, "mode": "locked"})),
         {"hyperwall": "event seq 1: page 32 outside the geometry"},
     ),
+    # a mode token the parser would reject, in a trace built in code
+    "hw_set_unknown_mode": (
+        trace((E.HW_SET, {"page": 0, "mode": "bogus"})),
+        {"hyperwall": "event seq 1: unknown protection mode 'bogus'"},
+    ),
     "negative_free_vaddr": (
         trace((E.CREATE_VM, {"vm": 1}), (E.FREE, {"vm": 1, "vaddr": -256})),
         "event seq 2: negative vaddr -256",
@@ -232,7 +237,7 @@ def test_asmi_invariant_check_can_fail():
     for event in trace((E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1})):
         step(machine, event)
     machine.check_invariants()
-    del machine.next_vpage[1]          # a live guest loses its vpage counter
+    machine.pm.owners[1].pages += 1    # a live guest's page count drifts from the MPT
     with pytest.raises(AssertionError):
         machine.check_invariants()
 
@@ -1000,6 +1005,21 @@ def test_hw_set_by_non_owner_is_denied():
     assert rep.counters.hw_set_denied == 1
 
 
+def test_hw_set_checks_its_mode_after_the_page_and_before_the_owner():
+    def stop(*events):
+        with pytest.raises(SimulationError) as info:
+            run(trace(*events), "hyperwall", TINY, options=opts())
+        return str(info.value)
+
+    bogus = {"mode": "bogus"}
+    assert stop((E.HW_SET, {"page": TINY.pages_total, **bogus})) == (
+        "event seq 1: page 32 outside the geometry")
+    # vm 2 may not set vm 1's page, yet the unknown token stops the replay first
+    assert stop((E.CREATE_VM, {"vm": 1}), (E.CREATE_VM, {"vm": 2}), (E.ALLOC, {"vm": 1}),
+                (E.ENTER, {"vm": 2}), (E.HW_SET, {"page": 0, **bogus})) == (
+        "event seq 5: unknown protection mode 'bogus'")
+
+
 def test_unassigned_device_dma_faults_under_asmi():
     t = trace(
         (E.CREATE_VM, {"vm": 1}),
@@ -1186,7 +1206,7 @@ FUZZ_GEOM = Geometry(256, 2, 4)
 _SMALL = st.integers(-1, 6)
 _FIELDS = {
     "vaddr": st.integers(-8, 2048), "dva": st.integers(-8, 2048),
-    "write": st.booleans(), "mode": st.sampled_from([m.value for m in PageMode]),
+    "write": st.booleans(), "mode": st.sampled_from([m.value for m in PageMode] + ["bogus"]),
 }
 
 
@@ -1225,6 +1245,7 @@ def test_replay_raises_nothing_but_sim_errors(events):
 
 
 _STOP = re.compile(r"event seq (\d+)")
+_MODE_TOKENS = {m.value for m in PageMode}
 
 
 def _modes_that_may_differ(events) -> set[str]:
@@ -1235,8 +1256,9 @@ def _modes_that_may_differ(events) -> set[str]:
         differ.add("iommu")        # a raw-target DMA is a mode error
     if E.RMAP_WRITE in kinds:
         differ.add("asmi")         # no real map: an rmap_write naming a dead VM replays on
-    if any(ev.kind is E.HW_SET and not 0 <= ev.page < FUZZ_GEOM.pages_total for ev in events):
-        differ.add("hyperwall")    # the only mode that reads an hw_set page
+    if any(ev.kind is E.HW_SET and (not 0 <= ev.page < FUZZ_GEOM.pages_total
+                                    or ev.mode not in _MODE_TOKENS) for ev in events):
+        differ.add("hyperwall")    # the only mode that reads an hw_set page or mode
     return differ
 
 

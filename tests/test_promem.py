@@ -50,8 +50,13 @@ def test_boot_state_is_empty():
     assert not pm.hypervisor_loaded()
     assert pm.tot == 0 and pm.mseg == 0
     assert len(pm.free) == 8
-    with pytest.raises(ProtocolError):
-        pm.current(0)
+    assert pm.owners == {} and not pm.live
+    # every path that reads VMIDR refuses to run before an owner is current
+    for probe in (lambda: pm.current(0), lambda: pm.translate(0, 0),
+                  lambda: pm.vm_entry(0, 1), lambda: pm.vm_exit(0)):
+        with pytest.raises(ProtocolError) as info:
+            probe()
+        assert str(info.value) == "no owner is current before the hypervisor loads"
     with pytest.raises(LifecycleError):
         pm.create_vm()
 
@@ -131,10 +136,10 @@ def test_entry_exit_round_trip():
     assert pm.current(0) == 0
     pm.vm_entry(0, 1)
     assert pm.current(0) == 1
-    assert pm.save_slot[0] == 0
+    assert pm.owners[0].save_slot == 0
     pm.vm_exit(0)
     assert pm.current(0) == 0
-    assert pm.save_slot[1] == 1
+    assert pm.owners[1].save_slot == 1
 
 
 def test_vmidr_is_per_cpu():
@@ -170,7 +175,7 @@ def test_entry_exit_many_round_trips_preserve_ids():
         pm.vm_exit(0)
         pm.vm_entry(0, 2)
         pm.vm_exit(0)
-    assert pm.save_slot == {0: 0, 1: 1, 2: 2}
+    assert {vm: owner.save_slot for vm, owner in pm.owners.items()} == {0: 0, 1: 1, 2: 2}
     assert pm.current(0) == 0
 
 
@@ -251,7 +256,24 @@ def test_reclaim_never_touches_slot_segments():
     assert notice.segments == (2, 3)
     assert notice.pages_swapped == 5
     assert pm.owned_segments(1) == [1]           # slot segment survives
-    assert pm.slot_segment[2] == 2
+    assert pm.owners[2].slot_segment == 2
+    pm.check_invariants()
+
+
+def test_reclaim_skips_a_slot_segment_above_the_victims_others():
+    pm, _ = booted(Geometry(256, 2, 4), vms=1)   # hyp=seg0, vm1=seg1
+    for _ in range(4):
+        pm.allocate_page(0)       # hyp fills seg0 and seg2, starts seg3
+    pm.create_vm()                # reclaims hyp's 2 and 3; vm2's slot segment is 2
+    pm.destroy_vm(1)
+    pm.allocate_page(2)
+    assert pm.allocate_page(2).page == 2    # page 0 of segment 1, below vm2's slot segment
+    pm.create_vm()                # vm3 takes seg3
+    pm.allocate_page(3)
+    got = pm.allocate_page(3)     # nothing free: vm2 is the only owner over quota
+    assert got.reclaim.victim == 2 and got.reclaim.segments == (1,)
+    assert got.page == 2
+    assert pm.owned_segments(2) == [2] and pm.owners[2].slot_segment == 2
     pm.check_invariants()
 
 
@@ -343,26 +365,31 @@ def _indexed():
     pm, _ = booted(vms=2)
     for _ in range(5):
         pm.allocate_page(1)
-    assert pm.owned_segments(1) == [1, 3] and pm.open_of[1] == [3]
+    assert pm.owned_segments(1) == [1, 3] and pm.owners[1].open == [3]
     assert pm.allocated_pages(1) == 6 and pm.segment_count(1) == 2
     return pm
 
 
 def _bump_pages(pm):
-    pm.pages_of[1] += 1
+    pm.owners[1].pages += 1
+
+
+def _move_slot(pm):
+    pm.owners[1].slot_segment = 2
 
 
 INDEX_CORRUPTIONS = {
     "free heap misses a free segment": lambda pm: pm.free.pop(),
     "free heap lists an owned segment": lambda pm: heappush(pm.free, 1),
     "free heap out of order": lambda pm: pm.free.reverse(),
-    "segs_of misses an owned segment": lambda pm: pm.segs_of[1].discard(3),
-    "segs_of lists a foreign segment": lambda pm: pm.segs_of[1].add(2),
-    "pages_of off by one": _bump_pages,
-    "open heap misses a non-full segment": lambda pm: pm.open_of[1].clear(),
-    "open heap lists a full segment": lambda pm: heappush(pm.open_of[1], 1),
-    "open heap repeats a segment": lambda pm: heappush(pm.open_of[1], 3),
-    "open heap out of order": lambda pm: pm.open_of[1].insert(0, 5),
+    "segment set misses an owned segment": lambda pm: pm.owners[1].segs.discard(3),
+    "segment set lists a foreign segment": lambda pm: pm.owners[1].segs.add(2),
+    "page count off by one": _bump_pages,
+    "slot segment held by another owner": _move_slot,
+    "open heap misses a non-full segment": lambda pm: pm.owners[1].open.clear(),
+    "open heap lists a full segment": lambda pm: heappush(pm.owners[1].open, 1),
+    "open heap repeats a segment": lambda pm: heappush(pm.owners[1].open, 3),
+    "open heap out of order": lambda pm: pm.owners[1].open.insert(0, 5),
 }
 
 
@@ -380,10 +407,10 @@ def test_open_heap_drops_released_segments_and_reuses_holes():
     pm = _indexed()
     pm.free_page(1, page(3, 1))
     pm.free_page(1, page(3, 0))              # segment 3 empties and is released
-    assert pm.mpt.get(3) is None and pm.open_of[1] == [3]   # stale until popped
+    assert pm.mpt.get(3) is None and pm.owners[1].open == [3]   # stale until popped
     pm.free_page(1, page(1, 2))              # full slot segment gets a hole
     assert pm.allocate_page(1).page == page(1, 2)
-    assert pm.open_of[1] == [3]              # the filled segment left the heap
+    assert pm.owners[1].open == [3]          # the filled segment left the heap
     assert pm.allocate_page(1).page == page(3, 0)   # stale entry dropped, 3 claimed again
     assert sorted(pm.free) == [4, 5, 6, 7]
     pm.check_invariants()
@@ -517,21 +544,22 @@ def test_translate_success_fault_and_isolation():
     pm.vm_entry(0, 1)
     own_page = pm.allocate_page(1).page
     # only the current owner's table is walked: vpage 2 is mapped in vm 2's
-    tables = {1: {0: own_page, 1: 0, 3: TINY.pages_total}, 2: {2: page(2, 0)}}
-    ok = pm.translate(0, 0, tables)
+    pm.owners[1].table.update({0: own_page, 1: 0, 3: TINY.pages_total})
+    pm.owners[2].table[2] = page(2, 0)
+    ok = pm.translate(0, 0)
     assert ok.fault is None
     assert (ok.walks, ok.checks) == (1, 1)
 
-    cross = pm.translate(0, 1, tables, seq=8)
+    cross = pm.translate(0, 1, seq=8)
     assert cross.fault == ISOLATION_FAULT
     assert (cross.walks, cross.checks) == (1, 1)
     assert pm.faults[-1].segment == 0
 
-    miss = pm.translate(0, 2, tables)
+    miss = pm.translate(0, 2)
     assert miss.fault == PAGE_FAULT
     assert (miss.walks, miss.checks) == (1, 0)
 
-    wild = pm.translate(0, 3, tables)
+    wild = pm.translate(0, 3)
     assert wild.fault == PAGE_FAULT   # target outside the geometry
     assert len(pm.faults) == 1
 
@@ -550,10 +578,10 @@ def pm_snapshot(pm: ProMem):
             (s, tuple(p for p in range(pm.geom.pages_per_segment) if pm.masks[s] >> p & 1))
             for s in sorted(pm.masks)
         ),
-        tuple(sorted(pm.slot_segment.items())),
-        tuple(sorted(pm.save_slot.items())),
+        tuple(sorted((vm, owner.slot_segment) for vm, owner in pm.owners.items())),
+        tuple(sorted((vm, owner.save_slot) for vm, owner in pm.owners.items())),
         tuple(sorted(pm.vmidr.items())),
-        tuple(sorted(pm.live)),
+        tuple(sorted(pm.owners)),
         pm.tot,
         pm.mseg,
         pm.next_vmid,

@@ -245,8 +245,8 @@ def _outcomes():
     assert results[-1] == (None, None) and results[-2].reclaim is not None
     for result in results:
         yield (*alloc, result)
-    tables = {0: {0: 0, 1: 16, 2: 4}}           # the hypervisor's page, no page, vm 1's
-    outcomes = [pm.translate(0, vpage, tables) for vpage in (0, 1, 2, 3)]
+    pm.owners[0].table.update({0: 0, 1: 16, 2: 4})   # the hypervisor's page, no page, vm 1's
+    outcomes = [pm.translate(0, vpage) for vpage in (0, 1, 2, 3)]
     assert [t.fault for t in outcomes] == [None, "page_fault", "isolation_fault", "page_fault"]
     for result in outcomes:
         yield (*tr, result)

@@ -176,6 +176,17 @@ def test_validate_rejects_device_coordinates_out_of_range():
                 validate([TraceEvent(seq=3, bus=bus, device=device, function=function, **fields)])
 
 
+def test_validate_rejects_an_unknown_protection_mode():
+    for mode in PageMode:
+        validate([TraceEvent(1, EventKind.HW_SET, page=0, mode=mode.value)])
+    with pytest.raises(TraceFormatError) as info:
+        validate([TraceEvent(4, EventKind.HW_SET, page=0, mode="bogus")])
+    assert str(info.value) == (
+        "event seq 4: unknown protection mode 'bogus'; "
+        "known: hyp_denied, hyp_dma, hyp_only, locked"
+    )
+
+
 # ---------------------------------------------------------------------------
 # the one-step parser against the field-by-field reference
 # ---------------------------------------------------------------------------
