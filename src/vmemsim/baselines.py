@@ -544,7 +544,7 @@ class BaselineMachine(_Machine):
     def sample(self, event_index: int) -> None:
         for vm in sorted(self.guests):
             self.report.utilization.append(
-                UtilSample(event_index, vm, 0, len(self.guests[vm].backing))
+                _new(UtilSample, (event_index, vm, 0, len(self.guests[vm].backing)))
             )
 
     def finalize(self) -> None:

@@ -156,8 +156,7 @@ def _csv_row(name: str, report: MetricsReport, geom: Geometry) -> list:
         name, report.mode, report.events, report.total_cycles,
         *(getattr(report.counters, n) for n in COUNTER_NAMES),
         *report.ledger_counts().values(),
-        f"{report.mean_segment_utilization(geom):.6f}",
-        f"{report.mean_page_utilization(geom):.6f}",
+        *(f"{mean:.6f}" for mean in report.mean_utilization(geom)),
     ]
 
 
@@ -197,32 +196,34 @@ def _open_outputs(args, cfg, inputs: list[str]):
         fh.close()
 
 
-def _write_csv(fh, header, rows) -> None:
+def _csv_line(cells) -> str:
+    """`cells` as the csv module writes them as a line of a file, line end included."""
     import csv
 
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    # `writerow` returns what its file's `write` returns: here the line itself
+    return csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow(cells)
 
 
 def _write_outputs(files, reports: dict[tuple[str, str], MetricsReport], geom: Geometry,
                    json_parts) -> None:
     """Write the reports into the open output files of `_open_outputs`.
 
-    Each file is written a row or a piece at a time, as it is made, so no
-    file's whole text is ever held.  `json_parts()` yields the pieces of the
-    JSON document; it is called only for --json-out.
+    Each file is written a row or a report at a time, so no file's whole text
+    is ever held.  The csv module quotes the --out rows, the header and each
+    report's `trace,mode` prefix; a --util-out row is that prefix and four ints.
+    `json_parts()`, called only for --json-out, yields one report's `to_json` at a time.
     """
     if "out" in files:
-        rows = (_csv_row(name, rep, geom) for (name, _), rep in reports.items())
-        _write_csv(files["out"], CSV_COLUMNS, rows)
+        files["out"].write(_csv_line(CSV_COLUMNS))
+        files["out"].writelines(_csv_line(_csv_row(name, rep, geom))
+                                for (name, _), rep in reports.items())
     if "util_out" in files:
-        rows = (
-            [name, rep.mode, u.event_index, u.owner, u.segments, u.pages]
-            for (name, _), rep in reports.items()
-            for u in rep.utilization
-        )
-        _write_csv(files["util_out"], UTIL_COLUMNS, rows)
+        fh = files["util_out"]
+        fh.write(_csv_line(UTIL_COLUMNS))
+        for (name, _), rep in reports.items():
+            prefix = _csv_line((name, rep.mode))[:-1]
+            fh.write("".join([f"{prefix},{index},{owner},{segments},{pages}\n"
+                              for index, owner, segments, pages in rep.utilization]))
     if "json_out" in files:
         files["json_out"].writelines(json_parts())
         files["json_out"].write("\n")
@@ -235,10 +236,7 @@ def _summary(name: str, report: MetricsReport, geom: Geometry, verbosity: int) -
         "  faults isolation={} violations={} dma={} denials={} memory_full={} reclaims={}".format(
             *report.ledger_counts().values()
         ),
-        "  utilization segments={:.4f} pages={:.4f}".format(
-            report.mean_segment_utilization(geom),
-            report.mean_page_utilization(geom),
-        ),
+        "  utilization segments={:.4f} pages={:.4f}".format(*report.mean_utilization(geom)),
     ]
     if verbosity >= 1:
         counters = "  ".join(

@@ -59,7 +59,8 @@ Only `vmemsim run` and `compare` load this module and `promem`; `gen`,
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Collection, Iterable
+from collections.abc import Callable, Collection, Iterable
+from functools import cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -145,6 +146,7 @@ class Counters:
 #: where each kind's cycles and the total saturate
 _SAT = (1 << 64) - 1
 _PSWITCH = EventKind.PSWITCH  # an Enum class attribute is a Python-level lookup on each use
+_new = tuple.__new__  # a namedtuple's own constructor, without its Python __new__ frame
 
 
 def _ignore(machine: _Machine, ev: TraceEvent) -> None:
@@ -172,7 +174,31 @@ class UtilSample(NamedTuple):
     pages: int
 
 
+@cache
+def _json_writer(cls: type) -> Callable[[list], str]:
+    """`write(records)`, compiled on first use: a list of `cls` records as `json.dumps`
+    writes their `_asdict()`s, key-sorted and compact, less the brackets.
+
+    Each record is one f-string with the keys in sorted order, with no call
+    and no dict.  An int is written inline; any other value (str, None, a
+    reclaim's `segments` tuple) goes through the json module's encoder.
+    """
+    import json
+
+    values = [f"v{i}" for i in range(len(cls._fields))]
+    items = ",".join(f"{json.dumps(name)}:{{{v} if type({v}) is int else enc({v})}}"
+                     for name, v in sorted(zip(cls._fields, values)))
+    scope = {"enc": json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode}
+    exec(f"def write(records):\n    return ','.join([f'{{{{{items}}}}}' "
+         f"for {', '.join(values)}, in records])\n", scope)
+    return scope["write"]
+
+
 class MetricsReport:
+    """What one replay of one trace under one mode produced.  `to_dict` is its dict,
+    each record through `_asdict()`; `to_json` writes that dict's key-sorted,
+    compact JSON straight from the records, through their classes' `_json_writer`s."""
+
     def __init__(self, mode: str) -> None:
         self.mode = mode
         self.events = 0
@@ -214,22 +240,42 @@ class MetricsReport:
         }
 
     def to_json(self) -> str:
+        """`json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))`, byte for byte."""
         import json  # here, not at the top: only --json-out writes JSON
 
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-    def _mean_utilization(self, attr: str, capacity: int) -> float:
-        """Mean over sample points of (`attr` summed over owners / capacity)."""
-        points = {row.event_index for row in self.utilization}
+        def obj(parts: dict[str, str]) -> str:
+            return "{" + ",".join(f"{encode(k)}:{parts[k]}" for k in sorted(parts)) + "}"
+
+        def array(records: list) -> str:
+            return f"[{_json_writer(type(records[0]))(records)}]" if records else "[]"
+
+        return obj({
+            "mode": encode(self.mode),
+            "events": encode(self.events),
+            "total_cycles": encode(self.total_cycles),
+            "cycles_by_kind": encode(self.cycles_by_kind),
+            "counters": encode({name: getattr(self.counters, name) for name in COUNTER_NAMES}),
+            "ledgers": obj({name: array(getattr(self, name)) for name in LEDGERS}),
+            "utilization": array(self.utilization),
+            "final_segments": encode({str(k): v for k, v in self.final_segments.items()}),
+            "final_pages": encode({str(k): v for k, v in self.final_pages.items()}),
+        })
+
+    def mean_utilization(self, geom: Geometry) -> tuple[float, float]:
+        """The means over sample points of the segments and of the pages summed over
+        owners, each over the pool's capacity, in one pass: a point's rows are adjacent."""
+        points = segments = pages = 0
+        last = None
+        for index, _, s, p in self.utilization:
+            if index != last:
+                points, last = points + 1, index
+            segments += s
+            pages += p
         if not points:
-            return 0.0
-        return sum(getattr(row, attr) for row in self.utilization) / (len(points) * capacity)
-
-    def mean_segment_utilization(self, geom: Geometry) -> float:
-        return self._mean_utilization("segments", geom.total_segments)
-
-    def mean_page_utilization(self, geom: Geometry) -> float:
-        return self._mean_utilization("pages", geom.pages_total)
+            return 0.0, 0.0
+        return segments / (points * geom.total_segments), pages / (points * geom.pages_total)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +571,7 @@ class AsmiMachine(_Machine):
         pm = self.pm
         for vm in sorted(pm.live):
             self.report.utilization.append(
-                UtilSample(event_index, vm, pm.segment_count(vm), pm.allocated_pages(vm))
+                _new(UtilSample, (event_index, vm, pm.segment_count(vm), pm.allocated_pages(vm)))
             )
 
     def finalize(self) -> None:
@@ -629,8 +675,7 @@ class ComparisonReport:
             (
                 name, mode, str(rep.total_cycles),
                 *(str(n) for n in rep.ledger_counts().values()),
-                f"{rep.mean_segment_utilization(self.geom):.4f}",
-                f"{rep.mean_page_utilization(self.geom):.4f}",
+                *(f"{mean:.4f}" for mean in rep.mean_utilization(self.geom)),
             )
             for (name, mode), rep in self.reports.items()
         ]

@@ -139,6 +139,17 @@ MUTANTS = (
            "guests[victim].held"),
     Mutant("baseline_reclaim_takes_smallest_holder", "baselines.py",
            "BaselineMachine._reclaim_one_page", "-len(guest.held)", "len(guest.held)"),
+    # the report writers: key-sorted JSON records, json-encoded non-int values,
+    # --util-out's column order, and means over sample points, not rows
+    Mutant("json_writer_keys_in_field_order", "engine.py", "_json_writer",
+           "sorted(zip(cls._fields, values))", "zip(cls._fields, values)"),
+    Mutant("json_writer_renders_values_with_str", "engine.py", "_json_writer",
+           "json.JSONEncoder(sort_keys=True, separators=(',', ':')).encode", "str"),
+    Mutant("util_out_swaps_segments_and_pages", "cli.py", "_write_outputs",
+           "f'{prefix},{index},{owner},{segments},{pages}\\n'",
+           "f'{prefix},{index},{owner},{pages},{segments}\\n'"),
+    Mutant("mean_utilization_divides_by_rows", "engine.py", "MetricsReport.mean_utilization",
+           "index != last", "True"),
 )
 
 

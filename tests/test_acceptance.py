@@ -219,7 +219,7 @@ def test_criterion_6_utilization_beats_static_partition():
     )
     trace = generate(spec, geom)
     rep = run(trace, "asmi", geom)
-    dynamic = rep.mean_segment_utilization(geom)
+    dynamic, _ = rep.mean_utilization(geom)
     static = static_partition_utilization(trace, geom)
     static_mean = sum(static) / len(static)
     assert dynamic > static_mean

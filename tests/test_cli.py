@@ -1,6 +1,7 @@
 """End-to-end command line flows driven through main(argv)."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -222,6 +223,22 @@ def test_compare_json_is_the_key_sorted_object_of_every_report(tmp_path, capsys,
     want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     assert json_out.read_bytes() == want.encode()
     assert '"q\\"\\u00e9/asmi"' in want and len(payload) == 3 * (2 if modes else len(MODES))
+
+
+def test_util_out_quotes_a_trace_stem_as_the_csv_module_does(tmp_path):
+    path = tmp_path / 'a,"b.trace'
+    path.write_bytes((FIXTURES / "cross_vm_dma.trace").read_bytes())
+    util_out = tmp_path / "util.csv"
+    argv = ["compare", "--geometry", "256x4x8", "--trace", str(path), "--util-out", str(util_out)]
+    assert run_cli(*argv) == 0
+    result = compare([('a,"b', read_trace(str(path)))], MODES, Geometry(256, 4, 8))
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(UTIL_COLUMNS)
+    writer.writerows([name, mode, *u] for (name, mode), rep in result.reports.items()
+                     for u in rep.utilization)
+    assert util_out.read_bytes() == want.getvalue().encode()
+    assert '\n"a,""b",asmi,' in want.getvalue()
 
 
 def test_attack_subcommand(tmp_path, capsys):

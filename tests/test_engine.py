@@ -2,6 +2,7 @@
 
 import gc
 import heapq
+import json
 import re
 import tracemalloc
 import weakref
@@ -24,10 +25,12 @@ from vmemsim.core import CostModel, Geometry
 from vmemsim.engine import (
     MODES,
     AsmiMachine,
+    DmaFault,
     MetricsReport,
     RunOptions,
     canonical_mode,
     compare,
+    _json_writer,
     machine_class,
     run,
     static_partition_utilization,
@@ -1170,6 +1173,43 @@ def test_report_json_shape():
         "denials", "memory_full", "reclaims",
     }
     assert all(isinstance(k, str) for k in data["final_pages"])
+
+
+#: every DmaFault reason: a page outside the pool, a device no domain_assign
+#: named, and iommu's three remapping faults
+DMA_FAULT_REASONS = {"range", "unassigned_device", "no_root", "no_context", "no_mapping"}
+
+
+def test_to_json_is_json_dumps_of_to_dict_with_every_ledger_filled():
+    traces = [read_trace(str(path)) for path in sorted(FIXTURES.glob("*.trace"))]
+    traces += [all_kinds_trace(0x5EED, 700, TINY), all_kinds_trace(5, 700, TINY),
+               all_kinds_trace(0xC0FFEE, 700, TINY, raw_dma=False)]
+    seen = set()
+    for events in traces:
+        for mode in MODES:
+            try:
+                rep = run(events, mode, TINY)
+            except ModeError:  # iommu cannot interpret a raw-target DMA
+                continue
+            assert rep.to_json() == json.dumps(rep.to_dict(), sort_keys=True,
+                                               separators=(",", ":")), mode
+            seen |= {"denial owner None" for d in rep.denials if d.owner is None}
+            seen |= {"isolation fault owner None" for f in rep.isolation_faults
+                     if f.owner is None}
+            seen |= {"violation vm -1" for v in rep.violations if v.vm == -1}
+            seen |= {"reclaim"} if rep.reclaims else set()
+            seen |= {"memory full"} if rep.memory_full else set()
+            seen |= {f.reason for f in rep.dma_faults}
+    assert seen == {"denial owner None", "isolation fault owner None", "violation vm -1",
+                    "reclaim", "memory full", *DMA_FAULT_REASONS}
+
+
+def test_json_writer_renders_each_value_as_json_dumps_does():
+    records = [DmaFault(0, -1, 2**70, 3, 4, 'q"\u00e9\n\\'), DmaFault(True, 0, 0, 0, 0.5, None),
+               DmaFault(1, 2, 3, 4, 5, (6, "x"))]
+    want = json.dumps([r._asdict() for r in records], sort_keys=True, separators=(",", ":"))
+    assert f"[{_json_writer(DmaFault)(records)}]" == want
+    assert _json_writer(DmaFault)([]) == ""
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Each (trace, option set) pair is replayed through `compare` under all
 five modes; the digest of every `MetricsReport.to_json()`, of every
-`run -vv` summary (the one output that prints each ledger record) and
-of the comparison table is pinned in golden_digests.json.  A refactor of the
+`run -vv` summary (the one output that prints each ledger record), of
+the comparison table and of the `--out` and `--util-out` CSV text is
+pinned in golden_digests.json.  A refactor of the
 engine must leave every digest unchanged.  `iommu` cannot interpret a
 raw-target DMA, so on traces that hold one its pinned outcome is the
 ModeError text instead of a digest.
@@ -15,12 +16,13 @@ Re-record (only for a deliberate behaviour change):
 
 import copy
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from vmemsim.cli import _summary
+from vmemsim.cli import _summary, _write_outputs
 from vmemsim.core import FLUSH_POLICY, NO_DMA, RAW_DMA, Geometry
 from vmemsim.engine import MODES, RunOptions, compare, run
 from vmemsim.errors import ModeError
@@ -151,7 +153,7 @@ def _sha(text: str) -> str:
 
 
 def digests(events: list[TraceEvent], geom: Geometry, options: RunOptions) -> dict[str, str]:
-    """Digest per mode report, per `run -vv` summary and of the table.
+    """Digest per mode report, per `run -vv` summary, of the table and of each CSV.
 
     Where a mode refuses the trace, its ModeError text is pinned instead.
     """
@@ -164,6 +166,10 @@ def digests(events: list[TraceEvent], geom: Geometry, options: RunOptions) -> di
         out[mode] = _sha(rep.to_json())
         out[f"{mode}/vv"] = _sha(_summary("trace", rep, geom, 2))
     out["table"] = _sha(result.to_table())
+    files = {"out": io.StringIO(), "util_out": io.StringIO()}
+    _write_outputs(files, result.reports, geom, None)
+    for key, fh in files.items():
+        out[key] = _sha(fh.getvalue())
     if raw:
         with pytest.raises(ModeError) as info:
             run(events, "iommu", geom, options=options)
