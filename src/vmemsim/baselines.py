@@ -33,9 +33,11 @@ The page-pool hypervisor that drives these structures is here too:
 `IommuMachine` and `HyperwallMachine` subclass it.  `engine.run` loads
 this module on a baseline mode's first run, so an `asmi` replay and the
 commands that only write or check traces never compile it.  The machines
-call `nested_translate`, `shadow_translate`, `shadow_update_vpage`,
+call `nested_translate` (on a vTLB miss only), `shadow_update_vpage`,
 `shadow_update_ppage` and `iommu_dma_translate` as globals of this module,
-where a patched name is the one they call.
+where a patched name is the one they call.  A handler reads a vTLB hit and
+walks a shadow entry inline, so `VirtualTlb.lookup` and `shadow_translate`,
+like `ProMem.translate` under `asmi`, are no longer called per access.
 
 The machines and walk functions keep `engine._Machine`'s hot-path rules.
 """
@@ -494,7 +496,7 @@ class BaselineMachine(_Machine):
         if vm == HYPERVISOR:
             page, walks = guest.gpt.get(vpage), 1
         else:
-            page = self.tlb.lookup(guest.asid, vpage)
+            page = self.tlb.entries.get((guest.asid, vpage))
             if page is not None:
                 t.tlb_hits += 1
                 walks = 0
@@ -608,11 +610,11 @@ class ShadowMachine(BaselineMachine):
         vpage = ev.vaddr // self.page_size_bytes
         vm = self.current.get(ev.cpu, HYPERVISOR)
         guest = self.guests[vm]
-        if vm == HYPERVISOR:
-            page, walks = guest.gpt.get(vpage), 1
-        else:
-            page, walks = shadow_translate(vpage, guest.gpt, guest.rmap)
-        self.tally[ev.kind._value_].walk_steps += walks
+        # one walk either way: the hypervisor's table maps straight to physical pages
+        page = guest.gpt.get(vpage)
+        if vm != HYPERVISOR and page is not None:
+            page = guest.rmap.get(page)
+        self.tally[ev.kind._value_].walk_steps += 1
         if page is None or not 0 <= page < self.pages_total:
             c.page_faults += 1
             return
@@ -708,7 +710,7 @@ class HyperwallMachine(BaselineMachine):
         if vm == HYPERVISOR:
             page, walks = guest.gpt.get(vpage), 1
         else:
-            page = self.tlb.lookup(guest.asid, vpage)
+            page = self.tlb.entries.get((guest.asid, vpage))
             if page is not None:
                 t.tlb_hits += 1
                 walks = 0

@@ -87,13 +87,7 @@ from .errors import (
     SimulationError,
 )
 from .events import MAX_BUS, MAX_DEVICE, MAX_FUNCTION, DmaRequest, EventKind, TraceEvent
-from .promem import (
-    IsolationFault,
-    MemoryFull,
-    PAGE_FAULT,
-    ProMem,
-    ReclaimNotice,
-)
+from .promem import IsolationFault, MemoryFull, ProMem, ReclaimNotice
 
 # ---------------------------------------------------------------------------
 # report
@@ -350,7 +344,9 @@ class _Machine:
     `.value` and hashing an `Enum` run Python code; Enum members come from
     module constants; records are shared or built by `tuple.__new__`, not by a
     namedtuple's Python `__new__`; liveness and bounds are checked inline.
-    The traced hooks (`ProMem`'s methods, the vTLB's, the walks) stay calls.
+    A CPU access is inline in its handler, one frame: a vTLB hit, a shadow
+    walk, and `asmi`'s walk and ownership check.  Only a vTLB miss's walk and
+    insert, and `check_owner` on a blocked `asmi` access, are calls.
     """
 
     live: Collection[int]
@@ -531,16 +527,23 @@ class AsmiMachine(_Machine):
             del table[vpage]
 
     def on_read(self, ev: TraceEvent) -> None:
+        """One frame per access: `ProMem.translate`'s walk and ownership check, inline.
+        Only a blocked access calls `check_owner`, which records its fault."""
         c = self.report.counters
         if ev.vaddr < 0:
             raise self.err(ev, f"negative vaddr {ev.vaddr}")
-        tr = self.pm.translate(ev.cpu, ev.vaddr // self.page_size_bytes, ev.seq)
         c.cpu_accesses += 1
         t = self.tally[ev.kind._value_]
-        t.walk_steps += tr.walks
-        t.mpt_checks += tr.checks
-        if tr.fault == PAGE_FAULT:
+        t.walk_steps += 1
+        pm = self.pm
+        cur = pm.vmidr.get(ev.cpu, HYPERVISOR)  # VMIDR names only live owners
+        target = self.live[cur].table.get(ev.vaddr // self.page_size_bytes)
+        if target is None or not 0 <= target < self.pages_total:
             c.page_faults += 1
+            return
+        t.mpt_checks += 1
+        if pm.mpt.get(target // pm.pps) != cur:  # a free segment has no entry
+            pm.check_owner(cur, target, ev.cpu, ev.seq)
 
     on_write = on_read
 

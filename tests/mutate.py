@@ -36,6 +36,7 @@ SRC = ROOT / "src" / "vmemsim"
 SUBSET = (
     "tests/test_golden.py", "tests/test_engine.py", "tests/test_baselines.py",
     "tests/test_records.py", "tests/test_attacks.py", "tests/test_promem.py",
+    "tests/test_metamorphic.py",
 )
 
 #: seconds one subset run may take before its mutant counts as killed by a hang
@@ -133,6 +134,50 @@ MUTANTS = (
            "hypervisor loads')", "pass"),
     Mutant("promem_check_owner_passes_free_segments", "promem.py", "ProMem.check_owner",
            "owner == vmid", "owner == vmid or owner is None"),
+    # the CPU access path, inline in each handler: asmi's ownership check and
+    # range check, the vTLB hit's key, the shadow walk's real-map step, each
+    # mode's vpage arithmetic, and the cpu a CPU violation records
+    Mutant("asmi_read_passes_foreign_segments", "engine.py", "AsmiMachine.on_read",
+           "pm.mpt.get(target // pm.pps) != cur", "False"),
+    Mutant("asmi_read_skips_lower_bound", "engine.py", "AsmiMachine.on_read",
+           "not 0 <= target < self.pages_total", "not target < self.pages_total"),
+    Mutant("nested_vtlb_hit_ignores_asid", "baselines.py", "BaselineMachine.on_read",
+           "(guest.asid, vpage)", "(0, vpage)"),
+    Mutant("hyperwall_vtlb_hit_ignores_asid", "baselines.py", "HyperwallMachine.on_read",
+           "(guest.asid, vpage)", "(0, vpage)"),
+    Mutant("shadow_read_skips_real_map", "baselines.py", "ShadowMachine.on_read",
+           "guest.rmap.get(page)", "page"),
+    Mutant("hyperwall_read_assumes_256_byte_pages", "baselines.py", "HyperwallMachine.on_read",
+           "ev.vaddr // self.page_size_bytes", "ev.vaddr >> 8"),
+    Mutant("cpu_violation_records_cpu_0", "baselines.py", "BaselineMachine.on_read",
+           "Violation(ev.seq, ev.cpu, 'cpu', vm, page, owner)",
+           "Violation(ev.seq, 0, 'cpu', vm, page, owner)"),
+    # switches, flushes and the guest lifecycle
+    Mutant("switch_flush_goes_uncounted", "engine.py", "_Machine._count_switch",
+           "t.tlb_flushes += 1", "pass"),
+    Mutant("pswitch_reuses_the_current_real_asid", "baselines.py", "BaselineMachine.on_pswitch",
+           "guest.asids[ev.vasid] = next(self.real_asids)", "guest.asids[ev.vasid] = guest.asid"),
+    Mutant("destroy_vm_allows_a_current_vm", "baselines.py", "BaselineMachine.on_destroy_vm",
+           "ev.vm in self.current.values()", "False"),
+    Mutant("baseline_free_skips_owner_check", "baselines.py", "BaselineMachine.on_free",
+           "self.owner_of.get(page) != vm", "False"),
+    Mutant("asmi_reclaim_keeps_victim_vpages", "engine.py", "AsmiMachine._count_reclaim",
+           "del table[vpage]", "pass"),
+    Mutant("shadow_rmap_write_drops_update_steps", "baselines.py", "ShadowMachine.on_rmap_write",
+           "self.tally[ev.kind._value_].shadow_update_steps += steps", "pass"),
+    # DMA remapping and protection bits
+    Mutant("dma_fault_records_device_0", "engine.py", "_Machine._dma_fault",
+           "ev.device or 0", "0"),
+    Mutant("iommu_free_skips_unmap", "baselines.py", "IommuMachine._free_page",
+           "self.remap.unmap_phys(page)", "pass"),
+    Mutant("iommu_alloc_skips_map", "baselines.py", "IommuMachine.on_alloc",
+           "self.remap.map_page(guest.domain, guest.backing[page][1], page)", "pass"),
+    Mutant("iommu_late_assign_forgets_the_domain", "baselines.py",
+           "IommuMachine.on_domain_assign", "guest.domain = ev.domain", "pass"),
+    Mutant("hyperwall_alloc_leaves_bits_unset", "baselines.py", "HyperwallMachine.on_alloc",
+           "self.page_mode[page] = _HYP_DMA", "pass"),
+    Mutant("hw_set_skips_owner_check", "baselines.py", "HyperwallMachine.on_hw_set",
+           "requester == owner or (requester == HYPERVISOR and owner is None)", "True"),
     # the page-pool hypervisor's reclaim: the largest other holder's highest page
     Mutant("baseline_reclaim_takes_lowest_page", "baselines.py",
            "BaselineMachine._reclaim_one_page", "reversed(guests[victim].held)",

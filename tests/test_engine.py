@@ -4,6 +4,7 @@ import gc
 import heapq
 import json
 import re
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -654,6 +655,24 @@ def test_guest_read_of_an_unheld_page_is_a_page_fault(mode):
     assert rep.violations == []
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_a_table_entry_outside_the_pool_is_a_page_fault(mode):
+    # a gpt_write may point a vpage anywhere: an access through an entry below
+    # page 0 or past the pool faults, with no ownership check and no record
+    page = TINY.page_size_bytes
+    t = trace(
+        (E.CREATE_VM, {"vm": 1}),
+        (E.GPT_WRITE, {"vm": 1, "vpage": 0, "target": -1}),
+        (E.GPT_WRITE, {"vm": 1, "vpage": 1, "target": TINY.pages_total}),
+        (E.GPT_WRITE, {"vm": 0, "vpage": 0, "target": -1}),
+        (E.ENTER, {"vm": 1}), (E.READ, {"vaddr": 0}), (E.WRITE, {"vaddr": page}),
+        (E.EXIT, {}), (E.READ, {"vaddr": 0}),
+    )
+    rep = run(t, mode, TINY, options=opts())
+    assert rep.counters.page_faults == 3
+    assert rep.ledger_counts() == dict.fromkeys(rep.ledger_counts(), 0)
+
+
 def test_a_shadow_entry_follows_a_later_alloc_of_its_ppage():
     # vpage 5 points at ppage 1 before any page backs it; the second alloc maps ppage 1
     t = trace(
@@ -680,30 +699,32 @@ def test_the_shadow_walk_reaches_what_the_nested_walk_reaches():
         assert shadow.counters.page_faults == walked.counters.page_faults, seed
 
 
-# perfbench/tracer.py times each layer by patching these names, so every
-# event must still call them through the attribute the tracer patches.
+# The hooks a replay still calls, each through the attribute perfbench/tracer.py
+# patches.  An access is inline in its handler: `ProMem.translate`,
+# `VirtualTlb.lookup` and `shadow_translate` are never called, a vTLB miss calls
+# `nested_translate` (and `insert` when it lands in the pool), and `check_owner`
+# runs only on a blocked asmi access and on DMA.
 TRACED_NAMES = (
-    (ProMem, "translate"), (ProMem, "check_owner"), (VirtualTlb, "lookup"),
-    (VirtualTlb, "insert"), (baselines, "nested_translate"), (baselines, "shadow_translate"),
+    (ProMem, "check_owner"), (VirtualTlb, "insert"), (baselines, "nested_translate"),
     (ProMem, "allocate_page"), (ProMem, "free_page"), (RemappingTables, "map_page"),
     (RemappingTables, "unmap_phys"), (baselines, "iommu_dma_translate"),
     (baselines, "shadow_update_vpage"),
 )
+UNTRACED_NAMES = ((ProMem, "translate"), (VirtualTlb, "lookup"), (baselines, "shadow_translate"))
 
 #: mode -> the calls of each of TRACED_NAMES, in order
 LAYER_CALLS = {
-    "asmi": (5, 4, 0, 0, 0, 0, 4, 2, 0, 0, 0, 0),
-    "nested": (0, 0, 4, 2, 3, 0, 0, 0, 0, 0, 0, 0),
-    "nested_shadow": (0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 6),
-    "iommu": (0, 0, 4, 2, 3, 0, 0, 0, 3, 2, 3, 0),
-    "hyperwall": (0, 0, 4, 2, 3, 0, 0, 0, 0, 0, 0, 0),
+    "asmi": (2, 0, 0, 4, 2, 0, 0, 0, 0),
+    "nested": (0, 3, 4, 0, 0, 0, 0, 0, 0),
+    "nested_shadow": (0, 0, 0, 0, 0, 0, 0, 0, 6),
+    "iommu": (0, 3, 4, 0, 0, 3, 2, 3, 0),
+    "hyperwall": (0, 3, 4, 0, 0, 0, 0, 0, 0),
 }
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_each_access_calls_the_traced_layer_names(mode, monkeypatch):
-    # an event of every kind but dma_raw (a mode error under iommu): the
-    # benchmark's per-layer spans count these calls, so no inlining may drop one
+    # an event of every kind but dma_raw (a mode error under iommu)
     page = TINY.page_size_bytes
     t = trace(
         (E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1}), (E.ALLOC, {"vm": 1}),
@@ -713,7 +734,7 @@ def test_each_access_calls_the_traced_layer_names(mode, monkeypatch):
         (E.WRITE, {"vaddr": page}),        # a miss on the second page
         (E.READ, {"vaddr": 5 * page}),     # no mapping: a miss with no insert
         (E.EXIT, {}),
-        (E.READ, {"vaddr": 0}),            # the hypervisor's: a traced walk only under asmi
+        (E.READ, {"vaddr": 0}),            # the hypervisor's: no hook in any mode
         # iommu adopts both pages into the domain, then maps the next alloc's
         (E.DOMAIN_ASSIGN, {"domain": 1, "vm": 1, "bus": 0, "device": 0, "function": 0}),
         (E.ALLOC, {"vm": 1}),
@@ -721,20 +742,89 @@ def test_each_access_calls_the_traced_layer_names(mode, monkeypatch):
         (E.DMA, {"bus": 0, "device": 1, "function": 0, "dva": 0, "write": False}),  # no context
         (E.DMA, {"bus": 1, "device": 0, "function": 0, "dva": 0, "write": True}),   # no root
         (E.FREE, {"vm": 1, "vaddr": page}),
-        (E.FREE, {"vm": 1, "vaddr": 9 * page}),                # nothing mapped: no traced call
+        (E.FREE, {"vm": 1, "vaddr": 9 * page}),                # nothing mapped: no hook
         (E.GPT_WRITE, {"vm": 1, "vpage": 7, "target": 2}),
         (E.RMAP_WRITE, {"vm": 1, "ppage": 2, "phys": 3}),      # re-derives vpages 2 and 7
+        (E.ENTER, {"vm": 1}),
+        (E.READ, {"vaddr": 7 * page}),     # the hypervisor's page under asmi: blocked
+        (E.EXIT, {}),
         (E.ALLOC, {"vm": 0}),
         (E.FREE, {"vm": 0, "vaddr": 0}),
     )
-    calls = dict.fromkeys(TRACED_NAMES, 0)
-    for holder, name in TRACED_NAMES:
+    calls = dict.fromkeys(TRACED_NAMES + UNTRACED_NAMES, 0)
+    for holder, name in calls:
         def counted(*args, _key=(holder, name), _fn=getattr(holder, name)):
             calls[_key] += 1
             return _fn(*args)
         monkeypatch.setattr(holder, name, counted)
-    run(t, mode, TINY, options=opts())
-    assert tuple(calls.values()) == LAYER_CALLS[mode]
+    rep = run(t, mode, TINY, options=opts())
+    assert tuple(calls[key] for key in TRACED_NAMES) == LAYER_CALLS[mode]
+    assert [calls[key] for key in UNTRACED_NAMES] == [0, 0, 0]
+    if mode == "asmi":  # the first DMA lands in the hypervisor's page too
+        assert [(f.seq, f.vmid) for f in rep.isolation_faults] == [(13, 1), (21, 1)]
+
+
+def _frames(machine, event):
+    """The code names of the handler's frame and of the frames it opens itself, in order."""
+    caller = sys._getframe()
+    names = []
+
+    def profile(frame, what, arg):
+        if what == "call" and caller in (frame.f_back, frame.f_back.f_back):
+            names.append(frame.f_code.co_name)
+
+    handler = machine.handlers[event.kind.value]
+    collecting = gc.isenabled()
+    gc.disable()  # a collection would run the frames of gc.callbacks
+    sys.setprofile(profile)
+    try:
+        handler(machine, event)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return names
+
+
+ONE = ["on_read"]
+MISS = ["on_read", "nested_translate"]
+MISS_INSERT = [*MISS, "insert"]
+
+#: mode -> the frames of each read below but the first
+ACCESS_FRAMES = {
+    "asmi": [ONE, ONE, ONE, ["on_read", "check_owner"], ONE],
+    "nested_shadow": [ONE] * 5,
+    **dict.fromkeys(("nested", "iommu", "hyperwall"), [ONE, ONE, MISS, MISS_INSERT, ONE]),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_cpu_access_opens_one_python_frame(mode):
+    # a vTLB hit, a shadow walk or an asmi translation; a guest read with no
+    # mapping; a read of another owner's page under asmi; a hypervisor read.
+    # A miss also calls the nested walk, and a blocked asmi read `check_owner`.
+    page = TINY.page_size_bytes
+    t = trace(
+        (E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1}), (E.ALLOC, {"vm": 0}),
+        (E.GPT_WRITE, {"vm": 1, "vpage": 7, "target": 0}),
+        (E.ENTER, {"vm": 1}),
+        (E.READ, {"vaddr": 0}),            # makes the read tally: a miss under the vTLB
+        (E.READ, {"vaddr": 1}),
+        (E.READ, {"vaddr": 1}),
+        (E.READ, {"vaddr": 5 * page}),
+        (E.READ, {"vaddr": 7 * page}),
+        (E.EXIT, {}),
+        (E.READ, {"vaddr": 0}),
+    )
+    machine = machine_class(mode)(TINY, opts(), MetricsReport(mode))
+    reads = []
+    for event in t:
+        frames = _frames(machine, event)
+        if event.kind is E.READ:
+            reads.append(frames)
+    assert reads[1:] == ACCESS_FRAMES[mode]
+    if mode == "asmi":
+        assert [f.seq for f in machine.pm.faults] == [t[9].seq]
 
 
 def test_hyperwall_charges_a_check_per_access():
