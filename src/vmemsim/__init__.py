@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 #: module -> the names of `__all__` it defines
 _EXPORTS = {
     "baselines": (
-        "RemappingTables", "Requester", "VirtualTlb", "iommu_dma_translate", "nested_translate",
+        "RemappingTables", "VirtualTlb", "iommu_dma_translate", "nested_translate",
         "shadow_translate",
     ),
     "core": ("ASID_POLICY", "FLUSH_POLICY", "HYPERVISOR", "CostModel", "Geometry"),

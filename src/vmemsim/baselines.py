@@ -48,7 +48,6 @@ import bisect
 import heapq
 import itertools
 from collections.abc import Iterable
-from enum import Enum, unique
 from typing import NamedTuple
 
 from .core import DEFAULT_WALK_LEVELS, FLUSH_POLICY, HYPERVISOR, NO_DMA
@@ -252,25 +251,17 @@ def iommu_dma_translate(
 # ---------------------------------------------------------------------------
 
 
-@unique
-class Requester(Enum):
-    HYPERVISOR = "hypervisor"
-    OWNER_VM = "owner_vm"
-    OTHER_VM = "other_vm"
-    DMA = "dma"
-
-
 # The tokens hyperwall reads per event: a page's mode and a requester, as a Denial records them.
 _HYP_ONLY = PageMode.HYPERVISOR_ONLY.value    # a page no hw_set or alloc has given a mode
 _HYP_DMA = PageMode.HYPERVISOR_AND_DMA.value  # the mode of a freshly allocated page
-_BY_HYPERVISOR = Requester.HYPERVISOR.value
-_BY_OWNER = Requester.OWNER_VM.value
-_BY_OTHER = Requester.OTHER_VM.value
-_BY_DMA = Requester.DMA.value
+_BY_HYPERVISOR = "hypervisor"
+_BY_OWNER = "owner_vm"   # the VM that holds the page
+_BY_OTHER = "other_vm"   # any other VM
+_BY_DMA = "dma"
 
-# Per-mode allow sets, keyed by value tokens: hashing an Enum member runs
-# Python code, and hyperwall reads this table on every access.  Other VMs
-# are never allowed, whatever the mode.
+# Per-mode sets of the requesters allowed, keyed by mode token: hashing an Enum
+# member runs Python code, and hyperwall reads this table on every access.
+# Other VMs are never allowed, whatever the mode.
 _ALLOWED: dict[str, frozenset[str]] = {
     PageMode.HYPERVISOR_ONLY.value: frozenset({_BY_HYPERVISOR}),
     PageMode.HYPERVISOR_AND_DMA.value: frozenset({_BY_HYPERVISOR, _BY_OWNER, _BY_DMA}),
@@ -425,7 +416,7 @@ class BaselineMachine(_Machine):
             page = self.fresh_page
             self.fresh_page = page + 1
         elif self._reclaim_one_page(vm) is None:
-            self.report.memory_full.append(MemoryFull(ev.seq, vm))
+            self.report.memory_full.append(_new(MemoryFull, (ev.seq, vm)))
             return None
         else:
             t.pages_swapped += 1
@@ -515,7 +506,7 @@ class BaselineMachine(_Machine):
                 c.page_faults += 1  # resolved to an unbacked frame
             return
         if owner != vm:
-            self.report.violations.append(Violation(ev.seq, ev.cpu, "cpu", vm, page, owner))
+            self.report.violations.append(_new(Violation, (ev.seq, ev.cpu, "cpu", vm, page, owner)))
 
     on_write = on_read
 
@@ -536,9 +527,8 @@ class BaselineMachine(_Machine):
         owner = self.owner_of.get(page)
         if owner is not None and owner != issuer:
             # raw DMA lands anyway: this is the vulnerability, record and proceed
-            self.report.violations.append(
-                Violation(ev.seq, ev.cpu, "dma", -1 if issuer is None else issuer, page, owner)
-            )
+            self.report.violations.append(_new(
+                Violation, (ev.seq, ev.cpu, "dma", -1 if issuer is None else issuer, page, owner)))
         c.dma_completed += 1
 
     # -- bookkeeping --
@@ -624,7 +614,7 @@ class ShadowMachine(BaselineMachine):
                 c.page_faults += 1  # resolved to an unbacked frame
             return
         if owner != vm:
-            self.report.violations.append(Violation(ev.seq, ev.cpu, "cpu", vm, page, owner))
+            self.report.violations.append(_new(Violation, (ev.seq, ev.cpu, "cpu", vm, page, owner)))
 
     on_write = on_read
 
@@ -729,14 +719,12 @@ class HyperwallMachine(BaselineMachine):
                      else _BY_OWNER if owner == vm else _BY_OTHER)
         mode = self.page_mode.get(page, _HYP_ONLY)
         if requester not in _ALLOWED[mode]:
-            self.report.denials.append(Denial(ev.seq, ev.cpu, requester, page, mode, owner))
+            self.report.denials.append(_new(Denial, (ev.seq, ev.cpu, requester, page, mode, owner)))
             return
-        if owner is None:
-            if vm != HYPERVISOR:
-                c.page_faults += 1  # resolved to an unbacked frame
+        if owner is None:  # only the hypervisor gets here: a guest's is other_vm, denied above
             return
         if owner != vm:
-            self.report.violations.append(Violation(ev.seq, ev.cpu, "cpu", vm, page, owner))
+            self.report.violations.append(_new(Violation, (ev.seq, ev.cpu, "cpu", vm, page, owner)))
 
     on_write = on_read
 
@@ -749,7 +737,7 @@ class HyperwallMachine(BaselineMachine):
             if _BY_DMA not in _ALLOWED[mode]:
                 t.dma_ops += 1
                 self.report.counters.dma_blocked += 1
-                self.report.denials.append(Denial(ev.seq, ev.cpu, _BY_DMA, page, mode,
-                                                  self.owner_of.get(page)))
+                self.report.denials.append(
+                    _new(Denial, (ev.seq, ev.cpu, _BY_DMA, page, mode, self.owner_of.get(page))))
                 return
         BaselineMachine._dma(self, ev, issuer, page, dva)

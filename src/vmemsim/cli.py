@@ -246,9 +246,12 @@ def _summary(name: str, report: MetricsReport, geom: Geometry, verbosity: int) -
         )
         lines.append(f"  counters {counters or '(all zero)'}")
     if verbosity >= 2:
-        for label, records in sorted(report.ledger_dict().items()):
-            for record in records:
-                lines.append(f"  {label[:-1] if label.endswith('s') else label}: {record}")
+        for label in sorted(LEDGERS):
+            for record in getattr(report, label):
+                fields = record._asdict()
+                if label == "reclaims":
+                    fields["segments"] = list(record.segments)  # as the JSON reads back
+                lines.append(f"  {label[:-1] if label.endswith('s') else label}: {fields}")
     return "\n".join(lines)
 
 

@@ -189,9 +189,9 @@ def _json_writer(cls: type) -> Callable[[list], str]:
 
 
 class MetricsReport:
-    """What one replay of one trace under one mode produced.  `to_dict` is its dict,
-    each record through `_asdict()`; `to_json` writes that dict's key-sorted,
-    compact JSON straight from the records, through their classes' `_json_writer`s."""
+    """What one replay of one trace under one mode produced.  `to_json` is its one
+    writer: key-sorted, compact JSON straight from the records, through their
+    classes' `_json_writer`s; `to_dict` is that JSON read back."""
 
     def __init__(self, mode: str) -> None:
         self.mode = mode
@@ -209,32 +209,19 @@ class MetricsReport:
         self.final_segments: dict[int, int] = {}
         self.final_pages: dict[int, int] = {}
 
-    def ledger_dict(self) -> dict:
-        """Each ledger as a list of dicts keyed by its record's field names."""
-        out = {name: [r._asdict() for r in getattr(self, name)] for name in LEDGERS}
-        for r in out["reclaims"]:
-            r["segments"] = list(r["segments"])  # as the JSON reads back and run -vv prints it
-        return out
-
     def ledger_counts(self) -> dict[str, int]:
         """The number of records in each ledger, in LEDGERS order."""
         return {name: len(getattr(self, name)) for name in LEDGERS}
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "events": self.events,
-            "total_cycles": self.total_cycles,
-            "cycles_by_kind": {k: self.cycles_by_kind[k] for k in sorted(self.cycles_by_kind)},
-            "counters": {name: getattr(self.counters, name) for name in COUNTER_NAMES},
-            "ledgers": self.ledger_dict(),
-            "utilization": [u._asdict() for u in self.utilization],
-            "final_segments": {str(k): v for k, v in sorted(self.final_segments.items())},
-            "final_pages": {str(k): v for k, v in sorted(self.final_pages.items())},
-        }
+        """The report's JSON, read back: each record a dict, a reclaim's `segments` a list."""
+        import json
+
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """`json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))`, byte for byte."""
+        """The report as key-sorted, compact JSON, each record as `json.dumps` writes its
+        `_asdict()`."""
         import json  # here, not at the top: only --json-out writes JSON
 
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -443,7 +430,7 @@ class _Machine:
 
     def _dma_fault(self, ev: TraceEvent, dva: int, reason: str) -> None:
         self.report.dma_faults.append(
-            DmaFault(ev.seq, ev.bus or 0, ev.device or 0, ev.function or 0, dva, reason)
+            _new(DmaFault, (ev.seq, ev.bus or 0, ev.device or 0, ev.function or 0, dva, reason))
         )
 
 
@@ -737,11 +724,12 @@ def static_partition_utilization(
     are dropped, which is exactly the waste dynamic ownership avoids.
     Sampled at the same cadence as MetricsReport.utilization.
     """
+    if sample_interval < 1:
+        raise ConfigError(f"sample_interval must be >= 1, got {sample_interval}")
     owners = {HYPERVISOR} | {ev.vm for ev in trace if ev.kind is EventKind.CREATE_VM}
     share = geom.total_segments // len(owners)
     pps = geom.pages_per_segment
     served = {vm: 0 for vm in owners}
-    interval = max(1, sample_interval)
 
     def utilization() -> float:
         segs = sum(min(-(-pages // pps), share) for pages in served.values())
@@ -753,8 +741,8 @@ def static_partition_utilization(
             served[ev.vm] += 1
         elif ev.kind is EventKind.FREE and served[ev.vm] > 0:
             served[ev.vm] -= 1
-        if index % interval == 0:
+        if index % sample_interval == 0:
             samples.append(utilization())
-    if len(trace) % interval != 0:
+    if len(trace) % sample_interval != 0:
         samples.append(utilization())
     return samples

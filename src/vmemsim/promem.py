@@ -329,7 +329,7 @@ class ProMem:
             assert notice is None, "retry after reclaim must succeed"
             notice = self._reclaim(seq)
             if notice is None:
-                self.memory_full_events.append(MemoryFull(seq, vm))
+                self.memory_full_events.append(_new(MemoryFull, (seq, vm)))
                 return _new(AllocResult, (None, None))
 
     def _reclaim(self, seq: int) -> ReclaimNotice | None:
@@ -343,7 +343,7 @@ class ProMem:
         slot, segs = owners[victim].slot_segment, owners[victim].segs
         freed = sorted(nlargest(worst_excess, (s for s in segs if s != slot)))
         swapped = sum(self._release(s) for s in freed)
-        notice = ReclaimNotice(seq, victim, worst_excess, tuple(freed), swapped)
+        notice = _new(ReclaimNotice, (seq, victim, worst_excess, tuple(freed), swapped))
         self.notices.append(notice)
         return notice
 
@@ -356,7 +356,7 @@ class ProMem:
         s, index = divmod(page, self.pps)
         holder = self.mpt.get(s)
         if holder != vm:
-            fault = IsolationFault(seq, -1, vm, s, holder)
+            fault = _new(IsolationFault, (seq, -1, vm, s, holder))
             self.faults.append(fault)
             return fault
         if s == owner.slot_segment and index == 0:
@@ -383,7 +383,7 @@ class ProMem:
         owner = self.mpt.get(s)
         if owner == vmid:
             return None
-        fault = IsolationFault(seq, cpu, vmid, s, owner)
+        fault = _new(IsolationFault, (seq, cpu, vmid, s, owner))
         self.faults.append(fault)
         return fault
 

@@ -150,8 +150,8 @@ MUTANTS = (
     Mutant("hyperwall_read_assumes_256_byte_pages", "baselines.py", "HyperwallMachine.on_read",
            "ev.vaddr // self.page_size_bytes", "ev.vaddr >> 8"),
     Mutant("cpu_violation_records_cpu_0", "baselines.py", "BaselineMachine.on_read",
-           "Violation(ev.seq, ev.cpu, 'cpu', vm, page, owner)",
-           "Violation(ev.seq, 0, 'cpu', vm, page, owner)"),
+           "_new(Violation, (ev.seq, ev.cpu, 'cpu', vm, page, owner))",
+           "_new(Violation, (ev.seq, 0, 'cpu', vm, page, owner))"),
     # switches, flushes and the guest lifecycle
     Mutant("switch_flush_goes_uncounted", "engine.py", "_Machine._count_switch",
            "t.tlb_flushes += 1", "pass"),
@@ -195,6 +195,32 @@ MUTANTS = (
            "f'{prefix},{index},{owner},{pages},{segments}\\n'"),
     Mutant("mean_utilization_divides_by_rows", "engine.py", "MetricsReport.mean_utilization",
            "index != last", "True"),
+    Mutant("summary_prints_reclaim_segments_as_a_tuple", "cli.py", "_summary",
+           "fields['segments'] = list(record.segments)", "pass"),
+    # the ledger records built by tuple.__new__, which checks no field count
+    # or order: one swap of two fields per record class
+    Mutant("isolation_fault_swaps_vmid_and_owner", "promem.py", "ProMem.check_owner",
+           "(seq, cpu, vmid, s, owner)", "(seq, cpu, owner, s, vmid)"),
+    Mutant("reclaim_notice_swaps_excess_and_pages", "promem.py", "ProMem._reclaim",
+           "(seq, victim, worst_excess, tuple(freed), swapped)",
+           "(seq, victim, swapped, tuple(freed), worst_excess)"),
+    Mutant("memory_full_swaps_seq_and_vm", "promem.py", "ProMem.allocate_page",
+           "(seq, vm)", "(vm, seq)"),
+    Mutant("dma_fault_swaps_dva_and_reason", "engine.py", "_Machine._dma_fault",
+           "(ev.seq, ev.bus or 0, ev.device or 0, ev.function or 0, dva, reason)",
+           "(ev.seq, ev.bus or 0, ev.device or 0, ev.function or 0, reason, dva)"),
+    Mutant("dma_violation_swaps_page_and_owner", "baselines.py", "BaselineMachine._dma",
+           "(ev.seq, ev.cpu, 'dma', -1 if issuer is None else issuer, page, owner)",
+           "(ev.seq, ev.cpu, 'dma', -1 if issuer is None else issuer, owner, page)"),
+    Mutant("denial_swaps_page_and_owner", "baselines.py", "HyperwallMachine.on_read",
+           "(ev.seq, ev.cpu, requester, page, mode, owner)",
+           "(ev.seq, ev.cpu, requester, owner, mode, page)"),
+    # argument guards tier-1 reaches only through tests/test_records.py's REJECTIONS
+    Mutant("generate_skips_device_count_check", "workload.py", "generate",
+           "spec.vm_count > MAX_BUS * MAX_DEVICE", "False"),
+    Mutant("static_partition_accepts_interval_0", "engine.py", "static_partition_utilization",
+           "if sample_interval < 1:\n    raise ConfigError(f'sample_interval must be >= 1, "
+           "got {sample_interval}')", "pass"),
 )
 
 

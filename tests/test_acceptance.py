@@ -33,7 +33,7 @@ EXPECT = json.loads((FIXTURES / "expectations.json").read_text())
 
 
 def ledgers_of(report) -> dict:
-    return {k: v for k, v in report.ledger_dict().items() if v}
+    return {k: v for k, v in report.to_dict()["ledgers"].items() if v}
 
 
 def build_trace(emitters) -> list[TraceEvent]:

@@ -42,7 +42,7 @@ def test_stored_expectations_hold(name, mode):
     trace = read_trace(str(FIXTURES / f"{name}.trace"))
     rep = run(trace, mode, GEOM)
     want = EXPECT[name][mode]
-    got_ledgers = {k: v for k, v in rep.ledger_dict().items() if v}
+    got_ledgers = {k: v for k, v in rep.to_dict()["ledgers"].items() if v}
     assert got_ledgers == want["ledgers"]
     assert {str(k): v for k, v in sorted(rep.final_pages.items())} == want["final_pages"]
     assert rep.counters.pages_swapped == want["pages_swapped"]

@@ -22,13 +22,15 @@ from vmemsim.baselines import (
     ShadowMachine,
     VirtualTlb,
 )
-from vmemsim.core import CostModel, Geometry
+from vmemsim.core import COUNTER_NAMES, LEDGERS, CostModel, Geometry
 from vmemsim.engine import (
     MODES,
     AsmiMachine,
+    Denial,
     DmaFault,
     MetricsReport,
     RunOptions,
+    Violation,
     canonical_mode,
     compare,
     _json_writer,
@@ -396,7 +398,7 @@ def test_vtlb_stays_a_cache_of_the_nested_walk(mode, policy):
     events = all_kinds_trace(6, 300, geom)
     cached = run(events, mode, geom, options=opts(tlb_policy=policy))
     walked = run(events, mode, geom, options=opts(tlb_policy=policy, tlb_entries=0))
-    assert cached.ledger_dict() == walked.ledger_dict()
+    assert cached.to_dict()["ledgers"] == walked.to_dict()["ledgers"]
     assert cached.counters.page_faults == walked.counters.page_faults
 
 
@@ -765,13 +767,17 @@ def test_each_access_calls_the_traced_layer_names(mode, monkeypatch):
 
 
 def _frames(machine, event):
-    """The code names of the handler's frame and of the frames it opens itself, in order."""
+    """The code names of the handler's frame and of every frame under it, in order."""
     caller = sys._getframe()
     names = []
 
     def profile(frame, what, arg):
-        if what == "call" and caller in (frame.f_back, frame.f_back.f_back):
-            names.append(frame.f_code.co_name)
+        if what == "call":
+            back = frame.f_back
+            while back is not None and back is not caller:
+                back = back.f_back
+            if back is caller:
+                names.append(frame.f_code.co_name)
 
     handler = machine.handlers[event.kind.value]
     collecting = gc.isenabled()
@@ -789,30 +795,37 @@ def _frames(machine, event):
 ONE = ["on_read"]
 MISS = ["on_read", "nested_translate"]
 MISS_INSERT = [*MISS, "insert"]
+BLOCKED = ["on_read", "check_owner"]
 
 #: mode -> the frames of each read below but the first
 ACCESS_FRAMES = {
-    "asmi": [ONE, ONE, ONE, ["on_read", "check_owner"], ONE],
-    "nested_shadow": [ONE] * 5,
-    **dict.fromkeys(("nested", "iommu", "hyperwall"), [ONE, ONE, MISS, MISS_INSERT, ONE]),
+    "asmi": [ONE, ONE, ONE, BLOCKED, BLOCKED, ONE],
+    "nested_shadow": [ONE] * 6,
+    **dict.fromkeys(("nested", "iommu", "hyperwall"),
+                    [ONE, ONE, MISS, MISS_INSERT, MISS_INSERT, ONE]),
 }
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_each_cpu_access_opens_one_python_frame(mode):
     # a vTLB hit, a shadow walk or an asmi translation; a guest read with no
-    # mapping; a read of another owner's page under asmi; a hypervisor read.
-    # A miss also calls the nested walk, and a blocked asmi read `check_owner`.
+    # mapping; a read of another owner's page under asmi; a cross-owner read,
+    # recorded as a violation, a denial or (asmi) a fault; a hypervisor read.
+    # A miss also calls the nested walk, and a blocked asmi read `check_owner`,
+    # which builds its fault with no frame of its own.
     page = TINY.page_size_bytes
     t = trace(
         (E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1}), (E.ALLOC, {"vm": 0}),
         (E.GPT_WRITE, {"vm": 1, "vpage": 7, "target": 0}),
+        (E.GPT_WRITE, {"vm": 1, "vpage": 9, "target": 9}),   # asmi: a free segment's page
+        (E.RMAP_WRITE, {"vm": 1, "ppage": 9, "phys": 1}),    # the hypervisor's page
         (E.ENTER, {"vm": 1}),
         (E.READ, {"vaddr": 0}),            # makes the read tally: a miss under the vTLB
         (E.READ, {"vaddr": 1}),
         (E.READ, {"vaddr": 1}),
         (E.READ, {"vaddr": 5 * page}),
         (E.READ, {"vaddr": 7 * page}),
+        (E.READ, {"vaddr": 9 * page}),
         (E.EXIT, {}),
         (E.READ, {"vaddr": 0}),
     )
@@ -823,8 +836,15 @@ def test_each_cpu_access_opens_one_python_frame(mode):
         if event.kind is E.READ:
             reads.append(frames)
     assert reads[1:] == ACCESS_FRAMES[mode]
+    report, cross = machine.report, t[12].seq
     if mode == "asmi":
-        assert [f.seq for f in machine.pm.faults] == [t[9].seq]
+        assert [(f.seq, f.owner) for f in machine.pm.faults] == [(t[11].seq, 0), (cross, None)]
+    elif mode == "hyperwall":
+        mode_token = PageMode.HYPERVISOR_AND_DMA.value
+        assert report.denials == [Denial(cross, 0, "other_vm", 1, mode_token, 0)]
+        assert report.violations == []
+    else:
+        assert report.violations == [Violation(cross, 0, "cpu", 1, 1, 0)]
 
 
 def test_hyperwall_charges_a_check_per_access():
@@ -1270,6 +1290,24 @@ def test_report_json_shape():
 DMA_FAULT_REASONS = {"range", "unassigned_device", "no_root", "no_context", "no_mapping"}
 
 
+def reference_dict(rep):
+    """The report as a dict built field by field, each record through `_asdict()`."""
+    ledgers = {name: [r._asdict() for r in getattr(rep, name)] for name in LEDGERS}
+    for r in ledgers["reclaims"]:
+        r["segments"] = list(r["segments"])
+    return {
+        "mode": rep.mode,
+        "events": rep.events,
+        "total_cycles": rep.total_cycles,
+        "cycles_by_kind": dict(rep.cycles_by_kind),
+        "counters": {name: getattr(rep.counters, name) for name in COUNTER_NAMES},
+        "ledgers": ledgers,
+        "utilization": [u._asdict() for u in rep.utilization],
+        "final_segments": {str(k): v for k, v in rep.final_segments.items()},
+        "final_pages": {str(k): v for k, v in rep.final_pages.items()},
+    }
+
+
 def test_to_json_is_json_dumps_of_to_dict_with_every_ledger_filled():
     traces = [read_trace(str(path)) for path in sorted(FIXTURES.glob("*.trace"))]
     traces += [all_kinds_trace(0x5EED, 700, TINY), all_kinds_trace(5, 700, TINY),
@@ -1281,8 +1319,9 @@ def test_to_json_is_json_dumps_of_to_dict_with_every_ledger_filled():
                 rep = run(events, mode, TINY)
             except ModeError:  # iommu cannot interpret a raw-target DMA
                 continue
-            assert rep.to_json() == json.dumps(rep.to_dict(), sort_keys=True,
-                                               separators=(",", ":")), mode
+            want = reference_dict(rep)
+            assert rep.to_json() == json.dumps(want, sort_keys=True, separators=(",", ":")), mode
+            assert rep.to_dict() == want, mode
             seen |= {"denial owner None" for d in rep.denials if d.owner is None}
             seen |= {"isolation fault owner None" for f in rep.isolation_faults
                      if f.owner is None}

@@ -25,7 +25,7 @@ from vmemsim.baselines import (
     shadow_translate,
 )
 from vmemsim.core import CostModel, Geometry
-from vmemsim.engine import RunOptions
+from vmemsim.engine import RunOptions, static_partition_utilization
 from vmemsim.events import (
     EVENT_FIELDS,
     FIELD_ORDER,
@@ -37,7 +37,7 @@ from vmemsim.events import (
 )
 from vmemsim.errors import ConfigError, GeometryError, OutOfRangeError, WorkloadError
 from vmemsim.promem import AllocResult, ProMem, Translation
-from vmemsim.workload import DemandProfile, WorkloadSpec
+from vmemsim.workload import DemandProfile, WorkloadSpec, generate
 
 ONE_VM = (DemandProfile(4),)
 
@@ -54,6 +54,9 @@ REJECTIONS = [
     (lambda: RunOptions(tlb_entries=-1), ConfigError, "tlb_entries must be >= 0, got -1"),
     (lambda: RunOptions(walk_levels=0), ConfigError,
      "iommu_levels (walk_levels) must be >= 1, got 0"),
+    # the same text as RunOptions(0), so an id of its own keeps that row's id unchanged
+    pytest.param(lambda: static_partition_utilization([], Geometry(), 0), ConfigError,
+                 "sample_interval must be >= 1, got 0", id="static-partition-sample-interval-0"),
     (lambda: DmaRequest(256, 0, 0, 0, False), OutOfRangeError, "bus 256 outside 0..255"),
     (lambda: DmaRequest(0, 32, 0, 0, False), OutOfRangeError, "device 32 outside 0..31"),
     (lambda: DmaRequest(0, 0, function=8, dva=0, is_write=True), OutOfRangeError,
@@ -69,6 +72,10 @@ REJECTIONS = [
      "dma_rate must be within [0, 1]"),
     (lambda: WorkloadSpec(1, 1, 10, ONE_VM, 0.0, -0.5), WorkloadError,
      "switch_rate must be within [0, 1]"),
+    # one VM more than the 256 buses x 32 devices, in a pool that can register them all
+    (lambda: generate(WorkloadSpec(1, 8193, 16386, (DemandProfile(0),) * 8193),
+                      Geometry(256, 1, 8194)), WorkloadError,
+     "vm_count exceeds addressable devices"),
     (lambda: CostModel(tlb_hit=-1), ValueError, "cost tlb_hit must be a non-negative integer"),
     (lambda: CostModel(1, 25, 1.5), ValueError, "cost mpt_check must be a non-negative integer"),
     (lambda: CostModel().with_overrides({"dma_setup": -3}), ValueError,
