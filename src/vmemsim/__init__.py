@@ -30,7 +30,7 @@ _EXPORTS = {
         "LifecycleError", "ModeError", "OutOfRangeError", "ProtocolError", "SimError",
         "SimulationError", "TraceFormatError", "WorkloadError",
     ),
-    "events": ("DmaRequest", "EventKind", "PageMode", "TraceEvent"),
+    "events": ("EVENT_FIELDS", "PAGE_MODES", "DmaRequest", "EventKind", "PageMode", "TraceEvent"),
     "promem": ("AllocResult", "IsolationFault", "MemoryFull", "ProMem", "ReclaimNotice"),
     "traceio": ("dumps", "loads", "read_trace", "validate", "write_trace"),
     "workload": (

@@ -252,21 +252,20 @@ def iommu_dma_translate(
 
 
 # The tokens hyperwall reads per event: a page's mode and a requester, as a Denial records them.
-_HYP_ONLY = PageMode.HYPERVISOR_ONLY.value    # a page no hw_set or alloc has given a mode
-_HYP_DMA = PageMode.HYPERVISOR_AND_DMA.value  # the mode of a freshly allocated page
+_HYP_ONLY = PageMode.HYPERVISOR_ONLY    # a page no hw_set or alloc has given a mode
+_HYP_DMA = PageMode.HYPERVISOR_AND_DMA  # the mode of a freshly allocated page
 _BY_HYPERVISOR = "hypervisor"
 _BY_OWNER = "owner_vm"   # the VM that holds the page
 _BY_OTHER = "other_vm"   # any other VM
 _BY_DMA = "dma"
 
-# Per-mode sets of the requesters allowed, keyed by mode token: hashing an Enum
-# member runs Python code, and hyperwall reads this table on every access.
-# Other VMs are never allowed, whatever the mode.
+# Per-mode sets of the requesters allowed, keyed by mode token; hyperwall reads
+# this table on every access.  Other VMs are never allowed, whatever the mode.
 _ALLOWED: dict[str, frozenset[str]] = {
-    PageMode.HYPERVISOR_ONLY.value: frozenset({_BY_HYPERVISOR}),
-    PageMode.HYPERVISOR_AND_DMA.value: frozenset({_BY_HYPERVISOR, _BY_OWNER, _BY_DMA}),
-    PageMode.HYPERVISOR_DENIED.value: frozenset({_BY_OWNER, _BY_DMA}),
-    PageMode.LOCKED.value: frozenset({_BY_OWNER}),
+    PageMode.HYPERVISOR_ONLY: frozenset({_BY_HYPERVISOR}),
+    PageMode.HYPERVISOR_AND_DMA: frozenset({_BY_HYPERVISOR, _BY_OWNER, _BY_DMA}),
+    PageMode.HYPERVISOR_DENIED: frozenset({_BY_OWNER, _BY_DMA}),
+    PageMode.LOCKED: frozenset({_BY_OWNER}),
 }
 
 
@@ -408,7 +407,7 @@ class BaselineMachine(_Machine):
         if guest is None:
             raise self.err(ev, f"vm {vm} is not live")
         self.report.counters.allocs += 1
-        t = self.tally[ev.kind._value_]
+        t = self.tally[ev.kind]
         free = self.free_pages
         if free:
             page = heapq.heappop(free)
@@ -483,7 +482,7 @@ class BaselineMachine(_Machine):
         vpage = ev.vaddr // self.page_size_bytes
         vm = self.current.get(ev.cpu, HYPERVISOR)
         guest = self.guests[vm]
-        t = self.tally[ev.kind._value_]
+        t = self.tally[ev.kind]
         if vm == HYPERVISOR:
             page, walks = guest.gpt.get(vpage), 1
         else:
@@ -514,7 +513,7 @@ class BaselineMachine(_Machine):
 
     def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
         """Raw DMA, which lands whoever owns the page; PIO under dma_policy=off."""
-        t = self.tally[ev.kind._value_]
+        t = self.tally[ev.kind]
         t.dma_ops += 1
         if self.pio:
             t.pio_transfers += 1
@@ -578,18 +577,18 @@ class ShadowMachine(BaselineMachine):
 
     def on_alloc(self, ev: TraceEvent) -> None:
         if BaselineMachine.on_alloc(self, ev) is not None and ev.vm != HYPERVISOR:
-            self.tally[ev.kind._value_].shadow_update_steps += shadow_update_vpage()
+            self.tally[ev.kind].shadow_update_steps += shadow_update_vpage()
 
     def on_gpt_write(self, ev: TraceEvent) -> None:
         BaselineMachine.on_gpt_write(self, ev)
         if ev.vm != HYPERVISOR:
-            self.tally[ev.kind._value_].shadow_update_steps += shadow_update_vpage()
+            self.tally[ev.kind].shadow_update_steps += shadow_update_vpage()
 
     def on_rmap_write(self, ev: TraceEvent) -> None:
         BaselineMachine.on_rmap_write(self, ev)
         if ev.vm != HYPERVISOR:
             steps = shadow_update_ppage(self.guests[ev.vm].gpt, ev.ppage)
-            self.tally[ev.kind._value_].shadow_update_steps += steps
+            self.tally[ev.kind].shadow_update_steps += steps
 
     def on_read(self, ev: TraceEvent) -> None:
         """One frame per access: shadow walk, range check, count, owner."""
@@ -604,7 +603,7 @@ class ShadowMachine(BaselineMachine):
         page = guest.gpt.get(vpage)
         if vm != HYPERVISOR and page is not None:
             page = guest.rmap.get(page)
-        self.tally[ev.kind._value_].walk_steps += 1
+        self.tally[ev.kind].walk_steps += 1
         if page is None or not 0 <= page < self.pages_total:
             c.page_faults += 1
             return
@@ -650,7 +649,7 @@ class IommuMachine(BaselineMachine):
     def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
         """Remap a device's DMA through its domain: the issuer and page go unused."""
         c = self.report.counters
-        t = self.tally[ev.kind._value_]
+        t = self.tally[ev.kind]
         t.dma_ops += 1
         request = _new(DmaRequest, (ev.bus, ev.device, ev.function, dva, bool(ev.write)))
         result = iommu_dma_translate(request, self.remap, self.page_size_bytes)
@@ -696,7 +695,7 @@ class HyperwallMachine(BaselineMachine):
         vpage = ev.vaddr // self.page_size_bytes
         vm = self.current.get(ev.cpu, HYPERVISOR)
         guest = self.guests[vm]
-        t = self.tally[ev.kind._value_]
+        t = self.tally[ev.kind]
         if vm == HYPERVISOR:
             page, walks = guest.gpt.get(vpage), 1
         else:
@@ -732,7 +731,7 @@ class HyperwallMachine(BaselineMachine):
         """Raw DMA stops at a page whose bits deny it; PIO and range faults pass no gate."""
         if not self.pio and 0 <= page < self.pages_total:
             mode = self.page_mode.get(page, _HYP_ONLY)
-            t = self.tally[ev.kind._value_]
+            t = self.tally[ev.kind]
             t.unreported_checks += 1
             if _BY_DMA not in _ALLOWED[mode]:
                 t.dma_ops += 1

@@ -72,6 +72,9 @@ def load_config(path: str) -> dict[str, str]:
             return parse_config_text(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise ConfigError(f"{path}: not UTF-8 text (bytes {bad.hex(' ')})") from None
 
 
 def parse_geometry(token: str) -> Geometry:

@@ -86,7 +86,9 @@ from .errors import (
     SimError,
     SimulationError,
 )
-from .events import MAX_BUS, MAX_DEVICE, MAX_FUNCTION, DmaRequest, EventKind, TraceEvent
+from .events import (
+    EVENT_FIELDS, MAX_BUS, MAX_DEVICE, MAX_FUNCTION, DmaRequest, EventKind, TraceEvent,
+)
 from .promem import IsolationFault, MemoryFull, ProMem, ReclaimNotice
 
 # ---------------------------------------------------------------------------
@@ -139,7 +141,6 @@ class Counters:
 
 #: where each kind's cycles and the total saturate
 _SAT = (1 << 64) - 1
-_PSWITCH = EventKind.PSWITCH  # an Enum class attribute is a Python-level lookup on each use
 _new = tuple.__new__  # a namedtuple's own constructor, without its Python __new__ frame
 
 
@@ -327,10 +328,9 @@ class _Machine:
     which `run` calls and the benchmark's tracer patches.  Subclasses provide
     `live` (live owner ids) and `_dma` (a DMA with a known issuer and page).
 
-    Hot-path rules for per-event code: tokens are read as `kind._value_`, as
-    `.value` and hashing an `Enum` run Python code; Enum members come from
-    module constants; records are shared or built by `tuple.__new__`, not by a
-    namedtuple's Python `__new__`; liveness and bounds are checked inline.
+    Hot-path rules for per-event code: records are shared or built by
+    `tuple.__new__`, not by a namedtuple's Python `__new__`; liveness and
+    bounds are checked inline.
     A CPU access is inline in its handler, one frame: a vTLB hit, a shadow
     walk, and `asmi`'s walk and ownership check.  Only a vTLB miss's walk and
     insert, and `check_owner` on a blocked `asmi` access, are calls.
@@ -351,9 +351,7 @@ class _Machine:
         # plain functions, called with the machine: bound methods would make
         # every machine a reference cycle that outlives its run
         cls = type(self)
-        self.handlers = {
-            kind.value: getattr(cls, "on_" + kind.value, _ignore) for kind in EventKind
-        }
+        self.handlers = {kind: getattr(cls, "on_" + kind, _ignore) for kind in EVENT_FIELDS}
 
     def replay(self, trace: Iterable[TraceEvent], interval: int, check: bool) -> int:
         """Replay `trace` as it yields each event; sample every `interval` events and
@@ -374,7 +372,7 @@ class _Machine:
                 )
             last = seq
             try:
-                handlers[ev.kind._value_](self, ev)
+                handlers[ev.kind](self, ev)
             except (ModeError, SimulationError):
                 raise
             except SimError as exc:
@@ -395,10 +393,10 @@ class _Machine:
         if vm not in self.live:
             raise self.err(ev, f"vm {vm} is not live")
 
-    def _count_switch(self, kind: EventKind) -> None:
+    def _count_switch(self, kind: str) -> None:
         """Count a VM entry/exit or a process switch (and a flush)."""
-        t = self.tally[kind._value_]
-        if kind is _PSWITCH:
+        t = self.tally[kind]
+        if kind == "pswitch":
             t.process_switches += 1
         else:
             t.context_switches += 1
@@ -463,7 +461,7 @@ class AsmiMachine(_Machine):
         if vm != ev.vm:
             raise self.err(ev, f"trace expects vm {ev.vm}, controller assigned {vm}")
         if len(self.pm.notices) > notices_before:
-            self._count_reclaim(self.tally[ev.kind._value_], self.pm.notices[-1])
+            self._count_reclaim(self.tally[ev.kind], self.pm.notices[-1])
 
     def on_destroy_vm(self, ev: TraceEvent) -> None:
         self.pm.destroy_vm(ev.vm)
@@ -480,7 +478,7 @@ class AsmiMachine(_Machine):
         vm = ev.vm  # allocate_page raises "vm {vm} is not live" for a dead one
         self.report.counters.allocs += 1
         page, notice = self.pm.allocate_page(vm, ev.seq)
-        t = self.tally[ev.kind._value_]
+        t = self.tally[ev.kind]
         t.unreported_checks += 1
         if notice is not None:
             self._count_reclaim(t, notice)
@@ -520,7 +518,7 @@ class AsmiMachine(_Machine):
         if ev.vaddr < 0:
             raise self.err(ev, f"negative vaddr {ev.vaddr}")
         c.cpu_accesses += 1
-        t = self.tally[ev.kind._value_]
+        t = self.tally[ev.kind]
         t.walk_steps += 1
         pm = self.pm
         cur = pm.vmidr.get(ev.cpu, HYPERVISOR)  # VMIDR names only live owners
@@ -539,7 +537,7 @@ class AsmiMachine(_Machine):
         self.live[ev.vm].table[ev.vpage] = ev.target
 
     def _dma(self, ev: TraceEvent, issuer: int | None, page: int, dva: int) -> None:
-        t = self.tally[ev.kind._value_]
+        t = self.tally[ev.kind]
         t.dma_ops += 1
         # without an issuer or in-range page no ownership check is possible:
         # the failure is in dma_faults only
@@ -688,8 +686,9 @@ def compare(
 ) -> ComparisonReport:
     """Run each (name, events) trace under each mode, trace-major, mode-minor.
 
-    A bare event list is one trace named "trace".  A (name, mode) pair that
-    would repeat raises DuplicateRunError before anything is replayed.
+    A bare event list is one trace named "trace", and events that are not a
+    list or tuple are read into one list.  A (name, mode) pair that would
+    repeat raises DuplicateRunError before anything is replayed.
     """
     geom = geom or Geometry()
     if traces and isinstance(traces[0], TraceEvent):
@@ -701,11 +700,12 @@ def compare(
             if (name, mode) in pairs:
                 raise DuplicateRunError(f"trace {name!r} under mode {mode} is requested twice")
             pairs.add((name, mode))
-    reports = {
-        (name, mode): run(events, mode, geom, cost, options)
-        for name, events in traces
-        for mode in modes
-    }
+    reports = {}
+    for name, events in traces:
+        if not isinstance(events, (list, tuple)):
+            events = list(events)  # a one-shot iterable would replay only once
+        for mode in modes:
+            reports[(name, mode)] = run(events, mode, geom, cost, options)
     return ComparisonReport(reports, geom)
 
 
@@ -726,7 +726,7 @@ def static_partition_utilization(
     """
     if sample_interval < 1:
         raise ConfigError(f"sample_interval must be >= 1, got {sample_interval}")
-    owners = {HYPERVISOR} | {ev.vm for ev in trace if ev.kind is EventKind.CREATE_VM}
+    owners = {HYPERVISOR} | {ev.vm for ev in trace if ev.kind == EventKind.CREATE_VM}
     share = geom.total_segments // len(owners)
     pps = geom.pages_per_segment
     served = {vm: 0 for vm in owners}
@@ -737,9 +737,9 @@ def static_partition_utilization(
 
     samples = []
     for index, ev in enumerate(trace, start=1):
-        if ev.kind is EventKind.ALLOC and served[ev.vm] < share * pps:
+        if ev.kind == EventKind.ALLOC and served[ev.vm] < share * pps:
             served[ev.vm] += 1
-        elif ev.kind is EventKind.FREE and served[ev.vm] > 0:
+        elif ev.kind == EventKind.FREE and served[ev.vm] > 0:
             served[ev.vm] -= 1
         if index % sample_interval == 0:
             samples.append(utilization())

@@ -3,7 +3,7 @@
 The trace parser and writer (`traceio`), the generators (`workload`) and
 the replay engine (`engine`) share these definitions, with the domains of
 the fields: device coordinates (`DmaRequest`'s bounds) and protection
-modes (`PageMode`).  This module imports nothing else from the package but
+modes (`PAGE_MODES`).  This module imports nothing else from the package but
 `errors`, so a command that only writes or checks a trace loads neither
 the engine, the segment controller nor the page-pool baselines.
 
@@ -14,15 +14,15 @@ what 18-slot records would (see TraceEvent).
 
 from __future__ import annotations
 
-from enum import Enum, unique
 from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import OutOfRangeError
 
 
-@unique
-class EventKind(Enum):
+class EventKind:
+    """Each event kind, named by its trace token; EVENT_FIELDS lists them in this order."""
+
     CREATE_VM = "create_vm"
     DESTROY_VM = "destroy_vm"
     ENTER = "enter"
@@ -70,9 +70,8 @@ class DmaRequest(_DmaRequestFields):
         return self
 
 
-@unique
-class PageMode(Enum):
-    """The per-page protection modes hw_set names, by their trace tokens."""
+class PageMode:
+    """The per-page protection modes hw_set names, by their trace tokens; see PAGE_MODES."""
 
     HYPERVISOR_ONLY = "hyp_only"        # unassigned page
     HYPERVISOR_AND_DMA = "hyp_dma"      # assigned; hypervisor and DMA allowed
@@ -80,8 +79,13 @@ class PageMode(Enum):
     LOCKED = "locked"                   # assigned; neither hypervisor nor DMA
 
 
-#: fields each kind must carry, in wire order
-EVENT_FIELDS: dict[EventKind, tuple[str, ...]] = {
+#: every protection mode's token, in PageMode's order
+PAGE_MODES = (PageMode.HYPERVISOR_ONLY, PageMode.HYPERVISOR_AND_DMA, PageMode.HYPERVISOR_DENIED,
+              PageMode.LOCKED)
+
+
+#: every kind's token -> the fields it must carry, in wire order
+EVENT_FIELDS: dict[str, tuple[str, ...]] = {
     EventKind.CREATE_VM: ("vm",),
     EventKind.DESTROY_VM: ("vm",),
     EventKind.ENTER: ("vm",),
@@ -111,8 +115,7 @@ class TraceEvent:
     """One trace line; the fields its kind does not carry read None.
 
     `vaddr` and `dva` are flat byte addresses, `target` is a gpt_write's
-    target page, `page` a global physical page and `mode` a PageMode value
-    token.
+    target page, `page` a global physical page and `mode` a PageMode token.
 
     An event is an instance of one slotted subclass per field layout:
     `seq`, `kind` and `cpu` plus its kind's fields, so a `read` holds four
@@ -134,14 +137,14 @@ class TraceEvent:
     vm = vaddr = vpage = target = ppage = phys = bus = device = function = None
     dva = page = domain = mode = vasid = write = None
 
-    def __new__(cls, seq: int, kind: EventKind, cpu: int = 0, vm=None, vaddr=None, vpage=None,
+    def __new__(cls, seq: int, kind: str, cpu: int = 0, vm=None, vaddr=None, vpage=None,
                 target=None, ppage=None, phys=None, bus=None, device=None, function=None,
                 dva=None, page=None, domain=None, mode=None, vasid=None, write=None):
         fields = {"vm": vm, "vaddr": vaddr, "vpage": vpage, "target": target, "ppage": ppage,
                   "phys": phys, "bus": bus, "device": device, "function": function, "dva": dva,
                   "page": page, "domain": domain, "mode": mode, "vasid": vasid, "write": write}
         if cls is TraceEvent:
-            cls = LAYOUT_OF[kind] if isinstance(kind, EventKind) else FULL_LAYOUT
+            cls = LAYOUT_OF.get(kind, FULL_LAYOUT)
             if any(fields[name] is not None for name in fields.keys() - cls.__slots__):
                 cls = FULL_LAYOUT
         self = object.__new__(cls)
@@ -181,7 +184,7 @@ def _layout(names: tuple[str, ...]) -> type[TraceEvent]:
 #: the layout of an event that sets a field its kind does not carry
 FULL_LAYOUT = _layout(FIELD_ORDER[3:])
 
-#: kind -> the layout a well-formed event of that kind is built in
-LAYOUT_OF: dict[EventKind, type[TraceEvent]] = {
+#: kind token -> the layout a well-formed event of that kind is built in
+LAYOUT_OF: dict[str, type[TraceEvent]] = {
     kind: _layout(names) for kind, names in EVENT_FIELDS.items()
 }

@@ -20,7 +20,7 @@ formatter compiled per kind writes a line in one call.  `dumps` still
 joins the whole trace into one string, so `vmemsim gen` holds every line
 in memory.
 
-The event kinds, their fields, `TraceEvent`, `PageMode` and
+The event kinds, their fields, `TraceEvent`, the protection modes and
 `DmaRequest`'s bounds come from `events`, which imports neither the
 engine nor the baselines, so `vmemsim gen`, `attack` and `validate` never
 load them.
@@ -34,9 +34,7 @@ from itertools import chain
 from typing import TextIO
 
 from .errors import OutOfRangeError, TraceFormatError
-from .events import EVENT_FIELDS, LAYOUT_OF, DmaRequest, EventKind, PageMode, TraceEvent
-
-_MODE_TOKENS = {mode.value for mode in PageMode}
+from .events import EVENT_FIELDS, LAYOUT_OF, PAGE_MODES, DmaRequest, TraceEvent
 
 
 def _direction(token: str) -> bool:
@@ -48,9 +46,9 @@ def _direction(token: str) -> bool:
 
 
 def _mode(token: str) -> str:
-    if token not in _MODE_TOKENS:
+    if token not in PAGE_MODES:
         raise ValueError(
-            f"unknown protection mode {token!r}; known: {', '.join(sorted(_MODE_TOKENS))}"
+            f"unknown protection mode {token!r}; known: {', '.join(sorted(PAGE_MODES))}"
         )
     return token
 
@@ -58,7 +56,7 @@ def _mode(token: str) -> str:
 _CONVERTERS = {"write": _direction, "mode": _mode}
 
 
-def _builder(kind: EventKind, names: tuple[str, ...]):
+def _builder(kind: str, names: tuple[str, ...]):
     """The function that builds the event of a well-formed `kind` line from its tokens.
 
     It is compiled once, as `def build(t)` that makes an instance of the
@@ -79,8 +77,7 @@ def _builder(kind: EventKind, names: tuple[str, ...]):
 
 #: kind token -> (tokens per line, builder, field names)
 _PARSE_TABLE = {
-    kind.value: (3 + len(names), _builder(kind, names), names)
-    for kind, names in EVENT_FIELDS.items()
+    kind: (3 + len(names), _builder(kind, names), names) for kind, names in EVENT_FIELDS.items()
 }
 
 
@@ -90,7 +87,7 @@ def _missing(ev: TraceEvent) -> None:
     raise TraceFormatError(f"event seq {ev.seq}: missing field {name!r}")
 
 
-def _formatter(kind: EventKind, names: tuple[str, ...]):
+def _formatter(kind: str, names: tuple[str, ...]):
     """The function that writes the line of a `kind` event.
 
     It is compiled once, as `def fmt(ev)` that checks each field against
@@ -98,7 +95,7 @@ def _formatter(kind: EventKind, names: tuple[str, ...]):
     `write` spelled `r` or `w`, so a line costs one call and no loop over
     fields.
     """
-    parts = ["{ev.seq!s}", kind.value, "{ev.cpu!s}"]
+    parts = ["{ev.seq!s}", kind, "{ev.cpu!s}"]
     parts += ["{'w' if ev.write else 'r'}" if name == "write" else f"{{ev.{name}!s}}"
               for name in names]
     source = "def fmt(ev):\n"
@@ -111,9 +108,8 @@ def _formatter(kind: EventKind, names: tuple[str, ...]):
     return scope["fmt"]
 
 
-#: kind token -> the function that writes a line of that kind; looked up by
-#: the member's `_value_` attribute, which costs no Enum hash or property call
-_FORMAT_TABLE = {kind.value: _formatter(kind, names) for kind, names in EVENT_FIELDS.items()}
+#: kind token -> the function that writes a line of that kind
+_FORMAT_TABLE = {kind: _formatter(kind, names) for kind, names in EVENT_FIELDS.items()}
 
 
 def _diagnose(tokens: list[str], lineno: int) -> None:
@@ -183,7 +179,7 @@ def _events(lines: Iterable[str], lineno: int) -> Iterator[TraceEvent]:
 
 def dumps(events: list[TraceEvent]) -> str:
     lines = ["# vmemsim trace"]
-    lines += [_FORMAT_TABLE[ev.kind._value_](ev) for ev in events]
+    lines += [_FORMAT_TABLE[ev.kind](ev) for ev in events]
     return "\n".join(lines) + "\n"
 
 

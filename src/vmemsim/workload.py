@@ -203,7 +203,7 @@ class WorkloadSpec(_WorkloadSpecFields):
 def _emitter(events: list[TraceEvent]):
     """Return emit(kind, **fields), which appends an event with the next seq."""
 
-    def emit(kind: EventKind, **fields) -> None:
+    def emit(kind: str, **fields) -> None:
         events.append(TraceEvent(seq=len(events) + 1, kind=kind, **fields))
 
     return emit
@@ -272,10 +272,9 @@ def generate(spec: WorkloadSpec, geom: Geometry | None = None) -> list[TraceEven
     # TraceEvent's generic constructor
     append = trace.append
     new = object.__new__
-    read, write = EventKind.READ, EventKind.WRITE  # most events are one of these
     access_layout, vm_layout, free_layout, exit_layout, dma_layout = (
-        LAYOUT_OF[kind] for kind in (read, EventKind.ALLOC, EventKind.FREE, EventKind.EXIT,
-                                     EventKind.DMA)
+        LAYOUT_OF[kind] for kind in (EventKind.READ, EventKind.ALLOC, EventKind.FREE,
+                                     EventKind.EXIT, EventKind.DMA)
     )
     current = 0  # guest on cpu 0; 0 means the hypervisor
     for seq in range(preamble + 1, spec.events + 1):
@@ -330,10 +329,9 @@ def generate(spec: WorkloadSpec, geom: Geometry | None = None) -> list[TraceEven
         else:
             vpage = 0
         window.append(vpage)
-        vaddr = vpage * page_size + draw() % page_size
         ev = new(access_layout)
-        ev.seq, ev.kind, ev.cpu = seq, read if draw() % 1_000_000 < 700_000 else write, 0
-        ev.vaddr = vaddr
+        ev.seq, ev.cpu, ev.vaddr = seq, 0, vpage * page_size + draw() % page_size
+        ev.kind = EventKind.READ if draw() % 1_000_000 < 700_000 else EventKind.WRITE
         append(ev)
 
     return trace
@@ -419,7 +417,7 @@ def attack_hyperwall_starvation(geom: Geometry | None = None) -> list[TraceEvent
     for page in range(geom.pages_total - 2):
         emit(EventKind.ALLOC, vm=1)
         # pool pages are handed out lowest-first, so page indexes are known
-        emit(EventKind.HW_SET, cpu=0, page=page, mode=PageMode.LOCKED.value)
+        emit(EventKind.HW_SET, cpu=0, page=page, mode=PageMode.LOCKED)
     emit(EventKind.EXIT, cpu=0)
     for _ in range(geom.pages_per_segment):
         emit(EventKind.ALLOC, vm=2)

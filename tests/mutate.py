@@ -155,6 +155,8 @@ MUTANTS = (
     # switches, flushes and the guest lifecycle
     Mutant("switch_flush_goes_uncounted", "engine.py", "_Machine._count_switch",
            "t.tlb_flushes += 1", "pass"),
+    Mutant("pswitch_counts_as_a_context_switch", "engine.py", "_Machine._count_switch",
+           "kind == 'pswitch'", "False"),
     Mutant("pswitch_reuses_the_current_real_asid", "baselines.py", "BaselineMachine.on_pswitch",
            "guest.asids[ev.vasid] = next(self.real_asids)", "guest.asids[ev.vasid] = guest.asid"),
     Mutant("destroy_vm_allows_a_current_vm", "baselines.py", "BaselineMachine.on_destroy_vm",
@@ -164,7 +166,7 @@ MUTANTS = (
     Mutant("asmi_reclaim_keeps_victim_vpages", "engine.py", "AsmiMachine._count_reclaim",
            "del table[vpage]", "pass"),
     Mutant("shadow_rmap_write_drops_update_steps", "baselines.py", "ShadowMachine.on_rmap_write",
-           "self.tally[ev.kind._value_].shadow_update_steps += steps", "pass"),
+           "self.tally[ev.kind].shadow_update_steps += steps", "pass"),
     # DMA remapping and protection bits
     Mutant("dma_fault_records_device_0", "engine.py", "_Machine._dma_fault",
            "ev.device or 0", "0"),
@@ -215,6 +217,9 @@ MUTANTS = (
     Mutant("denial_swaps_page_and_owner", "baselines.py", "HyperwallMachine.on_read",
            "(ev.seq, ev.cpu, requester, page, mode, owner)",
            "(ev.seq, ev.cpu, requester, owner, mode, page)"),
+    # an event's class: its kind's layout, keyed by the kind's token
+    Mutant("trace_event_takes_the_full_layout", "events.py", "TraceEvent.__new__",
+           "LAYOUT_OF.get(kind, FULL_LAYOUT)", "FULL_LAYOUT"),
     # argument guards tier-1 reaches only through tests/test_records.py's REJECTIONS
     Mutant("generate_skips_device_count_check", "workload.py", "generate",
            "spec.vm_count > MAX_BUS * MAX_DEVICE", "False"),

@@ -14,9 +14,9 @@ This module imports nothing from `vmemsim.traceio`.
 from __future__ import annotations
 
 from vmemsim.errors import TraceFormatError
-from vmemsim.events import EVENT_FIELDS, FIELD_ORDER, PageMode, TraceEvent
+from vmemsim.events import EVENT_FIELDS, FIELD_ORDER, PAGE_MODES, TraceEvent
 
-_MODE_TOKENS = {mode.value for mode in PageMode}
+_MODE_TOKENS = set(PAGE_MODES)
 
 
 def _direction(token: str) -> bool:
@@ -43,7 +43,7 @@ _SEQ, _KIND, _CPU = (_ARGUMENTS.index(name) for name in ("seq", "kind", "cpu"))
 
 #: kind token -> (kind, field names, ((argument position, field name, converter), ...))
 _PARSE_TABLE = {
-    kind.value: (
+    kind: (
         kind,
         names,
         tuple((_ARGUMENTS.index(name), name, _CONVERTERS.get(name, int)) for name in names),
@@ -65,7 +65,7 @@ def parse_line(line: str, lineno: int = 0) -> TraceEvent | None:
     kind, names, slots = entry
     if len(tokens) != 3 + len(names):
         raise TraceFormatError(
-            f"line {lineno}: {kind.value} takes {len(names)} fields "
+            f"line {lineno}: {kind} takes {len(names)} fields "
             f"({' '.join(names) or 'none'}), got {len(tokens) - 3}"
         )
     args = [None] * len(_ARGUMENTS)
@@ -96,7 +96,7 @@ def loads(text: str) -> list[TraceEvent]:
 
 def format_event(ev: TraceEvent) -> str:
     """The line of `ev`: `seq kind cpu` and each of the kind's fields, in order."""
-    parts = [str(ev.seq), ev.kind.value, str(ev.cpu)]
+    parts = [str(ev.seq), ev.kind, str(ev.cpu)]
     for name in EVENT_FIELDS[ev.kind]:
         value = getattr(ev, name)
         if value is None:

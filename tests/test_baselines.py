@@ -16,7 +16,7 @@ from vmemsim.baselines import (
 from vmemsim.core import Geometry
 from vmemsim.engine import RunOptions, run
 from vmemsim.errors import OutOfRangeError
-from vmemsim.events import DmaRequest, EventKind, PageMode, TraceEvent
+from vmemsim.events import PAGE_MODES, DmaRequest, EventKind, PageMode, TraceEvent
 
 
 # ---------------------------------------------------------------------------
@@ -311,17 +311,17 @@ EXPECTED_ALLOW = {
 
 def test_page_mode_allow_table_exhaustive():
     # hyperwall checks an access as `requester token in _ALLOWED[mode token]`
-    assert set(_ALLOWED) == {mode.value for mode in PageMode}
+    assert set(_ALLOWED) == set(PAGE_MODES)
     assert set().union(*_ALLOWED.values()) <= set(REQUESTERS)
-    for mode in PageMode:
+    for mode in PAGE_MODES:
         for requester in REQUESTERS:
-            allowed = requester in _ALLOWED[mode.value]
+            allowed = requester in _ALLOWED[mode]
             assert allowed == EXPECTED_ALLOW[(mode, requester)]
 
 
 def test_other_vm_is_never_allowed():
-    for mode in PageMode:
-        assert "other_vm" not in _ALLOWED[mode.value]
+    for mode in PAGE_MODES:
+        assert "other_vm" not in _ALLOWED[mode]
 
 
 @pytest.mark.parametrize("mode, reclaimable", [
@@ -334,7 +334,7 @@ def test_hypervisor_reclaim_gate(mode, reclaimable):
     t = [
         TraceEvent(1, EventKind.CREATE_VM, vm=1), TraceEvent(2, EventKind.CREATE_VM, vm=2),
         TraceEvent(3, EventKind.ALLOC, vm=1), TraceEvent(4, EventKind.ENTER, vm=1),
-        TraceEvent(5, EventKind.HW_SET, page=0, mode=mode.value), TraceEvent(6, EventKind.EXIT),
+        TraceEvent(5, EventKind.HW_SET, page=0, mode=mode), TraceEvent(6, EventKind.EXIT),
         TraceEvent(7, EventKind.ALLOC, vm=2), TraceEvent(8, EventKind.ALLOC, vm=2),
     ]
     rep = run(t, "hyperwall", Geometry(256, 1, 2), options=RunOptions(check_invariants=True))

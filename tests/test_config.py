@@ -1,6 +1,14 @@
 """Config file parsing and the small value parsers the CLI shares."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import vmemsim
+from vmemsim.cli import main
 
 from vmemsim.config import (
     load_config,
@@ -64,6 +72,38 @@ def test_load_config(tmp_path):
     assert load_config(str(path)) == parse_config_text(GOOD)
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "absent.conf"))
+
+
+def latin_config(tmp_path):
+    """A config file whose comment holds a byte that is not UTF-8."""
+    path = tmp_path / "bad.conf"
+    path.write_bytes(b"geometry = 256x4x8\n# caf\xe9\n")
+    return path
+
+
+def test_load_config_names_a_file_that_is_not_utf8(tmp_path):
+    path = latin_config(tmp_path)
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(path))
+    assert str(exc.value) == f"{path}: not UTF-8 text (bytes e9)"
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "gen", "attack cross_vm_dma"])
+def test_a_config_that_is_not_utf8_is_an_error_line(tmp_path, capsys, command):
+    path = latin_config(tmp_path)
+    assert main([*command.split(), "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: not UTF-8 text (bytes e9)\n"
+    assert captured.out == ""
+
+
+def test_a_config_that_is_not_utf8_ends_the_process_without_a_traceback(tmp_path):
+    path = latin_config(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(vmemsim.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "vmemsim.cli", "run", "--config", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: {path}: not UTF-8 text (bytes e9)\n"
 
 
 def test_parse_geometry():

@@ -39,7 +39,7 @@ from vmemsim.engine import (
     static_partition_utilization,
 )
 from vmemsim.errors import ConfigError, DuplicateRunError, ModeError, SimError, SimulationError
-from vmemsim.events import EVENT_FIELDS, EventKind, PageMode, TraceEvent
+from vmemsim.events import EVENT_FIELDS, PAGE_MODES, EventKind, PageMode, TraceEvent
 from vmemsim.promem import ProMem
 from vmemsim.traceio import read_trace
 
@@ -59,7 +59,7 @@ def trace(*specs):
 
 def step(machine, event):
     """Replay one event through its kind's handler-table entry, as `replay` does."""
-    machine.handlers[event.kind.value](machine, event)
+    machine.handlers[event.kind](machine, event)
 
 
 def opts(**kw):
@@ -779,7 +779,7 @@ def _frames(machine, event):
             if back is caller:
                 names.append(frame.f_code.co_name)
 
-    handler = machine.handlers[event.kind.value]
+    handler = machine.handlers[event.kind]
     collecting = gc.isenabled()
     gc.disable()  # a collection would run the frames of gc.callbacks
     sys.setprofile(profile)
@@ -833,14 +833,14 @@ def test_each_cpu_access_opens_one_python_frame(mode):
     reads = []
     for event in t:
         frames = _frames(machine, event)
-        if event.kind is E.READ:
+        if event.kind == E.READ:
             reads.append(frames)
     assert reads[1:] == ACCESS_FRAMES[mode]
     report, cross = machine.report, t[12].seq
     if mode == "asmi":
         assert [(f.seq, f.owner) for f in machine.pm.faults] == [(t[11].seq, 0), (cross, None)]
     elif mode == "hyperwall":
-        mode_token = PageMode.HYPERVISOR_AND_DMA.value
+        mode_token = PageMode.HYPERVISOR_AND_DMA
         assert report.denials == [Denial(cross, 0, "other_vm", 1, mode_token, 0)]
         assert report.violations == []
     else:
@@ -1074,7 +1074,7 @@ def test_engine_looks_up_the_moved_names_the_benchmark_reads_on_each_use(monkeyp
 def test_each_mode_has_its_own_class_and_the_handlers_of_its_hardware(mode, dma_policy):
     machine = machine_class(mode)(TINY, opts(dma_policy=dma_policy), MetricsReport(mode))
     assert type(machine) is MACHINE_CLASSES[mode]
-    assert list(machine.handlers) == [kind.value for kind in E]
+    assert list(machine.handlers) == list(EVENT_FIELDS)
     ignored = {kind for kind, handler in machine.handlers.items() if handler is engine._ignore}
     assert ignored == {"asmi": {"hw_set", "rmap_write"}, "hyperwall": set()}.get(mode, {"hw_set"})
 
@@ -1263,6 +1263,27 @@ def test_compare_accepts_bare_event_list():
     assert list(result.reports) == [("trace", "asmi")]
 
 
+@pytest.mark.parametrize("one_shot", [iter, lambda events: (ev for ev in events)])
+def test_compare_replays_a_one_shot_iterable_under_every_mode(one_shot):
+    events = read_trace(str(FIXTURES / "cross_vm_dma.trace"))
+    want = compare([("x", events)], MODES, TINY)
+    got = compare([("x", one_shot(events))], MODES, TINY)
+    assert [report.events for report in got.reports.values()] == [len(events)] * len(MODES)
+    assert list(got.reports) == list(want.reports)
+    for key, report in got.reports.items():
+        assert report.to_json() == want.reports[key].to_json(), key
+    assert got.to_table() == want.to_table()
+
+
+def test_compare_replays_a_list_or_tuple_as_it_is(monkeypatch):
+    replayed = []
+    monkeypatch.setattr(engine, "run", lambda events, *args: replayed.append(events))
+    as_list = trace((E.CREATE_VM, {"vm": 1}))
+    as_tuple = tuple(as_list)
+    compare([("a", as_list), ("b", as_tuple)], ["asmi", "nested"], TINY)
+    assert [id(events) for events in replayed] == [id(as_list)] * 2 + [id(as_tuple)] * 2
+
+
 @pytest.mark.parametrize("names, modes", [
     (["x", "x"], ["asmi"]),                       # two traces with one name
     (["x"], ["asmi", "asmi"]),
@@ -1375,7 +1396,7 @@ FUZZ_GEOM = Geometry(256, 2, 4)
 _SMALL = st.integers(-1, 6)
 _FIELDS = {
     "vaddr": st.integers(-8, 2048), "dva": st.integers(-8, 2048),
-    "write": st.booleans(), "mode": st.sampled_from([m.value for m in PageMode] + ["bogus"]),
+    "write": st.booleans(), "mode": st.sampled_from([*PAGE_MODES, "bogus"]),
 }
 
 
@@ -1390,14 +1411,14 @@ def fuzz_traces(draw):
     events = []
     created = 0
     for seq in range(1, draw(st.integers(1, 40)) + 1):
-        kind = draw(st.sampled_from(list(EventKind)))
-        likely = [created + 1] if kind is E.CREATE_VM else list(range(1, created + 1)) or [0]
+        kind = draw(st.sampled_from(list(EVENT_FIELDS)))
+        likely = [created + 1] if kind == E.CREATE_VM else list(range(1, created + 1)) or [0]
         fields = {
             name: draw(st.sampled_from(likely) | _SMALL if name == "vm" else
                        _FIELDS.get(name, _SMALL))
             for name in EVENT_FIELDS[kind]
         }
-        created += kind is E.CREATE_VM and fields["vm"] == created + 1
+        created += kind == E.CREATE_VM and fields["vm"] == created + 1
         events.append(TraceEvent(seq, kind, draw(st.integers(-1, 1)), **fields))
     return events
 
@@ -1414,7 +1435,7 @@ def test_replay_raises_nothing_but_sim_errors(events):
 
 
 _STOP = re.compile(r"event seq (\d+)")
-_MODE_TOKENS = {m.value for m in PageMode}
+_MODE_TOKENS = set(PAGE_MODES)
 
 
 def _modes_that_may_differ(events) -> set[str]:
@@ -1425,7 +1446,7 @@ def _modes_that_may_differ(events) -> set[str]:
         differ.add("iommu")        # a raw-target DMA is a mode error
     if E.RMAP_WRITE in kinds:
         differ.add("asmi")         # no real map: an rmap_write naming a dead VM replays on
-    if any(ev.kind is E.HW_SET and (not 0 <= ev.page < FUZZ_GEOM.pages_total
+    if any(ev.kind == E.HW_SET and (not 0 <= ev.page < FUZZ_GEOM.pages_total
                                     or ev.mode not in _MODE_TOKENS) for ev in events):
         differ.add("hyperwall")    # the only mode that reads an hw_set page or mode
     return differ

@@ -26,7 +26,7 @@ from vmemsim.cli import _summary, _write_outputs
 from vmemsim.core import FLUSH_POLICY, NO_DMA, RAW_DMA, Geometry
 from vmemsim.engine import MODES, RunOptions, compare, run
 from vmemsim.errors import ModeError
-from vmemsim.events import EventKind, PageMode, TraceEvent
+from vmemsim.events import EVENT_FIELDS, PAGE_MODES, EventKind, TraceEvent
 from vmemsim.traceio import read_trace
 from vmemsim.workload import DemandProfile, WorkloadSpec, Xorshift64Star, generate
 
@@ -62,9 +62,9 @@ def all_kinds_trace(seed: int, events: int, geom: Geometry, raw_dma: bool = True
     current = {0: 0, 1: 0}
     allocs: dict[int, int] = {0: 0}
     tainted: dict[int, set[int]] = {0: set()}
-    kinds = [k for k in EventKind if raw_dma or k is not EventKind.DMA_RAW]
+    kinds = [k for k in EVENT_FIELDS if raw_dma or k != EventKind.DMA_RAW]
 
-    def emit(kind: EventKind, **fields) -> None:
+    def emit(kind: str, **fields) -> None:
         trace.append(TraceEvent(seq=len(trace) + 1, kind=kind, **fields))
 
     def pick(seq):
@@ -74,49 +74,49 @@ def all_kinds_trace(seed: int, events: int, geom: Geometry, raw_dma: bool = True
         kind = pick(kinds)
         cpu = rng.below(2)
         owners = [0] + live
-        if kind is EventKind.CREATE_VM and len(live) < 4:
+        if kind == EventKind.CREATE_VM and len(live) < 4:
             live.append(next_vm)
             allocs[next_vm] = 0
             tainted[next_vm] = set()
             emit(kind, vm=next_vm)
             next_vm += 1
-        elif kind is EventKind.DESTROY_VM and set(live) - set(current.values()):
+        elif kind == EventKind.DESTROY_VM and set(live) - set(current.values()):
             vm = pick(sorted(set(live) - set(current.values())))
             live.remove(vm)
             emit(kind, vm=vm)
-        elif kind is EventKind.ENTER and current[cpu] == 0 and live:
+        elif kind == EventKind.ENTER and current[cpu] == 0 and live:
             current[cpu] = pick(live)
             emit(kind, cpu=cpu, vm=current[cpu])
-        elif kind is EventKind.EXIT and current[cpu] != 0:
+        elif kind == EventKind.EXIT and current[cpu] != 0:
             current[cpu] = 0
             emit(kind, cpu=cpu)
-        elif kind is EventKind.ALLOC:
+        elif kind == EventKind.ALLOC:
             vm = pick(owners)
             allocs[vm] += 1
             emit(kind, vm=vm)
-        elif kind is EventKind.FREE:
+        elif kind == EventKind.FREE:
             vm = pick(owners)
             vpage = rng.below(allocs[vm] + 2)
             if vpage not in tainted[vm]:
                 emit(kind, vm=vm, vaddr=vpage * ps + rng.below(ps))
-        elif kind is EventKind.GPT_WRITE:
+        elif kind == EventKind.GPT_WRITE:
             vm = pick(owners)
             vpage = rng.below(12)
             tainted[vm].add(vpage)
             emit(kind, vm=vm, vpage=vpage, target=rng.below(span))
-        elif kind is EventKind.RMAP_WRITE:
+        elif kind == EventKind.RMAP_WRITE:
             emit(kind, vm=pick(owners), ppage=rng.below(12), phys=rng.below(span))
-        elif kind is EventKind.DMA:
+        elif kind == EventKind.DMA:
             emit(kind, bus=0, device=rng.below(4), function=0,
                  dva=rng.below(span) * ps, write=rng.below(2) == 1)
-        elif kind is EventKind.DMA_RAW:
+        elif kind == EventKind.DMA_RAW:
             emit(kind, vm=rng.below(next_vm), page=rng.below(span), write=rng.below(2) == 1)
-        elif kind is EventKind.DOMAIN_ASSIGN and live:
+        elif kind == EventKind.DOMAIN_ASSIGN and live:
             emit(kind, domain=1 + rng.below(3), vm=pick(live), bus=0,
                  device=rng.below(4), function=0)
-        elif kind is EventKind.HW_SET:
-            emit(kind, cpu=cpu, page=rng.below(geom.pages_total), mode=pick(list(PageMode)).value)
-        elif kind is EventKind.PSWITCH:
+        elif kind == EventKind.HW_SET:
+            emit(kind, cpu=cpu, page=rng.below(geom.pages_total), mode=pick(PAGE_MODES))
+        elif kind == EventKind.PSWITCH:
             emit(kind, cpu=cpu, vasid=rng.below(3))
         elif kind in (EventKind.READ, EventKind.WRITE):
             emit(kind, cpu=cpu, vaddr=rng.below(12) * ps + rng.below(ps))
@@ -157,7 +157,7 @@ def digests(events: list[TraceEvent], geom: Geometry, options: RunOptions) -> di
 
     Where a mode refuses the trace, its ModeError text is pinned instead.
     """
-    raw = any(ev.kind is EventKind.DMA_RAW for ev in events)
+    raw = any(ev.kind == EventKind.DMA_RAW for ev in events)
     modes = [m for m in MODES if not (raw and m == "iommu")]
     result = compare([("trace", events)], modes, geom, options=options)
     out = {}
@@ -200,7 +200,7 @@ def test_all_kinds_trace_covers_every_kind():
     for name in ("all_kinds", "all_kinds_no_raw"):
         events, _ = TRACES[name]
         kinds = {ev.kind for ev in events}
-        missing = set(EventKind) - kinds
+        missing = set(EVENT_FIELDS) - kinds
         assert missing <= ({EventKind.DMA_RAW} if name.endswith("no_raw") else set()), name
 
 

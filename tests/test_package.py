@@ -1,5 +1,6 @@
 """The package namespace: every name of `__all__` is looked up in its module on use."""
 
+import ast
 import importlib
 import subprocess
 import sys
@@ -53,3 +54,16 @@ def test_import_loads_no_submodule_and_from_import_still_loads_one():
         "assert 'vmemsim.workload' not in sys.modules"
     )
     subprocess.run([sys.executable, "-E", "-S", "-B", "-c", code], check=True, timeout=120)
+
+
+@pytest.mark.parametrize("path", sorted(Path(vmemsim.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_enum(path):
+    # event kinds and page modes are plain strings, so no module needs the enum machinery
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.partition(".")[0])
+    assert "enum" not in imported, path.name

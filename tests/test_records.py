@@ -37,7 +37,15 @@ from vmemsim.events import (
 )
 from vmemsim.errors import ConfigError, GeometryError, OutOfRangeError, WorkloadError
 from vmemsim.promem import AllocResult, ProMem, Translation
-from vmemsim.workload import DemandProfile, WorkloadSpec, generate
+from vmemsim.traceio import loads
+from vmemsim.workload import (
+    DemandProfile,
+    WorkloadSpec,
+    attack_cross_vm_dma,
+    attack_hyperwall_starvation,
+    attack_malicious_hypervisor,
+    generate,
+)
 
 ONE_VM = (DemandProfile(4),)
 
@@ -154,7 +162,7 @@ def sample_event(kind):
 
 #: one event per layout, and one that sets a field its kind lacks (the 18-slot layout)
 LAYOUT_SAMPLES = [sample_event(kind)
-                  for kind in {LAYOUT_OF[kind]: kind for kind in EventKind}.values()]
+                  for kind in {LAYOUT_OF[kind]: kind for kind in EVENT_FIELDS}.values()]
 LAYOUT_SAMPLES.append(TraceEvent(7, EventKind.READ, 1, vaddr=5, page=2))
 
 
@@ -172,8 +180,50 @@ def test_trace_event_layouts():
     for value in (0, False, "other"):
         assert type(TraceEvent(7, EventKind.READ, 1, vaddr=5, page=value)) is FULL_LAYOUT
     assert type(TraceEvent(7, EventKind.READ, 1, vaddr=5, page=None)) is LAYOUT_OF[EventKind.READ]
-    assert type(TraceEvent(7, "read", 1, vaddr=5)) is FULL_LAYOUT
+    # a kind is its token, and a kind no layout has gets all 18 slots
+    assert type(TraceEvent(7, "read", 1, vaddr=5)) is LAYOUT_OF[EventKind.READ]
+    assert type(TraceEvent(7, "warp", 1, vaddr=5)) is FULL_LAYOUT
     assert FULL_LAYOUT.__slots__ == TRACE_EVENT_FIELDS
+
+
+#: one line of each kind, in EVENT_FIELDS' order
+ALL_KINDS_TEXT = """\
+1 create_vm 0 1
+2 destroy_vm 0 1
+3 enter 0 1
+4 exit 0
+5 alloc 0 1
+6 free 0 1 4096
+7 read 0 4096
+8 write 0 4096
+9 gpt_write 0 1 2 3
+10 rmap_write 0 1 2 3
+11 dma 0 0 1 0 8192 w
+12 dma_raw 0 1 2 r
+13 domain_assign 0 1 1 0 1 0
+14 hw_set 0 2 locked
+15 pswitch 0 3
+"""
+
+
+def test_every_kind_is_its_token_end_to_end():
+    parsed = loads(ALL_KINDS_TEXT)
+    assert [ev.kind for ev in parsed] == list(EVENT_FIELDS)
+    spec = WorkloadSpec(7, 2, 400, (DemandProfile(4, 0.2, 0.5),) * 2, 0.1, 0.1)
+    sources = {
+        "parsed": parsed,
+        "generated": generate(spec, Geometry(256, 4, 16)),
+        "attacks": [ev for attack in (attack_cross_vm_dma, attack_malicious_hypervisor,
+                                      attack_hyperwall_starvation) for ev in attack()],
+        "constructed": [sample_event(kind) for kind in EVENT_FIELDS],
+    }
+    for name, events in sources.items():
+        for ev in (*events, *pickle.loads(pickle.dumps(events))):
+            assert type(ev.kind) is str, (name, ev)
+            assert ev.kind in EVENT_FIELDS, (name, ev)
+            assert type(ev) is LAYOUT_OF[ev.kind], (name, ev)
+    assert {ev.kind for ev in sources["generated"]} >= {"read", "write", "alloc", "dma", "exit"}
+    assert type(TraceEvent(1, "warp", 0)) is FULL_LAYOUT
 
 
 @pytest.mark.parametrize("ev", LAYOUT_SAMPLES, ids=lambda ev: type(ev).__name__)
@@ -200,7 +250,7 @@ def test_every_layout_keeps_the_record_contract(ev):
 def test_trace_event_repr():
     ev = TraceEvent(seq=3, kind=EventKind.DMA, bus=1, device=2, function=0, dva=8192, write=True)
     assert repr(ev) == (
-        "TraceEvent(seq=3, kind=<EventKind.DMA: 'dma'>, cpu=0, vm=None, vaddr=None, "
+        "TraceEvent(seq=3, kind='dma', cpu=0, vm=None, vaddr=None, "
         "vpage=None, target=None, ppage=None, phys=None, bus=1, device=2, function=0, "
         "dva=8192, page=None, domain=None, mode=None, vasid=None, write=True)"
     )

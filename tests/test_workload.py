@@ -159,8 +159,8 @@ def test_generated_traces_replay_everywhere():
 
 def test_working_sets_are_respected():
     t = generate(spec(events=500, dma_rate=0.0, switch_rate=0.0), ROOMY)
-    allocs = sum(1 for e in t if e.kind is EventKind.ALLOC)
-    frees = sum(1 for e in t if e.kind is EventKind.FREE)
+    allocs = sum(1 for e in t if e.kind == EventKind.ALLOC)
+    frees = sum(1 for e in t if e.kind == EventKind.FREE)
     assert allocs - frees <= 4 + 3            # never above the combined working sets
     assert allocs >= 7                        # both VMs reach their sets
 
@@ -169,9 +169,9 @@ def test_hypervisor_stays_idle():
     t = generate(spec(events=400), ROOMY)
     current = 0
     for e in t:
-        if e.kind is EventKind.ENTER:
+        if e.kind == EventKind.ENTER:
             current = e.vm
-        elif e.kind is EventKind.EXIT:
+        elif e.kind == EventKind.EXIT:
             current = 0
         elif e.kind in (EventKind.READ, EventKind.WRITE):
             assert current != 0               # demand accesses only run in guests

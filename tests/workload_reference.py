@@ -58,7 +58,7 @@ def _scale(rate: float) -> int:
 def _emitter(events: list[TraceEvent]):
     """Return emit(kind, **fields), which appends an event with the next seq."""
 
-    def emit(kind: EventKind, **fields) -> None:
+    def emit(kind: str, **fields) -> None:
         events.append(TraceEvent(seq=len(events) + 1, kind=kind, **fields))
 
     return emit
