@@ -33,11 +33,14 @@ The page-pool hypervisor that drives these structures is here too:
 `IommuMachine` and `HyperwallMachine` subclass it.  `engine.run` loads
 this module on a baseline mode's first run, so an `asmi` replay and the
 commands that only write or check traces never compile it.  The machines
-call `nested_translate` (on a vTLB miss only), `shadow_update_vpage`,
-`shadow_update_ppage` and `iommu_dma_translate` as globals of this module,
-where a patched name is the one they call.  A handler reads a vTLB hit and
-walks a shadow entry inline, so `VirtualTlb.lookup` and `shadow_translate`,
-like `ProMem.translate` under `asmi`, are no longer called per access.
+call `nested_translate` (on a vTLB miss only), `shadow_update_ppage` (on
+an `rmap_write`; it calls `shadow_update_vpage` per entry it re-derives)
+and `iommu_dma_translate` as globals of this module, where a patched name
+is the one they call.  A handler reads a vTLB hit and walks a shadow entry
+inline, so `VirtualTlb.lookup` and `shadow_translate`, like
+`ProMem.translate` under `asmi`, are no longer called per access; nor is
+`VirtualTlb.invalidate_phys` by a free.  A guest's `backing` maps each
+page it holds to its vpage, which is also the ppage of a guest's mapping.
 
 The machines and walk functions keep `engine._Machine`'s hot-path rules.
 """
@@ -282,7 +285,7 @@ class _Guest:
     def __init__(self, asid: int):
         self.gpt: dict[int, int] = {}       # vpage -> ppage (the hypervisor's: -> page)
         self.rmap: dict[int, int] = {}      # ppage -> page
-        self.backing: dict[int, tuple[int, int]] = {}  # held page -> (vpage, its gpt entry)
+        self.backing: dict[int, int] = {}   # held page -> its vpage
         self.held: list[int] = []           # the pages of `backing`, ascending
         self.next_vpage = 0
         self.asids = {0: asid}              # guest asid -> real asid, never recycled
@@ -330,35 +333,43 @@ class BaselineMachine(_Machine):
         """Unmap a held page from every structure and return it to the pool."""
         vm = self.owner_of.pop(page)
         guest = self.guests[vm]
-        vpage, ppage = guest.backing.pop(page)
+        vpage = guest.backing.pop(page)
+        ppage = page if vm == HYPERVISOR else vpage  # the gpt entry its alloc made
         held = guest.held
         del held[bisect.bisect_left(held, page)]
         if guest.gpt.get(vpage) == ppage:
             del guest.gpt[vpage]
         mapped = guest.rmap.pop(ppage, page)
+        entries, keys_of = self.tlb.entries, self.tlb.keys_of  # invalidate_phys, inline
         if mapped != page:                  # an rmap_write moved ppage elsewhere
-            self.tlb.invalidate_phys(mapped)
+            for key in keys_of.pop(mapped, ()):
+                del entries[key]
+        for key in keys_of.pop(page, ()):
+            del entries[key]
         self.page_mode.pop(page, None)
-        self.tlb.invalidate_phys(page)
         heapq.heappush(self.free_pages, page)
 
     def _reclaim_one_page(self, requester: int) -> int | None:
-        """Swap out one page from the largest other guest holder.
-
-        Outside hyperwall no page has a mode, so every page reads as
-        hyp_only, which the hypervisor may touch.
+        """Swap out the highest page the hypervisor may touch of the largest
+        other guest holder; a tie goes to the lowest vm, as `guests` is in
+        ascending-id order.  A holder with no such page (only hyperwall locks
+        any) is passed over, and the next largest is tried.
         """
         guests, page_mode = self.guests, self.page_mode
-        order = sorted(
-            (-len(guest.held), vm) for vm, guest in guests.items()
-            if vm != requester and vm != HYPERVISOR
-        )
-        for _, victim in order:
+        passed = set()
+        for _ in guests:  # at most one pass per guest: each returns or passes one over
+            victim, most = None, 0
+            for vm, guest in guests.items():
+                count = len(guest.held)
+                if count > most and vm != requester and vm != HYPERVISOR and vm not in passed:
+                    victim, most = vm, count
+            if victim is None:
+                return None
             for page in reversed(guests[victim].held):
-                if _BY_HYPERVISOR not in _ALLOWED[page_mode.get(page, _HYP_ONLY)]:
-                    continue
-                self._free_page(page)
-                return page
+                if _BY_HYPERVISOR in _ALLOWED[page_mode.get(page, _HYP_ONLY)]:
+                    self._free_page(page)
+                    return page
+            passed.add(victim)
         return None
 
     # -- lifecycle and entry/exit --
@@ -429,13 +440,15 @@ class BaselineMachine(_Machine):
         if vpage in guest.gpt:
             self.tlb.invalidate(guest.asids.values(), vpage)
         guest.gpt[vpage] = ppage
-        guest.backing[page] = (vpage, ppage)
+        guest.backing[page] = vpage
         bisect.insort(guest.held, page)
         if vm != HYPERVISOR:
             old = guest.rmap.get(ppage)
             if old is not None:
                 self.tlb.invalidate_phys(old)
             guest.rmap[ppage] = page
+            if guest.domain is not None:    # assigned under iommu only
+                self.remap.map_page(guest.domain, ppage, page)
         return page
 
     def on_free(self, ev: TraceEvent) -> None:
@@ -577,12 +590,12 @@ class ShadowMachine(BaselineMachine):
 
     def on_alloc(self, ev: TraceEvent) -> None:
         if BaselineMachine.on_alloc(self, ev) is not None and ev.vm != HYPERVISOR:
-            self.tally[ev.kind].shadow_update_steps += shadow_update_vpage()
+            self.tally[ev.kind].shadow_update_steps += 1  # shadow_update_vpage(), inline
 
     def on_gpt_write(self, ev: TraceEvent) -> None:
         BaselineMachine.on_gpt_write(self, ev)
         if ev.vm != HYPERVISOR:
-            self.tally[ev.kind].shadow_update_steps += shadow_update_vpage()
+            self.tally[ev.kind].shadow_update_steps += 1  # shadow_update_vpage(), inline
 
     def on_rmap_write(self, ev: TraceEvent) -> None:
         BaselineMachine.on_rmap_write(self, ev)
@@ -621,7 +634,8 @@ class ShadowMachine(BaselineMachine):
 class IommuMachine(BaselineMachine):
     """iommu: the nested CPU path, and every DMA, whatever dma_policy says,
     walks its device's remapping tables, which no other mode keeps.  A
-    raw-target DMA names no device, so it is a mode error."""
+    raw-target DMA names no device, so it is a mode error.  Only this mode
+    gives a guest a domain, which `BaselineMachine.on_alloc` maps into."""
 
     def __init__(self, geom, opts, report):
         super().__init__(geom, opts, report)
@@ -630,12 +644,6 @@ class IommuMachine(BaselineMachine):
     def _free_page(self, page: int) -> None:
         BaselineMachine._free_page(self, page)
         self.remap.unmap_phys(page)
-
-    def on_alloc(self, ev: TraceEvent) -> None:
-        page = BaselineMachine.on_alloc(self, ev)
-        guest = self.guests[ev.vm]
-        if guest.domain is not None and page is not None and ev.vm != HYPERVISOR:
-            self.remap.map_page(guest.domain, guest.backing[page][1], page)
 
     def on_domain_assign(self, ev: TraceEvent) -> None:
         BaselineMachine.on_domain_assign(self, ev)

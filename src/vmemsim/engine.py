@@ -61,6 +61,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Callable, Collection, Iterable
 from functools import cache
+from heapq import heappop
 from itertools import chain
 from typing import NamedTuple
 
@@ -334,6 +335,9 @@ class _Machine:
     A CPU access is inline in its handler, one frame: a vTLB hit, a shadow
     walk, and `asmi`'s walk and ownership check.  Only a vTLB miss's walk and
     insert, and `check_owner` on a blocked `asmi` access, are calls.
+    An alloc's common step is inline too (`asmi`'s open-segment page, a
+    baseline's pool pop, mapping and shadow step); a claim, a reclaim, a full
+    pool and a baseline free's `_free_page` are calls.
     """
 
     live: Collection[int]
@@ -475,17 +479,36 @@ class AsmiMachine(_Machine):
         self._count_switch(ev.kind)
 
     def on_alloc(self, ev: TraceEvent) -> None:
-        vm = ev.vm  # allocate_page raises "vm {vm} is not live" for a dead one
+        """`ProMem.allocate_page`'s first two steps inline: the owner's lowest open
+        segment, else a claim; only a reclaim or a full pool calls it."""
+        vm = ev.vm
+        owner = self.live.get(vm)
+        if owner is None:
+            raise self.err(ev, f"vm {vm} is not live")
         self.report.counters.allocs += 1
-        page, notice = self.pm.allocate_page(vm, ev.seq)
-        t = self.tally[ev.kind]
-        t.unreported_checks += 1
-        if notice is not None:
-            self._count_reclaim(t, notice)
-        if page is not None:
-            owner = self.live[vm]
-            owner.table[owner.next_vpage] = page
-            owner.next_vpage += 1
+        self.tally[ev.kind].unreported_checks += 1
+        pm, heap = self.pm, owner.open
+        while heap and pm.mpt.get(heap[0]) != vm:
+            heappop(heap)  # released since it was pushed
+        if heap:
+            s = heap[0]
+            mask = pm.masks[s]
+            bit = ~mask & (mask + 1)  # its lowest free page
+            pm.masks[s] = mask = mask | bit
+            if mask == pm.full_mask:
+                heappop(heap)
+            owner.pages += 1
+            page = s * pm.pps + bit.bit_length() - 1
+        elif (s := pm.claim(vm, owner)) is not None:
+            page = s * pm.pps
+        else:
+            page, notice = pm.allocate_page(vm, ev.seq)
+            if notice is not None:
+                self._count_reclaim(self.tally[ev.kind], notice)
+            if page is None:
+                return
+        owner.table[owner.next_vpage] = page
+        owner.next_vpage += 1
 
     def on_free(self, ev: TraceEvent) -> None:
         vm = ev.vm
@@ -686,11 +709,13 @@ def compare(
 ) -> ComparisonReport:
     """Run each (name, events) trace under each mode, trace-major, mode-minor.
 
-    A bare event list is one trace named "trace", and events that are not a
-    list or tuple are read into one list.  A (name, mode) pair that would
-    repeat raises DuplicateRunError before anything is replayed.
+    A bare event list is one trace named "trace"; `traces` and each trace's
+    events are read into a list unless a list or tuple.  A (name, mode) pair
+    that would repeat raises DuplicateRunError before anything is replayed.
     """
     geom = geom or Geometry()
+    if not isinstance(traces, (list, tuple)):
+        traces = list(traces)  # a generator can be neither indexed nor read twice
     if traces and isinstance(traces[0], TraceEvent):
         traces = [("trace", traces)]
     modes = [canonical_mode(m) for m in modes]

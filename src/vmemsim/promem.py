@@ -29,6 +29,9 @@ Page allocation cascades:
      the request retries, which then always succeeds;
   4. else the requester is told the memory is full.
 
+`allocate_page` is that cascade.  The engine's `asmi` alloc takes steps 1
+and 2 itself (`claim` is step 2), and calls it only when no segment is free.
+
 Every page the controller takes or returns is a global page number p,
 as in every other table of the simulator.  The controller alone splits
 it: p lies in segment p // pages_per_segment at index
@@ -51,7 +54,7 @@ utilization sample scans the segment pool:
             the top.  A claim happens only once this heap is empty, so
             no segment is in it twice.
 
-Every MPT write goes through `_claim` (lowest free segment to an owner)
+Every MPT write goes through `claim` (lowest free segment to an owner)
 or `_release` (segment back to the free heap).  `check_invariants`
 recomputes each index from the MPT and the masks.
 
@@ -204,7 +207,7 @@ class ProMem:
     def _recompute_mseg(self) -> None:
         self.mseg = max(1, self.tseg // self.tot) if self.tot else 0
 
-    def _claim(self, vm: int, owner: _Owner) -> int | None:
+    def claim(self, vm: int, owner: _Owner) -> int | None:
         """Give the lowest free segment to `vm` with page 0 taken; None if none is free.
 
         Page 0 is the save slot of a slot segment and the first data page
@@ -235,13 +238,13 @@ class ProMem:
         self.owners[vm] = owner = _Owner(vm)
         self.tot += 1
         self._recompute_mseg()
-        s = self._claim(vm, owner)
+        s = self.claim(vm, owner)
         if s is None:
             # TOT <= TSEG guarantees some owner is over quota here, so the
             # reclaim always produces a free segment.
             notice = self._reclaim(seq)
             assert notice is not None, "no free segment and nobody over quota"
-            s = self._claim(vm, owner)
+            s = self.claim(vm, owner)
             assert s is not None
         owner.slot_segment = s
 
@@ -316,14 +319,13 @@ class ProMem:
             if heap:
                 s = heap[0]
                 mask = self.masks[s]
-                index = ((~mask) & (mask + 1)).bit_length() - 1
-                mask |= 1 << index
-                self.masks[s] = mask
+                bit = ~mask & (mask + 1)  # its lowest free page
+                self.masks[s] = mask = mask | bit
                 if mask == self.full_mask:
                     heappop(heap)
                 owner.pages += 1
-                return _new(AllocResult, (s * self.pps + index, notice))
-            s = self._claim(vm, owner)
+                return _new(AllocResult, (s * self.pps + bit.bit_length() - 1, notice))
+            s = self.claim(vm, owner)
             if s is not None:
                 return _new(AllocResult, (s * self.pps, notice))
             assert notice is None, "retry after reclaim must succeed"

@@ -66,8 +66,10 @@ MUTANTS = (
            "if count % interval:\n    sample(count)", "pass"),
     Mutant("replay_skips_invariant_check", "engine.py", "_Machine.replay",
            "self.check_invariants()", "pass"),
-    # liveness checked inline, not through a helper (asmi's alloc relies on
-    # ProMem.allocate_page's own check, which raises the same text)
+    # liveness checked inline, not through a helper (asmi's alloc reaches
+    # ProMem.allocate_page only on a reclaim or a full pool)
+    Mutant("asmi_alloc_skips_liveness", "engine.py", "AsmiMachine.on_alloc",
+           "if owner is None:\n    raise self.err(ev, f'vm {vm} is not live')", "pass"),
     Mutant("asmi_free_skips_liveness", "engine.py", "AsmiMachine.on_free",
            "if vm not in self.live:\n    raise self.err(ev, f'vm {vm} is not live')", "pass"),
     Mutant("baseline_alloc_skips_liveness", "baselines.py", "BaselineMachine.on_alloc",
@@ -107,9 +109,9 @@ MUTANTS = (
     Mutant("rmap_write_skips_invalidation", "baselines.py", "BaselineMachine.on_rmap_write",
            "self.tlb.invalidate_phys(old)", "pass"),
     Mutant("free_skips_moved_ppage_invalidation", "baselines.py", "BaselineMachine._free_page",
-           "self.tlb.invalidate_phys(mapped)", "pass"),
+           "for key in keys_of.pop(mapped, ()):\n    del entries[key]", "pass"),
     Mutant("free_skips_invalidation", "baselines.py", "BaselineMachine._free_page",
-           "self.tlb.invalidate_phys(page)", "pass"),
+           "for key in keys_of.pop(page, ()):\n    del entries[key]", "pass"),
     Mutant("alloc_skips_real_map_invalidation", "baselines.py", "BaselineMachine.on_alloc",
            "self.tlb.invalidate_phys(old)", "pass"),
     Mutant("alloc_skips_guest_entry_invalidation", "baselines.py", "BaselineMachine.on_alloc",
@@ -125,6 +127,12 @@ MUTANTS = (
            "s == owner.slot_segment and index == 0", "False"),
     Mutant("promem_free_skips_double_free_guard", "promem.py", "ProMem.free_page",
            "not mask & bit", "False"),
+    # asmi's alloc takes the open segment's next page inline: stale entries
+    # and a filled segment leave its heap as in ProMem.allocate_page
+    Mutant("asmi_alloc_keeps_stale_open_entries", "engine.py", "AsmiMachine.on_alloc",
+           "while heap and pm.mpt.get(heap[0]) != vm:\n    heappop(heap)", "pass"),
+    Mutant("asmi_alloc_keeps_a_full_segment_open", "engine.py", "AsmiMachine.on_alloc",
+           "if mask == pm.full_mask:\n    heappop(heap)", "pass"),
     Mutant("promem_reclaim_tie_goes_to_higher_vm", "promem.py", "ProMem._reclaim",
            "excess > worst_excess", "excess >= worst_excess"),
     Mutant("promem_reclaim_takes_slot_segment", "promem.py", "ProMem._reclaim",
@@ -172,20 +180,26 @@ MUTANTS = (
            "ev.device or 0", "0"),
     Mutant("iommu_free_skips_unmap", "baselines.py", "IommuMachine._free_page",
            "self.remap.unmap_phys(page)", "pass"),
-    Mutant("iommu_alloc_skips_map", "baselines.py", "IommuMachine.on_alloc",
-           "self.remap.map_page(guest.domain, guest.backing[page][1], page)", "pass"),
+    Mutant("iommu_alloc_skips_map", "baselines.py", "BaselineMachine.on_alloc",
+           "self.remap.map_page(guest.domain, ppage, page)", "pass"),
     Mutant("iommu_late_assign_forgets_the_domain", "baselines.py",
            "IommuMachine.on_domain_assign", "guest.domain = ev.domain", "pass"),
     Mutant("hyperwall_alloc_leaves_bits_unset", "baselines.py", "HyperwallMachine.on_alloc",
            "self.page_mode[page] = _HYP_DMA", "pass"),
     Mutant("hw_set_skips_owner_check", "baselines.py", "HyperwallMachine.on_hw_set",
            "requester == owner or (requester == HYPERVISOR and owner is None)", "True"),
-    # the page-pool hypervisor's reclaim: the largest other holder's highest page
+    # the page-pool hypervisor's reclaim: the largest other holder's highest page,
+    # the lowest vm on a tie, and the next holder past one with every page locked
     Mutant("baseline_reclaim_takes_lowest_page", "baselines.py",
            "BaselineMachine._reclaim_one_page", "reversed(guests[victim].held)",
            "guests[victim].held"),
     Mutant("baseline_reclaim_takes_smallest_holder", "baselines.py",
-           "BaselineMachine._reclaim_one_page", "-len(guest.held)", "len(guest.held)"),
+           "BaselineMachine._reclaim_one_page", "count > most",
+           "count > 0 and (victim is None or count < most)"),
+    Mutant("baseline_reclaim_tie_goes_to_higher_vm", "baselines.py",
+           "BaselineMachine._reclaim_one_page", "count > most", "count >= most"),
+    Mutant("baseline_reclaim_retries_a_passed_holder", "baselines.py",
+           "BaselineMachine._reclaim_one_page", "vm not in passed", "True"),
     # the report writers: key-sorted JSON records, json-encoded non-int values,
     # --util-out's column order, and means over sample points, not rows
     Mutant("json_writer_keys_in_field_order", "engine.py", "_json_writer",

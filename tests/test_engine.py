@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_golden import all_kinds_trace
-from vmemsim import baselines, engine
+from vmemsim import baselines, engine, workload
 from vmemsim.baselines import (
     BaselineMachine,
     HyperwallMachine,
@@ -147,7 +147,7 @@ MALFORMED = {
         _dead(E.DOMAIN_ASSIGN, domain=1, bus=0, device=0, function=0),
         "event seq 3: vm 1 is not live",
     ),
-    # alloc and free check liveness inline (asmi's alloc in ProMem.allocate_page)
+    # alloc and free check liveness inline in every mode
     "alloc_dead": (_dead(E.ALLOC), "event seq 3: vm 1 is not live"),
     "free_dead": (_dead(E.FREE, vaddr=0), "event seq 3: vm 1 is not live"),
     "gpt_write_dead": (_dead(E.GPT_WRITE, vpage=0, target=0), "event seq 3: vm 1 is not live"),
@@ -705,7 +705,10 @@ def test_the_shadow_walk_reaches_what_the_nested_walk_reaches():
 # patches.  An access is inline in its handler: `ProMem.translate`,
 # `VirtualTlb.lookup` and `shadow_translate` are never called, a vTLB miss calls
 # `nested_translate` (and `insert` when it lands in the pool), and `check_owner`
-# runs only on a blocked asmi access and on DMA.
+# runs only on a blocked asmi access and on DMA.  An alloc's common step is
+# inline too: asmi calls `allocate_page` only on a reclaim or a full pool (none
+# here), and nested_shadow calls `shadow_update_vpage` only from an
+# rmap_write's re-derivation.
 TRACED_NAMES = (
     (ProMem, "check_owner"), (VirtualTlb, "insert"), (baselines, "nested_translate"),
     (ProMem, "allocate_page"), (ProMem, "free_page"), (RemappingTables, "map_page"),
@@ -716,9 +719,9 @@ UNTRACED_NAMES = ((ProMem, "translate"), (VirtualTlb, "lookup"), (baselines, "sh
 
 #: mode -> the calls of each of TRACED_NAMES, in order
 LAYER_CALLS = {
-    "asmi": (2, 0, 0, 4, 2, 0, 0, 0, 0),
+    "asmi": (2, 0, 0, 0, 2, 0, 0, 0, 0),
     "nested": (0, 3, 4, 0, 0, 0, 0, 0, 0),
-    "nested_shadow": (0, 0, 0, 0, 0, 0, 0, 0, 6),
+    "nested_shadow": (0, 0, 0, 0, 0, 0, 0, 0, 2),
     "iommu": (0, 3, 4, 0, 0, 3, 2, 3, 0),
     "hyperwall": (0, 3, 4, 0, 0, 0, 0, 0, 0),
 }
@@ -1203,6 +1206,117 @@ def test_baseline_memory_full_when_requester_holds_everything():
     assert rep.counters.allocs == 5
 
 
+def _pool_owners(mode, geom, events):
+    """The page-pool machine's page -> holder map, swapped pages and memory-full
+    records after `events`."""
+    machine = machine_class(mode)(geom, opts(), MetricsReport(mode))
+    machine.apply(events, 100, True)
+    return machine.owner_of, machine.tally[E.ALLOC].pages_swapped, machine.report.memory_full
+
+
+@pytest.mark.parametrize("mode", MODES[1:])  # the page-pool modes
+def test_baseline_reclaim_tie_goes_to_the_lowest_vm(mode):
+    t = trace(
+        (E.CREATE_VM, {"vm": 1}), (E.CREATE_VM, {"vm": 2}), (E.CREATE_VM, {"vm": 3}),
+        (E.ALLOC, {"vm": 1}), (E.ALLOC, {"vm": 2}), (E.ALLOC, {"vm": 1}), (E.ALLOC, {"vm": 2}),
+        (E.ALLOC, {"vm": 3}),      # vm 1 and vm 2 hold two pages each: vm 1 loses page 2
+    )
+    assert _pool_owners(mode, Geometry(256, 2, 2), t) == ({0: 1, 1: 2, 2: 3, 3: 2}, 1, [])
+
+
+# vm 1 holds pages 0-2 and locks them all; vm 2 holds pages 3-4 and locks page 4
+_LOCKED_HOLDERS = (
+    (E.CREATE_VM, {"vm": 1}), (E.CREATE_VM, {"vm": 2}), (E.CREATE_VM, {"vm": 3}),
+    *[(E.ALLOC, {"vm": 1})] * 3, *[(E.ALLOC, {"vm": 2})] * 2,
+    (E.ENTER, {"vm": 1}),
+    *[(E.HW_SET, {"page": page, "mode": PageMode.LOCKED}) for page in (0, 1, 2)],
+    (E.EXIT, {}), (E.ENTER, {"vm": 2}),
+    (E.HW_SET, {"page": 4, "mode": PageMode.LOCKED}),
+    (E.EXIT, {}),
+    (E.ALLOC, {"vm": 3}),          # the last free page, 5
+)
+
+
+def test_baseline_reclaim_passes_over_a_holder_with_every_page_locked():
+    t = trace(*_LOCKED_HOLDERS, (E.ALLOC, {"vm": 3}))
+    owner_of, swapped, full = _pool_owners("hyperwall", Geometry(256, 2, 3), t)
+    assert owner_of == {0: 1, 1: 1, 2: 1, 3: 3, 4: 2, 5: 3}   # vm 2's highest allowed page
+    assert (swapped, full) == (1, [])
+
+
+def test_baseline_reclaim_with_no_allowed_page_records_memory_full():
+    t = trace(*_LOCKED_HOLDERS, (E.ALLOC, {"vm": 3}), (E.ALLOC, {"vm": 3}))
+    owner_of, swapped, full = _pool_owners("hyperwall", Geometry(256, 2, 3), t)
+    assert owner_of == {0: 1, 1: 1, 2: 1, 3: 3, 4: 2, 5: 3}
+    assert ([(record.seq, record.vm) for record in full], swapped) == ([(len(t), 3)], 1)
+
+
+def _asmi_lockstep(events, geom):
+    """Replay `events` under asmi while a fresh ProMem, driven only through its
+    lifecycle calls, `allocate_page` and `free_page`, follows each alloc and
+    free.  Each alloc must hand out the oracle's page, asmi must call
+    `allocate_page` only where the oracle reclaimed or was full, and both
+    controllers must end in one state.  Returns the oracle's alloc results."""
+    report = MetricsReport("asmi")
+    machine = AsmiMachine(geom, opts(), report)
+    pm, calls = machine.pm, []
+
+    def counted(vm, seq):
+        calls.append(seq)
+        return ProMem.allocate_page(pm, vm, seq)
+
+    pm.allocate_page = counted
+    oracle = ProMem(geom)
+    oracle.load_hypervisor()
+    results, slow = [], []
+    for e in events:
+        if e.kind == E.ALLOC:
+            owner = machine.live[e.vm]
+            vpage = owner.next_vpage
+        elif e.kind == E.FREE:
+            page = machine.live[e.vm].table.get(e.vaddr // geom.page_size_bytes)
+            frees = report.counters.frees
+        step(machine, e)
+        if e.kind == E.ALLOC:
+            result = oracle.allocate_page(e.vm, e.seq)
+            results.append(result)
+            if result.reclaim is not None or result.page is None:
+                slow.append(e.seq)
+            got = owner.table[vpage] if owner.next_vpage > vpage else None
+            assert got == result.page, e
+        elif e.kind == E.FREE and report.counters.frees > frees:
+            oracle.free_page(e.vm, page, e.seq)
+        elif e.kind == E.CREATE_VM:
+            oracle.create_vm(e.seq)
+        elif e.kind == E.DESTROY_VM:
+            oracle.destroy_vm(e.vm)
+    assert calls == slow
+
+    def state(c):
+        owners = {vm: (o.segs, o.pages, o.open, o.slot_segment) for vm, o in c.owners.items()}
+        return c.mpt, c.masks, c.free, owners, c.notices, c.memory_full_events
+
+    assert state(pm) == state(oracle)
+    return results
+
+
+def test_asmi_inline_alloc_matches_the_controllers_cascade():
+    # seeded traces of every kind, on the test pool and on one of 12 pages, and
+    # an alloc-heavy generated trace replayed on half the pool it was made for
+    spec = workload.WorkloadSpec(3, 3, 1500, (workload.DemandProfile(60, 0.2, 0.5),) * 3,
+                                 dma_rate=0.05, switch_rate=0.05)
+    runs = [(all_kinds_trace(seed, 400, geom), geom)
+            for geom in (TINY, Geometry(256, 2, 6)) for seed in range(1, 11)]
+    runs.append((workload.generate(spec, Geometry(256, 4, 64)), Geometry(256, 2, 64)))
+    # (page index in its segment, reclaimed) per alloc handed a page; None when full
+    outcomes = [None if r.page is None else (r.page % geom.pages_per_segment, r.reclaim)
+                for events, geom in runs for r in _asmi_lockstep(events, geom)]
+    # every path ran: an open segment's next page, a claim, a reclaim and a full pool
+    assert {index > 0 for index, _ in filter(None, outcomes)} == {True, False}
+    assert any(reclaim is not None for _, reclaim in filter(None, outcomes))
+    assert None in outcomes
+
+
 # ---------------------------------------------------------------------------
 # determinism, sampling, reports
 # ---------------------------------------------------------------------------
@@ -1269,6 +1383,21 @@ def test_compare_replays_a_one_shot_iterable_under_every_mode(one_shot):
     want = compare([("x", events)], MODES, TINY)
     got = compare([("x", one_shot(events))], MODES, TINY)
     assert [report.events for report in got.reports.values()] == [len(events)] * len(MODES)
+    assert list(got.reports) == list(want.reports)
+    for key, report in got.reports.items():
+        assert report.to_json() == want.reports[key].to_json(), key
+    assert got.to_table() == want.to_table()
+
+
+@pytest.mark.parametrize("form", ["pairs", "events"])
+def test_compare_reads_a_generator_of_traces_as_the_list(form):
+    events = read_trace(str(FIXTURES / "cross_vm_dma.trace"))
+    if form == "pairs":
+        want = compare([("x", events)], MODES, TINY)
+        got = compare((pair for pair in [("x", events)]), MODES, TINY)
+    else:
+        want = compare(events, MODES, TINY)
+        got = compare(iter(events), MODES, TINY)
     assert list(got.reports) == list(want.reports)
     for key, report in got.reports.items():
         assert report.to_json() == want.reports[key].to_json(), key
