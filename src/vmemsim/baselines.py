@@ -33,11 +33,11 @@ The page-pool hypervisor that drives these structures is here too:
 `IommuMachine` and `HyperwallMachine` subclass it.  `engine.run` loads
 this module on a baseline mode's first run, so an `asmi` replay and the
 commands that only write or check traces never compile it.  The machines
-call `nested_translate` (on a vTLB miss only), `shadow_update_ppage` (on
-an `rmap_write`; it calls `shadow_update_vpage` per entry it re-derives)
-and `iommu_dma_translate` as globals of this module, where a patched name
-is the one they call.  A handler reads a vTLB hit and walks a shadow entry
-inline, so `VirtualTlb.lookup` and `shadow_translate`, like
+call `nested_translate` (on a vTLB miss only) and `iommu_dma_translate` as
+globals of this module, where a patched name is the one they call.
+`ShadowMachine` counts its re-derivation steps inline, so no code in the
+package calls `shadow_update_vpage`.  A handler reads a vTLB hit and walks
+a shadow entry inline, so `VirtualTlb.lookup` and `shadow_translate`, like
 `ProMem.translate` under `asmi`, are no longer called per access; nor is
 `VirtualTlb.invalidate_phys` by a free.  A guest's `backing` maps each
 page it holds to its vpage, which is also the ppage of a guest's mapping.
@@ -92,13 +92,8 @@ def shadow_translate(vpage: int, gpt: dict[int, int], rmap: dict[int, int]) -> W
 
 
 def shadow_update_vpage() -> int:
-    """Real-map walks an eager shadow re-derivation spends on one entry."""
+    """One re-derivation step's walks; kept only because perfbench/tracer.py wraps it."""
     return 1
-
-
-def shadow_update_ppage(gpt: dict[int, int], ppage: int) -> int:
-    """Real-map walks a real-map write spends: one per vpage mapped to `ppage`."""
-    return sum(shadow_update_vpage() for mapped in gpt.values() if mapped == ppage)
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +594,8 @@ class ShadowMachine(BaselineMachine):
 
     def on_rmap_write(self, ev: TraceEvent) -> None:
         BaselineMachine.on_rmap_write(self, ev)
-        if ev.vm != HYPERVISOR:
-            steps = shadow_update_ppage(self.guests[ev.vm].gpt, ev.ppage)
+        if ev.vm != HYPERVISOR:  # one step per vpage mapped to the written ppage
+            steps = list(self.guests[ev.vm].gpt.values()).count(ev.ppage)
             self.tally[ev.kind].shadow_update_steps += steps
 
     def on_read(self, ev: TraceEvent) -> None:

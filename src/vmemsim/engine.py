@@ -762,6 +762,8 @@ def static_partition_utilization(
 
     samples = []
     for index, ev in enumerate(trace, start=1):
+        if (ev.kind == EventKind.ALLOC or ev.kind == EventKind.FREE) and ev.vm not in served:
+            raise SimulationError(f"event seq {ev.seq}: vm {ev.vm} is not live")
         if ev.kind == EventKind.ALLOC and served[ev.vm] < share * pps:
             served[ev.vm] += 1
         elif ev.kind == EventKind.FREE and served[ev.vm] > 0:

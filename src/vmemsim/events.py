@@ -17,7 +17,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, TraceFormatError
 
 
 class EventKind:
@@ -123,8 +123,9 @@ class TraceEvent:
     and `write`; `create_vm`, `destroy_vm`, `enter` and `alloc`), so a
     handler shared by such kinds sees one class.  The fields a layout
     lacks read None from this base, and assigning one raises
-    AttributeError.  `TraceEvent(...)` picks the kind's layout, or the
-    18-slot FULL_LAYOUT for an event that sets a field its kind lacks; the
+    AttributeError.  `TraceEvent(...)` refuses a kind EVENT_FIELDS lacks with
+    TraceFormatError, and picks the kind's layout, or the 18-slot
+    FULL_LAYOUT for an event that sets a field its kind lacks; the
     parser and the generator build LAYOUT_OF's classes directly, with
     `object.__new__` and slot stores.  Equality compares all 18 values
     whatever the layouts, events are unhashable, and a copy or a pickle
@@ -140,11 +141,13 @@ class TraceEvent:
     def __new__(cls, seq: int, kind: str, cpu: int = 0, vm=None, vaddr=None, vpage=None,
                 target=None, ppage=None, phys=None, bus=None, device=None, function=None,
                 dva=None, page=None, domain=None, mode=None, vasid=None, write=None):
+        if kind not in EVENT_FIELDS:
+            raise TraceFormatError(f"event seq {seq}: unknown event kind {kind!r}")
         fields = {"vm": vm, "vaddr": vaddr, "vpage": vpage, "target": target, "ppage": ppage,
                   "phys": phys, "bus": bus, "device": device, "function": function, "dva": dva,
                   "page": page, "domain": domain, "mode": mode, "vasid": vasid, "write": write}
         if cls is TraceEvent:
-            cls = LAYOUT_OF.get(kind, FULL_LAYOUT)
+            cls = LAYOUT_OF[kind]
             if any(fields[name] is not None for name in fields.keys() - cls.__slots__):
                 cls = FULL_LAYOUT
         self = object.__new__(cls)

@@ -26,11 +26,12 @@ Page allocation cascades:
   3. else reclaim: the most over-quota owner (tie: lowest vm id) loses
      its excess segments, highest index first, skipping the slot
      segment; the freed pages count as synchronously swapped out and
-     the request retries, which then always succeeds;
+     step 2 runs again, which then always succeeds;
   4. else the requester is told the memory is full.
 
-`allocate_page` is that cascade.  The engine's `asmi` alloc takes steps 1
-and 2 itself (`claim` is step 2), and calls it only when no segment is free.
+`allocate_page` is that cascade and `_claim_or_reclaim` its steps 2 and 3,
+which also claim a new owner's slot segment.  The engine's `asmi` alloc takes
+steps 1 and 2 itself and calls `allocate_page` only when no segment is free.
 
 Every page the controller takes or returns is a global page number p,
 as in every other table of the simulator.  The controller alone splits
@@ -68,7 +69,7 @@ MPT check.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush, nlargest
+from heapq import heappop, heappush
 from operator import le
 from typing import NamedTuple
 
@@ -184,11 +185,8 @@ class ProMem:
     def live(self):  # the live owner ids, hypervisor included: a view of `owners`' keys
         return self.owners.keys()
 
-    def hypervisor_loaded(self) -> bool:
-        return HYPERVISOR in self.owners
-
     def current(self, cpu: int) -> int:
-        if not self.hypervisor_loaded():
+        if HYPERVISOR not in self.owners:
             raise ProtocolError("no owner is current before the hypervisor loads")
         return self.vmidr.get(cpu, HYPERVISOR)
 
@@ -238,14 +236,8 @@ class ProMem:
         self.owners[vm] = owner = _Owner(vm)
         self.tot += 1
         self._recompute_mseg()
-        s = self.claim(vm, owner)
-        if s is None:
-            # TOT <= TSEG guarantees some owner is over quota here, so the
-            # reclaim always produces a free segment.
-            notice = self._reclaim(seq)
-            assert notice is not None, "no free segment and nobody over quota"
-            s = self.claim(vm, owner)
-            assert s is not None
+        s, _ = self._claim_or_reclaim(vm, owner, seq)
+        assert s is not None, "no free segment and nobody over quota"  # TOT <= TSEG rules it out
         owner.slot_segment = s
 
     def load_hypervisor(self, seq: int = -1) -> int:
@@ -256,7 +248,7 @@ class ProMem:
         return HYPERVISOR
 
     def create_vm(self, seq: int = -1) -> int:
-        if not self.hypervisor_loaded():
+        if HYPERVISOR not in self.owners:
             raise LifecycleError("hypervisor must load before VMs are created")
         if self.tot >= self.tseg:
             raise CapacityError(
@@ -308,31 +300,37 @@ class ProMem:
     # -- allocation ------------------------------------------------------
 
     def allocate_page(self, vm: int, seq: int = -1) -> AllocResult:
-        """The next page of the allocation cascade; after a reclaim, retry once."""
+        """The next page of the allocation cascade."""
         owner = self.owners.get(vm)
         if owner is None:
             raise LifecycleError(f"vm {vm} is not live")
-        heap, mpt, notice = owner.open, self.mpt, None
-        while True:
-            while heap and mpt.get(heap[0]) != vm:
-                heappop(heap)  # released since it was pushed
-            if heap:
-                s = heap[0]
-                mask = self.masks[s]
-                bit = ~mask & (mask + 1)  # its lowest free page
-                self.masks[s] = mask = mask | bit
-                if mask == self.full_mask:
-                    heappop(heap)
-                owner.pages += 1
-                return _new(AllocResult, (s * self.pps + bit.bit_length() - 1, notice))
-            s = self.claim(vm, owner)
-            if s is not None:
-                return _new(AllocResult, (s * self.pps, notice))
-            assert notice is None, "retry after reclaim must succeed"
-            notice = self._reclaim(seq)
-            if notice is None:
-                self.memory_full_events.append(_new(MemoryFull, (seq, vm)))
-                return _new(AllocResult, (None, None))
+        heap, mpt = owner.open, self.mpt
+        while heap and mpt.get(heap[0]) != vm:
+            heappop(heap)  # released since it was pushed
+        if heap:
+            s = heap[0]
+            mask = self.masks[s]
+            bit = ~mask & (mask + 1)  # its lowest free page
+            self.masks[s] = mask = mask | bit
+            if mask == self.full_mask:
+                heappop(heap)
+            owner.pages += 1
+            return _new(AllocResult, (s * self.pps + bit.bit_length() - 1, None))
+        s, notice = self._claim_or_reclaim(vm, owner, seq)
+        if s is None:
+            self.memory_full_events.append(_new(MemoryFull, (seq, vm)))
+            return _new(AllocResult, (None, None))
+        return _new(AllocResult, (s * self.pps, notice))
+
+    def _claim_or_reclaim(self, vm: int, owner: _Owner, seq: int) -> tuple:
+        """Steps 2 and 3 of the cascade: the segment claimed (None if none is free
+        and nobody is over quota) and the reclaim that freed it, if any."""
+        s = self.claim(vm, owner)
+        if s is None and (notice := self._reclaim(seq)) is not None:
+            s = self.claim(vm, owner)  # a reclaim frees none of `vm`'s open segments
+            assert s is not None, "the claim after a reclaim must succeed"
+            return s, notice
+        return s, None
 
     def _reclaim(self, seq: int) -> ReclaimNotice | None:
         owners, victim, worst_excess = self.owners, None, 0
@@ -343,8 +341,8 @@ class ProMem:
         if victim is None:
             return None
         slot, segs = owners[victim].slot_segment, owners[victim].segs
-        freed = sorted(nlargest(worst_excess, (s for s in segs if s != slot)))
-        swapped = sum(self._release(s) for s in freed)
+        freed = sorted(segs - {slot})[-worst_excess:]
+        swapped = sum(map(self._release, freed))
         notice = _new(ReclaimNotice, (seq, victim, worst_excess, tuple(freed), swapped))
         self.notices.append(notice)
         return notice
@@ -391,11 +389,8 @@ class ProMem:
 
     def translate(self, cpu: int, vpage: int, seq: int = -1) -> Translation:
         """Walk the page table of the owner current on `cpu`."""
-        cur = self.vmidr.get(cpu, HYPERVISOR)   # current(cpu), without its two calls
-        owner = self.owners.get(cur)            # VMIDR only names live owners
-        if owner is None:
-            raise ProtocolError("no owner is current before the hypervisor loads")
-        target = owner.table.get(vpage)
+        cur = self.current(cpu)
+        target = self.owners[cur].table.get(vpage)  # VMIDR only names live owners
         if target is None or not 0 <= target < self.pages_total:
             return _UNMAPPED
         if self.check_owner(cur, target, cpu, seq) is not None:

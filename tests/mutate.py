@@ -136,10 +136,15 @@ MUTANTS = (
     Mutant("promem_reclaim_tie_goes_to_higher_vm", "promem.py", "ProMem._reclaim",
            "excess > worst_excess", "excess >= worst_excess"),
     Mutant("promem_reclaim_takes_slot_segment", "promem.py", "ProMem._reclaim",
-           "s != slot", "True"),
-    Mutant("promem_translate_skips_pre_boot_check", "promem.py", "ProMem.translate",
-           "if owner is None:\n    raise ProtocolError('no owner is current before the "
-           "hypervisor loads')", "pass"),
+           "segs - {slot}", "segs"),
+    Mutant("promem_reclaim_takes_lowest_segments", "promem.py", "ProMem._reclaim",
+           "sorted(segs - {slot})[-worst_excess:]", "sorted(segs - {slot})[:worst_excess]"),
+    Mutant("promem_claim_skips_the_reclaim", "promem.py", "ProMem._claim_or_reclaim",
+           "(notice := self._reclaim(seq)) is not None", "False"),
+    # translate reads the owner through current(), which holds the one pre-boot check
+    Mutant("promem_translate_skips_pre_boot_check", "promem.py", "ProMem.current",
+           "if HYPERVISOR not in self.owners:\n    raise ProtocolError('no owner is current "
+           "before the hypervisor loads')", "pass"),
     Mutant("promem_check_owner_passes_free_segments", "promem.py", "ProMem.check_owner",
            "owner == vmid", "owner == vmid or owner is None"),
     # the CPU access path, inline in each handler: asmi's ownership check and
@@ -233,13 +238,20 @@ MUTANTS = (
            "(ev.seq, ev.cpu, requester, owner, mode, page)"),
     # an event's class: its kind's layout, keyed by the kind's token
     Mutant("trace_event_takes_the_full_layout", "events.py", "TraceEvent.__new__",
-           "LAYOUT_OF.get(kind, FULL_LAYOUT)", "FULL_LAYOUT"),
+           "LAYOUT_OF[kind]", "FULL_LAYOUT"),
     # argument guards tier-1 reaches only through tests/test_records.py's REJECTIONS
     Mutant("generate_skips_device_count_check", "workload.py", "generate",
            "spec.vm_count > MAX_BUS * MAX_DEVICE", "False"),
     Mutant("static_partition_accepts_interval_0", "engine.py", "static_partition_utilization",
            "if sample_interval < 1:\n    raise ConfigError(f'sample_interval must be >= 1, "
            "got {sample_interval}')", "pass"),
+    Mutant("static_partition_accepts_an_unknown_vm", "engine.py", "static_partition_utilization",
+           "if (ev.kind == EventKind.ALLOC or ev.kind == EventKind.FREE) and ev.vm not in "
+           "served:\n    raise SimulationError(f'event seq {ev.seq}: vm {ev.vm} is not live')",
+           "pass"),
+    Mutant("trace_event_accepts_an_unknown_kind", "events.py", "TraceEvent.__new__",
+           "if kind not in EVENT_FIELDS:\n    raise TraceFormatError(f'event seq {seq}: unknown "
+           "event kind {kind!r}')", "pass"),
 )
 
 

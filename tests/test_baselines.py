@@ -6,15 +6,15 @@ from hypothesis import given, settings, strategies as st
 from vmemsim.baselines import (
     _ALLOWED,
     RemappingTables,
+    ShadowMachine,
     VirtualTlb,
     iommu_dma_translate,
     nested_translate,
     shadow_translate,
-    shadow_update_ppage,
     shadow_update_vpage,
 )
 from vmemsim.core import Geometry
-from vmemsim.engine import RunOptions, run
+from vmemsim.engine import MetricsReport, RunOptions, run
 from vmemsim.errors import OutOfRangeError
 from vmemsim.events import PAGE_MODES, DmaRequest, EventKind, PageMode, TraceEvent
 
@@ -54,14 +54,17 @@ def test_shadow_update_tracks_guest_write():
     assert shadow_translate(0, gpt, rmap).page is None
 
 
-def test_shadow_update_ppage_rederives_all_aliases():
-    gpt = {0: 10, 1: 10, 2: 20}
-    rmap = {10: 50, 20: 60}
-    rmap[10] = 51
-    steps = shadow_update_ppage(gpt, 10)
-    assert steps == 2              # vpages 0 and 1 alias ppage 10
-    assert [shadow_translate(v, gpt, rmap).page for v in gpt] == [51, 51, 60]
-    assert shadow_update_ppage(gpt, 30) == 0
+def test_shadow_rmap_write_rederives_all_aliases():
+    # vm 1's vpages 0 and 1 alias ppage 10 and vpage 2 maps ppage 20; the
+    # hypervisor's table maps straight to physical pages, so its writes derive nothing
+    gpt_writes = [TraceEvent(2 + v, EventKind.GPT_WRITE, vm=1, vpage=v, target=ppage)
+                  for v, ppage in enumerate((10, 10, 20))]
+    for vm, ppage, steps in ((1, 10, 2), (1, 30, 0), (0, 10, 0)):
+        machine = ShadowMachine(Geometry(256, 4, 8), RunOptions(), MetricsReport("nested_shadow"))
+        machine.replay([TraceEvent(1, EventKind.CREATE_VM, vm=1), *gpt_writes,
+                        TraceEvent(5, EventKind.RMAP_WRITE, vm=vm, ppage=ppage, phys=7)], 100, True)
+        assert machine.tally[EventKind.RMAP_WRITE].shadow_update_steps == steps, (vm, ppage)
+        assert machine.tally[EventKind.GPT_WRITE].shadow_update_steps == 3
 
 
 @given(

@@ -47,7 +47,6 @@ def booted(geom=TINY, vms=0):
 
 def test_boot_state_is_empty():
     pm = ProMem(TINY)
-    assert not pm.hypervisor_loaded()
     assert pm.tot == 0 and pm.mseg == 0
     assert len(pm.free) == 8
     assert pm.owners == {} and not pm.live

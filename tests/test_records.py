@@ -35,7 +35,14 @@ from vmemsim.events import (
     EventKind,
     TraceEvent,
 )
-from vmemsim.errors import ConfigError, GeometryError, OutOfRangeError, WorkloadError
+from vmemsim.errors import (
+    ConfigError,
+    GeometryError,
+    OutOfRangeError,
+    SimulationError,
+    TraceFormatError,
+    WorkloadError,
+)
 from vmemsim.promem import AllocResult, ProMem, Translation
 from vmemsim.traceio import loads
 from vmemsim.workload import (
@@ -92,6 +99,12 @@ REJECTIONS = [
      "cost tlb_hit must be a non-negative integer"),   # the first bad field in field order
     (lambda: CostModel().with_overrides({"warp": 3, "mpt_check": -1}), ValueError,
      "unknown cost keys: ['warp']"),
+    # a kind outside EVENT_FIELDS, which every replay mode would otherwise meet as a KeyError
+    (lambda: TraceEvent(2, "warp", 0), TraceFormatError, "event seq 2: unknown event kind 'warp'"),
+    # an alloc by a vm the trace never creates: the text every replay mode raises
+    (lambda: static_partition_utilization([TraceEvent(1, EventKind.CREATE_VM, 0, vm=1),
+                                           TraceEvent(2, EventKind.ALLOC, 0, vm=5)], Geometry()),
+     SimulationError, "event seq 2: vm 5 is not live"),
 ]
 
 
@@ -149,7 +162,8 @@ def test_trace_event_equality_and_hash():
     ev = TraceEvent(3, EventKind.FREE, 1, vm=2, vaddr=4096)
     assert ev == TraceEvent(**fields)
     for name in TRACE_EVENT_FIELDS:
-        assert ev != TraceEvent(**{**fields, name: "other"}), name
+        other = EventKind.READ if name == "kind" else "other"   # a kind must be a known one
+        assert ev != TraceEvent(**{**fields, name: other}), name
     assert ev != (3, EventKind.FREE, 1, 2, 4096)
     with pytest.raises(TypeError):
         hash(ev)
@@ -180,9 +194,8 @@ def test_trace_event_layouts():
     for value in (0, False, "other"):
         assert type(TraceEvent(7, EventKind.READ, 1, vaddr=5, page=value)) is FULL_LAYOUT
     assert type(TraceEvent(7, EventKind.READ, 1, vaddr=5, page=None)) is LAYOUT_OF[EventKind.READ]
-    # a kind is its token, and a kind no layout has gets all 18 slots
+    # a kind is its token (a kind no layout has is refused: see REJECTIONS)
     assert type(TraceEvent(7, "read", 1, vaddr=5)) is LAYOUT_OF[EventKind.READ]
-    assert type(TraceEvent(7, "warp", 1, vaddr=5)) is FULL_LAYOUT
     assert FULL_LAYOUT.__slots__ == TRACE_EVENT_FIELDS
 
 
@@ -223,7 +236,6 @@ def test_every_kind_is_its_token_end_to_end():
             assert ev.kind in EVENT_FIELDS, (name, ev)
             assert type(ev) is LAYOUT_OF[ev.kind], (name, ev)
     assert {ev.kind for ev in sources["generated"]} >= {"read", "write", "alloc", "dma", "exit"}
-    assert type(TraceEvent(1, "warp", 0)) is FULL_LAYOUT
 
 
 @pytest.mark.parametrize("ev", LAYOUT_SAMPLES, ids=lambda ev: type(ev).__name__)
