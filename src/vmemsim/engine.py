@@ -360,7 +360,8 @@ class _Machine:
     def replay(self, trace: Iterable[TraceEvent], interval: int, check: bool) -> int:
         """Replay `trace` as it yields each event; sample every `interval` events and
         after the last, check invariants after each when `check`, and return the
-        count.  Only a handler's `SimError` is renamed with the seq."""
+        count.  Only a handler's `SimError` and a kind no handler takes are named
+        with the seq."""
         events = iter(trace)
         first = next(events, None)
         if first is None:
@@ -381,6 +382,10 @@ class _Machine:
                 raise
             except SimError as exc:
                 raise SimulationError(f"event seq {seq}: {exc}") from exc
+            except KeyError:  # a kind set after the event was built
+                if ev.kind not in handlers:
+                    raise self.err(ev, f"unknown event kind {ev.kind!r}") from None
+                raise
             if count == due:
                 sample(count)
                 due += interval
@@ -747,7 +752,8 @@ def static_partition_utilization(
     Every owner (hypervisor plus each VM the trace creates) receives an
     equal, fixed share of the segment pool.  Allocations beyond the share
     are dropped, which is exactly the waste dynamic ownership avoids.
-    Sampled at the same cadence as MetricsReport.utilization.
+    Sampled at the same cadence as MetricsReport.utilization.  An alloc or
+    free by a vm that is not live fails as in every replay mode.
     """
     if sample_interval < 1:
         raise ConfigError(f"sample_interval must be >= 1, got {sample_interval}")
@@ -760,9 +766,14 @@ def static_partition_utilization(
         segs = sum(min(-(-pages // pps), share) for pages in served.values())
         return segs / geom.total_segments
 
+    live = {HYPERVISOR}
     samples = []
     for index, ev in enumerate(trace, start=1):
-        if (ev.kind == EventKind.ALLOC or ev.kind == EventKind.FREE) and ev.vm not in served:
+        if ev.kind == EventKind.CREATE_VM:
+            live.add(ev.vm)
+        elif ev.kind == EventKind.DESTROY_VM:
+            live.discard(ev.vm)
+        elif (ev.kind == EventKind.ALLOC or ev.kind == EventKind.FREE) and ev.vm not in live:
             raise SimulationError(f"event seq {ev.seq}: vm {ev.vm} is not live")
         if ev.kind == EventKind.ALLOC and served[ev.vm] < share * pps:
             served[ev.vm] += 1

@@ -6,19 +6,21 @@ direction field is `r` or `w`, and hw_set takes a protection-mode token
 (hyp_only, hyp_dma, hyp_denied, locked).  Blank lines and lines starting
 with `#` are ignored.  Round-trips are exact.
 
-`parse_lines` turns text into events lazily, so a caller that replays
-a file as it reads it (`vmemsim run`) holds one event at a time; `loads`
-collects them into a list.  Trace files are UTF-8 text, read by
-`read_blocks` in blocks of BLOCK_SIZE characters, each cut after its last
-newline, so `run` and `read_trace` hold one block's text and lines at a
-time, never the whole file's.
+`parse_lines` turns text into events one block of lines at a time, so a
+caller that replays a file as it reads it (`vmemsim run`) holds one
+block's events at a time; `loads` collects them into a list.  Trace
+files are UTF-8 text, read by `read_blocks` in blocks of BLOCK_SIZE
+characters, each cut after its last newline, so `run` and `read_trace`
+hold one block's text and lines at a time, never the whole file's.
 
-Both directions take one step per well-formed line.  The parse loop
-splits a line, looks up its kind and calls a builder compiled per kind,
-which makes the kind's event layout (`events.LAYOUT_OF`) in one frame; a
-formatter compiled per kind writes a line in one call.  `dumps` still
-joins the whole trace into one string, so `vmemsim gen` holds every line
-in memory.
+Both directions take one step per well-formed line.  One parse loop,
+compiled from EVENT_FIELDS, turns a block's lines into a list of events,
+with each kind's build inline: a well-formed line opens no Python frame
+(but `hw_set`'s mode check), and no generator is resumed per event.  A
+formatter compiled per kind writes a line in one call.  Each is compiled
+on its first use, so `gen` and `attack` compile no parse loop, and `run`,
+`compare` and `validate` no formatter.  `dumps` still joins the whole
+trace into one string, so `vmemsim gen` holds every line in memory.
 
 The event kinds, their fields, `TraceEvent`, the protection modes and
 `DmaRequest`'s bounds come from `events`, which imports neither the
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from functools import cache
 from itertools import chain
 from typing import TextIO
 
@@ -37,12 +40,14 @@ from .errors import OutOfRangeError, TraceFormatError
 from .events import EVENT_FIELDS, LAYOUT_OF, PAGE_MODES, DmaRequest, TraceEvent
 
 
+#: a DMA direction token -> its `write` value
+_DIRECTIONS = {"w": True, "r": False}
+
+
 def _direction(token: str) -> bool:
-    if token == "w":
-        return True
-    if token == "r":
-        return False
-    raise ValueError("direction must be `r` or `w`")
+    if token not in _DIRECTIONS:
+        raise ValueError("direction must be `r` or `w`")
+    return _DIRECTIONS[token]
 
 
 def _mode(token: str) -> str:
@@ -56,29 +61,71 @@ def _mode(token: str) -> str:
 _CONVERTERS = {"write": _direction, "mode": _mode}
 
 
-def _builder(kind: str, names: tuple[str, ...]):
-    """The function that builds the event of a well-formed `kind` line from its tokens.
+#: the kinds the parse loop tries first, the most frequent in generated traces first
+_FIRST_KINDS = ("read", "write", "alloc", "dma", "free", "enter", "exit")
 
-    It is compiled once, as `def build(t)` that makes an instance of the
-    kind's layout with `object.__new__` and stores `int(t[0])`, `kind`,
-    `int(t[2])` and each field's converted token in its slot, so a line
-    costs one frame and no loop over fields.
+#: the fields that name a processor or a vm: a trace holds few of their
+#: values, so the parse loop looks a token 0..255 up in a dict, about a
+#: quarter of the time `int` takes to parse it
+_SMALL_FIELDS = ("cpu", "vm")
+
+
+@cache
+def _compile_parser():
+    """The parse loop, compiled from EVENT_FIELDS on the first parse.
+
+    It is `def parse(blocks, lineno)`, which yields the list of events of
+    each list of lines in `blocks`, the first line numbered `lineno`.  A
+    well-formed line costs one split, a test per kind tried (`_FIRST_KINDS`
+    first) and its build inline: an unpack of its tokens, which checks its
+    width, then its layout made by `object.__new__` and a store per slot
+    (`cpu` and `vm` read from a table of the tokens 0..255 when they are
+    one of them, through `int` otherwise).  A blank or comment line is
+    skipped.  Any other line the build rejects goes to `_diagnose` after
+    the events above it in its block are yielded, so a replay meets them
+    before the line's error.
     """
-    source = "def build(t):\n    ev = new(layout)\n"
-    for i, name in enumerate(("seq", "kind", "cpu") + names):
-        value = "kind" if name == "kind" else f"{_CONVERTERS.get(name, int).__name__}(t[{i}])"
-        source += f"    ev.{name} = {value}\n"
-    source += "    return ev\n"
-    scope = {"new": object.__new__, "layout": LAYOUT_OF[kind], "kind": kind,
-             "_direction": _direction, "_mode": _mode}
+    source = """\
+def parse(blocks, lineno):
+    for lines in blocks:
+        events = []
+        append = events.append
+        for line in lines:
+            t = line.split()
+            try:
+                k = t[1]
+"""
+    kinds = [*_FIRST_KINDS, *(kind for kind in EVENT_FIELDS if kind not in _FIRST_KINDS)]
+    for i, kind in enumerate(kinds):
+        names = ("seq", "_", "cpu") + EVENT_FIELDS[kind]
+        source += f"                {'elif' if i else 'if'} k == {kind!r}:\n"
+        source += f"                    {', '.join(names)} = t\n"
+        source += f"                    ev = new(layout_{kind})\n"
+        source += f"                    ev.kind = {kind!r}\n"
+        for name in ("seq", "cpu") + EVENT_FIELDS[kind]:
+            value = {"write": "_DIRECTIONS[write]", "mode": "_mode(mode)"}.get(name, f"int({name})")
+            if name in _SMALL_FIELDS:
+                source += f"                    x = small({name})\n"
+                value = f"int({name}) if x is None else x"
+            source += f"                    ev.{name} = {value}\n"
+    # an earlier line of the block that splits alike would have failed alike,
+    # so a rejected line is the first of its text in its block
+    source += """\
+                else:
+                    raise KeyError(k)
+                append(ev)
+            except (IndexError, KeyError, ValueError):
+                if t and not t[0].startswith("#"):
+                    yield events
+                    _diagnose(t, lineno + lines.index(line))
+        lineno += len(lines)
+        yield events
+"""
+    scope = {f"layout_{kind}": layout for kind, layout in LAYOUT_OF.items()}
+    scope.update(new=object.__new__, small={str(i): i for i in range(256)}.get,
+                 _DIRECTIONS=_DIRECTIONS, _mode=_mode, _diagnose=_diagnose)
     exec(source, scope)
-    return scope["build"]
-
-
-#: kind token -> (tokens per line, builder, field names)
-_PARSE_TABLE = {
-    kind: (3 + len(names), _builder(kind, names), names) for kind, names in EVENT_FIELDS.items()
-}
+    return scope["parse"]
 
 
 def _missing(ev: TraceEvent) -> None:
@@ -108,25 +155,24 @@ def _formatter(kind: str, names: tuple[str, ...]):
     return scope["fmt"]
 
 
-#: kind token -> the function that writes a line of that kind
-_FORMAT_TABLE = {kind: _formatter(kind, names) for kind, names in EVENT_FIELDS.items()}
+@cache
+def _compile_formatters() -> dict:
+    """Kind token -> the function that writes a line of that kind, built on the first `dumps`."""
+    return {kind: _formatter(kind, names) for kind, names in EVENT_FIELDS.items()}
 
 
 def _diagnose(tokens: list[str], lineno: int) -> None:
-    """None for a blank or comment line; else raise the line's TraceFormatError.
+    """Raise the TraceFormatError of a line that is neither blank nor a comment.
 
-    The parser sends here only the lines its one-step build rejects; the
-    checks run in the order their errors take precedence.
+    The parse loop sends here only the lines its one-step build rejects;
+    the checks run in the order their errors take precedence.
     """
-    if not tokens or tokens[0].startswith("#"):
-        return None
     if len(tokens) < 3:
         raise TraceFormatError(f"line {lineno}: expected `seq kind cpu ...`")
-    entry = _PARSE_TABLE.get(tokens[1])
-    if entry is None:
+    names = EVENT_FIELDS.get(tokens[1])
+    if names is None:
         raise TraceFormatError(f"line {lineno}: unknown event kind {tokens[1]!r}")
-    width, _, names = entry
-    if len(tokens) != width:
+    if len(tokens) != 3 + len(names):
         raise TraceFormatError(
             f"line {lineno}: {tokens[1]} takes {len(names)} fields "
             f"({' '.join(names) or 'none'}), got {len(tokens) - 3}"
@@ -146,40 +192,21 @@ def _diagnose(tokens: list[str], lineno: int) -> None:
 
 
 def parse_lines(chunks: Iterable[str]) -> Iterator[TraceEvent]:
-    """The events of the text in `chunks`, parsed one at a time as they are read.
+    """The events of the text in `chunks`, parsed one chunk at a time as they are read.
 
     Each chunk is whole lines: all of a trace's text, one line of its file
     or one block of `read_blocks`.  Lines split where `str.splitlines`
     splits and are numbered from 1, so a file read in pieces parses exactly
-    as its whole text does.
+    as its whole text does.  The events of a chunk's lines above a
+    malformed one come out before its error.
     """
-    return _events(chain.from_iterable(map(str.splitlines, chunks)), 1)
-
-
-def _events(lines: Iterable[str], lineno: int) -> Iterator[TraceEvent]:
-    """The events of `lines`, the first numbered `lineno`: the parser's one fast path.
-
-    A well-formed line costs one split, one table lookup, one width check
-    and its builder's frame, all inline here; only a line the build
-    rejects goes to `_diagnose`.
-    """
-    table = _PARSE_TABLE
-    for lineno, line in enumerate(lines, lineno):
-        tokens = line.split()
-        try:
-            width, build, _ = table[tokens[1]]
-            ev = build(tokens) if len(tokens) == width else None
-        except (IndexError, KeyError, ValueError):
-            ev = None
-        if ev is None:
-            _diagnose(tokens, lineno)
-        else:
-            yield ev
+    return chain.from_iterable(_compile_parser()(map(str.splitlines, chunks), 1))
 
 
 def dumps(events: list[TraceEvent]) -> str:
+    table = _compile_formatters()
     lines = ["# vmemsim trace"]
-    lines += [_FORMAT_TABLE[ev.kind](ev) for ev in events]
+    lines += [table[ev.kind](ev) for ev in events]
     return "\n".join(lines) + "\n"
 
 
@@ -235,8 +262,11 @@ def write_trace(path: str, events: list[TraceEvent]) -> None:
 
 
 def read_trace(path: str) -> list[TraceEvent]:
+    events: list[TraceEvent] = []
     with open_trace(path) as fh:
-        return list(parse_lines(read_blocks(fh)))
+        for block in _compile_parser()(map(str.splitlines, read_blocks(fh)), 1):
+            events += block
+    return events
 
 
 def validate(events: list[TraceEvent]) -> None:

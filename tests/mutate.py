@@ -36,7 +36,7 @@ SRC = ROOT / "src" / "vmemsim"
 SUBSET = (
     "tests/test_golden.py", "tests/test_engine.py", "tests/test_baselines.py",
     "tests/test_records.py", "tests/test_attacks.py", "tests/test_promem.py",
-    "tests/test_metamorphic.py",
+    "tests/test_metamorphic.py", "tests/test_parse_loop.py",
 )
 
 #: seconds one subset run may take before its mutant counts as killed by a hang
@@ -53,6 +53,15 @@ class Mutant(NamedTuple):
     original: str        # one statement or expression, as ast.unparse prints it
     replacement: str     # its stand-in; "pass" deletes a statement
 
+
+#: the end of the parse loop `traceio._compile_parser` writes, as `ast.unparse` prints it
+_PARSE_LOOP_TAIL = (
+    "'                else:\\n                    raise KeyError(k)\\n                append(ev)"
+    "\\n            except (IndexError, KeyError, ValueError):\\n                if t and not "
+    "t[0].startswith(\"#\"):\\n                    yield events\\n                    "
+    "_diagnose(t, lineno + lines.index(line))\\n        lineno += len(lines)\\n        "
+    "yield events\\n'"
+)
 
 MUTANTS = (
     # the replay loop: seq order, the seq in a handler's error, sampling, invariant checks
@@ -247,11 +256,30 @@ MUTANTS = (
            "got {sample_interval}')", "pass"),
     Mutant("static_partition_accepts_an_unknown_vm", "engine.py", "static_partition_utilization",
            "if (ev.kind == EventKind.ALLOC or ev.kind == EventKind.FREE) and ev.vm not in "
-           "served:\n    raise SimulationError(f'event seq {ev.seq}: vm {ev.vm} is not live')",
+           "live:\n    raise SimulationError(f'event seq {ev.seq}: vm {ev.vm} is not live')",
            "pass"),
     Mutant("trace_event_accepts_an_unknown_kind", "events.py", "TraceEvent.__new__",
            "if kind not in EVENT_FIELDS:\n    raise TraceFormatError(f'event seq {seq}: unknown "
            "event kind {kind!r}')", "pass"),
+    # a kind set after an event was built, named with its seq, as the replay meets it
+    Mutant("replay_names_no_unknown_kind", "engine.py", "_Machine.replay",
+           "if ev.kind not in handlers:\n    raise self.err(ev, f'unknown event kind "
+           "{ev.kind!r}') from None", "pass"),
+    Mutant("static_partition_keeps_a_destroyed_vm_live", "engine.py",
+           "static_partition_utilization", "live.discard(ev.vm)", "pass"),
+    # the compiled parse loop: a line's width, checked by the unpack of its tokens,
+    # and the events above a malformed line, yielded before its error
+    Mutant("parse_loop_lets_extra_tokens_through", "traceio.py", "_compile_parser",
+           "f\"                    {', '.join(names)} = t\\n\"",
+           "f\"                    {', '.join(names)} = t[:{len(names)}]\\n\""),
+    Mutant("parse_loop_diagnoses_before_yielding", "traceio.py", "_compile_parser",
+           _PARSE_LOOP_TAIL,
+           _PARSE_LOOP_TAIL.replace("                    yield events\\n", "", 1)),
+    # a cpu or vm token read from the table of 0..255, and through `int` outside it
+    Mutant("parse_loop_misreads_a_small_token", "traceio.py", "_compile_parser",
+           "{str(i): i for i in range(256)}", "{str(i): i ^ 1 for i in range(256)}"),
+    Mutant("parse_loop_reads_no_token_outside_the_table", "traceio.py", "_compile_parser",
+           "f'int({name}) if x is None else x'", "'x'"),
 )
 
 

@@ -2,10 +2,10 @@
 
 `parse_line` here checks each rule of the format in turn and fills
 TraceEvent's arguments one field at a time.  `vmemsim.traceio` builds a
-well-formed line's event in one call to a builder compiled per kind
-instead, and must return the same event, or raise the same
-TraceFormatError, for every line (its parse loop, `_events`) and every whole text
-(`loads`).  Likewise `format_event` here writes a line one field at a
+well-formed line's event inline in one parse loop compiled from the field
+table instead, and must return the same event, or raise the same
+TraceFormatError, for every line (that loop, `_compile_parser()`) and every
+whole text (`loads`).  Likewise `format_event` here writes a line one field at a
 time, and `vmemsim.traceio.dumps`, one call to a formatter compiled per
 kind, must write the same line or raise the same error for every event.
 This module imports nothing from `vmemsim.traceio`.

@@ -27,6 +27,7 @@ from vmemsim.cli import (
 from vmemsim.core import Geometry
 from vmemsim.engine import MODES, compare
 from vmemsim.traceio import read_trace
+from vmemsim.workload import WorkloadSpec, generate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -35,7 +36,8 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-@pytest.mark.parametrize("path", ["a/x.trace", "a/x.trace/", ".trace", "foo.", "a.b.trace", "x"])
+@pytest.mark.parametrize("path", ["a/x.trace", "a/x.trace/", ".trace", "foo.", "a.b.trace", "x",
+                                  "a.trace", "run.t", "a.t"])
 def test_trace_name_is_the_path_stem(path):
     assert _trace_name(path) == PurePosixPath(path).stem
 
@@ -89,6 +91,34 @@ def test_gen_validate_run_pipeline(tmp_path, trace_file, capsys):
     util_lines = util_out.read_text().splitlines()
     assert util_lines[0] == ",".join(UTIL_COLUMNS)
     assert len(util_lines) > 1
+
+
+def test_run_prints_the_counters_line_and_no_ledger_at_its_default_verbosity(trace_file, capsys):
+    assert run_cli("run", "--geometry", "256x4x16", "--trace", str(trace_file)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "trace", "cycles", "faults", "utilization", "counters"]
+    assert "isolation=12 " in lines[2]   # records a higher verbosity would print
+    assert lines[4].startswith("  counters cpu_accesses=")
+
+
+def test_gen_without_a_seed_uses_seed_1(tmp_path):
+    argv = ["gen", "--geometry", "256x4x16", "--vms", "2", "--events", "300",
+            "--demand", "4:0.2:0.5", "--dma-rate", "0.05"]
+    assert run_cli(*argv, "--out", str(tmp_path / "default.trace")) == 0
+    assert run_cli(*argv, "--seed", "1", "--out", str(tmp_path / "one.trace")) == 0
+    assert run_cli(*argv, "--seed", "2", "--out", str(tmp_path / "two.trace")) == 0
+    default = (tmp_path / "default.trace").read_bytes()
+    assert default == (tmp_path / "one.trace").read_bytes()
+    assert default != (tmp_path / "two.trace").read_bytes()
+
+
+def test_gen_with_no_vms_needs_no_demand(tmp_path):
+    out = tmp_path / "none.trace"
+    assert run_cli("gen", "--geometry", "256x4x16", "--vms", "0", "--events", "5",
+                   "--out", str(out)) == 0
+    spec = WorkloadSpec(seed=1, vm_count=0, events=5, demand=())
+    assert out.read_text() == traceio.dumps(generate(spec, Geometry(256, 4, 16)))
 
 
 def test_outputs_are_deterministic(tmp_path, trace_file):
@@ -363,6 +393,7 @@ def test_run_without_trace_is_an_error(capsys):
     (["compare"], "compare needs at least one --trace"),
     (["gen", "--vms", "2"], "gen needs --vms and --events"),
     (["gen", "--vms", "2", "--events", "10"], "gen needs --demand"),
+    (["gen", "--vms", "1", "--events", "10"], "gen needs --demand"),
 ])
 def test_a_missing_required_setting_is_an_error(capsys, argv, message):
     assert run_cli(*argv) == 1

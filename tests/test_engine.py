@@ -119,6 +119,13 @@ def _dead(kind, **fields):
     return trace((E.CREATE_VM, {"vm": 1}), (E.DESTROY_VM, {"vm": 1}), (kind, {"vm": 1, **fields}))
 
 
+def _rewritten_kind():
+    """A trace whose second event, an alloc, has its kind set to "warp" after it was built."""
+    events = trace((E.CREATE_VM, {"vm": 1}), (E.ALLOC, {"vm": 1}))
+    events[1].kind = "warp"
+    return events
+
+
 # name -> (trace, the full SimulationError text: one for every mode, or one
 # per mode that rejects the trace, the other modes replaying it)
 MALFORMED = {
@@ -184,6 +191,8 @@ MALFORMED = {
         trace((E.CREATE_VM, {"vm": 1}), (E.RMAP_WRITE, {"vm": 2, "ppage": 0, "phys": 0})),
         dict.fromkeys(BASELINE_MODES, "event seq 2: vm 2 is not live"),
     ),
+    # TraceEvent(...) refuses an unknown kind, but the kind slot stays writable
+    "rewritten_kind": (_rewritten_kind(), "event seq 2: unknown event kind 'warp'"),
 }
 
 # dma events whose device address lies outside DmaRequest's bounds, and the

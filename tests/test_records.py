@@ -105,6 +105,12 @@ REJECTIONS = [
     (lambda: static_partition_utilization([TraceEvent(1, EventKind.CREATE_VM, 0, vm=1),
                                            TraceEvent(2, EventKind.ALLOC, 0, vm=5)], Geometry()),
      SimulationError, "event seq 2: vm 5 is not live"),
+    # an alloc by a vm the trace has destroyed, as every replay mode rejects it
+    (lambda: static_partition_utilization([TraceEvent(1, EventKind.CREATE_VM, 0, vm=1),
+                                           TraceEvent(2, EventKind.DESTROY_VM, 0, vm=1),
+                                           TraceEvent(3, EventKind.ALLOC, 0, vm=1)],
+                                          Geometry(256, 4, 8), 1),
+     SimulationError, "event seq 3: vm 1 is not live"),
 ]
 
 
@@ -140,7 +146,7 @@ def test_assigning_a_config_field_raises_attribute_error(record, name):
     assert getattr(record, name) == before
 
 
-#: TraceEvent's fields in positional order; the parser's compiled builders rely on it
+#: TraceEvent's fields in positional order
 TRACE_EVENT_FIELDS = (
     "seq", "kind", "cpu", "vm", "vaddr", "vpage", "target", "ppage", "phys", "bus",
     "device", "function", "dva", "page", "domain", "mode", "vasid", "write",

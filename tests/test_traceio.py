@@ -2,6 +2,7 @@
 
 import io
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -236,9 +237,9 @@ def _parse_one(line, lineno):
     """The parse loop on the one line `line`, numbered `lineno`: its event, or None.
 
     A line may hold separators `loads` would split it at, so it goes to
-    the loop whole.
+    the loop whole, as the one line of one block.
     """
-    return next(traceio._events((line,), lineno), None)
+    return next(chain.from_iterable(traceio._compile_parser()([[line]], lineno)), None)
 
 
 @settings(max_examples=600, deadline=None)
