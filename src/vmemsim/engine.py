@@ -773,6 +773,7 @@ def static_partition_utilization(
             live.add(ev.vm)
         elif ev.kind == EventKind.DESTROY_VM:
             live.discard(ev.vm)
+            served[ev.vm] = 0
         elif (ev.kind == EventKind.ALLOC or ev.kind == EventKind.FREE) and ev.vm not in live:
             raise SimulationError(f"event seq {ev.seq}: vm {ev.vm} is not live")
         if ev.kind == EventKind.ALLOC and served[ev.vm] < share * pps:

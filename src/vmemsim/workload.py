@@ -4,7 +4,8 @@ Generated traces are mode-neutral: the same event list replays under any
 engine mode.  The generator is allocator-agnostic; it numbers guest pages
 by issue order and never peeks at engine state, so a trace is a pure
 function of (spec, geometry).  Its draws come from `Xorshift64Star`, which
-computes the xorshift64* stream ahead in packed lanes (see `_lane_words`).
+computes the xorshift64* stream ahead in packed lanes, multiplied in place
+by 32-bit halves (see `_lane_words`).
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ _LANE_STEPS = 256
 #: lanes of the first block; each later block doubles them, up to _MAX_LANES
 _FIRST_LANES = 16
 _MAX_LANES = 256
-#: where a word sits in each pair of an array('Q') so that, read as one int in
-#: sys.byteorder, it is the low half of its pair's 128-bit lane
-_LOW_HALF = 0 if sys.byteorder == "little" else 1
+#: _MULT as mh * 2**32 + ml
+_MULT_HI, _MULT_LO = divmod(_MULT, 1 << 32)
 
 
 def _pack(words: list[int]) -> int:
@@ -45,15 +45,17 @@ def _pack(words: list[int]) -> int:
     return int.from_bytes(array("Q", words), sys.byteorder)
 
 
-def _steps(x: int, lanes: int) -> list[int]:
-    """The next _LANE_STEPS xorshift states of every lane packed in x, one int per step.
-
-    The masks keep each shift's bits inside their own 64-bit lane.
-    """
+@cache
+def _lane_masks(lanes: int) -> tuple[int, int, int, int]:
+    """The masks keeping each shift's bits in their own lane, and every lane's low 32 bits."""
     ones = ((1 << 64 * lanes) - 1) // _MASK64  # 1 at the bottom of every lane
-    keep_r12 = ones * (_MASK64 >> 12)
-    keep_l25 = ones * (_MASK64 ^ ((1 << 25) - 1))
-    keep_r27 = ones * (_MASK64 >> 27)
+    return (ones * (_MASK64 >> 12), ones * (_MASK64 ^ ((1 << 25) - 1)),
+            ones * (_MASK64 >> 27), ones * 0xFFFF_FFFF)
+
+
+def _steps(x: int, lanes: int) -> list[int]:
+    """The next _LANE_STEPS xorshift states of every lane packed in x, one int per step."""
+    keep_r12, keep_l25, keep_r27, _ = _lane_masks(lanes)
     states = []
     for _ in range(_LANE_STEPS):
         x ^= (x >> 12) & keep_r12
@@ -83,15 +85,32 @@ def _jump_tables() -> tuple[list[int], ...]:
     return tuple(tables)
 
 
+def _outputs(states: list[int], lanes: int) -> array:
+    """Word t*lanes + i: lane i of states[t] times _MULT, modulo 2**64.
+
+    Lane x = xh * 2**32 + xl gives x * _MULT = xl*ml + 2**32 * (xl*mh + xh*ml)
+    modulo 2**64.  xl*ml is below 2**64, and as mh < 2**30 and ml < 2**31 so
+    is the high half's sum, so each lane's product stays in its own lane.
+    """
+    low = _lane_masks(lanes)[3]
+    ml, mh, nbytes, order = _MULT_LO, _MULT_HI, 8 * lanes, sys.byteorder
+    out = array("Q")
+    put = out.frombytes
+    for x in states:
+        xl = x & low
+        lo = xl * ml
+        hi = (lo >> 32 & low) + xl * mh + (x >> 32 & low) * ml
+        put((lo & low | (hi & low) << 32).to_bytes(nbytes, order))
+    return out
+
+
 def _lane_words(state: int) -> Iterator[array]:
     """The xorshift64* output words after `state`, as one array per lane, in order.
 
     A block of n lanes draws n * L words, L = _LANE_STEPS: lane i starts
     i*L steps on from the block's start, found through T^L, and all n step
-    L times as one int.  Each state's output is its product with _MULT
-    modulo 2**64; the block's states are spread one to a 128-bit lane of
-    one int, so a single multiply makes every product and none carries
-    into the next.
+    L times as one int.  Each step's outputs are its lanes' products with
+    _MULT, made by 32-bit halves in place (see _outputs).
     """
     t0, t1, t2, t3, t4, t5, t6, t7 = _jump_tables()
     lanes = _FIRST_LANES
@@ -102,22 +121,14 @@ def _lane_words(state: int) -> Iterator[array]:
             starts.append(t0[x & 255] ^ t1[x >> 8 & 255] ^ t2[x >> 16 & 255]
                           ^ t3[x >> 24 & 255] ^ t4[x >> 32 & 255] ^ t5[x >> 40 & 255]
                           ^ t6[x >> 48 & 255] ^ t7[x >> 56])
-        nbytes = 8 * lanes
-        # word t*lanes + i: lane i's state after t + 1 steps
-        words = array("Q", b"".join([s.to_bytes(nbytes, sys.byteorder)
-                                     for s in _steps(_pack(starts), lanes)]))
-        state = words[-1]  # the last lane ends where the next block starts
-        size = 16 * len(words)  # bytes of the states spread to 128 bits each
-        spread = array("Q", bytes(size))
-        spread[_LOW_HALF::2] = words
-        # drop each buffer once the next is made: a 256-lane block's are 0.5-1 MB each
-        del words
-        product = int.from_bytes(spread, sys.byteorder) * _MULT
-        del spread
-        out = array("Q", product.to_bytes(size, sys.byteorder))
-        del product
+        states = _steps(_pack(starts), lanes)
+        state = states[-1] >> 64 * (lanes - 1)  # the last lane ends where the next block starts
+        # drop each block's buffers once used: a 256-lane block's are 0.5 MB each
+        out = _outputs(states, lanes)
+        del states
         for lane in range(lanes):
-            yield out[_LOW_HALF + 2 * lane::2 * lanes]
+            yield out[lane::lanes]
+        del out
         lanes = min(2 * lanes, _MAX_LANES)
 
 
@@ -127,9 +138,9 @@ class Xorshift64Star:
     The algorithm is small and trivially portable; a zero seed is remapped
     to a fixed odd constant because the all-zero state is a fixed point.
     `next_u64()` returns the next output word.  The words are computed
-    ahead in blocks that grow from 16 * 256 to 256 * 256 words (see
-    _lane_words), so a draw is one C-level step of an iterator; the stream
-    is the scalar recurrence's, word for word.
+    ahead in blocks that grow from 16 * 256 to 256 * 256 words, stepped and
+    multiplied in packed 64-bit lanes (see _lane_words), so a draw is one
+    C-level step of an iterator; the stream is the scalar recurrence's, word for word.
     """
 
     __slots__ = ("next_u64",)

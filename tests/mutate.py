@@ -267,6 +267,8 @@ MUTANTS = (
            "{ev.kind!r}') from None", "pass"),
     Mutant("static_partition_keeps_a_destroyed_vm_live", "engine.py",
            "static_partition_utilization", "live.discard(ev.vm)", "pass"),
+    Mutant("static_partition_keeps_a_destroyed_vms_pages", "engine.py",
+           "static_partition_utilization", "served[ev.vm] = 0", "pass"),
     # the compiled parse loop: a line's width, checked by the unpack of its tokens,
     # and the events above a malformed line, yielded before its error
     Mutant("parse_loop_lets_extra_tokens_through", "traceio.py", "_compile_parser",
@@ -280,6 +282,17 @@ MUTANTS = (
            "{str(i): i for i in range(256)}", "{str(i): i ^ 1 for i in range(256)}"),
     Mutant("parse_loop_reads_no_token_outside_the_table", "traceio.py", "_compile_parser",
            "f'int({name}) if x is None else x'", "'x'"),
+    # the PRNG's product with the multiplier, by 32-bit halves inside each 64-bit lane
+    Mutant("prng_product_drops_the_low_half_carry", "workload.py", "_outputs",
+           "lo >> 32 & low", "0"),
+    Mutant("prng_product_swaps_the_multiplier_halves", "workload.py", "_outputs",
+           "xl * mh", "xl * ml"),
+    Mutant("prng_product_keeps_the_high_half_of_xl", "workload.py", "_outputs",
+           "x & low", "x"),
+    Mutant("prng_product_keeps_the_next_lane_in_xh", "workload.py", "_outputs",
+           "x >> 32 & low", "x >> 32"),
+    Mutant("prng_product_spills_the_high_sum", "workload.py", "_outputs",
+           "hi & low", "hi"),
 )
 
 

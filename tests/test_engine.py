@@ -1526,6 +1526,16 @@ def test_static_partition_tracks_frees():
     assert samples == [0.0, 1 / 8, 0.0]
 
 
+def test_static_partition_drops_a_destroyed_vms_pages():
+    t = trace(
+        (E.CREATE_VM, {"vm": 1}),
+        (E.ALLOC, {"vm": 1}),
+        (E.DESTROY_VM, {"vm": 1}),
+    )
+    samples = static_partition_utilization(t, TINY, sample_interval=1)
+    assert samples == [0.0, 1 / 8, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: any trace fails, if at all, with a SimError
 # ---------------------------------------------------------------------------

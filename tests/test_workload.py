@@ -1,6 +1,7 @@
 """Workload generator and the scripted attack traces."""
 
 import copy
+import random
 import tracemalloc
 
 import pytest
@@ -16,6 +17,7 @@ from vmemsim.workload import (
     DemandProfile,
     WorkloadSpec,
     Xorshift64Star,
+    _outputs,
     attack_cross_vm_dma,
     attack_hyperwall_starvation,
     attack_malicious_hypervisor,
@@ -60,6 +62,25 @@ def test_the_lane_kernel_draws_the_scalar_stream(seed):
     n = 300_000
     fast, scalar = Xorshift64Star(seed).next_u64, workload_reference.Xorshift64Star(seed).next_u64
     assert [fast() for _ in range(n)] == [scalar() for _ in range(n)]
+
+
+_EXTREMES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("lanes", [1, 16, 256])
+def test_the_lane_product_is_exact_in_every_lane(lanes):
+    # states the stream may never reach: every lane at each extreme, then rows
+    # mixing extremes and seeded random words, so that extremes sit beside other
+    # words, where a dropped mask or a carry into the next lane would show
+    rand = random.Random(lanes)
+    rows = [[v] * lanes for v in _EXTREMES] + [
+        [rand.choice(_EXTREMES) if rand.random() < 0.5 else rand.getrandbits(64)
+         for _ in range(lanes)]
+        for _ in range(8)
+    ]
+    states = [sum(word << 64 * i for i, word in enumerate(row)) for row in rows]
+    assert list(_outputs(states, lanes)) == [(word * 0x2545F4914F6CDD1D) % 2**64
+                                             for row in rows for word in row]
 
 
 def test_below_frozen_sequence():
