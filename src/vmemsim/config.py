@@ -1,8 +1,9 @@
 """Flat `key = value` configuration files.
 
-Full-line comments start with `#`; blank lines are ignored.  Unknown keys
-are rejected so a typo cannot silently fall back to a default.  Values
-stay strings here; the CLI casts them when it merges config with flags.
+The file is UTF-8 text, a leading byte-order mark skipped.  Full-line
+comments start with `#`; blank lines are ignored.  Unknown keys are
+rejected so a typo cannot silently fall back to a default.  Values stay
+strings here; the CLI casts them when it merges config with flags.
 A `cost.*` key is checked against `CostModel`'s fields, which `core`
 defines, so reading one loads no engine.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .core import CostModel, Geometry
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 
 if TYPE_CHECKING:
     from .workload import DemandProfile
@@ -68,7 +69,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def load_config(path: str) -> dict[str, str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_config_text(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
@@ -88,7 +89,7 @@ def parse_geometry(token: str) -> Geometry:
         raise ConfigError(f"geometry components must be integers, got {token!r}") from None
     try:
         return Geometry(page, pps, tseg)
-    except Exception as exc:
+    except GeometryError as exc:
         raise ConfigError(str(exc)) from None
 
 

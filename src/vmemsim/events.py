@@ -123,13 +123,12 @@ class TraceEvent:
     and `write`; `create_vm`, `destroy_vm`, `enter` and `alloc`), so a
     handler shared by such kinds sees one class.  The fields a layout
     lacks read None from this base, and assigning one raises
-    AttributeError.  `TraceEvent(...)` refuses a kind EVENT_FIELDS lacks with
-    TraceFormatError, and picks the kind's layout, or the 18-slot
-    FULL_LAYOUT for an event that sets a field its kind lacks; the
-    parser and the generator build LAYOUT_OF's classes directly, with
-    `object.__new__` and slot stores.  Equality compares all 18 values
-    whatever the layouts, events are unhashable, and a copy or a pickle
-    keeps the layout.
+    AttributeError.  `TraceEvent(...)` builds the event in its kind's
+    layout, and refuses with TraceFormatError a kind EVENT_FIELDS lacks, a
+    field of the kind left None and a field the kind lacks that is set;
+    the parser and the generator build LAYOUT_OF's classes directly, with
+    `object.__new__` and slot stores.  Equality compares all 18 values,
+    events are unhashable, and a copy or a pickle keeps the layout.
     """
 
     __slots__ = ()
@@ -143,18 +142,18 @@ class TraceEvent:
                 dva=None, page=None, domain=None, mode=None, vasid=None, write=None):
         if kind not in EVENT_FIELDS:
             raise TraceFormatError(f"event seq {seq}: unknown event kind {kind!r}")
-        fields = {"vm": vm, "vaddr": vaddr, "vpage": vpage, "target": target, "ppage": ppage,
-                  "phys": phys, "bus": bus, "device": device, "function": function, "dva": dva,
-                  "page": page, "domain": domain, "mode": mode, "vasid": vasid, "write": write}
-        if cls is TraceEvent:
-            cls = LAYOUT_OF[kind]
-            if any(fields[name] is not None for name in fields.keys() - cls.__slots__):
-                cls = FULL_LAYOUT
-        self = object.__new__(cls)
+        self = object.__new__(LAYOUT_OF[kind])
         self.seq, self.kind, self.cpu = seq, kind, cpu
-        for name, value in fields.items():
-            if value is not None or name in cls.__slots__:
-                setattr(self, name, value)   # AttributeError for a field the layout lacks
+        carried = EVENT_FIELDS[kind]
+        for name, value in zip(FIELD_ORDER[3:], (vm, vaddr, vpage, target, ppage, phys, bus,
+                                                 device, function, dva, page, domain, mode,
+                                                 vasid, write)):
+            if name in carried:
+                if value is None:
+                    raise TraceFormatError(f"event seq {seq}: missing field {name!r}")
+                setattr(self, name, value)
+            elif value is not None:
+                raise TraceFormatError(f"event seq {seq}: {kind} carries no field {name!r}")
         return self
 
     def __eq__(self, other: object) -> bool:
@@ -183,9 +182,6 @@ def _layout(names: tuple[str, ...]) -> type[TraceEvent]:
                                                      "__module__": __name__})
     return globals()[name]
 
-
-#: the layout of an event that sets a field its kind does not carry
-FULL_LAYOUT = _layout(FIELD_ORDER[3:])
 
 #: kind token -> the layout a well-formed event of that kind is built in
 LAYOUT_OF: dict[str, type[TraceEvent]] = {

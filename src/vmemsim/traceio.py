@@ -225,10 +225,13 @@ def read_blocks(fh: TextIO) -> Iterator[str]:
     also split, so `parse_lines` numbers and splits the lines of the blocks
     as it would the whole text.  A line longer than a block is joined up
     from the blocks it spans; the text after the file's last newline comes
-    last.
+    last.  A byte-order mark (U+FEFF) before the first line is dropped.
     """
     head: list[str] = []        # the start of a line that runs past the blocks read so far
-    while block := fh.read(BLOCK_SIZE):
+    block = fh.read(BLOCK_SIZE)
+    if block[:1] == "\ufeff":
+        block = block[1:] or fh.read(BLOCK_SIZE)
+    while block:
         cut = block.rfind("\n") + 1
         if cut:
             head.append(block[:cut])
@@ -236,6 +239,7 @@ def read_blocks(fh: TextIO) -> Iterator[str]:
             head = [block[cut:]]
         else:
             head.append(block)
+        block = fh.read(BLOCK_SIZE)
     tail = "".join(head)
     if tail:
         yield tail

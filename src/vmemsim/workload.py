@@ -5,7 +5,9 @@ engine mode.  The generator is allocator-agnostic; it numbers guest pages
 by issue order and never peeks at engine state, so a trace is a pure
 function of (spec, geometry).  Its draws come from `Xorshift64Star`, which
 computes the xorshift64* stream ahead in packed lanes, multiplied in place
-by 32-bit halves (see `_lane_words`).
+by 32-bit halves (see `_lane_words`).  A draw below n is `next_u64() % n`,
+and a roll that succeeds with probability p is `next_u64() % 1_000_000 <
+round(p * 1_000_000)`: integers, no floats.
 """
 
 from __future__ import annotations
@@ -141,6 +143,8 @@ class Xorshift64Star:
     ahead in blocks that grow from 16 * 256 to 256 * 256 words, stepped and
     multiplied in packed 64-bit lanes (see _lane_words), so a draw is one
     C-level step of an iterator; the stream is the scalar recurrence's, word for word.
+    Callers reduce a word themselves (`% n`; modulo bias is irrelevant at
+    simulation scale), so `next_u64` is the whole interface.
     """
 
     __slots__ = ("next_u64",)
@@ -148,16 +152,6 @@ class Xorshift64Star:
     def __init__(self, seed: int):
         words = chain.from_iterable(_lane_words((seed & _MASK64) or _ZERO_SEED))
         self.next_u64 = words.__next__
-
-    def below(self, n: int) -> int:
-        # modulo bias is irrelevant at simulation scale
-        if n <= 0:
-            raise ValueError("below() needs a positive bound")
-        return self.next_u64() % n
-
-    def chance(self, scaled: int) -> bool:
-        """True with probability scaled/1_000_000."""
-        return self.below(_MILLION) < scaled
 
 
 def _scale(rate: float) -> int:
@@ -251,10 +245,9 @@ def generate(spec: WorkloadSpec, geom: Geometry | None = None) -> list[TraceEven
     if spec.events < preamble:
         raise WorkloadError(f"events must be >= {preamble} to fit the preamble")
 
-    rng = Xorshift64Star(spec.seed)
-    # one call per draw: `draw() % n` is rng.below(n), and
-    # `draw() % 1_000_000 < scaled` is rng.chance(scaled)
-    draw = rng.next_u64
+    # one call per draw: `draw() % n` draws below n, and
+    # `draw() % 1_000_000 < scaled` rolls with probability scaled / 1_000_000
+    draw = Xorshift64Star(spec.seed).next_u64
     page_size = geom.page_size_bytes
     pages_total = geom.pages_total
     dma_scaled = _scale(spec.dma_rate)

@@ -245,9 +245,12 @@ MUTANTS = (
     Mutant("denial_swaps_page_and_owner", "baselines.py", "HyperwallMachine.on_read",
            "(ev.seq, ev.cpu, requester, page, mode, owner)",
            "(ev.seq, ev.cpu, requester, owner, mode, page)"),
-    # an event's class: its kind's layout, keyed by the kind's token
-    Mutant("trace_event_takes_the_full_layout", "events.py", "TraceEvent.__new__",
-           "LAYOUT_OF[kind]", "FULL_LAYOUT"),
+    # an event is built in its kind's layout: every field of the kind set, no other
+    Mutant("trace_event_accepts_a_foreign_field", "events.py", "TraceEvent.__new__",
+           "raise TraceFormatError(f'event seq {seq}: {kind} carries no field {name!r}')",
+           "pass"),
+    Mutant("trace_event_accepts_a_missing_field", "events.py", "TraceEvent.__new__",
+           "raise TraceFormatError(f'event seq {seq}: missing field {name!r}')", "pass"),
     # argument guards tier-1 reaches only through tests/test_records.py's REJECTIONS
     Mutant("generate_skips_device_count_check", "workload.py", "generate",
            "spec.vm_count > MAX_BUS * MAX_DEVICE", "False"),

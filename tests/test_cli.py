@@ -102,6 +102,43 @@ def test_run_prints_the_counters_line_and_no_ledger_at_its_default_verbosity(tra
     assert lines[4].startswith("  counters cpu_accesses=")
 
 
+def config_run(tmp_path, trace_file, capsys, *lines):
+    """The lines `run` prints for `trace_file` with a config file holding `lines`."""
+    conf = tmp_path / "sim.conf"
+    conf.write_text("".join(f"{line}\n" for line in ("geometry = 256x4x16", *lines)))
+    assert run_cli("run", "--config", str(conf), "--trace", str(trace_file)) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_verbosity_2_in_a_config_prints_the_ledger_records(tmp_path, trace_file, capsys):
+    lines = config_run(tmp_path, trace_file, capsys, "verbosity = 2")
+    assert lines[4].startswith("  counters cpu_accesses=")
+    records = [line for line in lines[5:] if line.startswith("  isolation_fault: {")]
+    assert len(records) == 12 == len(lines[5:])    # the 12 the faults line counts
+    assert run_cli("run", "-v", "--geometry", "256x4x16", "--trace", str(trace_file)) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_verbosity_0_in_a_config_leaves_out_the_counters_line(tmp_path, trace_file, capsys):
+    lines = config_run(tmp_path, trace_file, capsys, "verbosity = 0")
+    assert [line.split()[0] for line in lines] == ["trace", "cycles", "faults", "utilization"]
+    assert config_run(tmp_path, trace_file, capsys)[:4] == lines
+
+
+def test_a_trace_with_a_byte_order_mark_reads_as_the_trace_without(tmp_path, capsys):
+    plain = FIXTURES / "cross_vm_dma.trace"
+    marked = tmp_path / plain.name
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for path in (plain, marked):
+        assert run_cli("run", "--geometry", "256x4x8", "--trace", str(path)) == 0
+        assert run_cli("validate", "--trace", str(path)) == 0
+        outputs.append(capsys.readouterr().out.replace(str(path), "TRACE"))
+    assert outputs[0] == outputs[1]
+    assert "TRACE: 14 events ok" in outputs[0]
+    assert read_trace(str(marked)) == read_trace(str(plain))
+
+
 def test_gen_without_a_seed_uses_seed_1(tmp_path):
     argv = ["gen", "--geometry", "256x4x16", "--vms", "2", "--events", "300",
             "--demand", "4:0.2:0.5", "--dma-rate", "0.05"]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import vmemsim
+from vmemsim import config
 from vmemsim.cli import main
 
 from vmemsim.config import (
@@ -88,6 +89,14 @@ def test_load_config_names_a_file_that_is_not_utf8(tmp_path):
     assert str(exc.value) == f"{path}: not UTF-8 text (bytes e9)"
 
 
+def test_a_config_with_a_byte_order_mark_reads_its_first_key(tmp_path):
+    path = tmp_path / "bom.conf"
+    path.write_bytes(b"\xef\xbb\xbfgeometry = 256x4x8\nseed = 3\n")
+    assert load_config(str(path)) == {"geometry": "256x4x8", "seed": "3"}
+    path.write_bytes(b"\xef\xbb\xbf" + GOOD.encode())
+    assert load_config(str(path)) == parse_config_text(GOOD)
+
+
 @pytest.mark.parametrize("command", ["run", "compare", "gen", "attack cross_vm_dma"])
 def test_a_config_that_is_not_utf8_is_an_error_line(tmp_path, capsys, command):
     path = latin_config(tmp_path)
@@ -113,6 +122,15 @@ def test_parse_geometry():
     for bad in ("4096x512", "4096x512x64x2", "axbxc", "100x4x8"):
         with pytest.raises(ConfigError):
             parse_geometry(bad)
+
+
+def test_parse_geometry_reports_only_a_geometry_error_as_a_config_error(monkeypatch):
+    def broken(*args):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(config, "Geometry", broken)
+    with pytest.raises(TypeError, match="a programming error"):
+        parse_geometry("4096x512x64")
 
 
 def test_parse_demand_fan_out():

@@ -53,7 +53,7 @@ def all_kinds_trace(seed: int, events: int, geom: Geometry, raw_dma: bool = True
     pages.  Vpages touched by gpt_write are never freed, so a free never
     names a page the guest does not hold.
     """
-    rng = Xorshift64Star(seed)
+    draw = Xorshift64Star(seed).next_u64
     ps = geom.page_size_bytes
     span = geom.pages_total + 4          # a few targets land outside the pool
     trace: list[TraceEvent] = []
@@ -68,11 +68,11 @@ def all_kinds_trace(seed: int, events: int, geom: Geometry, raw_dma: bool = True
         trace.append(TraceEvent(seq=len(trace) + 1, kind=kind, **fields))
 
     def pick(seq):
-        return seq[rng.below(len(seq))]
+        return seq[draw() % len(seq)]
 
     while len(trace) < events:
         kind = pick(kinds)
-        cpu = rng.below(2)
+        cpu = draw() % 2
         owners = [0] + live
         if kind == EventKind.CREATE_VM and len(live) < 4:
             live.append(next_vm)
@@ -96,30 +96,30 @@ def all_kinds_trace(seed: int, events: int, geom: Geometry, raw_dma: bool = True
             emit(kind, vm=vm)
         elif kind == EventKind.FREE:
             vm = pick(owners)
-            vpage = rng.below(allocs[vm] + 2)
+            vpage = draw() % (allocs[vm] + 2)
             if vpage not in tainted[vm]:
-                emit(kind, vm=vm, vaddr=vpage * ps + rng.below(ps))
+                emit(kind, vm=vm, vaddr=vpage * ps + draw() % ps)
         elif kind == EventKind.GPT_WRITE:
             vm = pick(owners)
-            vpage = rng.below(12)
+            vpage = draw() % 12
             tainted[vm].add(vpage)
-            emit(kind, vm=vm, vpage=vpage, target=rng.below(span))
+            emit(kind, vm=vm, vpage=vpage, target=draw() % span)
         elif kind == EventKind.RMAP_WRITE:
-            emit(kind, vm=pick(owners), ppage=rng.below(12), phys=rng.below(span))
+            emit(kind, vm=pick(owners), ppage=draw() % 12, phys=draw() % span)
         elif kind == EventKind.DMA:
-            emit(kind, bus=0, device=rng.below(4), function=0,
-                 dva=rng.below(span) * ps, write=rng.below(2) == 1)
+            emit(kind, bus=0, device=draw() % 4, function=0,
+                 dva=draw() % span * ps, write=draw() % 2 == 1)
         elif kind == EventKind.DMA_RAW:
-            emit(kind, vm=rng.below(next_vm), page=rng.below(span), write=rng.below(2) == 1)
+            emit(kind, vm=draw() % next_vm, page=draw() % span, write=draw() % 2 == 1)
         elif kind == EventKind.DOMAIN_ASSIGN and live:
-            emit(kind, domain=1 + rng.below(3), vm=pick(live), bus=0,
-                 device=rng.below(4), function=0)
+            emit(kind, domain=1 + draw() % 3, vm=pick(live), bus=0,
+                 device=draw() % 4, function=0)
         elif kind == EventKind.HW_SET:
-            emit(kind, cpu=cpu, page=rng.below(geom.pages_total), mode=pick(PAGE_MODES))
+            emit(kind, cpu=cpu, page=draw() % geom.pages_total, mode=pick(PAGE_MODES))
         elif kind == EventKind.PSWITCH:
-            emit(kind, cpu=cpu, vasid=rng.below(3))
+            emit(kind, cpu=cpu, vasid=draw() % 3)
         elif kind in (EventKind.READ, EventKind.WRITE):
-            emit(kind, cpu=cpu, vaddr=rng.below(12) * ps + rng.below(ps))
+            emit(kind, cpu=cpu, vaddr=draw() % 12 * ps + draw() % ps)
     return trace
 
 

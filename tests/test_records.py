@@ -29,7 +29,6 @@ from vmemsim.engine import RunOptions, static_partition_utilization
 from vmemsim.events import (
     EVENT_FIELDS,
     FIELD_ORDER,
-    FULL_LAYOUT,
     LAYOUT_OF,
     DmaRequest,
     EventKind,
@@ -111,6 +110,12 @@ REJECTIONS = [
                                            TraceEvent(3, EventKind.ALLOC, 0, vm=1)],
                                           Geometry(256, 4, 8), 1),
      SimulationError, "event seq 3: vm 1 is not live"),
+    # an event is built in its kind's layout only: every field of the kind set, no other
+    (lambda: TraceEvent(1, "read", 0), TraceFormatError, "event seq 1: missing field 'vaddr'"),
+    (lambda: TraceEvent(1, "read", 0, vaddr=5, page=3), TraceFormatError,
+     "event seq 1: read carries no field 'page'"),
+    (lambda: TraceEvent(4, EventKind.PSWITCH, 1), TraceFormatError,
+     "event seq 4: missing field 'vasid'"),
 ]
 
 
@@ -155,9 +160,11 @@ TRACE_EVENT_FIELDS = (
 
 def test_trace_event_positional_order_and_defaults():
     assert FIELD_ORDER == TRACE_EVENT_FIELDS
-    values = (9, EventKind.DMA) + tuple(range(100, 116))
-    ev = TraceEvent(*values)
-    assert [getattr(ev, name) for name in TRACE_EVENT_FIELDS] == list(values)
+    for kind, names in EVENT_FIELDS.items():
+        values = [9, kind, 2] + [100 + i if name in names else None
+                                 for i, name in enumerate(TRACE_EVENT_FIELDS[3:])]
+        ev = TraceEvent(*values)
+        assert [getattr(ev, name) for name in TRACE_EVENT_FIELDS] == values, kind
     bare = TraceEvent(seq=1, kind=EventKind.EXIT)
     assert bare.cpu == 0
     assert [getattr(bare, name) for name in TRACE_EVENT_FIELDS[3:]] == [None] * 15
@@ -167,9 +174,8 @@ def test_trace_event_equality_and_hash():
     fields = {"seq": 3, "kind": EventKind.FREE, "cpu": 1, "vm": 2, "vaddr": 4096}
     ev = TraceEvent(3, EventKind.FREE, 1, vm=2, vaddr=4096)
     assert ev == TraceEvent(**fields)
-    for name in TRACE_EVENT_FIELDS:
-        other = EventKind.READ if name == "kind" else "other"   # a kind must be a known one
-        assert ev != TraceEvent(**{**fields, name: other}), name
+    # a change to any slot: see test_every_layout_keeps_the_record_contract
+    assert ev != TraceEvent(3, EventKind.READ, 1, vaddr=4096)
     assert ev != (3, EventKind.FREE, 1, 2, 4096)
     with pytest.raises(TypeError):
         hash(ev)
@@ -180,10 +186,9 @@ def sample_event(kind):
     return TraceEvent(7, kind, 1, **{name: 5 for name in EVENT_FIELDS[kind]})
 
 
-#: one event per layout, and one that sets a field its kind lacks (the 18-slot layout)
+#: one event per layout
 LAYOUT_SAMPLES = [sample_event(kind)
                   for kind in {LAYOUT_OF[kind]: kind for kind in EVENT_FIELDS}.values()]
-LAYOUT_SAMPLES.append(TraceEvent(7, EventKind.READ, 1, vaddr=5, page=2))
 
 
 def test_trace_event_layouts():
@@ -196,13 +201,17 @@ def test_trace_event_layouts():
     assert len({LAYOUT_OF[kind] for kind in (EventKind.CREATE_VM, EventKind.DESTROY_VM,
                                               EventKind.ENTER, EventKind.ALLOC)}) == 1
     assert len(set(LAYOUT_OF.values())) == len({frozenset(n) for n in EVENT_FIELDS.values()})
-    # a field the kind does not carry, even set to a falsy value, needs all 18 slots
+    # a field the kind does not carry is refused even at a falsy value, and may be None
     for value in (0, False, "other"):
-        assert type(TraceEvent(7, EventKind.READ, 1, vaddr=5, page=value)) is FULL_LAYOUT
+        with pytest.raises(TraceFormatError, match="^event seq 7: read carries no field 'page'$"):
+            TraceEvent(7, EventKind.READ, 1, vaddr=5, page=value)
     assert type(TraceEvent(7, EventKind.READ, 1, vaddr=5, page=None)) is LAYOUT_OF[EventKind.READ]
+    # a field the kind carries may be falsy, but not None (see REJECTIONS)
+    assert TraceEvent(7, EventKind.DMA_RAW, 1, vm=0, page=0, write=False).write is False
     # a kind is its token (a kind no layout has is refused: see REJECTIONS)
     assert type(TraceEvent(7, "read", 1, vaddr=5)) is LAYOUT_OF[EventKind.READ]
-    assert FULL_LAYOUT.__slots__ == TRACE_EVENT_FIELDS
+    # whatever class it is called on, the constructor builds the kind's layout
+    assert type(LAYOUT_OF[EventKind.ALLOC](7, "read", 1, vaddr=5)) is LAYOUT_OF[EventKind.READ]
 
 
 #: one line of each kind, in EVENT_FIELDS' order
@@ -246,23 +255,27 @@ def test_every_kind_is_its_token_end_to_end():
 
 @pytest.mark.parametrize("ev", LAYOUT_SAMPLES, ids=lambda ev: type(ev).__name__)
 def test_every_layout_keeps_the_record_contract(ev):
-    full = FULL_LAYOUT(*(getattr(ev, name) for name in TRACE_EVENT_FIELDS))
-    assert ev == full and full == ev
-    assert ev != FULL_LAYOUT(*(getattr(ev, name) for name in TRACE_EVENT_FIELDS[:-1]), "w")
+    values = [getattr(ev, name) for name in TRACE_EVENT_FIELDS]
+    rebuilt = TraceEvent(*values)
+    assert ev == rebuilt and rebuilt == ev and type(rebuilt) is type(ev)
+    for name in type(ev).__slots__:
+        changed = copy.copy(ev)
+        setattr(changed, name, "w")
+        assert ev != changed and changed != ev, name
     for copied in (copy.copy(ev), copy.deepcopy(ev), pickle.loads(pickle.dumps(ev))):
         assert copied == ev and copied is not ev
         assert type(copied) is type(ev)
     with pytest.raises(TypeError):
         hash(ev)
-    assert repr(ev) == repr(full) and repr(ev).startswith("TraceEvent(seq=7, ")
+    shown = (f"{name}={value!r}" for name, value in zip(TRACE_EVENT_FIELDS, values))
+    assert repr(ev) == f"TraceEvent({', '.join(shown)})"
     for name in TRACE_EVENT_FIELDS:
         if name not in type(ev).__slots__:
             assert getattr(ev, name) is None
             with pytest.raises(AttributeError):
                 setattr(ev, name, 1)
-            with pytest.raises(AttributeError):
+            with pytest.raises(TraceFormatError, match=f"carries no field '{name}'$"):
                 type(ev)(*(getattr(ev, n) if n != name else 1 for n in TRACE_EVENT_FIELDS))
-    assert ev == full
 
 
 def test_trace_event_repr():
